@@ -29,7 +29,6 @@ from .analysis import (
     mutual_info_eve_sifted,
     r_bound,
     r_threshold,
-    r_threshold_closed_form,
     sift_probability,
     stealth_scan,
 )

@@ -29,7 +29,6 @@ __all__ = [
     "binary_entropy",
     "e_obs",
     "r_threshold",
-    "r_threshold_closed_form",
     "sift_probability",
     "mutual_info_erasure_bsc",
     "mutual_info_eve_sifted",
@@ -73,31 +72,12 @@ def e_obs(r: float) -> float:
     return r / (2.0 * (1.0 + r))
 
 
-def r_threshold_closed_form(e_abort: float) -> float:
-    """Invert e_obs algebraically: r = 2 e / (1 - 2 e)."""
+def r_threshold(e_abort: float) -> float:
+    """Suppression ratio at which the observed QBER reaches the abort value:
+    e_obs inverted in closed form, r = 2 e / (1 - 2 e)."""
     if not 0.0 < e_abort < 0.5:
         raise ValueError(f"abort QBER must be in (0, 0.5), got {e_abort}")
     return 2.0 * e_abort / (1.0 - 2.0 * e_abort)
-
-
-def r_threshold(e_abort: float) -> float:
-    """Suppression ratio at which the observed QBER reaches the abort value.
-
-    Found by bisection on e_obs (the closed form 2e/(1-2e) must agree; the
-    test suite checks both paths to 1e-9).
-    """
-    if not 0.0 < e_abort < 0.5:
-        raise ValueError(f"abort QBER must be in (0, 0.5), got {e_abort}")
-    lo, hi = 0.0, 1.0
-    while e_obs(hi) < e_abort:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if e_obs(mid) < e_abort:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def sift_probability(p_par: float, p_perp: float) -> float:

@@ -42,6 +42,7 @@ DEFAULT_RESOLUTION_S = 8e-12
 DEFAULT_BIN_WIDTH_S = 0.5e-9
 DEFAULT_MAX_GAP_S = 200e-9
 DEFAULT_MIN_COUNT = 2
+_WRITE_CHUNK_LINES = 1 << 16
 
 
 class InsufficientDataError(ValueError):
@@ -109,11 +110,21 @@ class InterArrivalHistogram:
 
 
 def _quantize(times_s: np.ndarray, resolution_s: float, duration_s: float) -> np.ndarray:
-    """Snap to the tagger grid, merge duplicates, drop anything past duration."""
-    ticks = np.round(times_s / resolution_s)
-    ticks = np.unique(ticks)
-    out = ticks * resolution_s
-    return out[out <= duration_s]
+    """Snap to the tagger grid, merge duplicates, drop anything past duration.
+
+    Works in place on `times_s`, which must be ascending.  Rounding keeps that
+    order, so equal ticks are neighbours and one comparison with the previous
+    tick merges them (the same values `np.unique` gives, without its sort).
+    """
+    ticks = np.divide(times_s, resolution_s, out=times_s)
+    np.round(ticks, out=ticks)
+    if ticks.size > 1:
+        fresh = np.empty(ticks.size, dtype=bool)
+        fresh[0] = True
+        np.not_equal(ticks[1:], ticks[:-1], out=fresh[1:])
+        ticks = ticks[fresh]
+    out = np.multiply(ticks, resolution_s, out=ticks)
+    return out[: np.searchsorted(out, duration_s, side="right")]
 
 
 def generate_poisson_stream(
@@ -132,20 +143,21 @@ def generate_poisson_stream(
     if duration_s < 0:
         raise ValueError("duration must be >= 0")
     rng = np.random.default_rng(seed)
-    times = []
+    chunks = []
     t_last = 0.0
     expected = beta_cps * duration_s
     block = max(int(expected + 10.0 * np.sqrt(expected + 1.0)) + 16, 1024)
     while t_last <= duration_s:
-        gaps = rng.exponential(1.0 / beta_cps, size=block)
-        chunk = t_last + np.cumsum(gaps)
-        times.append(chunk)
+        chunk = rng.exponential(1.0 / beta_cps, size=block)
+        np.cumsum(chunk, out=chunk)
+        chunk += t_last
+        chunks.append(chunk)
         t_last = chunk[-1]
         block = max(block // 4, 1024)
-    all_times = np.concatenate(times)
-    all_times = all_times[all_times <= duration_s]
+    times = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    times = times[: np.searchsorted(times, duration_s, side="right")]
     return TimestampStream(
-        timestamps_s=_quantize(all_times, resolution_s, duration_s),
+        timestamps_s=_quantize(times, resolution_s, duration_s),
         duration_s=duration_s,
         resolution_s=resolution_s,
     )
@@ -153,20 +165,45 @@ def generate_poisson_stream(
 
 def _filter_constant(times_s: np.ndarray, dead_s: float) -> np.ndarray:
     """Non-paralyzable thinning: keep an event iff it lies at least dead_s
-    past the previously kept event.  Suppressed events never extend the window."""
+    past the previously kept event.  Suppressed events never extend the window.
+
+    The sequential rule walks one event at a time: from a kept event i the
+    next kept one is the first j with t[j] >= t[i] + dead_s.  This kernel
+    gets the same kept set without that walk.
+
+    Segments.  If t[i] >= t[i-1] + dead_s, event i is kept whatever came
+    before: every earlier kept event k has t[k] <= t[i-1], so its window
+    t[k] + dead_s ends no later than t[i], and the walk cannot jump past i
+    (it always lands on the first event at or past the window's end).  The
+    first event is kept too.  These always-kept events cut the stream into
+    independent segments; the walk enters each one at its first event and
+    leaves it exactly at the next segment's first event.
+
+    Chase.  The walks of all segments advance in lockstep: each step maps
+    every live pointer i to searchsorted(t, t[i] + dead_s) — the comparison
+    and the float sum the sequential rule makes — marks it kept, and drops
+    the pointers that reached their segment's end.  The number of steps is
+    the longest chain in any one segment, not the stream length.  A window
+    too short to move t[i] + dead_s past t[i] in floating point keeps every
+    event, where the sequential walk would stall on i.
+    """
     n = times_s.size
     if n == 0 or dead_s <= 0:
         return times_s.copy()
-    # next_idx[i]: first index at or past times[i] + dead_s, assuming i was kept
-    next_idx = np.searchsorted(times_s, times_s + dead_s, side="left")
-    kept = np.empty(n, dtype=np.int64)
-    k = 0
-    i = 0
-    while i < n:
-        kept[k] = i
-        k += 1
-        i = next_idx[i]
-    return times_s[kept[:k]]
+    kept = np.empty(n, dtype=bool)
+    kept[0] = True
+    np.greater_equal(times_s[1:], times_s[:-1] + dead_s, out=kept[1:])
+    cur = np.flatnonzero(kept)
+    end = np.append(cur[1:], n)
+    while cur.size:
+        nxt = np.searchsorted(times_s, times_s[cur] + dead_s, side="left")
+        # a window below the float spacing of the times ends at the event itself
+        cur = np.maximum(nxt, cur + 1, out=nxt)
+        live = cur < end
+        cur = cur[live]
+        end = end[live]
+        kept[cur] = True
+    return times_s[kept]
 
 
 def apply_dead_time(
@@ -325,8 +362,9 @@ def write_timestamps(stream: TimestampStream, path) -> None:
     """Write picosecond-integer timestamps, one per line."""
     ticks = np.round(stream.timestamps_s * 1e12).astype(np.int64)
     with Path(path).open("w") as fh:
-        for tick in ticks:
-            fh.write(f"{tick}\n")
+        for start in range(0, ticks.size, _WRITE_CHUNK_LINES):
+            lines = map(str, ticks[start:start + _WRITE_CHUNK_LINES].tolist())
+            fh.write("\n".join(lines) + "\n")
 
 
 def write_sweep_csv(points, path) -> None:

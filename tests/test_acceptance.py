@@ -19,7 +19,6 @@ from riesim.analysis import (
     mutual_info_eve_sifted,
     r_bound,
     r_threshold,
-    r_threshold_closed_form,
     sift_probability,
 )
 from riesim.detector import (
@@ -71,7 +70,7 @@ def test_criterion_1_threshold_reproduction():
         value = r_threshold(0.11)
         assert value == pytest.approx(0.282, abs=1e-3)
         for e_abort in (0.01, 0.05, 0.11, 0.2, 0.25, 0.4):
-            assert abs(r_threshold(e_abort) - r_threshold_closed_form(e_abort)) < 1e-9
+            assert e_obs(r_threshold(e_abort)) == pytest.approx(e_abort, rel=1e-12)
 
 
 def test_criterion_2_qber_law():

@@ -19,7 +19,6 @@ from riesim.analysis import (
     mutual_info_eve_sifted,
     r_bound,
     r_threshold,
-    r_threshold_closed_form,
     sift_probability,
     stealth_scan,
     write_mutual_info_csv,
@@ -95,9 +94,9 @@ def test_threshold_at_bbm92_abort_qber():
     assert r_threshold(0.11) == pytest.approx(0.282, abs=1e-3)
 
 
-def test_threshold_bisection_agrees_with_closed_form():
-    for e in (0.01, 0.05, 0.11, 0.2, 0.3, 0.45):
-        assert abs(r_threshold(e) - r_threshold_closed_form(e)) < 1e-9
+def test_threshold_is_inverse_of_e_obs():
+    for e in np.linspace(0.005, 0.495, 99):
+        assert e_obs(r_threshold(e)) == pytest.approx(e, rel=1e-12)
 
 
 def test_threshold_of_quarter_is_one():
@@ -117,8 +116,6 @@ def test_threshold_domain():
     for bad in (0.0, 0.5, -0.1, 0.7):
         with pytest.raises(ValueError):
             r_threshold(bad)
-        with pytest.raises(ValueError):
-            r_threshold_closed_form(bad)
 
 
 # ---------------------------------------------------------------- sift probability

@@ -1,9 +1,12 @@
 """Timestamp generation, dead-time filtering, histogram onset estimation."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from riesim.detector import DeadTimeCurve, default_dead_time_curve
@@ -13,6 +16,7 @@ from riesim.timetag import (
     InsufficientDataError,
     InterArrivalHistogram,
     TimestampStream,
+    _filter_constant,
     apply_dead_time,
     estimate_dead_time,
     generate_poisson_stream,
@@ -68,7 +72,108 @@ def test_nonpositive_rate_rejected():
         generate_poisson_stream(0.0, 1.0, seed=0)
 
 
+# (event count, sha256 of timestamps_s.tobytes()) per (rate, duration, seed):
+# every output of sweep-deadtime follows from these bytes, so a change here
+# is a behaviour change
+STREAM_PINS = {
+    (1e6, 0.0, 3): (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (1e4, 0.05, 5): (534, "65d13ae75037925d83ea7cd0ed869d95c20de1c45fa328e94dafc96e09303a17"),
+    (2e5, 0.001, 7): (195, "b21c971fb3ec95997d83e636ae1483e833c873e9ad33a93811856696c96f3e65"),
+    (5e6, 0.01, 42): (49976, "50cc83e85bb096b0a2f6e37a9bbe1795e30596fd334c1f831e94b14ad116c709"),
+    (1e7, 0.003, 0): (30205, "509367a531e350854c980a9ef3a1995826d79fe9ca63d5021066b12567902bdc"),
+    (40e6, 0.05, 2000001): (1998498, "328b2b7256cce21d3c22bd3fe991b9082713d2a3764d5200f6bc4dd4b7ab6764"),
+}
+
+
+@pytest.mark.parametrize("rate, duration, seed", sorted(STREAM_PINS))
+def test_stream_bytes_are_pinned(rate, duration, seed):
+    stream = generate_poisson_stream(rate, duration, seed)
+    size, digest = STREAM_PINS[(rate, duration, seed)]
+    assert len(stream) == size
+    assert hashlib.sha256(stream.timestamps_s.tobytes()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------- dead-time filter
+
+
+TICK_S = 8e-12
+
+
+def _reference_filter(times_s, dead_s):
+    """The sequential non-paralyzable rule, one kept event at a time: the
+    oracle for the segment-parallel kernel."""
+    n = times_s.size
+    if n == 0 or dead_s <= 0:
+        return times_s.copy()
+    next_idx = np.searchsorted(times_s, times_s + dead_s, side="left")
+    kept = np.empty(n, dtype=np.int64)
+    k = 0
+    i = 0
+    while i < n:
+        kept[k] = i
+        k += 1
+        i = next_idx[i]
+    return times_s[kept[:k]]
+
+
+@st.composite
+def tick_streams_and_windows(draw):
+    """Strictly increasing integer-tick times times 8 ps, with a window that
+    is a tick multiple (ties t[j] == t[i] + d), an exact difference of two
+    stream times, zero, sub-tick, longer than the stream, or arbitrary."""
+    start = draw(st.integers(0, 10_000))
+    # gaps on a coarse grid make sums of consecutive gaps hit the window often
+    gaps = draw(st.lists(st.integers(1, 6000) | st.sampled_from([1000, 2000, 3000]),
+                         max_size=400))
+    ticks = start + np.cumsum(np.asarray([0] + gaps, dtype=np.int64))
+    times = ticks[: draw(st.integers(0, ticks.size))] * TICK_S
+    kind = draw(st.sampled_from(["ticks", "ticks", "difference", "difference",
+                                 "zero", "subtick", "longer", "any"]))
+    if kind == "ticks":
+        window = draw(st.integers(1, 8000) | st.sampled_from([2000, 3000, 4000])) * TICK_S
+    elif kind == "difference" and times.size >= 2:
+        i, j = sorted(draw(st.lists(st.integers(0, times.size - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        window = times[j] - times[i]
+    elif kind == "zero":
+        window = 0.0
+    elif kind == "subtick":
+        window = draw(st.floats(1e-15, TICK_S, exclude_max=True))
+    elif kind == "longer":
+        span = times[-1] - times[0] if times.size else 0.0
+        window = span + draw(st.floats(TICK_S, 1e-6))
+    else:
+        window = draw(st.floats(1e-15, 1e-7))
+    return times, window
+
+
+@settings(max_examples=400, deadline=None)
+@given(tick_streams_and_windows())
+def test_filter_matches_sequential_reference(case):
+    times, window = case
+    assert np.array_equal(_filter_constant(times, window), _reference_filter(times, window))
+
+
+def test_filter_keeps_event_exactly_at_window_end():
+    times = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 4.5, 6.5])
+    expected = [0.0, 2.0, 4.0, 6.5]
+    np.testing.assert_array_equal(_reference_filter(times, 2.0), expected)
+    np.testing.assert_array_equal(_filter_constant(times, 2.0), expected)
+
+
+def test_filter_window_below_float_spacing_keeps_every_event():
+    # t + 1e-300 == t, so no event can suppress another (the sequential walk
+    # never leaves the first event here)
+    times = np.arange(1, 50) * TICK_S
+    np.testing.assert_array_equal(_filter_constant(times, 1e-300), times)
+
+
+@pytest.mark.parametrize("rate", [1e6, 20e6, 40e6])
+def test_filter_matches_reference_on_sweep_streams(rate):
+    stream = generate_poisson_stream(rate, 0.05, seed=int(rate))
+    for window in (23.3e-9, 31.5e-9):
+        assert np.array_equal(_filter_constant(stream.timestamps_s, window),
+                              _reference_filter(stream.timestamps_s, window))
 
 
 def test_zero_dead_time_is_identity():
@@ -266,8 +371,19 @@ def test_timestamp_file_round_trip(tmp_path):
     stream = generate_poisson_stream(1e7, 0.001, seed=90)
     path = tmp_path / "tags.txt"
     write_timestamps(stream, path)
+    ticks = np.round(stream.timestamps_s * 1e12).astype(np.int64)
+    assert path.read_text() == "".join(f"{tick}\n" for tick in ticks)
     loaded = read_timestamps(path)
     np.testing.assert_allclose(loaded.timestamps_s, stream.timestamps_s, rtol=0, atol=1e-15)
+
+
+def test_timestamp_file_spans_several_write_chunks(tmp_path):
+    stream = generate_poisson_stream(5e7, 0.003, seed=92)
+    assert len(stream) > 2 * 65536
+    path = tmp_path / "tags.txt"
+    write_timestamps(stream, path)
+    ticks = np.round(stream.timestamps_s * 1e12).astype(np.int64)
+    assert path.read_text() == "".join(f"{tick}\n" for tick in ticks)
 
 
 def test_timestamp_file_malformed_line_names_line_number(tmp_path):
