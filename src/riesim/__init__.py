@@ -49,10 +49,8 @@ from .detector import (
 from .protocol import (
     BranchStats,
     ProtocolConfig,
-    RoundRecord,
     SimulationReport,
     branch_table,
-    run_round,
     run_simulation,
 )
 from .quantum import A, Basis, D, H, PolarizationState, V, projection_prob, route_through_pbs

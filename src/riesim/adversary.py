@@ -106,8 +106,7 @@ def intercept(incoming: PolarizationState, config: AttackConfig, rng) -> EveActi
     """Measure the incoming photon in a randomly chosen basis and build the
     resend/pre-pulse pair.
 
-    Consumes exactly two uniform variates (basis choice, Born-rule outcome)
-    so scalar and vectorized paths stay stream-aligned.
+    Draws Eve's basis from her prior and her bit from the Born rule.
     """
     if config.mode is AttackMode.NONE:
         raise ValueError("intercept called with attack mode 'none'")

@@ -2,10 +2,11 @@
 
 Subcommands: deadtime-extract, sweep-deadtime, simulate, analytic,
 stealth-scan, mutualinfo.  Configuration comes from one JSON scenario file
-(--config); --seed/--out/--workers flags override the file.  Every command
-is deterministic per (config, seed) and emits plot-ready CSV rather than
-rendered figures.  Exit codes: 0 on success, 2 for configuration/validation
-failures (raised before any computation), 1 for data-level errors.
+(--config); --seed/--out flags override the file, and --workers is accepted
+for compatibility and has no effect.  Every command is deterministic per
+(config, seed) and emits plot-ready CSV rather than rendered figures.
+Exit codes: 0 on success, 2 for configuration/validation failures (raised
+before any computation), 1 for data-level errors.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, default=None, help="scenario JSON file")
     parser.add_argument("--seed", type=int, default=None, help="override scenario seed")
     parser.add_argument("--out", type=Path, default=None, help="override output directory")
-    parser.add_argument("--workers", type=int, default=None, help="override worker count")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="accepted for compatibility; has no effect")
     sub = parser.add_subparsers(dest="command", required=True)
 
     extract = sub.add_parser(
@@ -105,9 +107,7 @@ def cmd_sweep_deadtime(scenario: ScenarioConfig, args) -> int:
 
 
 def cmd_simulate(scenario: ScenarioConfig, args) -> int:
-    config = scenario.protocol_config()
-    workers = args.workers if args.workers is not None else scenario.workers
-    report = run_simulation(config, scenario.attack, workers=workers)
+    report = run_simulation(scenario.protocol_config(), scenario.attack)
     out = _outdir(scenario, args)
     report.write_text(out / "simulation_report.txt")
     if report.per_branch_stats is not None:

@@ -1,4 +1,4 @@
-"""Round-by-round BBM92/BB84 engine with active basis choice and sifting.
+"""Count-level Monte Carlo of the BBM92/BB84 protocol with active basis choice.
 
 Each round: Alice's state is drawn (or fixed for branch conditioning), the
 adversary transform is applied, Bob picks a basis and the signal routes
@@ -12,49 +12,38 @@ prepare-and-measure reduction: Alice's measurement on her half defines the
 state entering the channel, which is the picture all the closed-form
 predictions are written in.
 
-Every round consumes exactly seven uniform variates in a fixed order
-(alice basis, alice bit, eve basis, eve Born outcome, bob basis, routing,
-click), so the scalar `run_round` and the vectorized simulation kernel
-produce identical streams, and rounds can be chunked across workers without
-changing the result.
+Rounds are iid, and each falls into one of 2^7 = 128 cells (Alice's basis
+and bit, Eve's basis and bit, Bob's basis, the detector, click or not).  The
+run builds the probability of every cell once and draws all rounds with one
+multinomial over that table, so a run costs the same at 1e3 and 1e12
+rounds.  Every report field is a sum of cell counts.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from .adversary import (
-    AttackConfig,
-    AttackMode,
-    deterministic_suppression,
-    intercept,
-    loading_for_branch,
-)
+from .adversary import AttackConfig, AttackMode, deterministic_suppression
 from .detector import (
     AvailabilityModel,
     DeadTimeCurve,
     availability,
     default_dead_time_curve,
 )
-from .quantum import Basis, PolarizationState, projection_prob, route_through_pbs
+from .quantum import Basis, PolarizationState, projection_prob
 
 __all__ = [
     "ProtocolConfig",
-    "RoundRecord",
     "BranchStats",
     "SimulationReport",
-    "run_round",
     "run_simulation",
     "branch_table",
-    "resolve_outcome",
 ]
-
-CHUNK_SIZE = 1 << 16
 
 _BASES = (Basis.Z, Basis.X)
 
@@ -87,24 +76,6 @@ class ProtocolConfig:
             raise ValueError("transmission must be in (0, 1]")
         if self.background_rate_cps < 0:
             raise ValueError("background rate must be >= 0")
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    """Everything observable about one protocol round.
-
-    outcome is Bob's bit, or None for an erasure (no click); error is defined
-    only on sifted rounds.
-    """
-
-    alice_basis: Basis
-    alice_bit: int
-    eve_basis: Basis | None
-    eve_bit: int | None
-    bob_basis: Basis
-    outcome: int | None
-    sifted: bool
-    error: bool | None
 
 
 @dataclass(frozen=True)
@@ -201,24 +172,6 @@ def _branch_sort_key(key):
     return (eve_basis.value, eve_bit, bob_basis.value)
 
 
-def resolve_outcome(fired_detectors, rng) -> int | None:
-    """Squash a round's set of fired detectors to a bit or an erasure.
-
-    A double click (both detectors firing) resolves to a uniformly random
-    bit and still counts as a click; this keeps the 50% conditional error of
-    orthogonally resent rounds intact.  Under the default noise model (noise
-    loads detectors but never clicks in the signal window) at most one
-    detector sees the signal, so the double branch is a convention, not a
-    frequent path.
-    """
-    fired = list(fired_detectors)
-    if not fired:
-        return None
-    if len(fired) == 1:
-        return fired[0]
-    return int(rng.random() < 0.5)
-
-
 def _branch_availabilities(config: ProtocolConfig, attack: AttackConfig) -> tuple[float, float]:
     """(aligned, orthogonal) availability of the signal-path detector."""
     bg = config.background_rate_cps
@@ -233,181 +186,86 @@ def _branch_availabilities(config: ProtocolConfig, attack: AttackConfig) -> tupl
     return avail_bg, avail_bg
 
 
-def run_round(config: ProtocolConfig, attack: AttackConfig, rng) -> RoundRecord:
-    """Play a single protocol round on the given random stream."""
+def _basis_weight(prior_z: float, basis: Basis) -> float:
+    return prior_z if basis is Basis.Z else 1.0 - prior_z
+
+
+def _round_law(config: ProtocolConfig, attack: AttackConfig) -> np.ndarray:
+    """Probability of each round cell, shape (2,) * 7.
+
+    Axes: Alice's basis, Alice's bit, Eve's basis, Eve's bit, Bob's basis,
+    detector, click; basis index 0 is Z and 1 is X.  Without an attack the
+    Eve axes carry Alice's state, so the signal is always read from them.
+    """
     avail_aligned, avail_orth = _branch_availabilities(config, attack)
-
-    alice_basis = Basis.Z if rng.random() < config.basis_prior else Basis.X
-    alice_bit = int(rng.random() < 0.5)
-    if config.fixed_alice is not None:
-        alice_basis = config.fixed_alice.basis
-        alice_bit = config.fixed_alice.bit
-    alice_state = PolarizationState(alice_basis, alice_bit)
-
-    if attack.mode is AttackMode.NONE:
-        rng.random()  # eve basis slot
-        rng.random()  # eve Born slot
-        action = None
-        signal_state = alice_state
-    else:
-        action = intercept(alice_state, attack, rng)
-        signal_state = action.resent_state
-
-    bob_basis = Basis.Z if rng.random() < config.basis_prior else Basis.X
-    detector = route_through_pbs(signal_state, bob_basis, rng)
-
-    if attack.mode is AttackMode.RIE_NON_DETERMINISTIC:
-        loading = loading_for_branch(action, bob_basis, attack)[detector]
-        avail = availability(
-            config.background_rate_cps + loading,
-            config.dead_time_curve,
-            config.availability_model,
-        )
-    elif action is None or bob_basis is action.eve_basis:
-        avail = avail_aligned
-    else:
-        avail = avail_orth
-    p_click = config.transmission * config.p0 * avail
-    clicked = rng.random() < p_click
-
-    outcome = resolve_outcome([detector] if clicked else [], rng)
-    sifted = clicked and alice_basis is bob_basis
-    error = (outcome != alice_bit) if sifted else None
-    return RoundRecord(
-        alice_basis=alice_basis,
-        alice_bit=alice_bit,
-        eve_basis=None if action is None else action.eve_basis,
-        eve_bit=None if action is None else action.eve_bit,
-        bob_basis=bob_basis,
-        outcome=outcome,
-        sifted=sifted,
-        error=error,
-    )
-
-
-@dataclass
-class _ChunkCounts:
-    n_clicks: int = 0
-    n_sifted: int = 0
-    n_errors: int = 0
-    n_sifted_eve_match: int = 0
-    branch_rounds: np.ndarray = field(default_factory=lambda: np.zeros(8, dtype=np.int64))
-    branch_clicks: np.ndarray = field(default_factory=lambda: np.zeros(8, dtype=np.int64))
-    branch_sifted: np.ndarray = field(default_factory=lambda: np.zeros(8, dtype=np.int64))
-    branch_errors: np.ndarray = field(default_factory=lambda: np.zeros(8, dtype=np.int64))
-
-    def add(self, other: "_ChunkCounts") -> None:
-        self.n_clicks += other.n_clicks
-        self.n_sifted += other.n_sifted
-        self.n_errors += other.n_errors
-        self.n_sifted_eve_match += other.n_sifted_eve_match
-        self.branch_rounds += other.branch_rounds
-        self.branch_clicks += other.branch_clicks
-        self.branch_sifted += other.branch_sifted
-        self.branch_errors += other.branch_errors
-
-
-def _simulate_chunk(config: ProtocolConfig, attack: AttackConfig, n: int, rng) -> _ChunkCounts:
-    """Vectorized evaluation of n rounds; stream-equivalent to run_round."""
-    avail_aligned, avail_orth = _branch_availabilities(config, attack)
-    u = rng.random((n, 7))
-
-    alice_basis = (u[:, 0] >= config.basis_prior).astype(np.int8)  # 0 = Z, 1 = X
-    alice_bit = (u[:, 1] < 0.5).astype(np.int8)
-    if config.fixed_alice is not None:
-        alice_basis.fill(0 if config.fixed_alice.basis is Basis.Z else 1)
-        alice_bit.fill(config.fixed_alice.bit)
-
+    p_signal = config.transmission * config.p0
     attacking = attack.mode is not AttackMode.NONE
-    if attacking:
-        eve_basis = (u[:, 2] >= attack.eve_basis_prior).astype(np.int8)
-        born_one = np.where(eve_basis == alice_basis, alice_bit, 0.5)
-        eve_bit = (u[:, 3] < born_one).astype(np.int8)
-        signal_basis, signal_bit = eve_basis, eve_bit
-    else:
-        signal_basis, signal_bit = alice_basis, alice_bit
-
-    bob_basis = (u[:, 4] >= config.basis_prior).astype(np.int8)
-    route_one = np.where(signal_basis == bob_basis, signal_bit, 0.5)
-    detector = (u[:, 5] < route_one).astype(np.int8)
-
-    if attacking:
-        aligned = bob_basis == eve_basis
-    else:
-        aligned = np.ones(n, dtype=bool)
-    p_click = config.transmission * config.p0 * np.where(aligned, avail_aligned, avail_orth)
-    clicked = u[:, 6] < p_click
-
-    sifted = clicked & (alice_basis == bob_basis)
-    errors = sifted & (detector != alice_bit)
-
-    counts = _ChunkCounts(
-        n_clicks=int(clicked.sum()),
-        n_sifted=int(sifted.sum()),
-        n_errors=int(errors.sum()),
-        n_sifted_eve_match=int((sifted & (eve_basis == alice_basis)).sum()) if attacking else 0,
-    )
-    if attacking:
-        branch = (eve_basis.astype(np.int64) * 4 + eve_bit * 2 + bob_basis).astype(np.int64)
-        counts.branch_rounds = np.bincount(branch, minlength=8)
-        counts.branch_clicks = np.bincount(branch[clicked], minlength=8)
-        counts.branch_sifted = np.bincount(branch[sifted], minlength=8)
-        counts.branch_errors = np.bincount(branch[errors], minlength=8)
-    return counts
+    law = np.zeros((2,) * 7)
+    for ab, a, eb, e, bb, d in product((0, 1), repeat=6):
+        alice = PolarizationState(_BASES[ab], a)
+        signal = PolarizationState(_BASES[eb], e)
+        bob_basis = _BASES[bb]
+        if config.fixed_alice is None:
+            p = _basis_weight(config.basis_prior, alice.basis) * 0.5
+        else:
+            p = float(alice == config.fixed_alice)
+        if attacking:
+            p *= _basis_weight(attack.eve_basis_prior, signal.basis)
+            p *= projection_prob(alice, signal.basis, e)
+        else:
+            p *= float(signal == alice)
+        p *= _basis_weight(config.basis_prior, bob_basis)
+        p *= projection_prob(signal, bob_basis, d)
+        p_click = p_signal * (avail_aligned if bob_basis is signal.basis else avail_orth)
+        law[ab, a, eb, e, bb, d] = (p * (1.0 - p_click), p * p_click)
+    return law
 
 
-def _chunk_sizes(n_rounds: int) -> list[int]:
-    full, rem = divmod(n_rounds, CHUNK_SIZE)
-    return [CHUNK_SIZE] * full + ([rem] if rem else [])
+# Cell masks over the (2,) * 7 count table, in _round_law's axis order.
+_AB, _A, _EB, _E, _BB, _D, _CLICK = np.indices((2,) * 7)
+_CLICKED = _CLICK == 1
+_SIFTED = _CLICKED & (_AB == _BB)
+_ERROR = _SIFTED & (_D != _A)
+_EVE_MATCH = _SIFTED & (_EB == _AB)
+_BRANCH = _EB * 4 + _E * 2 + _BB
 
 
-def _run_chunk_job(args) -> _ChunkCounts:
-    config, attack, chunk_index, n = args
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, chunk_index]))
-    return _simulate_chunk(config, attack, n, rng)
-
-
-def run_simulation(
-    config: ProtocolConfig, attack: AttackConfig, workers: int = 1
-) -> SimulationReport:
+def run_simulation(config: ProtocolConfig, attack: AttackConfig) -> SimulationReport:
     """Run the full Monte Carlo and aggregate into a report.
 
-    Chunks use substreams derived from (seed, chunk index), so the report is
-    identical for any worker count, including sequential execution.
+    All rounds come from one multinomial draw over the 128-cell round law on
+    the substream (seed, 0), so the report is a function of (config, seed).
     """
-    sizes = _chunk_sizes(config.n_rounds)
-    jobs = [(config, attack, i, n) for i, n in enumerate(sizes)]
-    total = _ChunkCounts()
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for counts in pool.map(_run_chunk_job, jobs):
-                total.add(counts)
-    else:
-        for job in jobs:
-            total.add(_run_chunk_job(job))
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
+    law = _round_law(config, attack)
+    counts = rng.multinomial(config.n_rounds, law.ravel()).reshape(law.shape)
+    n_clicks = int(counts[_CLICKED].sum())
+    n_sifted = int(counts[_SIFTED].sum())
+    n_errors = int(counts[_ERROR].sum())
 
     attacking = attack.mode is not AttackMode.NONE
-    qber = total.n_errors / total.n_sifted if total.n_sifted else None
+    qber = n_errors / n_sifted if n_sifted else None
     per_branch = None
     if attacking:
         per_branch = {}
         for code in range(8):
+            branch = _BRANCH == code
             key = (_BASES[code >> 2], (code >> 1) & 1, _BASES[code & 1])
             per_branch[key] = BranchStats(
-                n_rounds=int(total.branch_rounds[code]),
-                n_clicks=int(total.branch_clicks[code]),
-                n_sifted=int(total.branch_sifted[code]),
-                n_errors=int(total.branch_errors[code]),
+                n_rounds=int(counts[branch].sum()),
+                n_clicks=int(counts[branch & _CLICKED].sum()),
+                n_sifted=int(counts[branch & _SIFTED].sum()),
+                n_errors=int(counts[branch & _ERROR].sum()),
             )
     return SimulationReport(
         n_rounds=config.n_rounds,
-        n_clicks=total.n_clicks,
-        n_sifted=total.n_sifted,
-        n_errors=total.n_errors,
-        n_sifted_eve_match=total.n_sifted_eve_match if attacking else None,
+        n_clicks=n_clicks,
+        n_sifted=n_sifted,
+        n_errors=n_errors,
+        n_sifted_eve_match=int(counts[_EVE_MATCH].sum()) if attacking else None,
         qber_observed=qber,
-        sift_probability=total.n_sifted / config.n_rounds,
-        erasure_probability=1.0 - total.n_clicks / config.n_rounds,
+        sift_probability=n_sifted / config.n_rounds,
+        erasure_probability=1.0 - n_clicks / config.n_rounds,
         abort=qber is not None and qber >= config.abort_threshold,
         attack_mode=attack.mode,
         seed=config.seed,

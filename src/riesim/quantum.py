@@ -75,11 +75,6 @@ def projection_prob(state: PolarizationState, meas_basis: Basis, outcome: int) -
 
 
 def route_through_pbs(state: PolarizationState, bob_basis: Basis, rng) -> int:
-    """Sample the detector index the photon exits toward.
-
-    Consumes exactly one uniform variate per call regardless of whether the
-    routing is deterministic, so scalar round evaluation and the vectorized
-    simulation kernel stay stream-aligned.
-    """
+    """Sample the detector index the photon exits toward (Born rule)."""
     p_one = projection_prob(state, bob_basis, 1)
     return int(rng.random() < p_one)

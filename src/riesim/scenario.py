@@ -30,6 +30,14 @@ def _take(section: dict, allowed, where: str) -> None:
         raise ScenarioError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
 
 
+def _integer(value, key: str) -> int:
+    """An integer-valued JSON number; integral floats such as 1e6 pass."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer())):
+        raise ScenarioError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SweepSettings:
     rates_cps: tuple[float, ...] = (1e6, 5e6, 20e6, 40e6)
@@ -69,7 +77,7 @@ class MutualInfoSettings:
 class ScenarioConfig:
     seed: int = 1
     out: str = "."
-    workers: int = 1
+    workers: int = 1  # accepted for compatibility; the simulation runs in-process
     curve: DeadTimeCurve = field(default_factory=default_dead_time_curve)
     protocol: dict = field(default_factory=dict)
     attack: AttackConfig = field(default_factory=AttackConfig)
@@ -114,6 +122,8 @@ def _parse_protocol(section) -> dict:
     }
     _take(section, allowed, "protocol")
     out = dict(section)
+    if "n_rounds" in out:
+        out["n_rounds"] = _integer(out["n_rounds"], "protocol.n_rounds")
     if "availability_model" in out:
         try:
             out["availability_model"] = AvailabilityModel(out["availability_model"])
@@ -159,6 +169,8 @@ def _parse_sweep(section) -> SweepSettings:
     out = dict(section)
     if "rates_cps" in out:
         out["rates_cps"] = tuple(float(r) for r in out["rates_cps"])
+    if "min_count" in out:
+        out["min_count"] = _integer(out["min_count"], "sweep.min_count")
     try:
         return SweepSettings(**out)
     except TypeError as exc:
@@ -236,9 +248,9 @@ def load_scenario(path=None, data: dict | None = None) -> ScenarioConfig:
     if not sweep.rates_cps:
         raise ScenarioError("sweep.rates_cps must not be empty")
     return ScenarioConfig(
-        seed=int(data.get("seed", 1)),
+        seed=_integer(data.get("seed", 1), "seed"),
         out=str(data.get("out", ".")),
-        workers=int(data.get("workers", 1)),
+        workers=_integer(data.get("workers", 1), "workers"),
         curve=_parse_curve(data.get("dead_time_curve"), base_dir),
         protocol=_parse_protocol(data.get("protocol")),
         attack=_parse_attack(data.get("attack")),

@@ -127,6 +127,12 @@ def _quantize(times_s: np.ndarray, resolution_s: float, duration_s: float) -> np
     return out[: np.searchsorted(out, duration_s, side="right")]
 
 
+def _first_block_size(expected: float) -> int:
+    """Gaps drawn in the first block: the expected count plus 10 sigma, so a
+    second block is needed only on a >10 sigma shortfall."""
+    return max(int(expected + 10.0 * np.sqrt(expected + 1.0)) + 16, 1024)
+
+
 def generate_poisson_stream(
     beta_cps: float,
     duration_s: float,
@@ -146,7 +152,7 @@ def generate_poisson_stream(
     chunks = []
     t_last = 0.0
     expected = beta_cps * duration_s
-    block = max(int(expected + 10.0 * np.sqrt(expected + 1.0)) + 16, 1024)
+    block = _first_block_size(expected)
     while t_last <= duration_s:
         chunk = rng.exponential(1.0 / beta_cps, size=block)
         np.cumsum(chunk, out=chunk)

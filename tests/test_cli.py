@@ -171,3 +171,23 @@ def test_runs_without_config_file(tmp_path):
     # every command except simulate has usable defaults
     assert main(["--out", str(tmp_path), "mutualinfo"]) == 0
     assert (tmp_path / "mutual_info.csv").exists()
+
+
+def test_simulate_accepts_integral_float_rounds(tmp_path, capsys):
+    config = write_config(tmp_path, {"out": str(tmp_path / "results"),
+                                     "protocol": {"n_rounds": 1e5, "p0": 1.0}})
+    assert main(["--config", str(config), "simulate"]) == 0
+    assert "rounds=100000 " in capsys.readouterr().out
+    assert "n_rounds: 100000\n" in (tmp_path / "results" / "simulation_report.txt").read_text()
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"protocol": {"n_rounds": True, "p0": 1.0}}, "protocol.n_rounds"),
+    ({"seed": "x", "protocol": {"n_rounds": 100, "p0": 1.0}}, "seed"),
+    ({"seed": 1.7, "protocol": {"n_rounds": 100, "p0": 1.0}}, "seed"),
+])
+def test_simulate_rejects_non_integer_fields(tmp_path, capsys, data, key):
+    config = write_config(tmp_path, {"out": str(tmp_path / "results"), **data})
+    assert main(["--config", str(config), "simulate"]) == 2
+    assert f"{key} must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()

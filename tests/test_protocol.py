@@ -1,22 +1,35 @@
-"""Protocol engine: round mechanics, sifting statistics, determinism."""
+"""Protocol engine: the round law, sifting statistics, determinism.
+
+The count-level kernel samples whole runs from the 128-cell round law.  The
+per-round sampler below plays rounds event by event through the adversary,
+detector and PBS primitives; it is the reference the law is checked against.
+"""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
-from riesim.adversary import AttackConfig, AttackMode
-from riesim.analysis import e_obs, sift_probability
-from riesim.detector import AvailabilityModel, DeadTimeCurve
-from riesim.protocol import (
-    ProtocolConfig,
-    branch_table,
-    resolve_outcome,
-    run_round,
-    run_simulation,
-    _simulate_chunk,
+from riesim.adversary import (
+    AttackConfig,
+    AttackMode,
+    deterministic_suppression,
+    intercept,
+    loading_for_branch,
 )
-from riesim.quantum import Basis, PolarizationState
+from riesim.analysis import e_obs, sift_probability
+from riesim.detector import AvailabilityModel, DeadTimeCurve, availability
+from riesim.protocol import (
+    _ERROR,
+    _SIFTED,
+    ProtocolConfig,
+    _round_law,
+    branch_table,
+    run_simulation,
+)
+from riesim.quantum import Basis, PolarizationState, route_through_pbs
 
 FLAT = DeadTimeCurve.constant(23.3e-9)
 NO_ATTACK = AttackConfig()
@@ -39,7 +52,91 @@ def binom_sigma(p, n):
     return math.sqrt(p * (1 - p) / n)
 
 
-# ---------------------------------------------------------------- single rounds
+# ---------------------------------------------------------------- reference sampler
+
+
+@dataclass(frozen=True)
+class RoundRecord:
+    """Everything observable about one protocol round.
+
+    outcome is Bob's bit, or None for an erasure (no click); error is defined
+    only on sifted rounds.
+    """
+
+    alice_basis: Basis
+    alice_bit: int
+    eve_basis: Basis | None
+    eve_bit: int | None
+    bob_basis: Basis
+    detector: int
+    outcome: int | None
+    sifted: bool
+    error: bool | None
+
+
+def resolve_outcome(fired_detectors, rng) -> int | None:
+    """Squash a round's set of fired detectors to a bit or an erasure.
+
+    A double click resolves to a uniformly random bit and still counts as a
+    click.  At most one detector sees the signal, so the double branch is a
+    convention, not a path the protocol takes.
+    """
+    fired = list(fired_detectors)
+    if not fired:
+        return None
+    if len(fired) == 1:
+        return fired[0]
+    return int(rng.random() < 0.5)
+
+
+def run_round(config: ProtocolConfig, attack: AttackConfig, rng) -> RoundRecord:
+    """Play a single protocol round event by event."""
+    bg = config.background_rate_cps
+    curve = config.dead_time_curve
+    alice_basis = Basis.Z if rng.random() < config.basis_prior else Basis.X
+    alice_bit = int(rng.random() < 0.5)
+    if config.fixed_alice is not None:
+        alice_basis = config.fixed_alice.basis
+        alice_bit = config.fixed_alice.bit
+    alice_state = PolarizationState(alice_basis, alice_bit)
+
+    action = None if attack.mode is AttackMode.NONE else intercept(alice_state, attack, rng)
+    signal_state = alice_state if action is None else action.resent_state
+    bob_basis = Basis.Z if rng.random() < config.basis_prior else Basis.X
+    detector = route_through_pbs(signal_state, bob_basis, rng)
+
+    loading = 0.0
+    if attack.mode is AttackMode.RIE_NON_DETERMINISTIC:
+        loading = loading_for_branch(action, bob_basis, attack)[detector]
+    avail = availability(bg + loading, curve, config.availability_model)
+    if attack.mode is AttackMode.RIE_DETERMINISTIC and bob_basis is not action.eve_basis:
+        avail *= deterministic_suppression(attack.delta_s, curve, bg, 1.0)
+    clicked = rng.random() < config.transmission * config.p0 * avail
+
+    outcome = resolve_outcome([detector] if clicked else [], rng)
+    sifted = clicked and alice_basis is bob_basis
+    return RoundRecord(
+        alice_basis=alice_basis,
+        alice_bit=alice_bit,
+        eve_basis=None if action is None else action.eve_basis,
+        eve_bit=None if action is None else action.eve_bit,
+        bob_basis=bob_basis,
+        detector=detector,
+        outcome=outcome,
+        sifted=sifted,
+        error=(outcome != alice_bit) if sifted else None,
+    )
+
+
+def round_cell(record: RoundRecord) -> int:
+    """Flat index of a round in the (2,) * 7 law; no attack puts Alice's
+    state on the Eve axes."""
+    index = {Basis.Z: 0, Basis.X: 1}
+    eve_basis = record.alice_basis if record.eve_basis is None else record.eve_basis
+    eve_bit = record.alice_bit if record.eve_bit is None else record.eve_bit
+    cell = (index[record.alice_basis], record.alice_bit, index[eve_basis], eve_bit,
+            index[record.bob_basis], record.detector, int(record.outcome is not None))
+    return int(np.ravel_multi_index(cell, (2,) * 7))
 
 
 def test_no_attack_sifted_rounds_are_error_free():
@@ -77,17 +174,73 @@ def test_fixed_alice_is_honored():
         assert record.alice_bit == 0
 
 
-def test_scalar_and_vectorized_rounds_agree_exactly():
-    for attack in (NO_ATTACK, INTERCEPT, rie_with_ratio(0.3),
-                   AttackConfig(mode=AttackMode.RIE_DETERMINISTIC, delta_s=10e-9)):
-        cfg = config(2000, p0=0.7, seed=17)
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
-        records = [run_round(cfg, attack, rng) for _ in range(2000)]
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
-        counts = _simulate_chunk(cfg, attack, 2000, rng)
-        assert counts.n_clicks == sum(r.outcome is not None for r in records)
-        assert counts.n_sifted == sum(r.sifted for r in records)
-        assert counts.n_errors == sum(bool(r.error) for r in records)
+REFERENCE_CASES = {
+    "rie, background, transmission, priors": (
+        ProtocolConfig(n_rounds=1, p0=0.9, seed=1, transmission=0.7, basis_prior=0.6,
+                       background_rate_cps=2e6),
+        AttackConfig(mode=AttackMode.RIE_NON_DETERMINISTIC, lambda_parallel_cps=1e6,
+                     lambda_perp_cps=20e6, eve_basis_prior=0.3),
+    ),
+    "rie linear, fixed Z0": (
+        config(1, p0=0.8, background_rate_cps=1e6, fixed_alice=PolarizationState(Basis.Z, 0),
+               availability_model=AvailabilityModel.LINEAR_BOUND),
+        AttackConfig(mode=AttackMode.RIE_NON_DETERMINISTIC, lambda_perp_cps=15e6),
+    ),
+    "deterministic, fixed X1": (
+        ProtocolConfig(n_rounds=1, p0=0.8, seed=1, background_rate_cps=1e6,
+                       fixed_alice=PolarizationState(Basis.X, 1)),
+        AttackConfig(mode=AttackMode.RIE_DETERMINISTIC, delta_s=10e-9, eve_basis_prior=0.6),
+    ),
+    "none, p0 0.5": (
+        config(1, p0=0.5, basis_prior=0.45, background_rate_cps=5e6),
+        NO_ATTACK,
+    ),
+    "intercept-resend": (
+        config(1, p0=0.9, transmission=0.5, basis_prior=0.4),
+        AttackConfig(mode=AttackMode.INTERCEPT_RESEND, eve_basis_prior=0.7),
+    ),
+}
+
+
+def test_round_law_matches_reference_sampler():
+    # chi-square of 20000 event-level rounds over the law's non-zero cells,
+    # those expected below 5 pooled into one; a round in a zero-probability
+    # cell fails outright, and each round's cell must carry its sifted and
+    # error flags
+    n = 20_000
+    for i, (name, (cfg, attack)) in enumerate(REFERENCE_CASES.items()):
+        law = _round_law(cfg, attack).ravel()
+        assert law.sum() == pytest.approx(1.0, abs=1e-12), name
+        rng = np.random.default_rng([31, i])
+        records = [run_round(cfg, attack, rng) for _ in range(n)]
+        cells = np.array([round_cell(record) for record in records])
+        assert np.array_equal(_SIFTED.ravel()[cells], [r.sifted for r in records]), name
+        assert np.array_equal(_ERROR.ravel()[cells], [bool(r.error) for r in records]), name
+        observed = np.bincount(cells, minlength=law.size)
+        assert not observed[law == 0.0].any(), f"{name}: round in a zero-probability cell"
+        f_obs, f_exp = observed[law > 0.0], n * law[law > 0.0]
+        small = f_exp < 5.0
+        if small.any():
+            f_obs = np.append(f_obs[~small], f_obs[small].sum())
+            f_exp = np.append(f_exp[~small], f_exp[small].sum())
+        assert chisquare(f_obs, f_exp).pvalue > 1e-3, name
+
+
+def test_round_law_reduces_to_branch_click_probabilities():
+    p0, avail_perp = 0.9, 0.4
+    attack = AttackConfig(mode=AttackMode.RIE_NON_DETERMINISTIC,
+                          lambda_perp_cps=-math.log(avail_perp) / 23.3e-9)
+    law = _round_law(config(1, p0=p0), attack)
+    # axes: alice basis, alice bit, eve basis, eve bit, bob basis, detector, click
+    by_alignment = law.sum(axis=(0, 1, 3, 5))  # (eve basis, bob basis, click)
+    for eve_basis in (0, 1):
+        for bob_basis in (0, 1):
+            cell = by_alignment[eve_basis, bob_basis]
+            click_rate = cell[1] / cell.sum()
+            expected = p0 if eve_basis == bob_basis else p0 * avail_perp
+            assert click_rate == pytest.approx(expected, rel=1e-12)
+    # Eve never disagrees with Alice when she measures in Alice's basis
+    assert law[0, 0, 0, 1].sum() == 0.0 and law[1, 1, 1, 0].sum() == 0.0
 
 
 # ---------------------------------------------------------------- outcome squash
@@ -179,6 +332,16 @@ def test_deterministic_prepulse_gives_zero_qber_and_extra_erasure():
     assert report.erasure_probability > baseline.erasure_probability
 
 
+def test_trillion_rounds_match_closed_forms():
+    # sigma is about 1e-6 here, so a table error above about 1e-5 fails
+    n = 10**12
+    report = run_simulation(config(n, seed=29), rie_with_ratio(0.3))
+    qber = e_obs(0.3)
+    assert abs(report.qber_observed - qber) < 5 * binom_sigma(qber, report.n_sifted)
+    sift = sift_probability(1.0, 0.3)
+    assert abs(report.sift_probability - sift) < 5 * binom_sigma(sift, n)
+
+
 def test_linear_bound_model_also_supported():
     attack = AttackConfig(mode=AttackMode.RIE_NON_DETERMINISTIC,
                           lambda_parallel_cps=0.0, lambda_perp_cps=20e6)
@@ -204,15 +367,6 @@ def test_different_seed_gives_different_counts():
     a = run_simulation(config(150_000, seed=22), INTERCEPT)
     b = run_simulation(config(150_000, seed=23), INTERCEPT)
     assert a.n_sifted != b.n_sifted or a.n_errors != b.n_errors
-
-
-def test_parallel_execution_matches_sequential():
-    attack = rie_with_ratio(0.25)
-    cfg = config(300_000, p0=0.9, seed=24)
-    sequential = run_simulation(cfg, attack, workers=1)
-    parallel = run_simulation(cfg, attack, workers=3)
-    assert sequential == parallel
-    assert sequential.to_text() == parallel.to_text()
 
 
 # ---------------------------------------------------------------- branch table

@@ -149,3 +149,33 @@ def test_invalid_json_reported(tmp_path):
 def test_missing_file_reported(tmp_path):
     with pytest.raises(ScenarioError, match="cannot read"):
         load_scenario(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"seed": "x"}, "seed"),
+    ({"seed": 1.7}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"workers": 2.5}, "workers"),
+    ({"workers": "2"}, "workers"),
+    ({"protocol": {"n_rounds": True, "p0": 1.0}}, "protocol.n_rounds"),
+    ({"protocol": {"n_rounds": 1e5 + 0.5, "p0": 1.0}}, "protocol.n_rounds"),
+    ({"protocol": {"n_rounds": "100", "p0": 1.0}}, "protocol.n_rounds"),
+    ({"sweep": {"min_count": 2.5}}, "sweep.min_count"),
+    ({"sweep": {"min_count": False}}, "sweep.min_count"),
+])
+def test_non_integer_fields_rejected(data, key):
+    with pytest.raises(ScenarioError, match=f"{key} must be an integer"):
+        load_scenario(data=data)
+
+
+def test_integral_floats_accepted_as_integers():
+    scenario = load_scenario(data={
+        "seed": 7.0, "workers": 2.0,
+        "protocol": {"n_rounds": 1e5, "p0": 1.0},
+        "sweep": {"min_count": 3.0},
+    })
+    config = scenario.protocol_config()
+    assert (scenario.seed, scenario.workers, config.n_rounds, scenario.sweep.min_count) == (
+        7, 2, 100_000, 3)
+    assert all(type(v) is int for v in (scenario.seed, scenario.workers,
+                                        config.n_rounds, scenario.sweep.min_count))

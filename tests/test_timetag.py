@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from riesim import timetag
 from riesim.detector import DeadTimeCurve, default_dead_time_curve
 from riesim.timetag import (
     EstimationError,
@@ -91,6 +92,17 @@ def test_stream_bytes_are_pinned(rate, duration, seed):
     size, digest = STREAM_PINS[(rate, duration, seed)]
     assert len(stream) == size
     assert hashlib.sha256(stream.timestamps_s.tobytes()).hexdigest() == digest
+
+
+def test_stream_spanning_several_blocks(monkeypatch):
+    monkeypatch.setattr(timetag, "_first_block_size", lambda expected: 1024)
+    rate, duration = 1e6, 0.01
+    times = generate_poisson_stream(rate, duration, seed=5).timestamps_s
+    assert times.size > 2 * 1024  # later blocks hold at most 1024 gaps each
+    assert np.all(np.diff(times) > 0)
+    assert 0.0 <= times[0] and times[-1] <= duration
+    expected = rate * duration
+    assert abs(times.size - expected) < 5 * math.sqrt(expected)
 
 
 # ---------------------------------------------------------------- dead-time filter
