@@ -40,7 +40,6 @@ from .detector import (
     SaturationError,
     availability,
     busy_fraction,
-    click_probability,
     dead_time_at,
     default_dead_time_curve,
     observed_to_true_rate,

@@ -22,9 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-from .detector import AvailabilityModel, DeadTimeCurve, availability, dead_time_at
+from .detector import DeadTimeCurve, availability, dead_time_at
 from .quantum import Basis, PolarizationState, projection_prob
+
+if TYPE_CHECKING:
+    from .protocol import ProtocolConfig
 
 __all__ = [
     "AttackMode",
@@ -55,8 +59,10 @@ class AttackConfig:
     """Eve's strategy selector and its parameters.
 
     lambda_parallel_cps: pre-pulse loading on the non-signal detector when
-        Bob's basis matches Eve's (and the aligned-path rate used by the
-        conservative analytic ratio).
+        Bob's basis matches Eve's.  The signal never reaches that detector,
+        so this rate changes no click probability and no simulate or
+        analytic output; only the conservative bound analysis.r_bound
+        charges it to the signal detector.
     lambda_perp_cps: loading on both detectors when the bases are orthogonal.
     delta_s: pre-pulse-to-signal delay in the deterministic timing model.
     eve_basis_prior: probability Eve measures in Z.
@@ -152,45 +158,38 @@ def deterministic_suppression(
     return 0.0 if delta_s <= t_d else p0
 
 
-def branch_click_probabilities(
-    config: AttackConfig,
-    curve: DeadTimeCurve,
-    model: AvailabilityModel,
-    p0: float,
-) -> tuple[float, float]:
-    """Analytic (p_parallel, p_perp) for the configured attack.
+def branch_click_probabilities(config: ProtocolConfig, attack: AttackConfig) -> tuple[float, float]:
+    """Signal click probabilities (p_parallel, p_perp) when Bob's basis is
+    aligned with / orthogonal to Eve's: T * p0 * availability of the signal
+    detector.
 
-    In the non-deterministic model the aligned-path rate feeds the aligned
-    availability (the conservative reading under which the attack stays
-    feasible even with residual loading leaking onto the signal detector);
-    deterministic mode gives a clean step against an unloaded detector.
+    The signal detector always carries the background; in the orthogonal
+    non-deterministic branch the split pre-pulse adds lambda_perp, and in
+    the deterministic branch the recovery step gates the click.  The aligned
+    pre-pulse only loads the other detector, so lambda_parallel drops out.
+    Intercept-resend and no attack give the aligned value on both branches.
     """
-    if not 0.0 < p0 <= 1.0:
-        raise ValueError(f"p0 must be in (0, 1], got {p0}")
-    if config.mode is AttackMode.NONE:
-        raise ValueError("no attack configured: p_parallel/p_perp are undefined")
-    if config.mode is AttackMode.INTERCEPT_RESEND:
-        return p0, p0
-    if config.mode is AttackMode.RIE_DETERMINISTIC:
-        return p0, deterministic_suppression(config.delta_s, curve, 0.0, p0)
-    p_par = p0 * availability(config.lambda_parallel_cps, curve, model)
-    p_perp = p0 * availability(config.lambda_perp_cps, curve, model)
-    return p_par, p_perp
+    bg = config.background_rate_cps
+    curve = config.dead_time_curve
+    model = config.availability_model
+    p_signal = config.transmission * config.p0
+    p_par = p_signal * availability(bg, curve, model)
+    if attack.mode is AttackMode.RIE_NON_DETERMINISTIC:
+        return p_par, p_signal * availability(bg + attack.lambda_perp_cps, curve, model)
+    if attack.mode is AttackMode.RIE_DETERMINISTIC:
+        return p_par, p_par * deterministic_suppression(attack.delta_s, curve, bg, 1.0)
+    return p_par, p_par
 
 
-def effective_r(
-    config: AttackConfig,
-    curve: DeadTimeCurve,
-    model: AvailabilityModel,
-    p0: float,
-) -> float:
+def effective_r(config: ProtocolConfig, attack: AttackConfig) -> float:
     """The suppression ratio r = p_perp / p_parallel the attack achieves.
 
-    Non-deterministic mode evaluates the conservative analytic form;
-    deterministic mode is a step: r = 0 when the delay sits inside the
-    recovery window of an otherwise unloaded detector, r = 1 past it.
+    Deterministic mode is a step: r = 0 when the delay sits inside the
+    recovery window, r = 1 past it.
     """
-    p_par, p_perp = branch_click_probabilities(config, curve, model, p0)
+    if attack.mode is AttackMode.NONE:
+        raise ValueError("no attack configured: p_parallel/p_perp are undefined")
+    p_par, p_perp = branch_click_probabilities(config, attack)
     if p_par == 0.0:
         raise DegenerateAttackError(
             "aligned-case click probability is zero; r = p_perp/p_parallel is undefined"

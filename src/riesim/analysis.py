@@ -120,8 +120,10 @@ def r_bound(lambda_par_cps: float, lambda_perp_cps: float, curve: DeadTimeCurve)
         (1 - lambda_perp * t_d(lambda_perp)) / (1 - lambda_par * t_d(lambda_par))
 
     Oriented so that heavier orthogonal-path loading drives the bound down,
-    consistent with r = p_perp / p_parallel.  Both rates must sit below
-    saturation of the linear model.
+    consistent with r = p_perp / p_parallel.  It charges lambda_par to the
+    signal detector, which adversary.branch_click_probabilities does not, so
+    without background it is at least the linear model's r.  Both rates must
+    sit below saturation of the linear model.
     """
     busy_perp = busy_fraction(lambda_perp_cps, curve)
     busy_par = busy_fraction(lambda_par_cps, curve)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import analysis, timetag
 from .adversary import branch_click_probabilities, effective_r
-from .detector import AvailabilityModel, DeadTimeCurve, busy_fraction
+from .detector import DeadTimeCurve, busy_fraction
 from .protocol import run_simulation
 from .scenario import ScenarioConfig, ScenarioError, load_scenario
 
@@ -121,12 +121,10 @@ def cmd_simulate(scenario: ScenarioConfig, args) -> int:
 
 
 def cmd_analytic(scenario: ScenarioConfig, args) -> int:
-    proto = scenario.protocol
-    p0 = float(proto.get("p0", 1.0))
-    e_abort = float(proto.get("abort_threshold", 0.11))
-    model = proto.get("availability_model", AvailabilityModel.EXPONENTIAL)
-    p_par, p_perp = branch_click_probabilities(scenario.attack, scenario.curve, model, p0)
-    ratio = effective_r(scenario.attack, scenario.curve, model, p0)
+    config = scenario.protocol_config()
+    e_abort = config.abort_threshold
+    p_par, p_perp = branch_click_probabilities(config, scenario.attack)
+    ratio = effective_r(config, scenario.attack)
     qber = analysis.e_obs(ratio)
     threshold = analysis.r_threshold(e_abort)
     lines = [
@@ -187,9 +185,7 @@ def main(argv=None) -> int:
     try:
         scenario = load_scenario(args.config)
         if args.seed is not None:
-            scenario = _override(scenario, seed=args.seed)
-        if args.workers is not None:
-            scenario = _override(scenario, workers=args.workers)
+            scenario = replace(scenario, seed=args.seed)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -201,10 +197,6 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _override(scenario: ScenarioConfig, **changes) -> ScenarioConfig:
-    return replace(scenario, **changes)
 
 
 if __name__ == "__main__":

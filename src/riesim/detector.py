@@ -36,7 +36,6 @@ __all__ = [
     "default_dead_time_curve",
     "dead_time_at",
     "availability",
-    "click_probability",
     "busy_fraction",
     "observed_to_true_rate",
     "true_to_observed_rate",
@@ -187,15 +186,6 @@ def availability(rate_cps: float, curve: DeadTimeCurve, model: AvailabilityModel
             )
         return 1.0 - busy
     raise ValueError(f"unknown availability model {model!r}")
-
-
-def click_probability(
-    p0: float, rate_cps: float, curve: DeadTimeCurve, model: AvailabilityModel
-) -> float:
-    """p0 * Pr(available): the signal click probability under loading."""
-    if not 0.0 < p0 <= 1.0:
-        raise ValueError(f"p0 must be in (0, 1], got {p0}")
-    return p0 * availability(rate_cps, curve, model)
 
 
 def observed_to_true_rate(observed_cps: float, dead_time_s: float) -> float:

@@ -2,10 +2,11 @@
 
 Each round: Alice's state is drawn (or fixed for branch conditioning), the
 adversary transform is applied, Bob picks a basis and the signal routes
-through the polarizing beam splitter, and the signal detector clicks with a
-probability set by its loading-dependent availability.  Rounds where Alice's
-and Bob's bases match and a click occurred enter the sifted key; the run
-aborts when the observed QBER reaches the configured threshold.
+through the polarizing beam splitter, and the signal detector clicks with
+the probability adversary.branch_click_probabilities gives: p_parallel when
+Bob's basis is Eve's, p_perp otherwise.  Rounds where Alice's and Bob's bases
+match and a click occurred enter the sifted key; the run aborts when the
+observed QBER reaches the configured threshold.
 
 The entanglement-based protocol is simulated in its effective
 prepare-and-measure reduction: Alice's measurement on her half defines the
@@ -28,13 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .adversary import AttackConfig, AttackMode, deterministic_suppression
-from .detector import (
-    AvailabilityModel,
-    DeadTimeCurve,
-    availability,
-    default_dead_time_curve,
-)
+from .adversary import AttackConfig, AttackMode, branch_click_probabilities
+from .detector import AvailabilityModel, DeadTimeCurve, default_dead_time_curve
 from .quantum import Basis, PolarizationState, projection_prob
 
 __all__ = [
@@ -172,20 +168,6 @@ def _branch_sort_key(key):
     return (eve_basis.value, eve_bit, bob_basis.value)
 
 
-def _branch_availabilities(config: ProtocolConfig, attack: AttackConfig) -> tuple[float, float]:
-    """(aligned, orthogonal) availability of the signal-path detector."""
-    bg = config.background_rate_cps
-    curve = config.dead_time_curve
-    model = config.availability_model
-    avail_bg = availability(bg, curve, model)
-    if attack.mode is AttackMode.RIE_NON_DETERMINISTIC:
-        return avail_bg, availability(bg + attack.lambda_perp_cps, curve, model)
-    if attack.mode is AttackMode.RIE_DETERMINISTIC:
-        step = deterministic_suppression(attack.delta_s, curve, bg, 1.0)
-        return avail_bg, avail_bg * step
-    return avail_bg, avail_bg
-
-
 def _basis_weight(prior_z: float, basis: Basis) -> float:
     return prior_z if basis is Basis.Z else 1.0 - prior_z
 
@@ -197,8 +179,7 @@ def _round_law(config: ProtocolConfig, attack: AttackConfig) -> np.ndarray:
     detector, click; basis index 0 is Z and 1 is X.  Without an attack the
     Eve axes carry Alice's state, so the signal is always read from them.
     """
-    avail_aligned, avail_orth = _branch_availabilities(config, attack)
-    p_signal = config.transmission * config.p0
+    p_par, p_perp = branch_click_probabilities(config, attack)
     attacking = attack.mode is not AttackMode.NONE
     law = np.zeros((2,) * 7)
     for ab, a, eb, e, bb, d in product((0, 1), repeat=6):
@@ -216,7 +197,7 @@ def _round_law(config: ProtocolConfig, attack: AttackConfig) -> np.ndarray:
             p *= float(signal == alice)
         p *= _basis_weight(config.basis_prior, bob_basis)
         p *= projection_prob(signal, bob_basis, d)
-        p_click = p_signal * (avail_aligned if bob_basis is signal.basis else avail_orth)
+        p_click = p_par if bob_basis is signal.basis else p_perp
         law[ab, a, eb, e, bb, d] = (p * (1.0 - p_click), p * p_click)
     return law
 

@@ -8,6 +8,7 @@ flags override the corresponding file values.
 from __future__ import annotations
 
 import json
+from math import isfinite
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,6 +37,21 @@ def _integer(value, key: str) -> int:
             or (isinstance(value, float) and not value.is_integer())):
         raise ScenarioError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _number(value, key: str) -> float:
+    """A finite JSON number as a float; booleans, strings, null, NaN and
+    infinities are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not isfinite(value):
+        raise ScenarioError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _numbers(values, key: str) -> tuple[float, ...]:
+    """A JSON list of numbers; a bad entry is named by its index."""
+    if not isinstance(values, (list, tuple)):
+        raise ScenarioError(f"{key} must be a list of numbers, got {values!r}")
+    return tuple(_number(v, f"{key}[{i}]") for i, v in enumerate(values))
 
 
 @dataclass(frozen=True)
@@ -77,7 +93,6 @@ class MutualInfoSettings:
 class ScenarioConfig:
     seed: int = 1
     out: str = "."
-    workers: int = 1  # accepted for compatibility; the simulation runs in-process
     curve: DeadTimeCurve = field(default_factory=default_dead_time_curve)
     protocol: dict = field(default_factory=dict)
     attack: AttackConfig = field(default_factory=AttackConfig)
@@ -166,15 +181,15 @@ def _parse_sweep(section) -> SweepSettings:
         return SweepSettings()
     allowed = {"rates_cps", "duration_s", "bin_width_s", "max_gap_s", "min_count"}
     _take(section, allowed, "sweep")
-    out = dict(section)
-    if "rates_cps" in out:
-        out["rates_cps"] = tuple(float(r) for r in out["rates_cps"])
-    if "min_count" in out:
-        out["min_count"] = _integer(out["min_count"], "sweep.min_count")
-    try:
-        return SweepSettings(**out)
-    except TypeError as exc:
-        raise ScenarioError(f"invalid sweep section: {exc}") from exc
+    out = {}
+    for key, value in section.items():
+        if key == "rates_cps":
+            out[key] = _numbers(value, "sweep.rates_cps")
+        elif key == "min_count":
+            out[key] = _integer(value, "sweep.min_count")
+        else:
+            out[key] = _number(value, f"sweep.{key}")
+    return SweepSettings(**out)
 
 
 def _parse_scan(section) -> ScanSettings:
@@ -184,28 +199,26 @@ def _parse_scan(section) -> ScanSettings:
     _take(section, allowed, "scan")
     out = {}
     if "lambda_par_cps" in section:
-        out["lambda_par_cps"] = tuple(float(r) for r in section["lambda_par_cps"])
+        out["lambda_par_cps"] = _numbers(section["lambda_par_cps"], "scan.lambda_par_cps")
     if "lambda_perp_cps" in section and "lambda_perp_grid" in section:
         raise ScenarioError("scan: give lambda_perp_cps or lambda_perp_grid, not both")
     if "lambda_perp_cps" in section:
-        out["lambda_perp_cps"] = tuple(float(r) for r in section["lambda_perp_cps"])
+        out["lambda_perp_cps"] = _numbers(section["lambda_perp_cps"], "scan.lambda_perp_cps")
     if "lambda_perp_grid" in section:
         grid = section["lambda_perp_grid"]
         _take(grid, {"start_cps", "stop_cps", "num"}, "scan.lambda_perp_grid")
-        try:
-            start, stop, num = float(grid["start_cps"]), float(grid["stop_cps"]), int(grid["num"])
-        except (KeyError, TypeError, ValueError):
-            raise ScenarioError("scan.lambda_perp_grid needs start_cps, stop_cps, num") from None
+        if len(grid) != 3:
+            raise ScenarioError("scan.lambda_perp_grid needs start_cps, stop_cps, num")
+        start = _number(grid["start_cps"], "scan.lambda_perp_grid.start_cps")
+        stop = _number(grid["stop_cps"], "scan.lambda_perp_grid.stop_cps")
+        num = _integer(grid["num"], "scan.lambda_perp_grid.num")
         if num < 1 or stop < start:
             raise ScenarioError("scan.lambda_perp_grid must have num >= 1 and stop >= start")
         step = (stop - start) / (num - 1) if num > 1 else 0.0
         out["lambda_perp_cps"] = tuple(start + i * step for i in range(num))
     if "e_abort" in section:
-        out["e_abort"] = float(section["e_abort"])
-    try:
-        return ScanSettings(**out)
-    except TypeError as exc:
-        raise ScenarioError(f"invalid scan section: {exc}") from exc
+        out["e_abort"] = _number(section["e_abort"], "scan.e_abort")
+    return ScanSettings(**out)
 
 
 def _parse_mutualinfo(section) -> MutualInfoSettings:
@@ -213,10 +226,10 @@ def _parse_mutualinfo(section) -> MutualInfoSettings:
         return MutualInfoSettings()
     allowed = {"r_start", "r_stop", "r_step", "e_abort"}
     _take(section, allowed, "mutualinfo")
-    try:
-        return MutualInfoSettings(**{k: float(v) for k, v in section.items()})
-    except TypeError as exc:
-        raise ScenarioError(f"invalid mutualinfo section: {exc}") from exc
+    settings = MutualInfoSettings(**{k: _number(v, f"mutualinfo.{k}") for k, v in section.items()})
+    if settings.r_step <= 0:
+        raise ScenarioError(f"mutualinfo.r_step must be > 0, got {settings.r_step!r}")
+    return settings
 
 
 def load_scenario(path=None, data: dict | None = None) -> ScenarioConfig:
@@ -238,6 +251,8 @@ def load_scenario(path=None, data: dict | None = None) -> ScenarioConfig:
     allowed = {"seed", "out", "workers", "dead_time_curve", "protocol", "attack",
                "sweep", "scan", "mutualinfo"}
     _take(data, allowed, "config root")
+    # workers is accepted for compatibility and has no effect
+    _integer(data.get("workers", 1), "workers")
     scan = _parse_scan(data.get("scan"))
     if not scan.lambda_par_cps or not scan.lambda_perp_cps:
         raise ScenarioError("scan grids must not be empty")
@@ -250,7 +265,6 @@ def load_scenario(path=None, data: dict | None = None) -> ScenarioConfig:
     return ScenarioConfig(
         seed=_integer(data.get("seed", 1), "seed"),
         out=str(data.get("out", ".")),
-        workers=_integer(data.get("workers", 1), "workers"),
         curve=_parse_curve(data.get("dead_time_curve"), base_dir),
         protocol=_parse_protocol(data.get("protocol")),
         attack=_parse_attack(data.get("attack")),

@@ -179,10 +179,10 @@ def test_criterion_7_deterministic_prepulse_limit():
     with criterion(7, "delta < t_d: r = 0, zero QBER, raised erasure rate"):
         curve = default_dead_time_curve()
         attack = AttackConfig(mode=AttackMode.RIE_DETERMINISTIC, delta_s=10e-9)
-        assert effective_r(attack, curve, AvailabilityModel.EXPONENTIAL, 1.0) == 0.0
-
         config = ProtocolConfig(n_rounds=500_000, p0=1.0, seed=500,
                                 dead_time_curve=curve)
+        assert effective_r(config, attack) == 0.0
+
         report = run_simulation(config, attack)
         baseline = run_simulation(
             ProtocolConfig(n_rounds=500_000, p0=1.0, seed=501, dead_time_curve=curve),

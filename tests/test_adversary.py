@@ -14,6 +14,7 @@ from riesim.adversary import (
     loading_for_branch,
 )
 from riesim.detector import AvailabilityModel, DeadTimeCurve, SaturationError, default_dead_time_curve
+from riesim.protocol import ProtocolConfig
 from riesim.quantum import Basis, PolarizationState
 
 EXP = AvailabilityModel.EXPONENTIAL
@@ -21,6 +22,7 @@ LIN = AvailabilityModel.LINEAR_BOUND
 
 ND = AttackMode.RIE_NON_DETERMINISTIC
 DET = AttackMode.RIE_DETERMINISTIC
+INTERCEPT = AttackConfig(mode=AttackMode.INTERCEPT_RESEND)
 
 
 def _nd(lam_par=0.0, lam_perp=0.0, prior=0.5):
@@ -161,45 +163,49 @@ def test_suppression_requires_positive_delay():
 # ---------------------------------------------------------------- effective ratio
 
 
+def _proto(p0=1.0, model=EXP, curve=None, **kw):
+    return ProtocolConfig(n_rounds=1, p0=p0, seed=1, availability_model=model,
+                          dead_time_curve=default_dead_time_curve() if curve is None else curve,
+                          **kw)
+
+
 def test_deterministic_attack_reaches_zero_ratio():
     config = AttackConfig(mode=DET, delta_s=10e-9)
-    assert effective_r(config, default_dead_time_curve(), EXP, 1.0) == 0.0
+    assert effective_r(_proto(), config) == 0.0
 
 
 def test_deterministic_attack_past_window_is_plain_intercept_resend():
     config = AttackConfig(mode=DET, delta_s=100e-9)
-    assert effective_r(config, default_dead_time_curve(), EXP, 0.8) == 1.0
+    assert effective_r(_proto(0.8), config) == 1.0
 
 
 def test_no_loading_reduces_to_intercept_resend():
     config = _nd(lam_par=0.0, lam_perp=0.0)
-    assert effective_r(config, default_dead_time_curve(), EXP, 0.7) == 1.0
-    assert effective_r(config, default_dead_time_curve(), LIN, 0.7) == 1.0
+    assert effective_r(_proto(0.7), config) == 1.0
+    assert effective_r(_proto(0.7, LIN), config) == 1.0
 
 
 def test_intercept_resend_mode_ratio_is_one():
-    config = AttackConfig(mode=AttackMode.INTERCEPT_RESEND)
-    assert effective_r(config, default_dead_time_curve(), EXP, 0.5) == 1.0
+    assert effective_r(_proto(0.5), INTERCEPT) == 1.0
 
 
 def test_mode_none_has_no_ratio():
     with pytest.raises(ValueError):
-        effective_r(AttackConfig(), default_dead_time_curve(), EXP, 1.0)
+        effective_r(_proto(), AttackConfig())
 
 
 def test_ratio_on_default_curve_linear_bound():
-    # (1 - 23e6*t_d(23e6)) / (1 - 1e6*t_d(1e6)) with t_d = 31.3 ns / 23.3 ns
+    # 1 - 23e6*t_d(23e6) with t_d = 31.3 ns; the aligned path is unloaded
     config = _nd(lam_par=1e6, lam_perp=23e6)
-    ratio = effective_r(config, default_dead_time_curve(), LIN, 1.0)
-    assert ratio == pytest.approx(0.2867820210914305, rel=1e-12)
+    ratio = effective_r(_proto(model=LIN), config)
+    assert ratio == pytest.approx(1.0 - 23e6 * 31.3e-9, rel=1e-12)
     assert ratio < 0.3
 
 
 def test_ratio_monotone_non_increasing_in_orthogonal_loading():
-    curve = default_dead_time_curve()
     previous = None
     for lam_perp in np.linspace(0, 30e6, 100):
-        ratio = effective_r(_nd(lam_par=1e6, lam_perp=lam_perp), curve, LIN, 1.0)
+        ratio = effective_r(_proto(model=LIN), _nd(lam_par=1e6, lam_perp=lam_perp))
         if previous is not None:
             assert ratio <= previous + 1e-15
         previous = ratio
@@ -208,20 +214,54 @@ def test_ratio_monotone_non_increasing_in_orthogonal_loading():
 def test_ratio_saturation_propagates():
     config = _nd(lam_par=1e6, lam_perp=40e6)  # busy > 1 on the default curve
     with pytest.raises(SaturationError):
-        effective_r(config, default_dead_time_curve(), LIN, 1.0)
+        effective_r(_proto(model=LIN), config)
 
 
 def test_branch_click_probabilities_by_mode():
     curve = DeadTimeCurve.constant(20e-9)
     p_par, p_perp = branch_click_probabilities(
-        AttackConfig(mode=AttackMode.INTERCEPT_RESEND), curve, EXP, 0.8)
+        _proto(0.8, curve=curve), INTERCEPT)
     assert (p_par, p_perp) == (0.8, 0.8)
     p_par, p_perp = branch_click_probabilities(
-        AttackConfig(mode=DET, delta_s=1e-9), curve, EXP, 0.8)
+        _proto(0.8, curve=curve), AttackConfig(mode=DET, delta_s=1e-9))
     assert (p_par, p_perp) == (0.8, 0.0)
-    p_par, p_perp = branch_click_probabilities(_nd(lam_par=0.0, lam_perp=25e6), curve, LIN, 1.0)
+    p_par, p_perp = branch_click_probabilities(
+        _proto(curve=curve, model=LIN), _nd(lam_par=0.0, lam_perp=25e6))
     assert p_par == 1.0
     assert p_perp == pytest.approx(0.5, rel=1e-12)
+
+
+def test_branch_click_probabilities_unloaded_is_p0():
+    p_par, p_perp = branch_click_probabilities(_proto(0.6), AttackConfig())
+    assert (p_par, p_perp) == (0.6, 0.6)
+
+
+@pytest.mark.parametrize("model, expected", [(EXP, 0.8187307530779818), (LIN, 0.8)],
+                         ids=["exponential", "linear"])
+def test_branch_click_probabilities_availability_forms(model, expected):
+    # 10 Mcps of background on a flat 20 ns curve: busy fraction 0.2
+    config = _proto(model=model, curve=DeadTimeCurve.constant(2e-8), background_rate_cps=1e7)
+    p_par, p_perp = branch_click_probabilities(config, INTERCEPT)
+    assert p_par == p_perp == pytest.approx(expected, rel=1e-12)
+
+
+def test_branch_click_probabilities_scale_with_transmission_and_background():
+    curve = DeadTimeCurve.constant(20e-9)
+    config = _proto(0.9, model=LIN, curve=curve, transmission=0.5, background_rate_cps=5e6)
+    p_par, p_perp = branch_click_probabilities(config, _nd(lam_par=5e6, lam_perp=20e6))
+    assert p_par == pytest.approx(0.45 * (1.0 - 0.1), rel=1e-12)
+    assert p_perp == pytest.approx(0.45 * (1.0 - 0.5), rel=1e-12)
+    # deterministic: the background gates both branches, the step only the orthogonal one
+    p_par, p_perp = branch_click_probabilities(config, AttackConfig(mode=DET, delta_s=30e-9))
+    assert (p_par, p_perp) == (pytest.approx(0.45 * 0.9, rel=1e-12), p_par)
+
+
+def test_parallel_loading_changes_no_click_probability():
+    # the aligned pre-pulse loads only the detector the signal never reaches
+    config = _proto(0.9, background_rate_cps=2e6, transmission=0.7)
+    for lam_par in (0.0, 1e6, 5e6, 25e6):
+        assert branch_click_probabilities(config, _nd(lam_par=lam_par, lam_perp=25e6)) == (
+            branch_click_probabilities(config, _nd(lam_perp=25e6)))
 
 
 def test_config_validation():

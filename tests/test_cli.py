@@ -1,6 +1,9 @@
 """End-to-end command runs: outputs, determinism, exit codes."""
 
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +101,46 @@ def test_analytic_reports_closed_forms(tmp_path, capsys):
     assert "e_obs: 0.0" in text
 
 
+def test_analytic_reads_protocol_section(tmp_path):
+    config = write_config(tmp_path, {
+        "out": str(tmp_path / "results"),
+        "protocol": {"n_rounds": 1, "p0": 0.9, "transmission": 0.5,
+                     "abort_threshold": 0.2, "availability_model": "linear_bound"},
+        "attack": {"mode": "intercept_resend"},
+    })
+    assert main(["--config", str(config), "analytic"]) == 0
+    text = (tmp_path / "results" / "analytic.txt").read_text()
+    assert "p_parallel: 0.45\n" in text and "p_perp: 0.45\n" in text
+    assert "e_abort: 0.2\n" in text
+
+
+@pytest.mark.parametrize("protocol", [None, {"n_rounds": 10}, {"n_rounds": 10, "p0": 1.5}])
+def test_analytic_rejects_bad_protocol_section(tmp_path, capsys, protocol):
+    data = {"out": str(tmp_path / "results"), "attack": {"mode": "intercept_resend"}}
+    if protocol is not None:
+        data["protocol"] = protocol
+    assert main(["--config", str(write_config(tmp_path, data)), "analytic"]) == 2
+    assert "protocol" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+def _key_values(path):
+    return dict(line.split(": ", 1) for line in path.read_text().splitlines() if ": " in line)
+
+
+def test_readme_example_scenario_runs_and_agrees(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    config = write_config(tmp_path, json.loads(example))
+    out = tmp_path / "results"
+    assert main(["--config", str(config), "--out", str(out), "analytic"]) == 0
+    assert main(["--config", str(config), "--out", str(out), "simulate"]) == 0
+    expected = float(_key_values(out / "analytic.txt")["e_obs"])
+    report = _key_values(out / "simulation_report.txt")
+    sigma = math.sqrt(expected * (1.0 - expected) / int(report["n_sifted"]))
+    assert abs(float(report["qber_observed"]) - expected) < 4.0 * sigma
+
+
 def test_stealth_scan_csv(tmp_path, base_config):
     assert main(["--config", str(base_config), "stealth-scan"]) == 0
     lines = (tmp_path / "results" / "stealth_scan.csv").read_text().splitlines()
@@ -190,4 +233,16 @@ def test_simulate_rejects_non_integer_fields(tmp_path, capsys, data, key):
     config = write_config(tmp_path, {"out": str(tmp_path / "results"), **data})
     assert main(["--config", str(config), "simulate"]) == 2
     assert f"{key} must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("command, data, key", [
+    ("mutualinfo", {"mutualinfo": {"r_step": "x"}}, "mutualinfo.r_step"),
+    ("stealth-scan", {"scan": {"e_abort": "x"}}, "scan.e_abort"),
+    ("sweep-deadtime", {"sweep": {"duration_s": "x"}}, "sweep.duration_s"),
+])
+def test_non_number_fields_exit_2(tmp_path, capsys, command, data, key):
+    config = write_config(tmp_path, {"out": str(tmp_path / "results"), **data})
+    assert main(["--config", str(config), command]) == 2
+    assert f"{key} must be a finite number" in capsys.readouterr().err
     assert not (tmp_path / "results").exists()

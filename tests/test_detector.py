@@ -11,7 +11,6 @@ from riesim.detector import (
     SaturationError,
     availability,
     busy_fraction,
-    click_probability,
     dead_time_at,
     default_dead_time_curve,
     observed_to_true_rate,
@@ -122,31 +121,6 @@ def test_linear_bound_below_exponential_everywhere():
         lin = availability(rate, curve, LIN)
         expo = availability(rate, curve, EXP)
         assert lin <= expo
-
-
-def test_click_probability_idle_is_p0():
-    curve = default_dead_time_curve()
-    assert click_probability(0.6, 0.0, curve, EXP) == pytest.approx(0.6, rel=1e-12)
-
-
-def test_click_probability_exponential_form():
-    curve = DeadTimeCurve.constant(2e-8)
-    assert click_probability(1.0, 1e7, curve, EXP) == pytest.approx(
-        0.8187307530779818, rel=1e-12
-    )
-
-
-def test_click_probability_linear_form():
-    curve = DeadTimeCurve.constant(2e-8)
-    assert click_probability(1.0, 1e7, curve, LIN) == pytest.approx(0.8, rel=1e-12)
-
-
-def test_click_probability_validates_p0():
-    curve = default_dead_time_curve()
-    with pytest.raises(ValueError):
-        click_probability(0.0, 1e6, curve, EXP)
-    with pytest.raises(ValueError):
-        click_probability(1.2, 1e6, curve, EXP)
 
 
 # ---------------------------------------------------------------- busy fraction

@@ -15,7 +15,9 @@ from scipy.stats import chisquare
 from riesim.adversary import (
     AttackConfig,
     AttackMode,
+    branch_click_probabilities,
     deterministic_suppression,
+    effective_r,
     intercept,
     loading_for_branch,
 )
@@ -340,6 +342,39 @@ def test_trillion_rounds_match_closed_forms():
     assert abs(report.qber_observed - qber) < 5 * binom_sigma(qber, report.n_sifted)
     sift = sift_probability(1.0, 0.3)
     assert abs(report.sift_probability - sift) < 5 * binom_sigma(sift, n)
+
+
+CROSS_CHECK_CASES = {
+    "non-deterministic, background, lambda_par, transmission": (
+        ProtocolConfig(n_rounds=10**9, p0=0.9, seed=41, transmission=0.7,
+                       background_rate_cps=2e6),
+        AttackConfig(mode=AttackMode.RIE_NON_DETERMINISTIC, lambda_parallel_cps=5e6,
+                     lambda_perp_cps=25e6),
+    ),
+    "deterministic, background": (
+        ProtocolConfig(n_rounds=10**9, p0=0.8, seed=42, background_rate_cps=3e6),
+        AttackConfig(mode=AttackMode.RIE_DETERMINISTIC, delta_s=20e-9),
+    ),
+    "linear model": (
+        ProtocolConfig(n_rounds=10**9, p0=0.85, seed=43, transmission=0.8,
+                       background_rate_cps=1e6,
+                       availability_model=AvailabilityModel.LINEAR_BOUND),
+        AttackConfig(mode=AttackMode.RIE_NON_DETERMINISTIC, lambda_parallel_cps=2e6,
+                     lambda_perp_cps=15e6),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CROSS_CHECK_CASES))
+def test_simulate_agrees_with_analytic(name):
+    # what `analytic` prints for uniform priors, against a 1e9-round run;
+    # sigma is 0 where r = 0, so the bound is inclusive
+    cfg, attack = CROSS_CHECK_CASES[name]
+    report = run_simulation(cfg, attack)
+    qber = e_obs(effective_r(cfg, attack))
+    assert abs(report.qber_observed - qber) <= 4 * binom_sigma(qber, report.n_sifted)
+    sift = sift_probability(*branch_click_probabilities(cfg, attack))
+    assert abs(report.sift_probability - sift) <= 4 * binom_sigma(sift, cfg.n_rounds)
 
 
 def test_linear_bound_model_also_supported():

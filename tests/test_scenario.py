@@ -8,7 +8,7 @@ import pytest
 from riesim.adversary import AttackMode
 from riesim.detector import AvailabilityModel, default_dead_time_curve
 from riesim.quantum import Basis, PolarizationState
-from riesim.scenario import ScenarioError, load_scenario
+from riesim.scenario import ScenarioError, _parse_mutualinfo, load_scenario
 
 
 def write_config(tmp_path, data):
@@ -20,7 +20,6 @@ def write_config(tmp_path, data):
 def test_empty_config_uses_defaults():
     scenario = load_scenario(data={})
     assert scenario.seed == 1
-    assert scenario.workers == 1
     assert scenario.attack.mode is AttackMode.NONE
     np.testing.assert_array_equal(
         scenario.curve.rates_cps, default_dead_time_curve().rates_cps)
@@ -162,6 +161,12 @@ def test_missing_file_reported(tmp_path):
     ({"protocol": {"n_rounds": "100", "p0": 1.0}}, "protocol.n_rounds"),
     ({"sweep": {"min_count": 2.5}}, "sweep.min_count"),
     ({"sweep": {"min_count": False}}, "sweep.min_count"),
+    ({"scan": {"lambda_perp_grid": {"start_cps": 1e6, "stop_cps": 3e6, "num": 2.5}}},
+     "scan.lambda_perp_grid.num"),
+    ({"scan": {"lambda_perp_grid": {"start_cps": 1e6, "stop_cps": 3e6, "num": "3"}}},
+     "scan.lambda_perp_grid.num"),
+    ({"scan": {"lambda_perp_grid": {"start_cps": 1e6, "stop_cps": 3e6, "num": True}}},
+     "scan.lambda_perp_grid.num"),
 ])
 def test_non_integer_fields_rejected(data, key):
     with pytest.raises(ScenarioError, match=f"{key} must be an integer"):
@@ -175,7 +180,54 @@ def test_integral_floats_accepted_as_integers():
         "sweep": {"min_count": 3.0},
     })
     config = scenario.protocol_config()
-    assert (scenario.seed, scenario.workers, config.n_rounds, scenario.sweep.min_count) == (
-        7, 2, 100_000, 3)
-    assert all(type(v) is int for v in (scenario.seed, scenario.workers,
-                                        config.n_rounds, scenario.sweep.min_count))
+    assert (scenario.seed, config.n_rounds, scenario.sweep.min_count) == (7, 100_000, 3)
+    assert all(type(v) is int for v in (scenario.seed, config.n_rounds, scenario.sweep.min_count))
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"sweep": {"duration_s": "x"}}, "sweep.duration_s"),
+    ({"sweep": {"bin_width_s": True}}, "sweep.bin_width_s"),
+    ({"sweep": {"max_gap_s": None}}, "sweep.max_gap_s"),
+    ({"sweep": {"rates_cps": [1e6, "2e6"]}}, r"sweep.rates_cps\[1\]"),
+    ({"sweep": {"rates_cps": 1e6}}, "sweep.rates_cps"),
+    ({"scan": {"e_abort": "x"}}, "scan.e_abort"),
+    ({"scan": {"lambda_par_cps": [False]}}, r"scan.lambda_par_cps\[0\]"),
+    ({"scan": {"lambda_perp_cps": ["1e6"]}}, r"scan.lambda_perp_cps\[0\]"),
+    ({"scan": {"lambda_perp_grid": {"start_cps": "0", "stop_cps": 1e6, "num": 2}}},
+     "scan.lambda_perp_grid.start_cps"),
+    ({"scan": {"lambda_perp_grid": {"start_cps": 0, "stop_cps": [1e6], "num": 2}}},
+     "scan.lambda_perp_grid.stop_cps"),
+    ({"mutualinfo": {"r_step": "x"}}, "mutualinfo.r_step"),
+    ({"mutualinfo": {"r_start": True}}, "mutualinfo.r_start"),
+    ({"mutualinfo": {"e_abort": "0.1"}}, "mutualinfo.e_abort"),
+])
+def test_non_number_fields_rejected(data, key):
+    with pytest.raises(ScenarioError, match=f"{key} must be a "):
+        load_scenario(data=data)
+
+
+@pytest.mark.parametrize("section, message", [
+    ({"r_step": 0}, "r_step must be > 0"),
+    ({"r_step": -0.1}, "r_step must be > 0"),
+    ({"r_step": float("nan")}, "r_step must be a finite number"),
+    ({"r_stop": float("inf")}, "r_stop must be a finite number"),
+], ids=["zero step", "negative step", "nan step", "infinite stop"])
+def test_mutualinfo_grid_must_end(section, message):
+    # checked while parsing, before grid() would loop without end
+    with pytest.raises(ScenarioError, match=f"mutualinfo.{message}"):
+        _parse_mutualinfo(section)
+
+
+def test_integer_valued_numbers_become_floats():
+    scenario = load_scenario(data={
+        "sweep": {"rates_cps": [1000000], "duration_s": 1},
+        "scan": {"lambda_par_cps": [1000000],
+                 "lambda_perp_grid": {"start_cps": 0, "stop_cps": 2000000, "num": 3.0}},
+        "mutualinfo": {"r_stop": 1, "r_step": 1},
+    })
+    assert scenario.sweep.rates_cps == (1e6,) and scenario.sweep.duration_s == 1.0
+    assert scenario.scan.lambda_perp_cps == (0.0, 1e6, 2e6)
+    assert scenario.mutualinfo.grid() == [0.0, 1.0]
+    assert all(type(v) is float for v in (
+        scenario.sweep.rates_cps[0], scenario.sweep.duration_s,
+        *scenario.scan.lambda_par_cps, *scenario.scan.lambda_perp_cps, scenario.mutualinfo.r_step))
