@@ -16,15 +16,19 @@ key than Bob does.
 
 from __future__ import annotations
 
-import csv
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import log2
 from pathlib import Path
+
+import numpy as np
 
 from .detector import DeadTimeCurve, SaturationError, busy_fraction
 
 __all__ = [
     "ChannelParams",
+    "StealthScan",
     "StealthScanRow",
     "binary_entropy",
     "e_obs",
@@ -114,6 +118,12 @@ def mutual_info_bob_sifted(r: float) -> float:
     return 1.0 - binary_entropy(e_obs(r))
 
 
+def _bound(busy_par, busy_perp):
+    """(1 - busy_perp) / (1 - busy_par) from the two busy fractions; the one
+    definition behind r_bound and stealth_scan, for floats or arrays."""
+    return (1.0 - busy_perp) / (1.0 - busy_par)
+
+
 def r_bound(lambda_par_cps: float, lambda_perp_cps: float, curve: DeadTimeCurve) -> float:
     """Conservative suppression-ratio bound from the linear availability model:
 
@@ -132,7 +142,7 @@ def r_bound(lambda_par_cps: float, lambda_perp_cps: float, curve: DeadTimeCurve)
             raise SaturationError(
                 f"{name} saturates the linear availability model (busy fraction {busy:.4f})"
             )
-    return (1.0 - busy_perp) / (1.0 - busy_par)
+    return _bound(busy_par, busy_perp)
 
 
 @dataclass(frozen=True)
@@ -147,48 +157,101 @@ class StealthScanRow:
     valid: bool = True
 
 
+@dataclass(frozen=True, eq=False)
+class StealthScan(Sequence):
+    """The scan over a Cartesian loading-rate grid, held as arrays.
+
+    r_bound, stealthy and valid have shape (n_par, n_perp).  As a sequence
+    it yields one StealthScanRow per cell in row-major order (lambda_par
+    outer), building each row only when it is asked for.
+    """
+
+    lambda_par_cps: np.ndarray
+    lambda_perp_cps: np.ndarray
+    r_bound: np.ndarray
+    stealthy: np.ndarray
+    valid: np.ndarray
+
+    def __len__(self) -> int:
+        return self.r_bound.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self)))]
+        k = operator.index(index)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("scan index out of range")
+        i, j = divmod(k, self.lambda_perp_cps.size)
+        return StealthScanRow(
+            float(self.lambda_par_cps[i]),
+            float(self.lambda_perp_cps[j]),
+            float(self.r_bound[i, j]),
+            bool(self.stealthy[i, j]),
+            bool(self.valid[i, j]),
+        )
+
+    def __iter__(self):
+        perp = self.lambda_perp_cps.tolist()
+        for i, lam_par in enumerate(self.lambda_par_cps.tolist()):
+            cells = zip(perp, self.r_bound[i].tolist(), self.stealthy[i].tolist(),
+                        self.valid[i].tolist())
+            for lam_perp, bound, stealthy, valid in cells:
+                yield StealthScanRow(lam_par, lam_perp, bound, stealthy, valid)
+
+
 def stealth_scan(
     lambda_par_list,
     lambda_perp_grid,
     curve: DeadTimeCurve,
     e_abort: float = 0.11,
-) -> list[StealthScanRow]:
+) -> StealthScan:
     """Evaluate the conservative bound over a Cartesian loading-rate grid.
 
-    A row is stealthy when its bound sits below the threshold ratio for the
-    given abort QBER; rows outside the linear model's validity are flagged,
-    not dropped.
+    A cell is stealthy when its bound sits below the threshold ratio for the
+    given abort QBER; cells outside the linear model's validity are flagged
+    (valid False, r_bound NaN), not dropped.  The dead-time curve is
+    interpolated once per axis and the grid is broadcast from the two axes,
+    so every valid cell equals r_bound of its two rates bit for bit.
     """
-    par_list = list(lambda_par_list)
-    perp_list = list(lambda_perp_grid)
-    if not par_list or not perp_list:
+    par = np.asarray(list(lambda_par_list), dtype=float)
+    perp = np.asarray(list(lambda_perp_grid), dtype=float)
+    if par.size == 0 or perp.size == 0:
         raise ValueError("scan grids must not be empty")
     threshold = r_threshold(e_abort)
-    rows = []
-    for lam_par in par_list:
-        for lam_perp in perp_list:
-            try:
-                bound = r_bound(lam_par, lam_perp, curve)
-            except SaturationError:
-                rows.append(StealthScanRow(lam_par, lam_perp, float("nan"), False, valid=False))
-            else:
-                rows.append(StealthScanRow(lam_par, lam_perp, bound, bound < threshold))
-    return rows
+    if np.any(par < 0) or np.any(perp < 0):
+        raise ValueError("count rate must be >= 0")
+    busy_par = par * curve.dead_time_at(par)
+    busy_perp = perp * curve.dead_time_at(perp)
+    valid = ~((busy_par >= 1.0)[:, None] | (busy_perp >= 1.0)[None, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = _bound(busy_par[:, None], busy_perp[None, :])
+    bound[~valid] = np.nan
+    return StealthScan(par, perp, bound, bound < threshold, valid)
 
 
-def write_stealth_csv(rows, path, e_abort: float = 0.11) -> None:
-    """Scan CSV with schema lambda_par_cps,lambda_perp_cps,r_bound,stealthy."""
+def _threshold_line(e_abort: float) -> str:
+    return f"# r_threshold={r_threshold(e_abort)!r} e_abort={e_abort!r}\n"
+
+
+def write_stealth_csv(scan: StealthScan, path, e_abort: float = 0.11) -> None:
+    """Scan CSV with schema lambda_par_cps,lambda_perp_cps,r_bound,stealthy.
+
+    Rows end in CRLF like the csv module's default dialect; the threshold
+    comment line ends in LF.  Each lambda_par block is written at once.
+    """
+    perp_text = [repr(lam) for lam in scan.lambda_perp_cps.tolist()]
+    blocks = zip(scan.lambda_par_cps.tolist(), scan.r_bound.tolist(), scan.stealthy.tolist())
     with Path(path).open("w", newline="") as fh:
-        fh.write(f"# r_threshold={r_threshold(e_abort)!r} e_abort={e_abort!r}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["lambda_par_cps", "lambda_perp_cps", "r_bound", "stealthy"])
-        for row in rows:
-            writer.writerow([
-                repr(float(row.lambda_par_cps)),
-                repr(float(row.lambda_perp_cps)),
-                repr(float(row.r_bound)),
-                str(row.stealthy).lower(),
-            ])
+        fh.write(_threshold_line(e_abort))
+        fh.write("lambda_par_cps,lambda_perp_cps,r_bound,stealthy\r\n")
+        for lam_par, bounds, flags in blocks:
+            prefix = f"{lam_par!r},"
+            fh.write("".join(
+                f"{prefix}{lam_perp},{bound!r},{'true' if flag else 'false'}\r\n"
+                for lam_perp, bound, flag in zip(perp_text, bounds, flags)
+            ))
 
 
 def mutual_info_curve(r_values) -> list[tuple[float, float, float]]:
@@ -201,10 +264,9 @@ def mutual_info_curve(r_values) -> list[tuple[float, float, float]]:
 
 def write_mutual_info_csv(triples, path, e_abort: float = 0.11) -> None:
     """Information-curve CSV with schema r,i_ab,i_ae and the stealth
-    threshold recorded as comment metadata."""
+    threshold recorded as comment metadata (CRLF rows, as in
+    write_stealth_csv)."""
     with Path(path).open("w", newline="") as fh:
-        fh.write(f"# r_threshold={r_threshold(e_abort)!r} e_abort={e_abort!r}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["r", "i_ab", "i_ae"])
-        for r, i_ab, i_ae in triples:
-            writer.writerow([repr(r), repr(i_ab), repr(i_ae)])
+        fh.write(_threshold_line(e_abort))
+        fh.write("r,i_ab,i_ae\r\n")
+        fh.write("".join(f"{r!r},{i_ab!r},{i_ae!r}\r\n" for r, i_ab, i_ae in triples))

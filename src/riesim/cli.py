@@ -149,14 +149,14 @@ def cmd_analytic(scenario: ScenarioConfig, args) -> int:
 
 def cmd_stealth_scan(scenario: ScenarioConfig, args) -> int:
     scan = scenario.scan
-    rows = analysis.stealth_scan(
+    result = analysis.stealth_scan(
         scan.lambda_par_cps, scan.lambda_perp_cps, scenario.curve, scan.e_abort
     )
     out = _outdir(scenario, args)
-    analysis.write_stealth_csv(rows, out / "stealth_scan.csv", scan.e_abort)
-    n_stealthy = sum(1 for row in rows if row.stealthy)
-    n_invalid = sum(1 for row in rows if not row.valid)
-    print(f"rows={len(rows)} stealthy={n_stealthy} saturated={n_invalid}")
+    analysis.write_stealth_csv(result, out / "stealth_scan.csv", scan.e_abort)
+    n_stealthy = int(result.stealthy.sum())
+    n_invalid = int(result.valid.size - result.valid.sum())
+    print(f"rows={len(result)} stealthy={n_stealthy} saturated={n_invalid}")
     return 0
 
 

@@ -25,7 +25,10 @@ class ScenarioError(ValueError):
     """Configuration file failed validation."""
 
 
-def _take(section: dict, allowed, where: str) -> None:
+def _take(section, allowed, where: str) -> None:
+    """Reject a section that is not a JSON object or has unknown keys."""
+    if not isinstance(section, dict):
+        raise ScenarioError(f"{where} must be a JSON object, got {section!r}")
     unknown = set(section) - set(allowed)
     if unknown:
         raise ScenarioError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
@@ -52,6 +55,12 @@ def _numbers(values, key: str) -> tuple[float, ...]:
     if not isinstance(values, (list, tuple)):
         raise ScenarioError(f"{key} must be a list of numbers, got {values!r}")
     return tuple(_number(v, f"{key}[{i}]") for i, v in enumerate(values))
+
+
+def _require(ok: bool, key: str, rule: str, value) -> None:
+    """Range check of a parsed value; rule reads as "<key> must be <rule>"."""
+    if not ok:
+        raise ScenarioError(f"{key} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -185,11 +194,26 @@ def _parse_sweep(section) -> SweepSettings:
     for key, value in section.items():
         if key == "rates_cps":
             out[key] = _numbers(value, "sweep.rates_cps")
+            for i, rate in enumerate(out[key]):
+                _require(rate > 0, f"sweep.rates_cps[{i}]", "> 0", rate)
         elif key == "min_count":
             out[key] = _integer(value, "sweep.min_count")
         else:
             out[key] = _number(value, f"sweep.{key}")
-    return SweepSettings(**out)
+    settings = SweepSettings(**out)
+    # the conditions sweep_dead_time and its stages check, here before any work
+    _require(settings.duration_s >= 0, "sweep.duration_s", ">= 0", settings.duration_s)
+    _require(settings.bin_width_s > 0, "sweep.bin_width_s", "> 0", settings.bin_width_s)
+    _require(settings.min_count >= 1, "sweep.min_count", ">= 1", settings.min_count)
+    return settings
+
+
+def _rates(values, key: str) -> tuple[float, ...]:
+    """A list of loading rates, each >= 0."""
+    rates = _numbers(values, key)
+    for i, rate in enumerate(rates):
+        _require(rate >= 0, f"{key}[{i}]", ">= 0", rate)
+    return rates
 
 
 def _parse_scan(section) -> ScanSettings:
@@ -199,17 +223,18 @@ def _parse_scan(section) -> ScanSettings:
     _take(section, allowed, "scan")
     out = {}
     if "lambda_par_cps" in section:
-        out["lambda_par_cps"] = _numbers(section["lambda_par_cps"], "scan.lambda_par_cps")
+        out["lambda_par_cps"] = _rates(section["lambda_par_cps"], "scan.lambda_par_cps")
     if "lambda_perp_cps" in section and "lambda_perp_grid" in section:
         raise ScenarioError("scan: give lambda_perp_cps or lambda_perp_grid, not both")
     if "lambda_perp_cps" in section:
-        out["lambda_perp_cps"] = _numbers(section["lambda_perp_cps"], "scan.lambda_perp_cps")
+        out["lambda_perp_cps"] = _rates(section["lambda_perp_cps"], "scan.lambda_perp_cps")
     if "lambda_perp_grid" in section:
         grid = section["lambda_perp_grid"]
         _take(grid, {"start_cps", "stop_cps", "num"}, "scan.lambda_perp_grid")
         if len(grid) != 3:
             raise ScenarioError("scan.lambda_perp_grid needs start_cps, stop_cps, num")
         start = _number(grid["start_cps"], "scan.lambda_perp_grid.start_cps")
+        _require(start >= 0, "scan.lambda_perp_grid.start_cps", ">= 0", start)
         stop = _number(grid["stop_cps"], "scan.lambda_perp_grid.stop_cps")
         num = _integer(grid["num"], "scan.lambda_perp_grid.num")
         if num < 1 or stop < start:
@@ -218,7 +243,9 @@ def _parse_scan(section) -> ScanSettings:
         out["lambda_perp_cps"] = tuple(start + i * step for i in range(num))
     if "e_abort" in section:
         out["e_abort"] = _number(section["e_abort"], "scan.e_abort")
-    return ScanSettings(**out)
+    settings = ScanSettings(**out)
+    _require(0 < settings.e_abort < 0.5, "scan.e_abort", "in (0, 0.5)", settings.e_abort)
+    return settings
 
 
 def _parse_mutualinfo(section) -> MutualInfoSettings:
@@ -227,8 +254,9 @@ def _parse_mutualinfo(section) -> MutualInfoSettings:
     allowed = {"r_start", "r_stop", "r_step", "e_abort"}
     _take(section, allowed, "mutualinfo")
     settings = MutualInfoSettings(**{k: _number(v, f"mutualinfo.{k}") for k, v in section.items()})
-    if settings.r_step <= 0:
-        raise ScenarioError(f"mutualinfo.r_step must be > 0, got {settings.r_step!r}")
+    _require(settings.r_step > 0, "mutualinfo.r_step", "> 0", settings.r_step)
+    _require(settings.r_start >= 0, "mutualinfo.r_start", ">= 0", settings.r_start)
+    _require(0 < settings.e_abort < 0.5, "mutualinfo.e_abort", "in (0, 0.5)", settings.e_abort)
     return settings
 
 
@@ -257,7 +285,8 @@ def load_scenario(path=None, data: dict | None = None) -> ScenarioConfig:
     if not scan.lambda_par_cps or not scan.lambda_perp_cps:
         raise ScenarioError("scan grids must not be empty")
     mutualinfo = _parse_mutualinfo(data.get("mutualinfo"))
-    if not mutualinfo.grid():
+    # grid() is empty exactly when its first point already lies past r_stop
+    if mutualinfo.r_start > mutualinfo.r_stop + 1e-12:
         raise ScenarioError("mutualinfo grid is empty")
     sweep = _parse_sweep(data.get("sweep"))
     if not sweep.rates_cps:

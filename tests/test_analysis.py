@@ -4,10 +4,14 @@ Frozen expected values were computed independently at 30-digit precision
 from the defining formulas.
 """
 
+import hashlib
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riesim.analysis import (
     ChannelParams,
@@ -271,6 +275,85 @@ def test_scan_rejects_empty_grids():
         stealth_scan([], [1e6], default_dead_time_curve())
     with pytest.raises(ValueError):
         stealth_scan([1e6], [], default_dead_time_curve())
+
+
+def test_scan_rejects_negative_rates():
+    for par, perp in (([-1.0], [1e6]), ([1e6], [0.0, -1e6])):
+        with pytest.raises(ValueError, match="count rate must be >= 0"):
+            stealth_scan(par, perp, default_dead_time_curve())
+
+
+# Saturation of the linear model: 31.75 Mcps on the default curve, about
+# 26.5 Mcps on the short table, and on the flat 2**-25 s (29.8 ns) curve at
+# 2**25 cps, where the busy fraction is exactly 1.
+SCAN_CURVES = {
+    "default": default_dead_time_curve(),
+    "flat": DeadTimeCurve.constant(2.0**-25),
+    "table": DeadTimeCurve.from_points([(1e6, 20e-9), (30e6, 40e-9)]),
+}
+scan_rates = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 1e6, 23e6, 26.5e6, 31.7e6, 32e6, 2.0**25, 40e6, 1e9]),
+        st.floats(0.0, 6e7),
+    ),
+    min_size=1, max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(par=scan_rates, perp=scan_rates, curve_name=st.sampled_from(sorted(SCAN_CURVES)),
+       e_abort=st.one_of(st.just(0.25), st.floats(0.01, 0.49)))
+def test_scan_grid_equals_scalar_bound_cell_by_cell(par, perp, curve_name, e_abort):
+    curve = SCAN_CURVES[curve_name]
+    scan = stealth_scan(par, perp, curve, e_abort)
+    threshold = r_threshold(e_abort)
+    assert scan.r_bound.shape == scan.stealthy.shape == scan.valid.shape == (len(par), len(perp))
+    for (i, lam_par), (j, lam_perp) in product(enumerate(par), enumerate(perp)):
+        try:
+            expected = r_bound(lam_par, lam_perp, curve)
+        except SaturationError:
+            assert not scan.valid[i, j]
+            assert math.isnan(scan.r_bound[i, j])
+            assert not scan.stealthy[i, j]
+        else:
+            assert scan.valid[i, j]
+            assert scan.r_bound[i, j] == expected  # bit-equal, not approx
+            # e_abort 0.25 puts the threshold at exactly 1, the bound of equal rates
+            assert scan.stealthy[i, j] == (expected < threshold)
+
+
+# A grid with saturated cells on both axes (33 and 40 Mcps exceed 31.75 Mcps)
+PINNED_PAR = [0.0, 1e6, 5e6, 20e6, 33e6, 40e6]
+PINNED_PERP = [0.5e6 * i for i in range(81)]
+
+
+def test_scan_sequence_is_row_major_over_the_arrays():
+    scan = stealth_scan(PINNED_PAR, PINNED_PERP, default_dead_time_curve(), 0.05)
+    assert len(scan) == len(PINNED_PAR) * len(PINNED_PERP) == 486
+    assert int((~scan.valid).sum()) == 230 and int(scan.stealthy.sum()) == 23
+    for k in range(len(scan)):
+        i, j = divmod(k, len(PINNED_PERP))
+        row = scan[k]
+        assert (row.lambda_par_cps, row.lambda_perp_cps) == (PINNED_PAR[i], PINNED_PERP[j])
+        assert repr(row.r_bound) == repr(float(scan.r_bound[i, j]))
+        assert (row.stealthy, row.valid) == (scan.stealthy[i, j], scan.valid[i, j])
+    assert [repr(row) for row in scan] == [repr(scan[k]) for k in range(len(scan))]
+    assert repr(scan[-1]) == repr(scan[len(scan) - 1])
+    assert [repr(row) for row in scan[3:7]] == [repr(scan[k]) for k in range(3, 7)]
+    with pytest.raises(IndexError):
+        scan[len(scan)]
+
+
+def test_scan_csv_bytes_are_pinned(tmp_path):
+    # recorded from the one-cell-at-a-time scan and csv.writer rows
+    scan = stealth_scan(PINNED_PAR, PINNED_PERP, default_dead_time_curve(), 0.05)
+    write_stealth_csv(scan, tmp_path / "scan.csv", 0.05)
+    assert hashlib.sha256((tmp_path / "scan.csv").read_bytes()).hexdigest() == (
+        "f123756d09484e67e96a0a605d157eacc042857b48da2814998201dc5b0aec78")
+    triples = mutual_info_curve([round(k * 1e-3, 12) for k in range(1001)])
+    write_mutual_info_csv(triples, tmp_path / "mi.csv", 0.05)
+    assert hashlib.sha256((tmp_path / "mi.csv").read_bytes()).hexdigest() == (
+        "3bce25aecb9731decda72c0c78c4c767a0f7d45dc9dc4b54d225e031e6d95363")
 
 
 # ---------------------------------------------------------------- CSV outputs

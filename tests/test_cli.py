@@ -246,3 +246,33 @@ def test_non_number_fields_exit_2(tmp_path, capsys, command, data, key):
     assert main(["--config", str(config), command]) == 2
     assert f"{key} must be a finite number" in capsys.readouterr().err
     assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("data, where", [
+    ({"sweep": 5}, "sweep"),
+    ({"scan": {"lambda_perp_grid": [1, 2]}}, "scan.lambda_perp_grid"),
+])
+def test_non_object_section_exits_2(tmp_path, capsys, data, where):
+    config = write_config(tmp_path, {"out": str(tmp_path / "results"), **data})
+    assert main(["--config", str(config), "mutualinfo"]) == 2
+    assert f"{where} must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("command, data, key", [
+    ("sweep-deadtime", {"sweep": {"duration_s": -1}}, "sweep.duration_s"),
+    ("sweep-deadtime", {"sweep": {"bin_width_s": 0}}, "sweep.bin_width_s"),
+    ("stealth-scan", {"scan": {"e_abort": 0.7}}, "scan.e_abort"),
+    ("stealth-scan", {"scan": {"lambda_par_cps": [-1e6]}}, "scan.lambda_par_cps[0]"),
+    ("stealth-scan", {"scan": {"lambda_perp_grid": {"start_cps": -1, "stop_cps": 1e6, "num": 2}}},
+     "scan.lambda_perp_grid.start_cps"),
+    ("mutualinfo", {"mutualinfo": {"e_abort": 0.7}}, "mutualinfo.e_abort"),
+    # a bad value fails every command, not only the one that reads it
+    ("mutualinfo", {"sweep": {"duration_s": -1}}, "sweep.duration_s"),
+    ("mutualinfo", {"scan": {"e_abort": 0.7}}, "scan.e_abort"),
+])
+def test_out_of_range_values_exit_2(tmp_path, capsys, command, data, key):
+    config = write_config(tmp_path, {"out": str(tmp_path / "results"), **data})
+    assert main(["--config", str(config), command]) == 2
+    assert f"error: {key} must be " in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()

@@ -1,6 +1,7 @@
 """Scenario file parsing: strict schema, curve sources, nested sections."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -231,3 +232,62 @@ def test_integer_valued_numbers_become_floats():
     assert all(type(v) is float for v in (
         scenario.sweep.rates_cps[0], scenario.sweep.duration_s,
         *scenario.scan.lambda_par_cps, *scenario.scan.lambda_perp_cps, scenario.mutualinfo.r_step))
+
+
+@pytest.mark.parametrize("data, where", [
+    ({"dead_time_curve": 5}, "dead_time_curve"),
+    ({"dead_time_curve": [[0.0, 2e-8]]}, "dead_time_curve"),
+    ({"protocol": [1000, 0.9]}, "protocol"),
+    ({"attack": "intercept_resend"}, "attack"),
+    ({"sweep": 5}, "sweep"),
+    ({"scan": [1e6]}, "scan"),
+    ({"scan": {"lambda_perp_grid": [1, 2]}}, "scan.lambda_perp_grid"),
+    ({"mutualinfo": 0.01}, "mutualinfo"),
+])
+def test_non_object_sections_rejected(data, where):
+    with pytest.raises(ScenarioError, match=f"^{where} must be a JSON object"):
+        load_scenario(data=data)
+
+
+@pytest.mark.parametrize("data, key, rule", [
+    ({"sweep": {"rates_cps": [1e6, 0]}}, "sweep.rates_cps[1]", "> 0"),
+    ({"sweep": {"rates_cps": [-1e6]}}, "sweep.rates_cps[0]", "> 0"),
+    ({"sweep": {"duration_s": -1}}, "sweep.duration_s", ">= 0"),
+    ({"sweep": {"bin_width_s": 0}}, "sweep.bin_width_s", "> 0"),
+    ({"sweep": {"min_count": 0}}, "sweep.min_count", ">= 1"),
+    ({"scan": {"lambda_par_cps": [1e6, -1.0]}}, "scan.lambda_par_cps[1]", ">= 0"),
+    ({"scan": {"lambda_perp_cps": [-5e6]}}, "scan.lambda_perp_cps[0]", ">= 0"),
+    ({"scan": {"lambda_perp_grid": {"start_cps": -1e6, "stop_cps": 3e6, "num": 3}}},
+     "scan.lambda_perp_grid.start_cps", ">= 0"),
+    ({"scan": {"e_abort": 0.7}}, "scan.e_abort", "in (0, 0.5)"),
+    ({"scan": {"e_abort": 0}}, "scan.e_abort", "in (0, 0.5)"),
+    ({"mutualinfo": {"e_abort": 0.7}}, "mutualinfo.e_abort", "in (0, 0.5)"),
+    ({"mutualinfo": {"e_abort": 0.5}}, "mutualinfo.e_abort", "in (0, 0.5)"),
+    ({"mutualinfo": {"r_start": -0.1}}, "mutualinfo.r_start", ">= 0"),
+])
+def test_out_of_range_values_rejected(data, key, rule):
+    with pytest.raises(ScenarioError, match=re.escape(f"{key} must be {rule}, got ")):
+        load_scenario(data=data)
+
+
+def test_range_boundaries_accepted():
+    scenario = load_scenario(data={
+        "sweep": {"duration_s": 0, "min_count": 1},
+        "scan": {"lambda_par_cps": [0, -0.0],
+                 "lambda_perp_grid": {"start_cps": 0, "stop_cps": 0, "num": 1}},
+        "mutualinfo": {"r_start": 0, "e_abort": 0.49},
+    })
+    assert scenario.sweep.duration_s == 0.0 and scenario.sweep.min_count == 1
+    assert scenario.scan.lambda_perp_cps == (0.0,)
+
+
+@pytest.mark.parametrize("r_start, r_stop", [
+    (0.5, 0.4), (1.0 + 2e-12, 1.0), (1.0 + 5e-13, 1.0), (0.3, 0.3),
+])
+def test_mutualinfo_empty_grid_check_matches_grid(r_start, r_stop):
+    section = {"r_start": r_start, "r_stop": r_stop, "r_step": 0.1}
+    if _parse_mutualinfo(section).grid():
+        assert load_scenario(data={"mutualinfo": section}).mutualinfo.grid()
+    else:
+        with pytest.raises(ScenarioError, match="mutualinfo grid is empty"):
+            load_scenario(data={"mutualinfo": section})
