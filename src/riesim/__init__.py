@@ -12,12 +12,8 @@ from .adversary import (
     AttackConfig,
     AttackMode,
     DegenerateAttackError,
-    EveAction,
     branch_click_probabilities,
-    deterministic_suppression,
     effective_r,
-    intercept,
-    loading_for_branch,
 )
 from .analysis import (
     ChannelParams,
@@ -33,14 +29,11 @@ from .analysis import (
     stealth_scan,
 )
 from .detector import (
-    ArrivalResult,
     AvailabilityModel,
     DeadTimeCurve,
-    DetectorUnit,
     SaturationError,
     availability,
     busy_fraction,
-    dead_time_at,
     default_dead_time_curve,
     observed_to_true_rate,
     true_to_observed_rate,
@@ -52,7 +45,7 @@ from .protocol import (
     branch_table,
     run_simulation,
 )
-from .quantum import A, Basis, D, H, PolarizationState, V, projection_prob, route_through_pbs
+from .quantum import A, Basis, D, H, PolarizationState, V, projection_prob
 from .timetag import (
     EstimationError,
     FixedPointError,

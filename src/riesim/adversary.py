@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .detector import DeadTimeCurve, availability, dead_time_at
-from .quantum import Basis, PolarizationState, projection_prob
+from .detector import availability
 
 if TYPE_CHECKING:
     from .protocol import ProtocolConfig
@@ -33,11 +32,7 @@ if TYPE_CHECKING:
 __all__ = [
     "AttackMode",
     "AttackConfig",
-    "EveAction",
     "DegenerateAttackError",
-    "intercept",
-    "loading_for_branch",
-    "deterministic_suppression",
     "branch_click_probabilities",
     "effective_r",
 ]
@@ -84,80 +79,6 @@ class AttackConfig:
                 raise ValueError("deterministic mode requires delta_s > 0")
 
 
-@dataclass(frozen=True)
-class EveAction:
-    """Outcome of one interception: what Eve measured and what she sends.
-
-    The resent signal is Eve's measured state; the pre-pulse shares her basis
-    and carries the complementary bit, which is what steers the loading onto
-    the non-signal detector in the aligned case.
-    """
-
-    eve_basis: Basis
-    eve_bit: int
-    resent_state: PolarizationState
-    prepulse_state: PolarizationState
-    prepulse_delay_s: float | None = None
-
-    def __post_init__(self):
-        if self.prepulse_state.basis is not self.eve_basis:
-            raise ValueError("pre-pulse must be prepared in Eve's basis")
-        if self.prepulse_state.bit != 1 - self.eve_bit:
-            raise ValueError("pre-pulse must carry the opposite bit value")
-        if self.resent_state != PolarizationState(self.eve_basis, self.eve_bit):
-            raise ValueError("resent state must equal Eve's measured state")
-
-
-def intercept(incoming: PolarizationState, config: AttackConfig, rng) -> EveAction:
-    """Measure the incoming photon in a randomly chosen basis and build the
-    resend/pre-pulse pair.
-
-    Draws Eve's basis from her prior and her bit from the Born rule.
-    """
-    if config.mode is AttackMode.NONE:
-        raise ValueError("intercept called with attack mode 'none'")
-    eve_basis = Basis.Z if rng.random() < config.eve_basis_prior else Basis.X
-    eve_bit = int(rng.random() < projection_prob(incoming, eve_basis, 1))
-    resent = PolarizationState(eve_basis, eve_bit)
-    return EveAction(
-        eve_basis=eve_basis,
-        eve_bit=eve_bit,
-        resent_state=resent,
-        prepulse_state=resent.complement(),
-        prepulse_delay_s=config.delta_s if config.mode is AttackMode.RIE_DETERMINISTIC else None,
-    )
-
-
-def loading_for_branch(action: EveAction, bob_basis: Basis, config: AttackConfig) -> dict[int, float]:
-    """Per-detector Poisson loading rates for one round of the
-    non-deterministic pre-pulse model.
-
-    Aligned: the pre-pulse routes entirely to the detector of the opposite
-    bit, so the signal detector carries no attack loading.  Orthogonal: the
-    pre-pulse splits, loading both detectors at the orthogonal-case rate.
-    """
-    if config.mode is not AttackMode.RIE_NON_DETERMINISTIC:
-        raise ValueError(f"loading_for_branch requires non-deterministic mode, got {config.mode}")
-    if bob_basis is action.eve_basis:
-        return {action.eve_bit: 0.0, 1 - action.eve_bit: config.lambda_parallel_cps}
-    return {0: config.lambda_perp_cps, 1: config.lambda_perp_cps}
-
-
-def deterministic_suppression(
-    delta_s: float, curve: DeadTimeCurve, loading_context_cps: float, p0: float
-) -> float:
-    """Click probability for a signal a fixed delay after a saturating pre-pulse.
-
-    Step function against the recovery window: zero while the delay is inside
-    the dead time, p0 once past it.  The boundary delta == t_d counts as
-    suppressed (the dead interval is treated as closed).
-    """
-    if delta_s <= 0:
-        raise ValueError("pre-pulse delay must be > 0")
-    t_d = dead_time_at(curve, loading_context_cps)
-    return 0.0 if delta_s <= t_d else p0
-
-
 def branch_click_probabilities(config: ProtocolConfig, attack: AttackConfig) -> tuple[float, float]:
     """Signal click probabilities (p_parallel, p_perp) when Bob's basis is
     aligned with / orthogonal to Eve's: T * p0 * availability of the signal
@@ -177,7 +98,8 @@ def branch_click_probabilities(config: ProtocolConfig, attack: AttackConfig) -> 
     if attack.mode is AttackMode.RIE_NON_DETERMINISTIC:
         return p_par, p_signal * availability(bg + attack.lambda_perp_cps, curve, model)
     if attack.mode is AttackMode.RIE_DETERMINISTIC:
-        return p_par, p_par * deterministic_suppression(attack.delta_s, curve, bg, 1.0)
+        # the dead interval is closed: a signal at delta == t_d is suppressed
+        return p_par, 0.0 if attack.delta_s <= curve.dead_time_at(bg) else p_par
     return p_par, p_par
 
 

@@ -220,10 +220,8 @@ def stealth_scan(
     if par.size == 0 or perp.size == 0:
         raise ValueError("scan grids must not be empty")
     threshold = r_threshold(e_abort)
-    if np.any(par < 0) or np.any(perp < 0):
-        raise ValueError("count rate must be >= 0")
-    busy_par = par * curve.dead_time_at(par)
-    busy_perp = perp * curve.dead_time_at(perp)
+    busy_par = busy_fraction(par, curve)
+    busy_perp = busy_fraction(perp, curve)
     valid = ~((busy_par >= 1.0)[:, None] | (busy_perp >= 1.0)[None, :])
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = _bound(busy_par[:, None], busy_perp[None, :])

@@ -20,7 +20,7 @@ from . import analysis, timetag
 from .adversary import branch_click_probabilities, effective_r
 from .detector import DeadTimeCurve, busy_fraction
 from .protocol import run_simulation
-from .scenario import ScenarioConfig, ScenarioError, load_scenario
+from .scenario import ScenarioConfig, ScenarioError, check_histogram, load_scenario
 
 __all__ = ["main", "build_parser"]
 
@@ -65,6 +65,8 @@ def cmd_deadtime_extract(scenario: ScenarioConfig, args) -> int:
     bin_width = args.bin_width if args.bin_width is not None else sweep.bin_width_s
     max_gap = args.max_gap if args.max_gap is not None else sweep.max_gap_s
     min_count = args.min_count if args.min_count is not None else sweep.min_count
+    # the scenario values passed this check at load; a failure names a flag
+    check_histogram(bin_width, max_gap, min_count, ("--bin-width", "--max-gap", "--min-count"))
     stream = timetag.read_timestamps(args.timestamps)
     hist = timetag.interarrival_histogram(stream, bin_width, max_gap)
     estimate = timetag.estimate_dead_time(hist, min_count)

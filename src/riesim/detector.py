@@ -20,7 +20,7 @@ and the observed/true rate relation for a non-paralyzable detector is
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from math import exp
 from pathlib import Path
@@ -30,11 +30,8 @@ import numpy as np
 __all__ = [
     "AvailabilityModel",
     "DeadTimeCurve",
-    "DetectorUnit",
-    "ArrivalResult",
     "SaturationError",
     "default_dead_time_curve",
-    "dead_time_at",
     "availability",
     "busy_fraction",
     "observed_to_true_rate",
@@ -154,16 +151,10 @@ def default_dead_time_curve() -> DeadTimeCurve:
     return DeadTimeCurve.from_points(_DEFAULT_CURVE_POINTS)
 
 
-def dead_time_at(curve: DeadTimeCurve, rate_cps: float) -> float:
-    """Effective dead time at the given observed count rate."""
-    if rate_cps < 0:
-        raise ValueError("count rate must be >= 0")
-    return curve.dead_time_at(rate_cps)
-
-
-def busy_fraction(rate_cps: float, curve: DeadTimeCurve) -> float:
-    """lambda * t_d(lambda): the fraction of time the detector is recovering."""
-    if rate_cps < 0:
+def busy_fraction(rate_cps, curve: DeadTimeCurve):
+    """lambda * t_d(lambda): the fraction of time the detector is recovering;
+    accepts a scalar or an array of rates."""
+    if np.any(np.asarray(rate_cps) < 0):
         raise ValueError("count rate must be >= 0")
     return rate_cps * curve.dead_time_at(rate_cps)
 
@@ -205,47 +196,3 @@ def true_to_observed_rate(true_cps: float, dead_time_s: float) -> float:
     if true_cps < 0:
         raise ValueError("true rate must be >= 0")
     return true_cps / (1.0 + dead_time_s * true_cps)
-
-
-class ArrivalResult(Enum):
-    CLICK = "click"
-    SUPPRESSED = "suppressed"
-
-
-@dataclass
-class DetectorUnit:
-    """Event-level non-paralyzable detector.
-
-    An arrival inside the dead window is suppressed and does not extend it.
-    An arrival on a live detector clicks with probability p0; only a click
-    re-arms the dead window, whose width is the curve evaluated at the
-    configured steady-state loading rate (not an online estimate).
-    """
-
-    p0: float
-    curve: DeadTimeCurve
-    loading_rate_cps: float = 0.0
-    dead_until_s: float = 0.0
-    _dead_time_s: float = field(init=False, repr=False)
-    _last_arrival_s: float = field(default=-np.inf, init=False, repr=False)
-
-    def __post_init__(self):
-        if not 0.0 < self.p0 <= 1.0:
-            raise ValueError(f"p0 must be in (0, 1], got {self.p0}")
-        if self.loading_rate_cps < 0:
-            raise ValueError("loading rate must be >= 0")
-        self._dead_time_s = self.curve.dead_time_at(self.loading_rate_cps)
-
-    def process_arrival(self, t_s: float, rng) -> ArrivalResult:
-        """Feed one arrival at time t_s; timestamps must be non-decreasing."""
-        if t_s < self._last_arrival_s:
-            raise ValueError(
-                f"arrivals must be monotone: got {t_s} after {self._last_arrival_s}"
-            )
-        self._last_arrival_s = t_s
-        if t_s < self.dead_until_s:
-            return ArrivalResult.SUPPRESSED
-        if self.p0 < 1.0 and rng.random() >= self.p0:
-            return ArrivalResult.SUPPRESSED
-        self.dead_until_s = t_s + self._dead_time_s
-        return ArrivalResult.CLICK

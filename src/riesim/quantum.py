@@ -20,7 +20,6 @@ __all__ = [
     "D",
     "A",
     "projection_prob",
-    "route_through_pbs",
 ]
 
 
@@ -46,10 +45,6 @@ class PolarizationState:
         if self.bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {self.bit!r}")
 
-    def complement(self) -> "PolarizationState":
-        """Same basis, opposite bit (the pre-pulse partner state)."""
-        return PolarizationState(self.basis, 1 - self.bit)
-
     def __str__(self) -> str:
         return f"{self.basis.value}{self.bit}"
 
@@ -73,8 +68,3 @@ def projection_prob(state: PolarizationState, meas_basis: Basis, outcome: int) -
         return 1.0 if outcome == state.bit else 0.0
     return 0.5
 
-
-def route_through_pbs(state: PolarizationState, bob_basis: Basis, rng) -> int:
-    """Sample the detector index the photon exits toward (Born rule)."""
-    p_one = projection_prob(state, bob_basis, 1)
-    return int(rng.random() < p_one)

@@ -18,7 +18,8 @@ from .protocol import ProtocolConfig
 from .quantum import Basis, PolarizationState
 from .timetag import DEFAULT_BIN_WIDTH_S, DEFAULT_MAX_GAP_S, DEFAULT_MIN_COUNT
 
-__all__ = ["ScenarioConfig", "ScenarioError", "SweepSettings", "ScanSettings", "MutualInfoSettings"]
+__all__ = ["ScenarioConfig", "ScenarioError", "SweepSettings", "ScanSettings",
+           "MutualInfoSettings", "check_histogram"]
 
 
 class ScenarioError(ValueError):
@@ -203,9 +204,19 @@ def _parse_sweep(section) -> SweepSettings:
     settings = SweepSettings(**out)
     # the conditions sweep_dead_time and its stages check, here before any work
     _require(settings.duration_s >= 0, "sweep.duration_s", ">= 0", settings.duration_s)
-    _require(settings.bin_width_s > 0, "sweep.bin_width_s", "> 0", settings.bin_width_s)
-    _require(settings.min_count >= 1, "sweep.min_count", ">= 1", settings.min_count)
+    check_histogram(settings.bin_width_s, settings.max_gap_s, settings.min_count,
+                    ("sweep.bin_width_s", "sweep.max_gap_s", "sweep.min_count"))
     return settings
+
+
+def check_histogram(bin_width_s, max_gap_s, min_count, keys) -> None:
+    """Validate the inter-arrival histogram settings of sweep-deadtime and
+    deadtime-extract: finite widths > 0 and min_count >= 1.  keys names the
+    three values (scenario keys or command-line flags) in the error."""
+    for key, width in zip(keys, (bin_width_s, max_gap_s)):
+        _require(isfinite(width), key, "a finite number", width)
+        _require(width > 0, key, "> 0", width)
+    _require(min_count >= 1, keys[2], ">= 1", min_count)
 
 
 def _rates(values, key: str) -> tuple[float, ...]:

@@ -22,10 +22,8 @@ from riesim.analysis import (
     sift_probability,
 )
 from riesim.detector import (
-    ArrivalResult,
     AvailabilityModel,
     DeadTimeCurve,
-    DetectorUnit,
     availability,
     default_dead_time_curve,
     observed_to_true_rate,
@@ -34,6 +32,8 @@ from riesim.detector import (
 from riesim.protocol import ProtocolConfig, branch_table, run_simulation
 from riesim.quantum import Basis, PolarizationState
 from riesim.timetag import apply_dead_time, generate_poisson_stream, sweep_dead_time
+
+from reference import thinned_click_rate
 
 FLAT_CURVE = DeadTimeCurve.constant(23.3e-9)
 
@@ -246,23 +246,19 @@ def test_criterion_9_property_suites():
                 lam = true_to_observed_rate(beta, t_d)
                 assert observed_to_true_rate(lam, t_d) == pytest.approx(beta, rel=1e-12)
 
-        # non-paralyzable throughput: event loop and stream filter against
-        # beta / (1 + t_d * beta)
+        # non-paralyzable throughput: the stream filter against
+        # beta / (1 + t_d * beta), and with p0 = 0.5 thinning against
+        # p0 * beta / (1 + t_d * p0 * beta)
         beta, t_d = 50e6, 23.3e-9
         stream = generate_poisson_stream(beta, 0.02, seed=900)
         filtered = apply_dead_time(stream, constant_dead_time_s=t_d)
         expected = beta / (1.0 + t_d * beta)
         assert abs(filtered.observed_rate_cps - expected) / expected < 0.02
 
-        beta_unit = 10e6
-        unit_stream = generate_poisson_stream(beta_unit, 0.2, seed=901)
-        det = DetectorUnit(p0=1.0, curve=DeadTimeCurve.constant(t_d))
-        rng = np.random.default_rng(0)
-        clicks = sum(det.process_arrival(t, rng) is ArrivalResult.CLICK
-                     for t in unit_stream.timestamps_s)
-        expected_unit = beta_unit / (1.0 + t_d * beta_unit)
-        observed_unit = clicks / unit_stream.duration_s
-        assert abs(observed_unit - expected_unit) / expected_unit < 0.02
+        beta_thinned = 0.5 * 10e6
+        observed_thinned = thinned_click_rate(10e6, 0.5, t_d, 0.1, seed=901)
+        expected_thinned = beta_thinned / (1.0 + t_d * beta_thinned)
+        assert abs(observed_thinned - expected_thinned) / expected_thinned < 0.02
 
         # determinism: byte-identical reports on a same-seed rerun
         attack = rie_with_ratio(0.3)

@@ -1,21 +1,19 @@
-"""Eve's intercept/pre-pulse construction and the suppression ratio."""
+"""Eve's intercept/pre-pulse construction and the suppression ratio.
+
+Interception, the loading map and the p0 form of the deterministic step are
+the reference sampler's rules (reference.py); the package's own click
+probabilities are branch_click_probabilities.
+"""
 
 import numpy as np
 import pytest
 
-from riesim.adversary import (
-    AttackConfig,
-    AttackMode,
-    EveAction,
-    branch_click_probabilities,
-    deterministic_suppression,
-    effective_r,
-    intercept,
-    loading_for_branch,
-)
+from riesim.adversary import AttackConfig, AttackMode, branch_click_probabilities, effective_r
 from riesim.detector import AvailabilityModel, DeadTimeCurve, SaturationError, default_dead_time_curve
 from riesim.protocol import ProtocolConfig
 from riesim.quantum import Basis, PolarizationState
+
+from reference import EveAction, deterministic_suppression, intercept, loading_for_branch
 
 EXP = AvailabilityModel.EXPONENTIAL
 LIN = AvailabilityModel.LINEAR_BOUND
@@ -229,6 +227,17 @@ def test_branch_click_probabilities_by_mode():
         _proto(curve=curve, model=LIN), _nd(lam_par=0.0, lam_perp=25e6))
     assert p_par == 1.0
     assert p_perp == pytest.approx(0.5, rel=1e-12)
+
+
+def test_deterministic_step_is_closed_and_reads_the_background():
+    # delta == t_d is suppressed; 30 Mcps of background stretches the window
+    # from 23.3 ns to 31.5 ns, past a 25 ns delay
+    flat = _proto(curve=DeadTimeCurve.constant(23.3e-9))
+    assert branch_click_probabilities(flat, AttackConfig(mode=DET, delta_s=23.3e-9)) == (1.0, 0.0)
+    attack = AttackConfig(mode=DET, delta_s=25e-9)
+    assert branch_click_probabilities(_proto(), attack) == (1.0, 1.0)
+    p_par, p_perp = branch_click_probabilities(_proto(background_rate_cps=30e6), attack)
+    assert p_par > 0.0 and p_perp == 0.0
 
 
 def test_branch_click_probabilities_unloaded_is_p0():

@@ -197,6 +197,22 @@ def test_deadtime_extract_malformed_line_names_line(tmp_path, base_config, capsy
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--bin-width", "0"], "--bin-width must be > 0, got 0.0"),
+    (["--bin-width", "nan"], "--bin-width must be a finite number, got nan"),
+    (["--max-gap", "0"], "--max-gap must be > 0, got 0.0"),
+    (["--max-gap", "inf"], "--max-gap must be a finite number, got inf"),
+    (["--min-count", "0"], "--min-count must be >= 1, got 0"),
+])
+def test_deadtime_extract_flag_overrides_exit_2(tmp_path, base_config, capsys, flags, message):
+    # the overrides meet the loader's conditions on the sweep section
+    tags = tmp_path / "tags.txt"
+    tags.write_text("0\n1000\n2000\n")
+    assert main(["--config", str(base_config), "deadtime-extract", *flags, str(tags)]) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
 def test_invalid_config_fails_before_any_output(tmp_path, capsys):
     config = write_config(tmp_path, {"out": str(tmp_path / "results"), "nope": 1})
     assert main(["--config", str(config), "simulate"]) == 2

@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 from riesim.detector import (
-    ArrivalResult,
     AvailabilityModel,
     DeadTimeCurve,
-    DetectorUnit,
     SaturationError,
     availability,
     busy_fraction,
-    dead_time_at,
     default_dead_time_curve,
     observed_to_true_rate,
     true_to_observed_rate,
 )
-from riesim.timetag import generate_poisson_stream
+
+from reference import thinned_click_rate
 
 EXP = AvailabilityModel.EXPONENTIAL
 LIN = AvailabilityModel.LINEAR_BOUND
@@ -27,25 +25,25 @@ LIN = AvailabilityModel.LINEAR_BOUND
 
 def test_default_curve_low_rate_plateau():
     curve = default_dead_time_curve()
-    assert dead_time_at(curve, 1e6) == pytest.approx(23.3e-9, rel=1e-12)
+    assert curve.dead_time_at(1e6) == pytest.approx(23.3e-9, rel=1e-12)
 
 
 def test_default_curve_high_rate_asymptote():
     curve = default_dead_time_curve()
-    assert dead_time_at(curve, 30e6) == pytest.approx(31.5e-9, rel=1e-12)
-    assert dead_time_at(curve, 100e6) == pytest.approx(31.5e-9, rel=1e-12)
+    assert curve.dead_time_at(30e6) == pytest.approx(31.5e-9, rel=1e-12)
+    assert curve.dead_time_at(100e6) == pytest.approx(31.5e-9, rel=1e-12)
 
 
 def test_flat_curve_interpolates_flat():
     curve = DeadTimeCurve.from_points([(0.0, 20e-9), (100e6, 20e-9)])
     for rate in (0.0, 3e6, 50e6, 99e6, 500e6):
-        assert dead_time_at(curve, rate) == 20e-9
+        assert curve.dead_time_at(rate) == 20e-9
 
 
 def test_extrapolation_clamps_to_endpoints():
     curve = DeadTimeCurve.from_points([(5e6, 24e-9), (10e6, 30e-9)])
-    assert dead_time_at(curve, 0.0) == 24e-9
-    assert dead_time_at(curve, 50e6) == 30e-9
+    assert curve.dead_time_at(0.0) == 24e-9
+    assert curve.dead_time_at(50e6) == 30e-9
 
 
 def test_curve_is_monotone_when_points_are():
@@ -143,8 +141,16 @@ def test_busy_fraction_flat_curve():
 def test_busy_fraction_monotone_on_monotone_curve():
     curve = default_dead_time_curve()
     grid = np.linspace(0, 60e6, 300)
-    values = np.array([busy_fraction(r, curve) for r in grid])
+    values = busy_fraction(grid, curve)
+    assert np.array_equal(values, [busy_fraction(r, curve) for r in grid])
     assert np.all(np.diff(values) >= 0)
+
+
+def test_busy_fraction_rejects_negative_rates():
+    curve = default_dead_time_curve()
+    for rate in (-1.0, np.array([1e6, -1.0])):
+        with pytest.raises(ValueError, match="count rate must be >= 0"):
+            busy_fraction(rate, curve)
 
 
 # ---------------------------------------------------------------- rate conversion
@@ -172,73 +178,15 @@ def test_observed_to_true_saturation_error():
         observed_to_true_rate(1e9, 23.3e-9)
 
 
-# ---------------------------------------------------------------- event loop
+# ---------------------------------------------------------------- event level
 
 
-def test_fresh_detector_clicks_and_arms_dead_window():
-    curve = DeadTimeCurve.constant(23.3e-9)
-    det = DetectorUnit(p0=1.0, curve=curve)
-    rng = np.random.default_rng(0)
-    assert det.process_arrival(1e-6, rng) is ArrivalResult.CLICK
-    assert det.dead_until_s == pytest.approx(1e-6 + 23.3e-9, rel=1e-12)
-
-
-def test_arrival_inside_dead_window_is_suppressed():
-    curve = DeadTimeCurve.constant(23.3e-9)
-    det = DetectorUnit(p0=1.0, curve=curve)
-    rng = np.random.default_rng(0)
-    det.process_arrival(1e-6, rng)
-    dead_until = det.dead_until_s
-    assert det.process_arrival(dead_until - 1e-12, rng) is ArrivalResult.SUPPRESSED
-    # suppressed arrival does not extend the window (non-paralyzable)
-    assert det.dead_until_s == dead_until
-
-
-def test_non_monotone_arrivals_rejected():
-    det = DetectorUnit(p0=1.0, curve=DeadTimeCurve.constant(1e-8))
-    rng = np.random.default_rng(0)
-    det.process_arrival(5e-6, rng)
-    with pytest.raises(ValueError):
-        det.process_arrival(4e-6, rng)
-
-
-def test_quantum_inefficiency_does_not_arm_dead_window():
-    det = DetectorUnit(p0=0.5, curve=DeadTimeCurve.constant(1e-8))
-    rng = np.random.default_rng(1)
-    t = 0.0
-    saw_no_click_while_live = False
-    for _ in range(200):
-        t += 1e-6  # far apart: detector always live
-        before = det.dead_until_s
-        result = det.process_arrival(t, rng)
-        if result is ArrivalResult.SUPPRESSED:
-            saw_no_click_while_live = True
-            assert det.dead_until_s == before
-    assert saw_no_click_while_live
-
-
-def test_event_loop_throughput_matches_nonparalyzable_formula():
-    # Poisson arrivals at 10 Mcps through a 23.3 ns dead time for 1 s of
-    # simulated time: the click rate must land within 2% of beta/(1+t_d*beta).
-    beta = 10e6
-    t_d = 23.3e-9
-    stream = generate_poisson_stream(beta, 1.0, seed=1234)
-    det = DetectorUnit(p0=1.0, curve=DeadTimeCurve.constant(t_d))
-    rng = np.random.default_rng(0)
-    process = det.process_arrival
-    click = ArrivalResult.CLICK
-    clicks = 0
-    for t in stream.timestamps_s:
-        if process(t, rng) is click:
-            clicks += 1
-    observed = clicks / stream.duration_s
-    expected = beta / (1.0 + t_d * beta)
+@pytest.mark.parametrize("p0", [1.0, 0.5])
+def test_thinned_stream_throughput_matches_nonparalyzable_formula(p0):
+    # Poisson arrivals at 10 Mcps through a 23.3 ns dead time for 0.1 s; an
+    # arrival that fails p0 neither clicks nor re-arms, so the click rate
+    # must land within 2% of p0*beta/(1+t_d*p0*beta)
+    beta, t_d = 10e6, 23.3e-9
+    observed = thinned_click_rate(beta, p0, t_d, 0.1, seed=1234)
+    expected = p0 * beta / (1.0 + t_d * p0 * beta)
     assert abs(observed - expected) / expected < 0.02
-
-
-def test_invalid_detector_parameters_rejected():
-    curve = DeadTimeCurve.constant(1e-8)
-    with pytest.raises(ValueError):
-        DetectorUnit(p0=0.0, curve=curve)
-    with pytest.raises(ValueError):
-        DetectorUnit(p0=1.0, curve=curve, loading_rate_cps=-1.0)

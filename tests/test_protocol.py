@@ -1,28 +1,19 @@
 """Protocol engine: the round law, sifting statistics, determinism.
 
 The count-level kernel samples whole runs from the 128-cell round law.  The
-per-round sampler below plays rounds event by event through the adversary,
-detector and PBS primitives; it is the reference the law is checked against.
+per-round sampler in reference.py plays rounds event by event; it is the
+reference the law is checked against.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from riesim.adversary import (
-    AttackConfig,
-    AttackMode,
-    branch_click_probabilities,
-    deterministic_suppression,
-    effective_r,
-    intercept,
-    loading_for_branch,
-)
+from riesim.adversary import AttackConfig, AttackMode, branch_click_probabilities, effective_r
 from riesim.analysis import e_obs, sift_probability
-from riesim.detector import AvailabilityModel, DeadTimeCurve, availability
+from riesim.detector import AvailabilityModel, DeadTimeCurve
 from riesim.protocol import (
     _ERROR,
     _SIFTED,
@@ -31,7 +22,9 @@ from riesim.protocol import (
     branch_table,
     run_simulation,
 )
-from riesim.quantum import Basis, PolarizationState, route_through_pbs
+from riesim.quantum import Basis, PolarizationState
+
+from reference import resolve_outcome, round_cell, run_round
 
 FLAT = DeadTimeCurve.constant(23.3e-9)
 NO_ATTACK = AttackConfig()
@@ -55,90 +48,6 @@ def binom_sigma(p, n):
 
 
 # ---------------------------------------------------------------- reference sampler
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    """Everything observable about one protocol round.
-
-    outcome is Bob's bit, or None for an erasure (no click); error is defined
-    only on sifted rounds.
-    """
-
-    alice_basis: Basis
-    alice_bit: int
-    eve_basis: Basis | None
-    eve_bit: int | None
-    bob_basis: Basis
-    detector: int
-    outcome: int | None
-    sifted: bool
-    error: bool | None
-
-
-def resolve_outcome(fired_detectors, rng) -> int | None:
-    """Squash a round's set of fired detectors to a bit or an erasure.
-
-    A double click resolves to a uniformly random bit and still counts as a
-    click.  At most one detector sees the signal, so the double branch is a
-    convention, not a path the protocol takes.
-    """
-    fired = list(fired_detectors)
-    if not fired:
-        return None
-    if len(fired) == 1:
-        return fired[0]
-    return int(rng.random() < 0.5)
-
-
-def run_round(config: ProtocolConfig, attack: AttackConfig, rng) -> RoundRecord:
-    """Play a single protocol round event by event."""
-    bg = config.background_rate_cps
-    curve = config.dead_time_curve
-    alice_basis = Basis.Z if rng.random() < config.basis_prior else Basis.X
-    alice_bit = int(rng.random() < 0.5)
-    if config.fixed_alice is not None:
-        alice_basis = config.fixed_alice.basis
-        alice_bit = config.fixed_alice.bit
-    alice_state = PolarizationState(alice_basis, alice_bit)
-
-    action = None if attack.mode is AttackMode.NONE else intercept(alice_state, attack, rng)
-    signal_state = alice_state if action is None else action.resent_state
-    bob_basis = Basis.Z if rng.random() < config.basis_prior else Basis.X
-    detector = route_through_pbs(signal_state, bob_basis, rng)
-
-    loading = 0.0
-    if attack.mode is AttackMode.RIE_NON_DETERMINISTIC:
-        loading = loading_for_branch(action, bob_basis, attack)[detector]
-    avail = availability(bg + loading, curve, config.availability_model)
-    if attack.mode is AttackMode.RIE_DETERMINISTIC and bob_basis is not action.eve_basis:
-        avail *= deterministic_suppression(attack.delta_s, curve, bg, 1.0)
-    clicked = rng.random() < config.transmission * config.p0 * avail
-
-    outcome = resolve_outcome([detector] if clicked else [], rng)
-    sifted = clicked and alice_basis is bob_basis
-    return RoundRecord(
-        alice_basis=alice_basis,
-        alice_bit=alice_bit,
-        eve_basis=None if action is None else action.eve_basis,
-        eve_bit=None if action is None else action.eve_bit,
-        bob_basis=bob_basis,
-        detector=detector,
-        outcome=outcome,
-        sifted=sifted,
-        error=(outcome != alice_bit) if sifted else None,
-    )
-
-
-def round_cell(record: RoundRecord) -> int:
-    """Flat index of a round in the (2,) * 7 law; no attack puts Alice's
-    state on the Eve axes."""
-    index = {Basis.Z: 0, Basis.X: 1}
-    eve_basis = record.alice_basis if record.eve_basis is None else record.eve_basis
-    eve_bit = record.alice_bit if record.eve_bit is None else record.eve_bit
-    cell = (index[record.alice_basis], record.alice_bit, index[eve_basis], eve_bit,
-            index[record.bob_basis], record.detector, int(record.outcome is not None))
-    return int(np.ravel_multi_index(cell, (2,) * 7))
 
 
 def test_no_attack_sifted_rounds_are_error_free():

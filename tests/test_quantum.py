@@ -1,19 +1,13 @@
-"""Polarization algebra: exact projection probabilities and PBS routing."""
+"""Polarization algebra: exact projection probabilities, and the reference
+sampler's complement and PBS routing (reference.py)."""
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from riesim.quantum import (
-    A,
-    Basis,
-    D,
-    H,
-    PolarizationState,
-    V,
-    projection_prob,
-    route_through_pbs,
-)
+from riesim.quantum import A, Basis, D, H, PolarizationState, V, projection_prob
+
+from reference import complement, route_through_pbs
 
 ALL_STATES = [H, V, D, A]
 
@@ -29,10 +23,10 @@ def test_bit_must_be_binary():
 
 def test_complement_flips_bit_preserves_basis():
     for state in ALL_STATES:
-        comp = state.complement()
+        comp = complement(state)
         assert comp.basis is state.basis
         assert comp.bit == 1 - state.bit
-        assert comp.complement() == state
+        assert complement(comp) == state
 
 
 def test_aligned_basis_measurement_is_deterministic():
