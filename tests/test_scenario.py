@@ -255,8 +255,6 @@ def test_non_object_sections_rejected(data, where):
     ({"sweep": {"duration_s": -1}}, "sweep.duration_s", ">= 0"),
     ({"sweep": {"bin_width_s": 0}}, "sweep.bin_width_s", "> 0"),
     ({"sweep": {"min_count": 0}}, "sweep.min_count", ">= 1"),
-    ({"sweep": {"max_gap_s": -1}}, "sweep.max_gap_s", "> 0"),
-    ({"sweep": {"max_gap_s": 0}}, "sweep.max_gap_s", "> 0"),
     ({"scan": {"lambda_par_cps": [1e6, -1.0]}}, "scan.lambda_par_cps[1]", ">= 0"),
     ({"scan": {"lambda_perp_cps": [-5e6]}}, "scan.lambda_perp_cps[0]", ">= 0"),
     ({"scan": {"lambda_perp_grid": {"start_cps": -1e6, "stop_cps": 3e6, "num": 3}}},
@@ -266,6 +264,8 @@ def test_non_object_sections_rejected(data, where):
     ({"mutualinfo": {"e_abort": 0.7}}, "mutualinfo.e_abort", "in (0, 0.5)"),
     ({"mutualinfo": {"e_abort": 0.5}}, "mutualinfo.e_abort", "in (0, 0.5)"),
     ({"mutualinfo": {"r_start": -0.1}}, "mutualinfo.r_start", ">= 0"),
+    ({"sweep": {"max_gap_s": -1}}, "sweep.max_gap_s", "> 0"),
+    ({"sweep": {"max_gap_s": 0}}, "sweep.max_gap_s", "> 0"),
 ])
 def test_out_of_range_values_rejected(data, key, rule):
     with pytest.raises(ScenarioError, match=re.escape(f"{key} must be {rule}, got ")):
