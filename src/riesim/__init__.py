@@ -42,7 +42,6 @@ from .protocol import (
     BranchStats,
     ProtocolConfig,
     SimulationReport,
-    branch_table,
     run_simulation,
 )
 from .quantum import A, Basis, D, H, PolarizationState, V, projection_prob

@@ -16,8 +16,6 @@ key than Bob does.
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 from math import log2
 from pathlib import Path
@@ -158,12 +156,12 @@ class StealthScanRow:
 
 
 @dataclass(frozen=True, eq=False)
-class StealthScan(Sequence):
+class StealthScan:
     """The scan over a Cartesian loading-rate grid, held as arrays.
 
-    r_bound, stealthy and valid have shape (n_par, n_perp).  As a sequence
-    it yields one StealthScanRow per cell in row-major order (lambda_par
-    outer), building each row only when it is asked for.
+    r_bound, stealthy and valid have shape (n_par, n_perp); stealthy was
+    judged against e_abort.  Iterating yields one StealthScanRow per cell in
+    row-major order (lambda_par outer), building each row as it goes.
     """
 
     lambda_par_cps: np.ndarray
@@ -171,26 +169,10 @@ class StealthScan(Sequence):
     r_bound: np.ndarray
     stealthy: np.ndarray
     valid: np.ndarray
+    e_abort: float
 
     def __len__(self) -> int:
         return self.r_bound.size
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[k] for k in range(*index.indices(len(self)))]
-        k = operator.index(index)
-        if k < 0:
-            k += len(self)
-        if not 0 <= k < len(self):
-            raise IndexError("scan index out of range")
-        i, j = divmod(k, self.lambda_perp_cps.size)
-        return StealthScanRow(
-            float(self.lambda_par_cps[i]),
-            float(self.lambda_perp_cps[j]),
-            float(self.r_bound[i, j]),
-            bool(self.stealthy[i, j]),
-            bool(self.valid[i, j]),
-        )
 
     def __iter__(self):
         perp = self.lambda_perp_cps.tolist()
@@ -226,15 +208,16 @@ def stealth_scan(
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = _bound(busy_par[:, None], busy_perp[None, :])
     bound[~valid] = np.nan
-    return StealthScan(par, perp, bound, bound < threshold, valid)
+    return StealthScan(par, perp, bound, bound < threshold, valid, e_abort)
 
 
 def _threshold_line(e_abort: float) -> str:
     return f"# r_threshold={r_threshold(e_abort)!r} e_abort={e_abort!r}\n"
 
 
-def write_stealth_csv(scan: StealthScan, path, e_abort: float = 0.11) -> None:
-    """Scan CSV with schema lambda_par_cps,lambda_perp_cps,r_bound,stealthy.
+def write_stealth_csv(scan: StealthScan, path) -> None:
+    """Scan CSV with schema lambda_par_cps,lambda_perp_cps,r_bound,stealthy,
+    after a comment line recording the scan's abort QBER and threshold.
 
     Rows end in CRLF like the csv module's default dialect; the threshold
     comment line ends in LF.  Each lambda_par block is written at once.
@@ -242,7 +225,7 @@ def write_stealth_csv(scan: StealthScan, path, e_abort: float = 0.11) -> None:
     perp_text = [repr(lam) for lam in scan.lambda_perp_cps.tolist()]
     blocks = zip(scan.lambda_par_cps.tolist(), scan.r_bound.tolist(), scan.stealthy.tolist())
     with Path(path).open("w", newline="") as fh:
-        fh.write(_threshold_line(e_abort))
+        fh.write(_threshold_line(scan.e_abort))
         fh.write("lambda_par_cps,lambda_perp_cps,r_bound,stealthy\r\n")
         for lam_par, bounds, flags in blocks:
             prefix = f"{lam_par!r},"

@@ -155,7 +155,7 @@ def cmd_stealth_scan(scenario: ScenarioConfig, args) -> int:
         scan.lambda_par_cps, scan.lambda_perp_cps, scenario.curve, scan.e_abort
     )
     out = _outdir(scenario, args)
-    analysis.write_stealth_csv(result, out / "stealth_scan.csv", scan.e_abort)
+    analysis.write_stealth_csv(result, out / "stealth_scan.csv")
     n_stealthy = int(result.stealthy.sum())
     n_invalid = int(result.valid.size - result.valid.sum())
     print(f"rows={len(result)} stealthy={n_stealthy} saturated={n_invalid}")

@@ -56,8 +56,8 @@ class DeadTimeCurve:
     """Tabulated effective dead time versus observed count rate.
 
     Evaluation is piecewise-linear between table points and clamps to the
-    first/last dead time outside the tabulated range.  Rates must be strictly
-    increasing and all dead times positive.
+    first/last dead time outside the tabulated range.  Rates must be finite
+    and strictly increasing, dead times finite and positive.
     """
 
     rates_cps: np.ndarray
@@ -70,6 +70,8 @@ class DeadTimeCurve:
             raise ValueError("curve needs matching 1-d rate and dead-time arrays")
         if rates.size == 0:
             raise ValueError("dead-time curve has no points")
+        if not (np.all(np.isfinite(rates)) and np.all(np.isfinite(times))):
+            raise ValueError("curve rates and dead times must be finite")
         if np.any(np.diff(rates) <= 0):
             raise ValueError("curve rates must be strictly increasing")
         if np.any(times <= 0):
@@ -120,13 +122,6 @@ class DeadTimeCurve:
         if not points:
             raise ValueError(f"{path}: dead-time curve has no data rows")
         return cls.from_points(points)
-
-    def to_csv(self, path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["lambda_cps", "t_d_seconds"])
-            for rate, t_d in zip(self.rates_cps, self.dead_times_s):
-                writer.writerow([repr(float(rate)), repr(float(t_d))])
 
 
 # Anchor table for the default curve: plateau at the nominal 23.3 ns below a

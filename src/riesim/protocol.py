@@ -38,7 +38,6 @@ __all__ = [
     "BranchStats",
     "SimulationReport",
     "run_simulation",
-    "branch_table",
 ]
 
 _BASES = (Basis.Z, Basis.X)
@@ -94,7 +93,12 @@ class BranchStats:
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Aggregated outcome of a run; byte-identical per (config, seed)."""
+    """Aggregated outcome of a run; byte-identical per (config, seed).
+
+    per_branch_stats (None without an attack) is keyed by (eve_basis,
+    eve_bit, bob_basis) and ordered as the text report and the branch CSV
+    print it, X before Z.
+    """
 
     n_rounds: int
     n_clicks: int
@@ -128,9 +132,7 @@ class SimulationReport:
             lines.append(f"n_sifted_eve_match: {self.n_sifted_eve_match}")
         if self.per_branch_stats is not None:
             lines.append("branches:")
-            for key in sorted(self.per_branch_stats, key=_branch_sort_key):
-                stats = self.per_branch_stats[key]
-                eve_basis, eve_bit, bob_basis = key
+            for (eve_basis, eve_bit, bob_basis), stats in self.per_branch_stats.items():
                 lines.append(
                     f"  {eve_basis.value}{eve_bit} bob={bob_basis.value}: "
                     f"rounds={stats.n_rounds} clicks={stats.n_clicks} "
@@ -151,9 +153,7 @@ class SimulationReport:
                 ["eve_basis", "eve_bit", "bob_basis", "n_rounds", "n_clicks",
                  "click_rate", "n_sifted", "n_errors", "conditional_error_rate"]
             )
-            for key in sorted(self.per_branch_stats, key=_branch_sort_key):
-                stats = self.per_branch_stats[key]
-                eve_basis, eve_bit, bob_basis = key
+            for (eve_basis, eve_bit, bob_basis), stats in self.per_branch_stats.items():
                 writer.writerow([
                     eve_basis.value, eve_bit, bob_basis.value,
                     stats.n_rounds, stats.n_clicks,
@@ -161,11 +161,6 @@ class SimulationReport:
                     stats.n_sifted, stats.n_errors,
                     "" if stats.conditional_error_rate is None else repr(stats.conditional_error_rate),
                 ])
-
-
-def _branch_sort_key(key):
-    eve_basis, eve_bit, bob_basis = key
-    return (eve_basis.value, eve_bit, bob_basis.value)
 
 
 def _basis_weight(prior_z: float, basis: Basis) -> float:
@@ -229,10 +224,10 @@ def run_simulation(config: ProtocolConfig, attack: AttackConfig) -> SimulationRe
     per_branch = None
     if attacking:
         per_branch = {}
-        for code in range(8):
-            branch = _BRANCH == code
-            key = (_BASES[code >> 2], (code >> 1) & 1, _BASES[code & 1])
-            per_branch[key] = BranchStats(
+        # keys in the order the report and the branch CSV print them: X before Z
+        for eb, e, bb in product((1, 0), (0, 1), (1, 0)):
+            branch = _BRANCH == eb * 4 + e * 2 + bb
+            per_branch[(_BASES[eb], e, _BASES[bb])] = BranchStats(
                 n_rounds=int(counts[branch].sum()),
                 n_clicks=int(counts[branch & _CLICKED].sum()),
                 n_sifted=int(counts[branch & _SIFTED].sum()),
@@ -253,48 +248,3 @@ def run_simulation(config: ProtocolConfig, attack: AttackConfig) -> SimulationRe
         fixed_alice=config.fixed_alice,
         per_branch_stats=per_branch,
     )
-
-
-@dataclass(frozen=True)
-class BranchRow:
-    """One rendered row of the fixed-Alice branch table."""
-
-    eve_basis: Basis
-    eve_bit: int
-    bob_basis: Basis
-    n_rounds: int
-    click_rate: float | None
-    kept: bool
-    conditional_error_rate: float | None
-    insufficient_data: bool
-
-
-def branch_table(report: SimulationReport, fixed_alice: PolarizationState) -> list[BranchRow]:
-    """Per-branch click and conditional-error rates for a fixed Alice state.
-
-    Requires the report to have been collected with that same Alice-state
-    conditioning; a branch with no rounds is flagged rather than dropped.
-    """
-    if report.per_branch_stats is None:
-        raise ValueError("report carries no branch statistics (attack mode 'none')")
-    if report.fixed_alice != fixed_alice:
-        raise ValueError(
-            f"report was conditioned on {report.fixed_alice}, not {fixed_alice}"
-        )
-    rows = []
-    for key in sorted(report.per_branch_stats, key=_branch_sort_key):
-        stats = report.per_branch_stats[key]
-        eve_basis, eve_bit, bob_basis = key
-        rows.append(
-            BranchRow(
-                eve_basis=eve_basis,
-                eve_bit=eve_bit,
-                bob_basis=bob_basis,
-                n_rounds=stats.n_rounds,
-                click_rate=stats.click_rate,
-                kept=bob_basis is fixed_alice.basis,
-                conditional_error_rate=stats.conditional_error_rate,
-                insufficient_data=stats.n_rounds == 0,
-            )
-        )
-    return rows

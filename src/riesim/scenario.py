@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import json
 from math import isfinite
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .adversary import AttackConfig, AttackMode
 from .detector import AvailabilityModel, DeadTimeCurve, default_dead_time_curve
 from .protocol import ProtocolConfig
 from .quantum import Basis, PolarizationState
-from .timetag import DEFAULT_BIN_WIDTH_S, DEFAULT_MAX_GAP_S, DEFAULT_MIN_COUNT
+from .timetag import DEFAULT_BIN_WIDTH_S, DEFAULT_MAX_GAP_S, DEFAULT_MIN_COUNT, histogram_bins
 
 __all__ = ["ScenarioConfig", "ScenarioError", "SweepSettings", "ScanSettings",
            "MutualInfoSettings", "check_histogram"]
@@ -104,21 +104,17 @@ class ScenarioConfig:
     seed: int = 1
     out: str = "."
     curve: DeadTimeCurve = field(default_factory=default_dead_time_curve)
-    protocol: dict = field(default_factory=dict)
+    protocol: ProtocolConfig | None = None
     attack: AttackConfig = field(default_factory=AttackConfig)
     sweep: SweepSettings = field(default_factory=SweepSettings)
     scan: ScanSettings = field(default_factory=ScanSettings)
     mutualinfo: MutualInfoSettings = field(default_factory=MutualInfoSettings)
 
     def protocol_config(self) -> ProtocolConfig:
-        """Materialize the protocol section (requires n_rounds and p0)."""
-        section = dict(self.protocol)
-        if "n_rounds" not in section or "p0" not in section:
+        """The protocol section, checked at load, with this run's seed."""
+        if self.protocol is None:
             raise ScenarioError("protocol section needs at least n_rounds and p0")
-        try:
-            return ProtocolConfig(seed=self.seed, dead_time_curve=self.curve, **section)
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"invalid protocol section: {exc}") from exc
+        return replace(self.protocol, seed=self.seed)
 
 
 def _parse_curve(section, base_dir: Path) -> DeadTimeCurve:
@@ -138,35 +134,46 @@ def _parse_curve(section, base_dir: Path) -> DeadTimeCurve:
         raise ScenarioError(f"invalid dead_time_curve: {exc}") from exc
 
 
-def _parse_protocol(section) -> dict:
+def _fixed_alice(value) -> PolarizationState | None:
+    if value is None:
+        return None
+    rule = f'fixed_alice must be ["Z"|"X", 0|1] or null, got {value!r}'
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ScenarioError(rule)
+    bit = _integer(value[1], "protocol.fixed_alice[1]")
+    try:
+        return PolarizationState(Basis(value[0]), bit)
+    except (TypeError, ValueError):
+        raise ScenarioError(rule) from None
+
+
+def _parse_protocol(section, seed: int, curve: DeadTimeCurve) -> ProtocolConfig | None:
     if section is None:
-        return {}
+        return None
     allowed = {
         "n_rounds", "p0", "abort_threshold", "basis_prior", "availability_model",
         "transmission", "background_rate_cps", "fixed_alice",
     }
     _take(section, allowed, "protocol")
-    out = dict(section)
-    if "n_rounds" in out:
-        out["n_rounds"] = _integer(out["n_rounds"], "protocol.n_rounds")
-    if "availability_model" in out:
-        try:
-            out["availability_model"] = AvailabilityModel(out["availability_model"])
-        except ValueError:
-            raise ScenarioError(
-                f"unknown availability_model {out['availability_model']!r}"
-            ) from None
-    fixed = out.get("fixed_alice")
-    if fixed is not None:
-        if not isinstance(fixed, (list, tuple)) or len(fixed) != 2:
-            raise ScenarioError(f'fixed_alice must be ["Z"|"X", 0|1] or null, got {fixed!r}')
-        try:
-            out["fixed_alice"] = PolarizationState(Basis(fixed[0]), int(fixed[1]))
-        except (TypeError, ValueError):
-            raise ScenarioError(
-                f'fixed_alice must be ["Z"|"X", 0|1] or null, got {fixed!r}'
-            ) from None
-    return out
+    if "n_rounds" not in section or "p0" not in section:
+        raise ScenarioError("protocol section needs at least n_rounds and p0")
+    out = {}
+    for key, value in section.items():
+        if key == "n_rounds":
+            out[key] = _integer(value, "protocol.n_rounds")
+        elif key == "availability_model":
+            try:
+                out[key] = AvailabilityModel(value)
+            except ValueError:
+                raise ScenarioError(f"unknown availability_model {value!r}") from None
+        elif key == "fixed_alice":
+            out[key] = _fixed_alice(value)
+        else:
+            out[key] = _number(value, f"protocol.{key}")
+    try:
+        return ProtocolConfig(seed=seed, dead_time_curve=curve, **out)
+    except ValueError as exc:
+        raise ScenarioError(f"invalid protocol section: {exc}") from exc
 
 
 def _parse_attack(section) -> AttackConfig:
@@ -174,15 +181,18 @@ def _parse_attack(section) -> AttackConfig:
         return AttackConfig()
     allowed = {"mode", "lambda_parallel_cps", "lambda_perp_cps", "delta_s", "eve_basis_prior"}
     _take(section, allowed, "attack")
-    out = dict(section)
-    if "mode" in out:
-        try:
-            out["mode"] = AttackMode(out["mode"])
-        except ValueError:
-            raise ScenarioError(f"unknown attack mode {out['mode']!r}") from None
+    out = {}
+    for key, value in section.items():
+        if key == "mode":
+            try:
+                out[key] = AttackMode(value)
+            except ValueError:
+                raise ScenarioError(f"unknown attack mode {value!r}") from None
+        elif not (key == "delta_s" and value is None):
+            out[key] = _number(value, f"attack.{key}")
     try:
         return AttackConfig(**out)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ScenarioError(f"invalid attack section: {exc}") from exc
 
 
@@ -211,11 +221,16 @@ def _parse_sweep(section) -> SweepSettings:
 
 def check_histogram(bin_width_s, max_gap_s, min_count, keys) -> None:
     """Validate the inter-arrival histogram settings of sweep-deadtime and
-    deadtime-extract: finite widths > 0 and min_count >= 1.  keys names the
-    three values (scenario keys or command-line flags) in the error."""
+    deadtime-extract: finite widths > 0, at most MAX_HISTOGRAM_BINS bins and
+    min_count >= 1.  keys names the three values (scenario keys or
+    command-line flags) in the error."""
     for key, width in zip(keys, (bin_width_s, max_gap_s)):
         _require(isfinite(width), key, "a finite number", width)
         _require(width > 0, key, "> 0", width)
+    try:
+        histogram_bins(bin_width_s, max_gap_s)
+    except ValueError as exc:
+        raise ScenarioError(f"{keys[1]} / {keys[0]}: {exc}") from None
     _require(min_count >= 1, keys[2], ">= 1", min_count)
 
 
@@ -302,11 +317,13 @@ def load_scenario(path=None, data: dict | None = None) -> ScenarioConfig:
     sweep = _parse_sweep(data.get("sweep"))
     if not sweep.rates_cps:
         raise ScenarioError("sweep.rates_cps must not be empty")
+    seed = _integer(data.get("seed", 1), "seed")
+    curve = _parse_curve(data.get("dead_time_curve"), base_dir)
     return ScenarioConfig(
-        seed=_integer(data.get("seed", 1), "seed"),
+        seed=seed,
         out=str(data.get("out", ".")),
-        curve=_parse_curve(data.get("dead_time_curve"), base_dir),
-        protocol=_parse_protocol(data.get("protocol")),
+        curve=curve,
+        protocol=_parse_protocol(data.get("protocol"), seed, curve),
         attack=_parse_attack(data.get("attack")),
         sweep=sweep,
         scan=scan,

@@ -7,8 +7,8 @@ surviving inter-arrival gaps, and read the dead time off the onset of the
 first populated bin.  Sweeping the true rate recovers the full rate-dependent
 dead-time curve.
 
-Timestamps are quantized to the tagger resolution (8 ps by default) and the
-on-disk format is one integer per line, picoseconds since stream start.
+Timestamps are quantized to the tagger resolution of 8 ps and the on-disk
+format is one integer per line, picoseconds since stream start.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "FixedPointError",
     "generate_poisson_stream",
     "apply_dead_time",
+    "histogram_bins",
     "interarrival_histogram",
     "estimate_dead_time",
     "sweep_dead_time",
@@ -38,11 +39,17 @@ __all__ = [
     "write_sweep_csv",
 ]
 
-DEFAULT_RESOLUTION_S = 8e-12
+RESOLUTION_S = 8e-12
 DEFAULT_BIN_WIDTH_S = 0.5e-9
 DEFAULT_MAX_GAP_S = 200e-9
 DEFAULT_MIN_COUNT = 2
+# the README and bench histograms have 400 bins; the cap keeps a mistyped
+# max_gap / bin_width from asking numpy for terabytes
+MAX_HISTOGRAM_BINS = 1 << 20
 _WRITE_CHUNK_LINES = 1 << 16
+# apply_dead_time's fixed point: iteration cap and relative rate tolerance
+_FIXED_POINT_ITERATIONS = 20
+_FIXED_POINT_REL_TOL = 1e-6
 
 
 class InsufficientDataError(ValueError):
@@ -67,7 +74,6 @@ class TimestampStream:
 
     timestamps_s: np.ndarray
     duration_s: float
-    resolution_s: float = DEFAULT_RESOLUTION_S
 
     def __post_init__(self):
         t = np.asarray(self.timestamps_s, dtype=float)
@@ -97,10 +103,6 @@ class InterArrivalHistogram:
             raise ValueError("bin width must be positive")
         object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.int64))
 
-    @property
-    def bin_edges_s(self) -> np.ndarray:
-        return np.arange(self.counts.size + 1) * self.bin_width_s
-
     def write_csv(self, path) -> None:
         with Path(path).open("w", newline="") as fh:
             writer = csv.writer(fh)
@@ -109,21 +111,21 @@ class InterArrivalHistogram:
                 writer.writerow([repr(i * self.bin_width_s), int(count)])
 
 
-def _quantize(times_s: np.ndarray, resolution_s: float, duration_s: float) -> np.ndarray:
+def _quantize(times_s: np.ndarray, duration_s: float) -> np.ndarray:
     """Snap to the tagger grid, merge duplicates, drop anything past duration.
 
     Works in place on `times_s`, which must be ascending.  Rounding keeps that
     order, so equal ticks are neighbours and one comparison with the previous
     tick merges them (the same values `np.unique` gives, without its sort).
     """
-    ticks = np.divide(times_s, resolution_s, out=times_s)
+    ticks = np.divide(times_s, RESOLUTION_S, out=times_s)
     np.round(ticks, out=ticks)
     if ticks.size > 1:
         fresh = np.empty(ticks.size, dtype=bool)
         fresh[0] = True
         np.not_equal(ticks[1:], ticks[:-1], out=fresh[1:])
         ticks = ticks[fresh]
-    out = np.multiply(ticks, resolution_s, out=ticks)
+    out = np.multiply(ticks, RESOLUTION_S, out=ticks)
     return out[: np.searchsorted(out, duration_s, side="right")]
 
 
@@ -133,12 +135,7 @@ def _first_block_size(expected: float) -> int:
     return max(int(expected + 10.0 * np.sqrt(expected + 1.0)) + 16, 1024)
 
 
-def generate_poisson_stream(
-    beta_cps: float,
-    duration_s: float,
-    seed: int,
-    resolution_s: float = DEFAULT_RESOLUTION_S,
-) -> TimestampStream:
+def generate_poisson_stream(beta_cps: float, duration_s: float, seed: int) -> TimestampStream:
     """Homogeneous Poisson arrivals at true rate beta over [0, duration].
 
     Inter-arrival gaps are exponential with mean 1/beta; the stream is
@@ -162,11 +159,7 @@ def generate_poisson_stream(
         block = max(block // 4, 1024)
     times = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     times = times[: np.searchsorted(times, duration_s, side="right")]
-    return TimestampStream(
-        timestamps_s=_quantize(times, resolution_s, duration_s),
-        duration_s=duration_s,
-        resolution_s=resolution_s,
-    )
+    return TimestampStream(_quantize(times, duration_s), duration_s)
 
 
 def _filter_constant(times_s: np.ndarray, dead_s: float) -> np.ndarray:
@@ -217,8 +210,6 @@ def apply_dead_time(
     *,
     constant_dead_time_s: float | None = None,
     curve: DeadTimeCurve | None = None,
-    max_iterations: int = 20,
-    rel_tol: float = 1e-6,
 ) -> TimestampStream:
     """Suppress events inside the detector recovery window.
 
@@ -233,20 +224,18 @@ def apply_dead_time(
         if constant_dead_time_s < 0:
             raise ValueError("dead time must be >= 0")
         kept = _filter_constant(t, constant_dead_time_s)
-        return TimestampStream(kept, stream.duration_s, stream.resolution_s)
+        return TimestampStream(kept, stream.duration_s)
 
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
     rate = stream.observed_rate_cps
     trace = []
     prev_change = 0.0
-    for iteration in range(max_iterations):
+    for iteration in range(_FIXED_POINT_ITERATIONS):
         dead_s = curve.dead_time_at(rate)
         kept = _filter_constant(t, dead_s)
         new_rate = kept.size / stream.duration_s if stream.duration_s > 0 else 0.0
         trace.append((iteration, dead_s, new_rate))
-        if rate == new_rate or (rate > 0 and abs(new_rate - rate) / rate < rel_tol):
-            return TimestampStream(kept, stream.duration_s, stream.resolution_s)
+        if rate == new_rate or (rate > 0 and abs(new_rate - rate) / rate < _FIXED_POINT_REL_TOL):
+            return TimestampStream(kept, stream.duration_s)
         change = new_rate - rate
         if prev_change * change < 0.0:
             # The kept count is a step function of the window, so the exact
@@ -254,18 +243,30 @@ def apply_dead_time(
             # iteration then cycles.  Once the two candidate windows agree
             # to better than the tagger resolution they are physically
             # indistinguishable: accept the current solution.
-            if abs(curve.dead_time_at(new_rate) - dead_s) < stream.resolution_s:
-                return TimestampStream(kept, stream.duration_s, stream.resolution_s)
+            if abs(curve.dead_time_at(new_rate) - dead_s) < RESOLUTION_S:
+                return TimestampStream(kept, stream.duration_s)
             rate = 0.5 * (rate + new_rate)
         else:
             rate = new_rate
         prev_change = change
     rates_seen = " -> ".join(f"{entry[2]:.6g}" for entry in trace)
     raise FixedPointError(
-        f"rate-dependent dead-time filter did not converge in {max_iterations} "
+        f"rate-dependent dead-time filter did not converge in {_FIXED_POINT_ITERATIONS} "
         f"iterations (observed rates {rates_seen} cps)",
         trace,
     )
+
+
+def histogram_bins(bin_width_s: float, max_gap_s: float) -> int:
+    """Bins of width bin_width_s that cover [0, max_gap_s]; ValueError above
+    MAX_HISTOGRAM_BINS."""
+    n_bins = np.ceil(max_gap_s / bin_width_s)
+    if not n_bins <= MAX_HISTOGRAM_BINS:
+        raise ValueError(
+            f"the histogram would need {n_bins:.6g} bins, more than the limit of "
+            f"{MAX_HISTOGRAM_BINS}"
+        )
+    return int(n_bins)
 
 
 def interarrival_histogram(
@@ -276,6 +277,7 @@ def interarrival_histogram(
     """Histogram of adjacent arrival-time differences within [0, max_gap]."""
     if bin_width_s <= 0:
         raise ValueError("bin width must be positive")
+    n_bins = histogram_bins(bin_width_s, max_gap_s)
     if len(stream) < 2:
         raise InsufficientDataError(
             f"insufficient data: need at least 2 timestamps for an inter-arrival "
@@ -283,7 +285,6 @@ def interarrival_histogram(
         )
     gaps = np.diff(stream.timestamps_s)
     gaps = gaps[gaps <= max_gap_s]
-    n_bins = int(np.ceil(max_gap_s / bin_width_s))
     counts, _ = np.histogram(gaps, bins=n_bins, range=(0.0, n_bins * bin_width_s))
     return InterArrivalHistogram(bin_width_s=bin_width_s, counts=counts)
 
@@ -342,7 +343,7 @@ def sweep_dead_time(
     return points
 
 
-def read_timestamps(path, resolution_s: float = DEFAULT_RESOLUTION_S) -> TimestampStream:
+def read_timestamps(path) -> TimestampStream:
     """Read a timestamp file: one integer per line, picoseconds, ascending."""
     path = Path(path)
     ticks = []
@@ -361,7 +362,7 @@ def read_timestamps(path, resolution_s: float = DEFAULT_RESOLUTION_S) -> Timesta
     if np.any(np.diff(times) <= 0):
         raise ValueError(f"{path}: timestamps must be strictly ascending")
     duration = float(times[-1])
-    return TimestampStream(times, duration_s=duration, resolution_s=resolution_s)
+    return TimestampStream(times, duration_s=duration)
 
 
 def write_timestamps(stream: TimestampStream, path) -> None:

@@ -204,5 +204,5 @@ def thinned_click_rate(beta_cps: float, p0: float, dead_time_s: float, duration_
     """
     stream = generate_poisson_stream(beta_cps, duration_s, seed=seed)
     live = np.random.default_rng(seed).random(len(stream)) < p0
-    thinned = TimestampStream(stream.timestamps_s[live], stream.duration_s, stream.resolution_s)
+    thinned = TimestampStream(stream.timestamps_s[live], stream.duration_s)
     return apply_dead_time(thinned, constant_dead_time_s=dead_time_s).observed_rate_cps

@@ -203,6 +203,11 @@ def test_deadtime_extract_malformed_line_names_line(tmp_path, base_config, capsy
     (["--max-gap", "0"], "--max-gap must be > 0, got 0.0"),
     (["--max-gap", "inf"], "--max-gap must be a finite number, got inf"),
     (["--min-count", "0"], "--min-count must be >= 1, got 0"),
+    (["--max-gap", "1e300"], "--max-gap / --bin-width: the histogram would need inf bins, "
+                              "more than the limit of 1048576"),
+    (["--max-gap", "10", "--bin-width", "1e-12"], "--max-gap / --bin-width: the histogram "
+                                                  "would need 1e+13 bins, more than the limit "
+                                                  "of 1048576"),
 ])
 def test_deadtime_extract_flag_overrides_exit_2(tmp_path, base_config, capsys, flags, message):
     # the overrides meet the loader's conditions on the sweep section
@@ -261,6 +266,38 @@ def test_non_number_fields_exit_2(tmp_path, capsys, command, data, key):
     config = write_config(tmp_path, {"out": str(tmp_path / "results"), **data})
     assert main(["--config", str(config), command]) == 2
     assert f"{key} must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+RIE = {"mode": "rie_non_deterministic", "lambda_perp_cps": 25e6}
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("stealth-scan", {"protocol": {"n_rounds": 10, "p0": 2}},
+     "invalid protocol section: p0 must be in (0, 1], got 2.0"),
+    ("analytic", {"protocol": {"n_rounds": 10, "p0": 0.9, "background_rate_cps": math.nan},
+                  "attack": RIE}, "protocol.background_rate_cps must be a finite number"),
+    ("analytic", {"protocol": {"n_rounds": 10, "p0": 0.9},
+                  "attack": dict(RIE, lambda_perp_cps=math.inf)},
+     "attack.lambda_perp_cps must be a finite number"),
+    ("analytic", {"protocol": {"n_rounds": 10, "p0": 0.9},
+                  "attack": {"mode": "rie_deterministic", "delta_s": math.nan}},
+     "attack.delta_s must be a finite number"),
+    ("analytic", {"protocol": {"n_rounds": 10, "p0": True}, "attack": RIE},
+     "protocol.p0 must be a finite number"),
+    ("simulate", {"protocol": {"n_rounds": 10, "p0": 0.9, "fixed_alice": ["Z", 1.5]},
+                  "attack": RIE}, "protocol.fixed_alice[1] must be an integer"),
+    ("stealth-scan", {"dead_time_curve": {"table": [[0, 1e-8], [1e6, math.nan]]}},
+     "invalid dead_time_curve: curve rates and dead times must be finite"),
+    ("analytic", {"dead_time_curve": {"csv": "curve.csv"},
+                  "protocol": {"n_rounds": 10, "p0": 0.9}, "attack": RIE},
+     "invalid dead_time_curve: curve rates and dead times must be finite"),
+])
+def test_bad_protocol_attack_or_curve_exits_2(tmp_path, capsys, command, data, message):
+    (tmp_path / "curve.csv").write_text("lambda_cps,t_d_seconds\n0,nan\n")
+    config = write_config(tmp_path, {"out": str(tmp_path / "results"), **data})
+    assert main(["--config", str(config), command]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "results").exists()
 
 

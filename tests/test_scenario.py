@@ -134,9 +134,43 @@ def test_empty_sweep_rates_rejected():
 
 
 def test_protocol_section_requires_core_fields():
-    scenario = load_scenario(data={"protocol": {"n_rounds": 5}})
     with pytest.raises(ScenarioError, match="p0"):
-        scenario.protocol_config()
+        load_scenario(data={"protocol": {"n_rounds": 5}})
+    with pytest.raises(ScenarioError, match="p0"):
+        load_scenario(data={}).protocol_config()
+
+
+@pytest.mark.parametrize("protocol, message", [
+    ({"n_rounds": 10, "p0": 2}, "p0 must be in (0, 1], got 2.0"),
+    ({"n_rounds": 0, "p0": 0.9}, "n_rounds must be >= 1"),
+    ({"n_rounds": 10, "p0": 0.9, "abort_threshold": 0.5}, "abort threshold must be in (0, 0.5)"),
+    ({"n_rounds": 10, "p0": 0.9, "background_rate_cps": -1}, "background rate must be >= 0"),
+])
+def test_protocol_section_checked_at_load(protocol, message):
+    with pytest.raises(ScenarioError, match=re.escape(f"invalid protocol section: {message}")):
+        load_scenario(data={"protocol": protocol})
+
+
+def test_attack_delta_s_may_be_null():
+    scenario = load_scenario(data={"attack": {"mode": "intercept_resend", "delta_s": None}})
+    assert scenario.attack.delta_s is None
+
+
+@pytest.mark.parametrize("curve", [
+    {"table": [[0, 1e-8], [1e6, float("nan")]]},
+    {"table": [[0, 1e-8], [float("inf"), 2e-8]]},
+    {"csv": "curve.csv"},
+], ids=["nan dead time", "infinite rate", "csv nan"])
+def test_non_finite_curve_rejected(tmp_path, curve):
+    (tmp_path / "curve.csv").write_text("lambda_cps,t_d_seconds\n0,nan\n")
+    with pytest.raises(ScenarioError, match="invalid dead_time_curve: .*finite"):
+        load_scenario(write_config(tmp_path, {"dead_time_curve": curve}))
+
+
+def test_histogram_bin_cap_checked_at_load():
+    with pytest.raises(ScenarioError, match=re.escape(
+            "sweep.max_gap_s / sweep.bin_width_s: the histogram would need 2e+08 bins")):
+        load_scenario(data={"sweep": {"bin_width_s": 1e-15}})
 
 
 def test_invalid_json_reported(tmp_path):
@@ -168,6 +202,10 @@ def test_missing_file_reported(tmp_path):
      "scan.lambda_perp_grid.num"),
     ({"scan": {"lambda_perp_grid": {"start_cps": 1e6, "stop_cps": 3e6, "num": True}}},
      "scan.lambda_perp_grid.num"),
+    ({"protocol": {"n_rounds": 10, "p0": 1.0, "fixed_alice": ["Z", 1.5]}},
+     r"protocol.fixed_alice\[1\]"),
+    ({"protocol": {"n_rounds": 10, "p0": 1.0, "fixed_alice": ["Z", True]}},
+     r"protocol.fixed_alice\[1\]"),
 ])
 def test_non_integer_fields_rejected(data, key):
     with pytest.raises(ScenarioError, match=f"{key} must be an integer"):
@@ -201,6 +239,15 @@ def test_integral_floats_accepted_as_integers():
     ({"mutualinfo": {"r_step": "x"}}, "mutualinfo.r_step"),
     ({"mutualinfo": {"r_start": True}}, "mutualinfo.r_start"),
     ({"mutualinfo": {"e_abort": "0.1"}}, "mutualinfo.e_abort"),
+    ({"protocol": {"n_rounds": 10, "p0": True}}, "protocol.p0"),
+    ({"protocol": {"n_rounds": 10, "p0": 0.9, "background_rate_cps": float("nan")}},
+     "protocol.background_rate_cps"),
+    ({"protocol": {"n_rounds": 10, "p0": 0.9, "transmission": "1"}}, "protocol.transmission"),
+    ({"attack": {"mode": "rie_non_deterministic", "lambda_perp_cps": float("inf")}},
+     "attack.lambda_perp_cps"),
+    ({"attack": {"mode": "rie_deterministic", "delta_s": float("nan")}}, "attack.delta_s"),
+    ({"attack": {"eve_basis_prior": "0.5"}}, "attack.eve_basis_prior"),
+    ({"attack": {"lambda_parallel_cps": None}}, "attack.lambda_parallel_cps"),
 ])
 def test_non_number_fields_rejected(data, key):
     with pytest.raises(ScenarioError, match=f"{key} must be a "):

@@ -57,7 +57,7 @@ def test_different_seed_gives_different_stream():
 
 def test_timestamps_quantized_to_resolution():
     stream = generate_poisson_stream(1e7, 0.001, seed=5)
-    ticks = stream.timestamps_s / stream.resolution_s
+    ticks = stream.timestamps_s / timetag.RESOLUTION_S
     np.testing.assert_allclose(ticks, np.round(ticks), atol=1e-6)
 
 
@@ -233,14 +233,15 @@ def test_rate_dependent_filter_converges_through_count_plateau_cycle():
     stream = generate_poisson_stream(20e6, 0.1, seed=335)
     out = apply_dead_time(stream, curve=curve)
     window = curve.dead_time_at(out.observed_rate_cps)
-    assert np.all(np.diff(out.timestamps_s) >= window - stream.resolution_s)
+    assert np.all(np.diff(out.timestamps_s) >= window - timetag.RESOLUTION_S)
 
 
-def test_rate_dependent_filter_diagnostics_on_non_convergence():
+def test_rate_dependent_filter_diagnostics_on_non_convergence(monkeypatch):
     curve = default_dead_time_curve()
     stream = generate_poisson_stream(40e6, 0.005, seed=31)
+    monkeypatch.setattr(timetag, "_FIXED_POINT_ITERATIONS", 1)
     with pytest.raises(FixedPointError) as excinfo:
-        apply_dead_time(stream, curve=curve, max_iterations=1)
+        apply_dead_time(stream, curve=curve)
     assert len(excinfo.value.trace) == 1
 
 
@@ -283,7 +284,7 @@ def test_unfiltered_exponential_gaps_fit_exponential_decay():
     stream = generate_poisson_stream(beta, 0.05, seed=50)
     hist = interarrival_histogram(stream, bin_width_s=2e-9, max_gap_s=400e-9)
     n_gaps = len(stream) - 1
-    edges = hist.bin_edges_s
+    edges = np.arange(hist.counts.size + 1) * hist.bin_width_s
     expected = n_gaps * (np.exp(-beta * edges[:-1]) - np.exp(-beta * edges[1:]))
     # quantization at 8 ps is invisible at 2 ns bins; chi-square on the well
     # populated region against the exponential inter-arrival law
@@ -297,6 +298,19 @@ def test_histogram_counts_gaps_within_range_only():
     stream = TimestampStream(times, duration_s=1e-5)
     hist = interarrival_histogram(stream, bin_width_s=1e-9, max_gap_s=100e-9)
     assert hist.counts.sum() == 1
+
+
+def test_histogram_bin_count_is_capped():
+    cap = timetag.MAX_HISTOGRAM_BINS
+    assert timetag.histogram_bins(0.5e-9, 200e-9) == 400
+    assert timetag.histogram_bins(1.0, cap) == cap
+    stream = TimestampStream(np.array([0.0, 1e-9, 2e-9]), duration_s=1e-8)
+    # 1e300 / 0.5e-9 overflows to inf, 10 / 1e-12 asks for 1e13 bins
+    for bin_width, max_gap in ((1.0, cap + 0.5), (0.5e-9, 1e300), (1e-12, 10.0)):
+        with pytest.raises(ValueError, match="histogram would need"):
+            timetag.histogram_bins(bin_width, max_gap)
+        with pytest.raises(ValueError, match="histogram would need"):
+            interarrival_histogram(stream, bin_width, max_gap)
 
 
 # ---------------------------------------------------------------- onset estimator
