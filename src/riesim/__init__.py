@@ -44,7 +44,7 @@ from .protocol import (
     SimulationReport,
     run_simulation,
 )
-from .quantum import A, Basis, D, H, PolarizationState, V, projection_prob
+from .quantum import Basis, PolarizationState
 from .timetag import (
     EstimationError,
     FixedPointError,

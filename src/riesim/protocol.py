@@ -31,7 +31,7 @@ import numpy as np
 
 from .adversary import AttackConfig, AttackMode, branch_click_probabilities
 from .detector import AvailabilityModel, DeadTimeCurve, default_dead_time_curve
-from .quantum import Basis, PolarizationState, projection_prob
+from .quantum import Basis, PolarizationState
 
 __all__ = [
     "ProtocolConfig",
@@ -163,47 +163,44 @@ class SimulationReport:
                 ])
 
 
-def _basis_weight(prior_z: float, basis: Basis) -> float:
-    return prior_z if basis is Basis.Z else 1.0 - prior_z
-
-
-def _round_law(config: ProtocolConfig, attack: AttackConfig) -> np.ndarray:
-    """Probability of each round cell, shape (2,) * 7.
-
-    Axes: Alice's basis, Alice's bit, Eve's basis, Eve's bit, Bob's basis,
-    detector, click; basis index 0 is Z and 1 is X.  Without an attack the
-    Eve axes carry Alice's state, so the signal is always read from them.
-    """
-    p_par, p_perp = branch_click_probabilities(config, attack)
-    attacking = attack.mode is not AttackMode.NONE
-    law = np.zeros((2,) * 7)
-    for ab, a, eb, e, bb, d in product((0, 1), repeat=6):
-        alice = PolarizationState(_BASES[ab], a)
-        signal = PolarizationState(_BASES[eb], e)
-        bob_basis = _BASES[bb]
-        if config.fixed_alice is None:
-            p = _basis_weight(config.basis_prior, alice.basis) * 0.5
-        else:
-            p = float(alice == config.fixed_alice)
-        if attacking:
-            p *= _basis_weight(attack.eve_basis_prior, signal.basis)
-            p *= projection_prob(alice, signal.basis, e)
-        else:
-            p *= float(signal == alice)
-        p *= _basis_weight(config.basis_prior, bob_basis)
-        p *= projection_prob(signal, bob_basis, d)
-        p_click = p_par if bob_basis is signal.basis else p_perp
-        law[ab, a, eb, e, bb, d] = (p * (1.0 - p_click), p * p_click)
-    return law
-
-
-# Cell masks over the (2,) * 7 count table, in _round_law's axis order.
+# The round cells, one index array per axis of the (2,) * 7 law: Alice's
+# basis, Alice's bit, Eve's basis, Eve's bit, Bob's basis, detector, click.
+# Basis index 0 is Z and 1 is X.  Without an attack the Eve axes carry
+# Alice's state, so the signal is always read from them.
 _AB, _A, _EB, _E, _BB, _D, _CLICK = np.indices((2,) * 7)
 _CLICKED = _CLICK == 1
 _SIFTED = _CLICKED & (_AB == _BB)
 _ERROR = _SIFTED & (_D != _A)
 _EVE_MATCH = _SIFTED & (_EB == _AB)
 _BRANCH = _EB * 4 + _E * 2 + _BB
+
+
+def _weight(prior_z: float, basis) -> np.ndarray:
+    """Each cell's weight of its basis on one axis, Z having weight prior_z."""
+    return np.where(basis == 0, prior_z, 1.0 - prior_z)
+
+
+def _born(basis, bit, meas_basis, outcome) -> np.ndarray:
+    """Born rule for the four eigenstates: in its own basis a state gives its
+    bit, in the other basis either outcome with probability 1/2."""
+    return np.where(basis == meas_basis, bit == outcome, 0.5)
+
+
+def _round_law(config: ProtocolConfig, attack: AttackConfig) -> np.ndarray:
+    """Probability of each round cell, shape (2,) * 7, in the axis order above."""
+    p_par, p_perp = branch_click_probabilities(config, attack)
+    fixed = config.fixed_alice
+    if fixed is None:
+        p = _weight(config.basis_prior, _AB) * 0.5
+    else:
+        p = ((_AB == _BASES.index(fixed.basis)) & (_A == fixed.bit)) * 1.0
+    if attack.mode is not AttackMode.NONE:
+        p = p * _weight(attack.eve_basis_prior, _EB) * _born(_AB, _A, _EB, _E)
+    else:
+        p = p * ((_EB == _AB) & (_E == _A))
+    p = p * _weight(config.basis_prior, _BB) * _born(_EB, _E, _BB, _D)
+    p_click = np.where(_BB == _EB, p_par, p_perp)
+    return np.where(_CLICKED, p * p_click, p * (1.0 - p_click))
 
 
 def run_simulation(config: ProtocolConfig, attack: AttackConfig) -> SimulationReport:

@@ -16,10 +16,16 @@ from .adversary import AttackConfig, AttackMode
 from .detector import AvailabilityModel, DeadTimeCurve, default_dead_time_curve
 from .protocol import ProtocolConfig
 from .quantum import Basis, PolarizationState
-from .timetag import DEFAULT_BIN_WIDTH_S, DEFAULT_MAX_GAP_S, DEFAULT_MIN_COUNT, histogram_bins
+from .timetag import (DEFAULT_BIN_WIDTH_S, DEFAULT_MAX_GAP_S, DEFAULT_MIN_COUNT,
+                      expected_events, histogram_bins)
 
 __all__ = ["ScenarioConfig", "ScenarioError", "SweepSettings", "ScanSettings",
            "MutualInfoSettings", "check_histogram"]
+
+
+# the bench scan has 200k cells and its mutualinfo grid 10,001 points; the
+# cap keeps a mistyped num or r_step from exhausting memory at load
+MAX_GRID_POINTS = 1 << 22
 
 
 class ScenarioError(ValueError):
@@ -214,6 +220,11 @@ def _parse_sweep(section) -> SweepSettings:
     settings = SweepSettings(**out)
     # the conditions sweep_dead_time and its stages check, here before any work
     _require(settings.duration_s >= 0, "sweep.duration_s", ">= 0", settings.duration_s)
+    for i, rate in enumerate(settings.rates_cps):
+        try:
+            expected_events(rate, settings.duration_s)
+        except ValueError as exc:
+            raise ScenarioError(f"sweep.rates_cps[{i}] * sweep.duration_s: {exc}") from None
     check_histogram(settings.bin_width_s, settings.max_gap_s, settings.min_count,
                     ("sweep.bin_width_s", "sweep.max_gap_s", "sweep.min_count"))
     return settings
@@ -265,12 +276,17 @@ def _parse_scan(section) -> ScanSettings:
         num = _integer(grid["num"], "scan.lambda_perp_grid.num")
         if num < 1 or stop < start:
             raise ScenarioError("scan.lambda_perp_grid must have num >= 1 and stop >= start")
+        _require(num <= MAX_GRID_POINTS, "scan.lambda_perp_grid.num", f"<= {MAX_GRID_POINTS}", num)
         step = (stop - start) / (num - 1) if num > 1 else 0.0
         out["lambda_perp_cps"] = tuple(start + i * step for i in range(num))
     if "e_abort" in section:
         out["e_abort"] = _number(section["e_abort"], "scan.e_abort")
     settings = ScanSettings(**out)
     _require(0 < settings.e_abort < 0.5, "scan.e_abort", "in (0, 0.5)", settings.e_abort)
+    cells = len(settings.lambda_par_cps) * len(settings.lambda_perp_cps)
+    if cells > MAX_GRID_POINTS:
+        raise ScenarioError(f"scan.lambda_par_cps x scan.lambda_perp_cps: the scan would have "
+                            f"{cells} cells, more than the limit of {MAX_GRID_POINTS}")
     return settings
 
 
@@ -282,6 +298,10 @@ def _parse_mutualinfo(section) -> MutualInfoSettings:
     settings = MutualInfoSettings(**{k: _number(v, f"mutualinfo.{k}") for k, v in section.items()})
     _require(settings.r_step > 0, "mutualinfo.r_step", "> 0", settings.r_step)
     _require(settings.r_start >= 0, "mutualinfo.r_start", ">= 0", settings.r_start)
+    # grid() has floor(steps) + 1 points, up to rounding; counted without building it
+    steps = (settings.r_stop + 1e-12 - settings.r_start) / settings.r_step
+    _require(steps < MAX_GRID_POINTS, "mutualinfo.r_step",
+             f"large enough for at most {MAX_GRID_POINTS} grid points", settings.r_step)
     _require(0 < settings.e_abort < 0.5, "mutualinfo.e_abort", "in (0, 0.5)", settings.e_abort)
     return settings
 

@@ -30,6 +30,7 @@ __all__ = [
     "FixedPointError",
     "generate_poisson_stream",
     "apply_dead_time",
+    "expected_events",
     "histogram_bins",
     "interarrival_histogram",
     "estimate_dead_time",
@@ -46,6 +47,9 @@ DEFAULT_MIN_COUNT = 2
 # the README and bench histograms have 400 bins; the cap keeps a mistyped
 # max_gap / bin_width from asking numpy for terabytes
 MAX_HISTOGRAM_BINS = 1 << 20
+# the README and bench streams hold at most 2.0M events; the cap keeps a
+# mistyped rate or duration from asking numpy for terabytes of gaps
+MAX_STREAM_EVENTS = 1 << 27
 _WRITE_CHUNK_LINES = 1 << 16
 # apply_dead_time's fixed point: iteration cap and relative rate tolerance
 _FIXED_POINT_ITERATIONS = 20
@@ -135,6 +139,18 @@ def _first_block_size(expected: float) -> int:
     return max(int(expected + 10.0 * np.sqrt(expected + 1.0)) + 16, 1024)
 
 
+def expected_events(beta_cps: float, duration_s: float) -> float:
+    """Expected event count beta * duration of a Poisson stream; ValueError
+    above MAX_STREAM_EVENTS."""
+    expected = beta_cps * duration_s
+    if not expected <= MAX_STREAM_EVENTS:
+        raise ValueError(
+            f"the stream would hold {expected:.6g} events, more than the limit of "
+            f"{MAX_STREAM_EVENTS}"
+        )
+    return expected
+
+
 def generate_poisson_stream(beta_cps: float, duration_s: float, seed: int) -> TimestampStream:
     """Homogeneous Poisson arrivals at true rate beta over [0, duration].
 
@@ -145,10 +161,10 @@ def generate_poisson_stream(beta_cps: float, duration_s: float, seed: int) -> Ti
         raise ValueError("true rate must be positive")
     if duration_s < 0:
         raise ValueError("duration must be >= 0")
+    expected = expected_events(beta_cps, duration_s)
     rng = np.random.default_rng(seed)
     chunks = []
     t_last = 0.0
-    expected = beta_cps * duration_s
     block = _first_block_size(expected)
     while t_last <= duration_s:
         chunk = rng.exponential(1.0 / beta_cps, size=block)

@@ -1,4 +1,5 @@
-"""Event-level references: the per-round sampler and the thinned-stream detector.
+"""Event-level references: the per-round sampler, the per-cell round law and
+the thinned-stream detector.
 
 The count-level kernel in riesim.protocol samples whole runs from the round
 law.  This module plays single rounds through Eve's interception, the PBS
@@ -8,6 +9,11 @@ independent oracle for the chi-square test in test_protocol.py.  Every
 round draws, in order: Alice's basis and bit, Eve's basis and bit (with an
 attack), Bob's basis, the PBS port and the click.
 
+projection_prob is the sampler's Born rule on the four named states H, V, D
+and A.  round_law builds riesim.protocol's round law one cell at a time from
+PolarizationState objects and projection_prob, in the same float order as
+the array algebra, so the two must agree bit for bit.
+
 thinned_click_rate is the event-level non-paralyzable detector with
 quantum efficiency p0, built from the package's one dead-time filter.
 """
@@ -15,14 +21,34 @@ quantum efficiency p0, built from the package's one dead-time filter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
-from riesim.adversary import AttackConfig, AttackMode
+from riesim.adversary import AttackConfig, AttackMode, branch_click_probabilities
 from riesim.detector import DeadTimeCurve, availability
 from riesim.protocol import ProtocolConfig
-from riesim.quantum import Basis, PolarizationState, projection_prob
+from riesim.quantum import Basis, PolarizationState
 from riesim.timetag import TimestampStream, apply_dead_time, generate_poisson_stream
+
+H = PolarizationState(Basis.Z, 0)
+V = PolarizationState(Basis.Z, 1)
+D = PolarizationState(Basis.X, 0)
+A = PolarizationState(Basis.X, 1)
+
+
+def projection_prob(state: PolarizationState, meas_basis: Basis, outcome: int) -> float:
+    """Born-rule probability of measuring `outcome` on `state` in `meas_basis`.
+
+    Aligned basis gives a deterministic outcome; the orthogonal basis splits
+    the state equally between both ports (|H> = (|D>+|A>)/sqrt(2) and its
+    three companions).
+    """
+    if outcome not in (0, 1):
+        raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
+    if state.basis is meas_basis:
+        return 1.0 if outcome == state.bit else 0.0
+    return 0.5
 
 
 def complement(state: PolarizationState) -> PolarizationState:
@@ -192,6 +218,41 @@ def round_cell(record: RoundRecord) -> int:
     cell = (index[record.alice_basis], record.alice_bit, index[eve_basis], eve_bit,
             index[record.bob_basis], record.detector, int(record.outcome is not None))
     return int(np.ravel_multi_index(cell, (2,) * 7))
+
+
+def _basis_weight(prior_z: float, basis: Basis) -> float:
+    return prior_z if basis is Basis.Z else 1.0 - prior_z
+
+
+def round_law(config: ProtocolConfig, attack: AttackConfig) -> np.ndarray:
+    """Probability of each round cell, shape (2,) * 7, one cell at a time.
+
+    Axes: Alice's basis, Alice's bit, Eve's basis, Eve's bit, Bob's basis,
+    detector, click; basis index 0 is Z and 1 is X.  Without an attack the
+    Eve axes carry Alice's state, so the signal is always read from them.
+    """
+    bases = (Basis.Z, Basis.X)
+    p_par, p_perp = branch_click_probabilities(config, attack)
+    attacking = attack.mode is not AttackMode.NONE
+    law = np.zeros((2,) * 7)
+    for ab, a, eb, e, bb, d in product((0, 1), repeat=6):
+        alice = PolarizationState(bases[ab], a)
+        signal = PolarizationState(bases[eb], e)
+        bob_basis = bases[bb]
+        if config.fixed_alice is None:
+            p = _basis_weight(config.basis_prior, alice.basis) * 0.5
+        else:
+            p = float(alice == config.fixed_alice)
+        if attacking:
+            p *= _basis_weight(attack.eve_basis_prior, signal.basis)
+            p *= projection_prob(alice, signal.basis, e)
+        else:
+            p *= float(signal == alice)
+        p *= _basis_weight(config.basis_prior, bob_basis)
+        p *= projection_prob(signal, bob_basis, d)
+        p_click = p_par if bob_basis is signal.basis else p_perp
+        law[ab, a, eb, e, bb, d] = (p * (1.0 - p_click), p * p_click)
+    return law
 
 
 def thinned_click_rate(beta_cps: float, p0: float, dead_time_s: float, duration_s: float,

@@ -17,10 +17,11 @@ MODULES = [riesim] + [importlib.import_module(f"riesim.{info.name}")
 # DetectorUnit, ArrivalResult and the module-level dead_time_at duplicated
 # rules the package keeps once elsewhere; branch_table and BranchRow rendered
 # SimulationReport.per_branch_stats a third time; the other names are the
-# per-round sampler's helpers, which live in tests/reference.py
-REMOVED = ("ArrivalResult", "BranchRow", "DetectorUnit", "EveAction", "branch_table",
-           "dead_time_at", "deterministic_suppression", "intercept", "loading_for_branch",
-           "route_through_pbs")
+# per-round sampler's helpers and its Born rule on the four named states,
+# which live in tests/reference.py
+REMOVED = ("A", "ArrivalResult", "BranchRow", "D", "DetectorUnit", "EveAction", "H", "V",
+           "branch_table", "dead_time_at", "deterministic_suppression", "intercept",
+           "loading_for_branch", "projection_prob", "route_through_pbs")
 
 
 def test_every_exported_name_resolves():

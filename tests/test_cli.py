@@ -1,5 +1,6 @@
 """End-to-end command runs: outputs, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import re
@@ -139,6 +140,41 @@ def test_readme_example_scenario_runs_and_agrees(tmp_path):
     report = _key_values(out / "simulation_report.txt")
     sigma = math.sqrt(expected * (1.0 - expected) / int(report["n_sifted"]))
     assert abs(float(report["qber_observed"]) - expected) < 4.0 * sigma
+
+
+README_ATTACK = {
+    "seed": 7,
+    "protocol": {"n_rounds": 1000000, "p0": 0.9, "abort_threshold": 0.11},
+    "attack": {"mode": "rie_non_deterministic", "lambda_parallel_cps": 1e6,
+               "lambda_perp_cps": 25e6},
+}
+FIXED_BIASED = {
+    "seed": 3,
+    "protocol": {"n_rounds": 1000000, "p0": 0.85, "basis_prior": 0.7, "fixed_alice": ["X", 1],
+                 "background_rate_cps": 1e6, "transmission": 0.8,
+                 "availability_model": "linear_bound"},
+    "attack": {"mode": "rie_non_deterministic", "lambda_perp_cps": 20e6, "eve_basis_prior": 0.3},
+}
+# sha256 of (simulation_report.txt, simulation_branches.csv): every simulate
+# output follows from the round law and the seed, so a change here is a
+# behaviour change
+SIMULATE_PINS = {
+    "readme attack": (README_ATTACK, (
+        "446dbeae5ce560c13749a3db5f6a837d616fc1b8ad48fb0ec8cf2f8f8d2bb371",
+        "bcf1bd629cb307c41c8dfff5549d03d9f312258b1a3dee5b4012c97c1d7014a4")),
+    "fixed X1, biased priors": (FIXED_BIASED, (
+        "670b7de69ecbb3bc37239579a905ea9d6ca934cffffe039dc0110fc6b90ac9dc",
+        "4ba88154d06f1b9426ccc01d0aee7e589e940d992c427500ba83e582d4f14e19")),
+}
+
+
+@pytest.mark.parametrize("name", list(SIMULATE_PINS))
+def test_simulate_bytes_are_pinned(tmp_path, name):
+    data, digests = SIMULATE_PINS[name]
+    out = tmp_path / "results"
+    assert main(["--config", str(write_config(tmp_path, data)), "--out", str(out), "simulate"]) == 0
+    files = ("simulation_report.txt", "simulation_branches.csv")
+    assert tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files) == digests
 
 
 def test_stealth_scan_csv(tmp_path, base_config):
@@ -323,9 +359,26 @@ def test_non_object_section_exits_2(tmp_path, capsys, data, where):
     # a bad value fails every command, not only the one that reads it
     ("mutualinfo", {"sweep": {"duration_s": -1}}, "sweep.duration_s"),
     ("mutualinfo", {"scan": {"e_abort": 0.7}}, "scan.e_abort"),
+    ("stealth-scan", {"scan": {"lambda_perp_grid": {"start_cps": 0, "stop_cps": 1, "num": 1e12}}},
+     "scan.lambda_perp_grid.num"),
+    ("mutualinfo", {"mutualinfo": {"r_step": 1e-15}}, "mutualinfo.r_step"),
 ])
 def test_out_of_range_values_exit_2(tmp_path, capsys, command, data, key):
     config = write_config(tmp_path, {"out": str(tmp_path / "results"), **data})
     assert main(["--config", str(config), command]) == 2
     assert f"error: {key} must be " in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("sweep-deadtime", {"sweep": {"rates_cps": [1e6, 1e12], "duration_s": 1}},
+     "sweep.rates_cps[1] * sweep.duration_s: the stream would hold 1e+12 events"),
+    ("stealth-scan", {"scan": {"lambda_par_cps": [1e6] * 3000,
+                               "lambda_perp_grid": {"start_cps": 0, "stop_cps": 1, "num": 1500}}},
+     "scan.lambda_par_cps x scan.lambda_perp_cps: the scan would have 4500000 cells"),
+])
+def test_stream_and_scan_caps_exit_2(tmp_path, capsys, command, data, message):
+    config = write_config(tmp_path, {"out": str(tmp_path / "results"), **data})
+    assert main(["--config", str(config), command]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "results").exists()

@@ -23,6 +23,7 @@ from riesim.protocol import (
 )
 from riesim.quantum import Basis, PolarizationState
 
+import reference
 from reference import resolve_outcome, round_cell, run_round
 
 FLAT = DeadTimeCurve.constant(23.3e-9)
@@ -134,6 +135,31 @@ def test_round_law_matches_reference_sampler():
             f_obs = np.append(f_obs[~small], f_obs[small].sum())
             f_exp = np.append(f_exp[~small], f_exp[small].sum())
         assert chisquare(f_obs, f_exp).pvalue > 1e-3, name
+
+
+# the chi-square cases plus the plain attacks and strongly biased priors
+EXACT_CASES = {
+    **REFERENCE_CASES,
+    "none": (config(1, p0=0.9), NO_ATTACK),
+    "intercept-resend, uniform priors": (config(1, p0=0.9), INTERCEPT),
+    "deterministic, fixed X1, uniform priors": (
+        config(1, p0=0.9, fixed_alice=PolarizationState(Basis.X, 1)),
+        AttackConfig(mode=AttackMode.RIE_DETERMINISTIC, delta_s=10e-9),
+    ),
+    "rie, priors 0.8": (
+        config(1, p0=0.9, basis_prior=0.8),
+        AttackConfig(mode=AttackMode.RIE_NON_DETERMINISTIC, lambda_perp_cps=20e6,
+                     eve_basis_prior=0.8),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT_CASES))
+def test_round_law_equals_per_cell_reference(name):
+    # the array algebra keeps the per-cell loop's float order, so every cell
+    # is bitwise equal, not merely close
+    cfg, attack = EXACT_CASES[name]
+    assert np.array_equal(_round_law(cfg, attack), reference.round_law(cfg, attack))
 
 
 def test_round_law_reduces_to_branch_click_probabilities():

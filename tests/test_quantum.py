@@ -1,13 +1,13 @@
-"""Polarization algebra: exact projection probabilities, and the reference
-sampler's complement and PBS routing (reference.py)."""
+"""Polarization algebra: the state type, and the reference sampler's exact
+projection probabilities, complement and PBS routing (reference.py)."""
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from riesim.quantum import A, Basis, D, H, PolarizationState, V, projection_prob
+from riesim.quantum import Basis, PolarizationState
 
-from reference import complement, route_through_pbs
+from reference import A, D, H, V, complement, projection_prob, route_through_pbs
 
 ALL_STATES = [H, V, D, A]
 

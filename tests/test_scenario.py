@@ -9,7 +9,7 @@ import pytest
 from riesim.adversary import AttackMode
 from riesim.detector import AvailabilityModel, default_dead_time_curve
 from riesim.quantum import Basis, PolarizationState
-from riesim.scenario import ScenarioError, _parse_mutualinfo, load_scenario
+from riesim.scenario import MAX_GRID_POINTS, ScenarioError, _parse_mutualinfo, load_scenario
 
 
 def write_config(tmp_path, data):
@@ -173,6 +173,29 @@ def test_histogram_bin_cap_checked_at_load():
         load_scenario(data={"sweep": {"bin_width_s": 1e-15}})
 
 
+def test_stream_event_cap_checked_at_load():
+    with pytest.raises(ScenarioError, match=re.escape(
+            "sweep.rates_cps[0] * sweep.duration_s: the stream would hold 1e+12 events, "
+            "more than the limit of 134217728")):
+        load_scenario(data={"sweep": {"rates_cps": [1e12], "duration_s": 1}})
+
+
+def test_scan_cell_cap_checked_at_load():
+    perp = {"start_cps": 0, "stop_cps": 1, "num": 1500}
+    with pytest.raises(ScenarioError, match=re.escape(
+            "scan.lambda_par_cps x scan.lambda_perp_cps: the scan would have 4500000 cells")):
+        load_scenario(data={"scan": {"lambda_par_cps": [1e6] * 3000, "lambda_perp_grid": perp}})
+    scan = load_scenario(data={"scan": {"lambda_par_cps": [1e6] * 2796, "lambda_perp_grid": perp}})
+    assert len(scan.scan.lambda_par_cps) * len(scan.scan.lambda_perp_cps) <= MAX_GRID_POINTS
+
+
+def test_mutualinfo_point_cap_boundary():
+    # r_step 1/(cap - 1) gives exactly MAX_GRID_POINTS points on [0, 1], 1/cap one more
+    load_scenario(data={"mutualinfo": {"r_step": 1.0 / (MAX_GRID_POINTS - 1)}})
+    with pytest.raises(ScenarioError, match="mutualinfo.r_step must be large enough"):
+        load_scenario(data={"mutualinfo": {"r_step": 1.0 / MAX_GRID_POINTS}})
+
+
 def test_invalid_json_reported(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -313,6 +336,10 @@ def test_non_object_sections_rejected(data, where):
     ({"mutualinfo": {"r_start": -0.1}}, "mutualinfo.r_start", ">= 0"),
     ({"sweep": {"max_gap_s": -1}}, "sweep.max_gap_s", "> 0"),
     ({"sweep": {"max_gap_s": 0}}, "sweep.max_gap_s", "> 0"),
+    ({"scan": {"lambda_perp_grid": {"start_cps": 0, "stop_cps": 1, "num": 1e12}}},
+     "scan.lambda_perp_grid.num", "<= 4194304"),
+    ({"mutualinfo": {"r_step": 1e-15}}, "mutualinfo.r_step",
+     "large enough for at most 4194304 grid points"),
 ])
 def test_out_of_range_values_rejected(data, key, rule):
     with pytest.raises(ScenarioError, match=re.escape(f"{key} must be {rule}, got ")):

@@ -73,6 +73,16 @@ def test_nonpositive_rate_rejected():
         generate_poisson_stream(0.0, 1.0, seed=0)
 
 
+def test_stream_event_cap(monkeypatch):
+    # checked before any draw, so 1e12 expected events fail at once
+    with pytest.raises(ValueError, match="the stream would hold 1e\\+12 events"):
+        generate_poisson_stream(1e12, 1.0, seed=0)
+    monkeypatch.setattr(timetag, "MAX_STREAM_EVENTS", 1000)
+    assert timetag.expected_events(1e3, 1.0) == 1000.0
+    with pytest.raises(ValueError, match="more than the limit of 1000"):
+        generate_poisson_stream(1e3, 1.001, seed=0)
+
+
 # (event count, sha256 of timestamps_s.tobytes()) per (rate, duration, seed):
 # every output of sweep-deadtime follows from these bytes, so a change here
 # is a behaviour change
