@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import analysis, timetag
-from .adversary import branch_click_probabilities, effective_r
+from .adversary import AttackMode, branch_click_probabilities, effective_r
 from .detector import DeadTimeCurve, busy_fraction
 from .protocol import run_simulation
 from .scenario import ScenarioConfig, ScenarioError, check_histogram, load_scenario
@@ -124,6 +124,9 @@ def cmd_simulate(scenario: ScenarioConfig, args) -> int:
 
 def cmd_analytic(scenario: ScenarioConfig, args) -> int:
     config = scenario.protocol_config()
+    if scenario.attack.mode is AttackMode.NONE:
+        # r = p_perp / p_parallel is defined only for an attack
+        raise ScenarioError("analytic needs an attack: attack.mode is 'none'")
     e_abort = config.abort_threshold
     p_par, p_perp = branch_click_probabilities(config, scenario.attack)
     ratio = effective_r(config, scenario.attack)

@@ -51,6 +51,8 @@ MAX_HISTOGRAM_BINS = 1 << 20
 # mistyped rate or duration from asking numpy for terabytes of gaps
 MAX_STREAM_EVENTS = 1 << 27
 _WRITE_CHUNK_LINES = 1 << 16
+# longest line read_timestamps parses in bulk (10**18 - 1 < 2**63)
+_MAX_BULK_DIGITS = 18
 # apply_dead_time's fixed point: iteration cap and relative rate tolerance
 _FIXED_POINT_ITERATIONS = 20
 _FIXED_POINT_REL_TOL = 1e-6
@@ -359,9 +361,29 @@ def sweep_dead_time(
     return points
 
 
-def read_timestamps(path) -> TimestampStream:
-    """Read a timestamp file: one integer per line, picoseconds, ascending."""
-    path = Path(path)
+def _ticks_in_bulk(raw: bytes):
+    """The ticks of a file of LF-separated lines of 1-18 ASCII digits each; else None.
+
+    numpy's text parser reads blank lines, signs, spaces and unparseable text
+    differently from int(), or stops at them without an error, so it sees only
+    files it reads exactly as _ticks_by_line does.  The digit cap keeps every
+    value below 2**63, so how it treats int64 overflow never matters.
+    """
+    if not raw or raw.translate(None, b"0123456789\n"):
+        return None
+    ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
+    if not raw.endswith(b"\n"):
+        ends = np.append(ends, len(raw))
+    # each line's digits plus its newline
+    widths = np.diff(ends, prepend=-1)
+    if widths.min() < 2 or widths.max() > _MAX_BULK_DIGITS + 1:
+        return None
+    ticks = np.fromstring(raw, dtype=np.int64, sep="\n")
+    return ticks if ticks.size == widths.size else None
+
+
+def _ticks_by_line(path: Path) -> list:
+    """Every non-blank line as int() reads it once stripped; errors name the line."""
     ticks = []
     with path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -369,10 +391,27 @@ def read_timestamps(path) -> TimestampStream:
             if not text:
                 continue
             try:
-                ticks.append(int(text))
+                tick = int(text)
             except ValueError:
                 raise ValueError(f"{path}: malformed timestamp at line {lineno}: {text!r}") from None
-    if not ticks:
+            if tick < 0:
+                raise ValueError(f"{path}: negative timestamp at line {lineno}: {text!r}")
+            ticks.append(tick)
+    return ticks
+
+
+def read_timestamps(path) -> TimestampStream:
+    """Read a timestamp file: one integer per line, picoseconds, ascending.
+
+    A file of LF-separated digit-only lines, as write_timestamps writes it, is
+    parsed in one pass; any other file is read line by line.  Both give the
+    same result on every file the one-pass parse takes.
+    """
+    path = Path(path)
+    ticks = _ticks_in_bulk(path.read_bytes())
+    if ticks is None:
+        ticks = _ticks_by_line(path)
+    if not len(ticks):
         raise InsufficientDataError(f"{path}: insufficient data, no timestamps in file")
     times = np.asarray(ticks, dtype=float) * 1e-12
     if np.any(np.diff(times) <= 0):

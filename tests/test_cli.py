@@ -102,6 +102,15 @@ def test_analytic_reports_closed_forms(tmp_path, capsys):
     assert "e_obs: 0.0" in text
 
 
+@pytest.mark.parametrize("attack", [{"attack": {"mode": "none"}}, {}])
+def test_analytic_without_attack_exits_2(tmp_path, capsys, attack):
+    config = write_config(tmp_path, {"out": str(tmp_path / "results"),
+                                     "protocol": {"n_rounds": 1000, "p0": 0.9}, **attack})
+    assert main(["--config", str(config), "analytic"]) == 2
+    assert "error: analytic needs an attack: attack.mode is 'none'\n" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
 def test_analytic_reads_protocol_section(tmp_path):
     config = write_config(tmp_path, {
         "out": str(tmp_path / "results"),
@@ -231,6 +240,13 @@ def test_deadtime_extract_malformed_line_names_line(tmp_path, base_config, capsy
     bad.write_text("100\n200\noops\n")
     assert main(["--config", str(base_config), "deadtime-extract", str(bad)]) == 1
     assert "line 3" in capsys.readouterr().err
+
+
+def test_deadtime_extract_negative_tick_names_line(tmp_path, base_config, capsys):
+    bad = tmp_path / "neg.txt"
+    bad.write_text("-5\n10\n20\n")
+    assert main(["--config", str(base_config), "deadtime-extract", str(bad)]) == 1
+    assert f"error: {bad}: negative timestamp at line 1: '-5'\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, message", [

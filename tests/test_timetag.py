@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -434,6 +435,104 @@ def test_timestamp_file_empty_is_insufficient_data(tmp_path):
     path.write_text("")
     with pytest.raises(InsufficientDataError):
         read_timestamps(path)
+
+
+def _read_by_line(path):
+    """read_timestamps with the bulk parse refused: the per-line reference."""
+    with mock.patch.object(timetag, "_ticks_in_bulk", return_value=None):
+        return read_timestamps(path)
+
+
+def _outcome(read, path):
+    try:
+        stream = read(path)
+    except Exception as exc:  # the exception is the outcome under comparison
+        return type(exc), str(exc)
+    return stream.timestamps_s.tobytes(), stream.duration_s
+
+
+# line forms the bulk parse must leave to the line reader, which accepts some
+# of them and rejects the others
+_LINE_FORMS = ["{}", " {} ", "\t{}", "+{}", "-{}", "{}_0", "{}\r", "", "٣{}", "{} 1"]
+
+
+@st.composite
+def timestamp_files(draw):
+    # up to 18 digits the bulk parse may take the file; 19 to 25 it must not
+    digits = draw(st.sampled_from([7, 18, 25]))
+    ticks = sorted(draw(st.lists(st.integers(0, 10**digits - 1), max_size=12, unique=True)))
+    if not draw(st.booleans()):
+        # digit-only lines, the form write_timestamps writes and the bulk parse takes
+        lines = [str(tick) for tick in ticks]
+        newline = "\n"
+    else:
+        lines = [draw(st.one_of(
+            st.sampled_from(_LINE_FORMS).map(lambda form, tick=tick: form.format(tick)),
+            st.text(alphabet="0123456789+-_ \t\r٣", max_size=25),
+        )) for tick in ticks]
+        newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return (newline.join(lines) + draw(st.sampled_from(["", newline]))).encode()
+
+
+@settings(max_examples=500, deadline=None)
+@given(raw=timestamp_files())
+def test_read_matches_line_reader(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "read_property_tags.txt"
+    path.write_bytes(raw)
+    assert _outcome(read_timestamps, path) == _outcome(_read_by_line, path)
+
+
+@pytest.mark.parametrize("text, ticks", [
+    ("1\r\n2\r\n3\r\n", [1, 2, 3]),
+    ("1\r2\r3", [1, 2, 3]),
+    ("1\n\n2\n\n", [1, 2]),
+    ("\n1\n2\n", [1, 2]),
+    ("  1\n\t2 \n", [1, 2]),
+    ("+5\n6\n", [5, 6]),
+    ("1_000\n2_000\n", [1000, 2000]),
+    ("1\n1000000000000000000\n", [1, 10**18]),
+    ("1\n9223372036854775808\n", [1, 2**63]),
+    ("1\n٣\n", [1, 3]),
+])
+def test_timestamp_file_line_forms(tmp_path, text, ticks):
+    path = tmp_path / "tags.txt"
+    path.write_bytes(text.encode())
+    stream = read_timestamps(path)
+    expected = np.asarray(ticks, dtype=float) * 1e-12
+    assert stream.timestamps_s.tobytes() == expected.tobytes()
+    assert stream.duration_s == expected[-1]
+
+
+def test_timestamp_file_whitespace_only_is_insufficient_data(tmp_path):
+    path = tmp_path / "blank.txt"
+    path.write_text(" \n\t\n\n")
+    with pytest.raises(InsufficientDataError):
+        read_timestamps(path)
+
+
+def test_digit_only_file_skips_the_line_reader(tmp_path, monkeypatch):
+    stream = generate_poisson_stream(1e7, 0.001, seed=93)
+    lf = tmp_path / "lf.txt"
+    write_timestamps(stream, lf)
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    line_reader = timetag._ticks_by_line
+    calls = []
+
+    def refuse(path):
+        raise AssertionError("the line reader ran on a digit-only LF file")
+
+    def record(path):
+        calls.append(path)
+        return line_reader(path)
+
+    monkeypatch.setattr(timetag, "_ticks_by_line", refuse)
+    bulk = read_timestamps(lf)
+    monkeypatch.setattr(timetag, "_ticks_by_line", record)
+    by_line = read_timestamps(crlf)
+    assert calls == [crlf]
+    assert bulk.timestamps_s.tobytes() == by_line.timestamps_s.tobytes()
+    assert bulk.duration_s == by_line.duration_s
 
 
 def test_sweep_csv_schema(tmp_path):
