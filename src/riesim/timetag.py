@@ -53,9 +53,14 @@ MAX_STREAM_EVENTS = 1 << 27
 _WRITE_CHUNK_LINES = 1 << 16
 # longest line read_timestamps parses in bulk (10**18 - 1 < 2**63)
 _MAX_BULK_DIGITS = 18
+# largest integer tick float() converts without OverflowError (2**1024 rounds up)
+_MAX_FLOAT_TICK = 2**1024 - 2**970 - 1
 # apply_dead_time's fixed point: iteration cap and relative rate tolerance
 _FIXED_POINT_ITERATIONS = 20
 _FIXED_POINT_REL_TOL = 1e-6
+# kept events _refilter tests per numpy call: its temporaries stay near 1 MB
+# instead of the length of the kept set
+_REFILTER_BLOCK = 1 << 16
 
 
 class InsufficientDataError(ValueError):
@@ -180,6 +185,39 @@ def generate_poisson_stream(beta_cps: float, duration_s: float, seed: int) -> Ti
     return TimestampStream(_quantize(times, duration_s), duration_s)
 
 
+def _chase(times_s: np.ndarray, dead_s: float, kept: np.ndarray, cur: np.ndarray,
+           end: np.ndarray) -> None:
+    """Walk the chains that start at the kept events `cur` up to their segment
+    ends `end`, all in lockstep, and mark every event they land on in `kept`.
+
+    Each step maps every live pointer i to searchsorted(t, t[i] + dead_s) —
+    the comparison and the float sum the sequential rule makes — and drops
+    the pointers that reached their segment's end.  A window too short to
+    move t[i] + dead_s past t[i] in floating point steps to the next event,
+    where the sequential walk would stall on i.
+    """
+    while cur.size:
+        nxt = np.searchsorted(times_s, times_s[cur] + dead_s, side="left")
+        cur = np.maximum(nxt, cur + 1, out=nxt)
+        live = cur < end
+        cur = cur[live]
+        end = end[live]
+        kept[cur] = True
+
+
+def _kept_mask(times_s: np.ndarray, dead_s: float) -> np.ndarray:
+    """The kept set of _filter_constant(times_s, dead_s) as a mask: one full pass."""
+    n = times_s.size
+    if n == 0 or dead_s <= 0:
+        return np.ones(n, dtype=bool)
+    kept = np.empty(n, dtype=bool)
+    kept[0] = True
+    np.greater_equal(times_s[1:], times_s[:-1] + dead_s, out=kept[1:])
+    cur = np.flatnonzero(kept)
+    _chase(times_s, dead_s, kept, cur, np.append(cur[1:], n))
+    return kept
+
+
 def _filter_constant(times_s: np.ndarray, dead_s: float) -> np.ndarray:
     """Non-paralyzable thinning: keep an event iff it lies at least dead_s
     past the previously kept event.  Suppressed events never extend the window.
@@ -196,31 +234,91 @@ def _filter_constant(times_s: np.ndarray, dead_s: float) -> np.ndarray:
     independent segments; the walk enters each one at its first event and
     leaves it exactly at the next segment's first event.
 
-    Chase.  The walks of all segments advance in lockstep: each step maps
-    every live pointer i to searchsorted(t, t[i] + dead_s) — the comparison
-    and the float sum the sequential rule makes — marks it kept, and drops
-    the pointers that reached their segment's end.  The number of steps is
-    the longest chain in any one segment, not the stream length.  A window
-    too short to move t[i] + dead_s past t[i] in floating point keeps every
-    event, where the sequential walk would stall on i.
+    Chase.  The walks of all segments advance in lockstep (_chase), so the
+    number of numpy steps is the longest chain in any one segment, not the
+    stream length.  apply_dead_time's fixed point runs the same chase on
+    the segments a change of window can alter (_refilter).
+    """
+    return times_s[_kept_mask(times_s, dead_s)]
+
+
+def _refilter(times_s: np.ndarray, kept: np.ndarray, old_s: float, new_s: float) -> None:
+    """Turn the kept mask at window old_s into the one at new_s, in place,
+    re-chasing only the segments the change of window can alter.
+
+    Dirty events.  From a kept event i the chain at old_s steps to the next
+    kept event j (j = n after the last one).  At new_s > old_s that step
+    changes iff t[j] < t[i] + new_s.  At new_s < old_s it changes iff some
+    event strictly between i and j lies at or past t[i] + new_s, that is iff
+    t[j-1] >= t[i] + new_s; for the last kept event this checks the events
+    after it.  Both tests use the chase's own float sum t[i] + w (a
+    difference t[j] - t[i] rounds differently on ties).  The second test
+    also marks i when j = i + 1 and t[i] + new_s == t[i] in floating point;
+    re-chasing a segment that did not change reproduces it.
+
+    Segments.  An event s with t[s] >= t[s-1] + max(old_s, new_s) starts a
+    segment at both windows, so both chains pass through it.  Between two
+    such events the chain at new_s follows the chain at old_s up to the
+    first dirty event; from there to the segment's end the mask is cleared
+    and chased again at new_s.  Every other segment keeps its events.
     """
     n = times_s.size
-    if n == 0 or dead_s <= 0:
-        return times_s.copy()
-    kept = np.empty(n, dtype=bool)
-    kept[0] = True
-    np.greater_equal(times_s[1:], times_s[:-1] + dead_s, out=kept[1:])
-    cur = np.flatnonzero(kept)
-    end = np.append(cur[1:], n)
-    while cur.size:
-        nxt = np.searchsorted(times_s, times_s[cur] + dead_s, side="left")
-        # a window below the float spacing of the times ends at the event itself
-        cur = np.maximum(nxt, cur + 1, out=nxt)
-        live = cur < end
-        cur = cur[live]
-        end = end[live]
-        kept[cur] = True
-    return times_s[kept]
+    if n == 0 or new_s == old_s:
+        return
+    # the kept events' indices, then n: the next kept event after the last
+    idx = np.flatnonzero(np.append(kept, True))
+    dirty = _dirty_positions(times_s, idx, old_s, new_s)
+    if not dirty.size:
+        return
+    end = _segment_ends(times_s, idx, dirty, max(old_s, new_s))
+    # the first dirty event of each segment
+    first = np.empty(dirty.size, dtype=bool)
+    first[0] = True
+    np.not_equal(end[1:], end[:-1], out=first[1:])
+    cur = idx[dirty[first]]
+    end = idx[end[first]]
+    # clear the events strictly between each cur (kept at both windows) and its end
+    lengths = end - cur - 1
+    offsets = np.repeat(cur + 1 - (np.cumsum(lengths) - lengths), lengths)
+    kept[offsets + np.arange(offsets.size)] = False
+    _chase(times_s, new_s, kept, cur, end)
+
+
+def _dirty_positions(times_s: np.ndarray, idx: np.ndarray, old_s: float,
+                     new_s: float) -> np.ndarray:
+    """The positions p in idx (kept indices, then n) of the kept events whose
+    next step changes when the window moves from old_s to new_s (see
+    _refilter), taken _REFILTER_BLOCK positions at a time so that no
+    temporary as long as idx is ever allocated."""
+    stop = idx.size - 2 if new_s > old_s else idx.size - 1
+    found = [np.empty(0, dtype=np.intp)]
+    for a in range(0, stop, _REFILTER_BLOCK):
+        b = min(a + _REFILTER_BLOCK, stop)
+        reach = times_s[idx[a:b]] + new_s
+        if new_s > old_s:
+            hit = times_s[idx[a + 1:b + 1]] < reach
+        else:
+            hit = times_s[idx[a + 1:b + 1] - 1] >= reach
+        found.append(np.flatnonzero(hit) + a)
+    return np.concatenate(found)
+
+
+def _segment_ends(times_s: np.ndarray, idx: np.ndarray, pos: np.ndarray,
+                  width: float) -> np.ndarray:
+    """For each position p in idx, the first later position whose event s
+    starts a segment at window width (t[s] >= t[s-1] + width), or the
+    position of n.  All walks advance in lockstep, one kept event a step,
+    over the segments the chase then walks again at the new window."""
+    n = times_s.size
+    end = pos + 1
+    walking = np.arange(end.size)
+    while walking.size:
+        s = idx[end[walking]]
+        inner = np.minimum(s, n - 1)
+        done = (s == n) | (times_s[inner] >= times_s[inner - 1] + width)
+        walking = walking[~done]
+        end[walking] += 1
+    return end
 
 
 def apply_dead_time(
@@ -234,6 +332,10 @@ def apply_dead_time(
     Exactly one of `constant_dead_time_s` or `curve` must be given.  With a
     curve the dead window is t_d evaluated at the *output* observed rate,
     which is found by fixed-point iteration starting from the input rate.
+    The first iteration filters the whole stream; each later one carries the
+    kept mask over and re-chases only the segments the new window changes
+    (_refilter), so every iteration keeps exactly the events of a full
+    _filter_constant pass at its window.
     """
     if (constant_dead_time_s is None) == (curve is None):
         raise ValueError("give exactly one of constant_dead_time_s or curve")
@@ -247,13 +349,18 @@ def apply_dead_time(
     rate = stream.observed_rate_cps
     trace = []
     prev_change = 0.0
+    kept = None
     for iteration in range(_FIXED_POINT_ITERATIONS):
         dead_s = curve.dead_time_at(rate)
-        kept = _filter_constant(t, dead_s)
-        new_rate = kept.size / stream.duration_s if stream.duration_s > 0 else 0.0
+        if kept is None:
+            kept = _kept_mask(t, dead_s)
+        else:
+            # from the previous iteration's window to this one
+            _refilter(t, kept, trace[-1][1], dead_s)
+        new_rate = np.count_nonzero(kept) / stream.duration_s if stream.duration_s > 0 else 0.0
         trace.append((iteration, dead_s, new_rate))
         if rate == new_rate or (rate > 0 and abs(new_rate - rate) / rate < _FIXED_POINT_REL_TOL):
-            return TimestampStream(kept, stream.duration_s)
+            return TimestampStream(t[kept], stream.duration_s)
         change = new_rate - rate
         if prev_change * change < 0.0:
             # The kept count is a step function of the window, so the exact
@@ -262,7 +369,7 @@ def apply_dead_time(
             # to better than the tagger resolution they are physically
             # indistinguishable: accept the current solution.
             if abs(curve.dead_time_at(new_rate) - dead_s) < RESOLUTION_S:
-                return TimestampStream(kept, stream.duration_s)
+                return TimestampStream(t[kept], stream.duration_s)
             rate = 0.5 * (rate + new_rate)
         else:
             rate = new_rate
@@ -383,9 +490,13 @@ def _ticks_in_bulk(raw: bytes):
 
 
 def _ticks_by_line(path: Path) -> list:
-    """Every non-blank line as int() reads it once stripped; errors name the line."""
+    """Every non-blank line as int() reads it once stripped; errors name the line.
+
+    A byte the locale encoding cannot decode reads as a lone surrogate, which
+    int() rejects, so it fails as a malformed line in line order.
+    """
     ticks = []
-    with path.open() as fh:
+    with path.open(errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
@@ -396,6 +507,9 @@ def _ticks_by_line(path: Path) -> list:
                 raise ValueError(f"{path}: malformed timestamp at line {lineno}: {text!r}") from None
             if tick < 0:
                 raise ValueError(f"{path}: negative timestamp at line {lineno}: {text!r}")
+            if tick > _MAX_FLOAT_TICK:
+                raise ValueError(f"{path}: timestamp at line {lineno} is too large "
+                                 f"({len(text)} characters)")
             ticks.append(tick)
     return ticks
 

@@ -16,6 +16,10 @@ the array algebra, so the two must agree bit for bit.
 
 thinned_click_rate is the event-level non-paralyzable detector with
 quantum efficiency p0, built from the package's one dead-time filter.
+
+fixed_point_filter is the rate-dependent fixed point with a full
+_filter_constant pass at every iteration: the oracle for apply_dead_time's
+incremental re-filter.
 """
 
 from __future__ import annotations
@@ -29,7 +33,14 @@ from riesim.adversary import AttackConfig, AttackMode, branch_click_probabilitie
 from riesim.detector import DeadTimeCurve, availability
 from riesim.protocol import ProtocolConfig
 from riesim.quantum import Basis, PolarizationState
-from riesim.timetag import TimestampStream, apply_dead_time, generate_poisson_stream
+from riesim import timetag
+from riesim.timetag import (
+    FixedPointError,
+    TimestampStream,
+    _filter_constant,
+    apply_dead_time,
+    generate_poisson_stream,
+)
 
 H = PolarizationState(Basis.Z, 0)
 V = PolarizationState(Basis.Z, 1)
@@ -267,3 +278,30 @@ def thinned_click_rate(beta_cps: float, p0: float, dead_time_s: float, duration_
     live = np.random.default_rng(seed).random(len(stream)) < p0
     thinned = TimestampStream(stream.timestamps_s[live], stream.duration_s)
     return apply_dead_time(thinned, constant_dead_time_s=dead_time_s).observed_rate_cps
+
+
+def fixed_point_filter(stream: TimestampStream, curve: DeadTimeCurve):
+    """apply_dead_time(stream, curve=curve) with a full filter pass at every
+    iteration; returns the filtered stream and the (iteration, window, rate)
+    trace.  Reads the iteration cap and tolerance from riesim.timetag."""
+    t = stream.timestamps_s
+    rate = stream.observed_rate_cps
+    trace = []
+    prev_change = 0.0
+    for iteration in range(timetag._FIXED_POINT_ITERATIONS):
+        dead_s = curve.dead_time_at(rate)
+        kept = _filter_constant(t, dead_s)
+        new_rate = kept.size / stream.duration_s if stream.duration_s > 0 else 0.0
+        trace.append((iteration, dead_s, new_rate))
+        if rate == new_rate or (rate > 0 and abs(new_rate - rate) / rate
+                                < timetag._FIXED_POINT_REL_TOL):
+            return TimestampStream(kept, stream.duration_s), trace
+        change = new_rate - rate
+        if prev_change * change < 0.0:
+            if abs(curve.dead_time_at(new_rate) - dead_s) < timetag.RESOLUTION_S:
+                return TimestampStream(kept, stream.duration_s), trace
+            rate = 0.5 * (rate + new_rate)
+        else:
+            rate = new_rate
+        prev_change = change
+    raise FixedPointError("fixed point did not converge", trace)

@@ -186,6 +186,36 @@ def test_simulate_bytes_are_pinned(tmp_path, name):
     assert tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files) == digests
 
 
+SWEEP_RATES = [1e6, 5e6, 20e6, 40e6]
+# sha256 of (deadtime_sweep.csv, busy_fraction.csv, stdout): the fixed point
+# of every rate decides these bytes, so a change here is a behaviour change
+SWEEP_PINS = {
+    "readme sweep": ({"seed": 7, "dead_time_curve": {"default": True},
+                      "sweep": {"rates_cps": SWEEP_RATES, "duration_s": 0.05}}, (
+        "ee9ff4091c73f8dcfadf74c307fad3a60c9be3afc502f117f6fc7cf3e4a7542f",
+        "12079dd3b50a8e63b7666c4aaef7d8edb306069d3083495ea20cb859ffb2f12b",
+        "77bc5bc43c10a9dbc3cb728fed60dd6f11fa6197e1661f47bdd4d81e614b8280")),
+    # the benchmark's sweep scenario at its tiny size, seed 1
+    "bench sweep, tiny": ({"seed": 923725081, "dead_time_curve": {"default": True},
+                           "sweep": {"rates_cps": SWEEP_RATES, "duration_s": 0.01,
+                                     "bin_width_s": 5e-10}}, (
+        "98640bb2f315cf1ac0bfc8405791c937b1ad3a4022f5d15cf6b37278d3561fee",
+        "2d3d8cc1f7ad4231c1c113079dd4f8257b66304e3841608e5485fc680255fd16",
+        "0324573bc2fd40b74213401cda134b5671ab8a9b19d98a0c57bca713ea49c2b5")),
+}
+
+
+@pytest.mark.parametrize("name", list(SWEEP_PINS))
+def test_sweep_deadtime_bytes_are_pinned(tmp_path, capsys, name):
+    data, digests = SWEEP_PINS[name]
+    out = tmp_path / "results"
+    config = write_config(tmp_path, data)
+    assert main(["--config", str(config), "--out", str(out), "sweep-deadtime"]) == 0
+    outputs = [(out / f).read_bytes() for f in ("deadtime_sweep.csv", "busy_fraction.csv")]
+    outputs.append(capsys.readouterr().out.encode())
+    assert tuple(hashlib.sha256(blob).hexdigest() for blob in outputs) == digests
+
+
 def test_stealth_scan_csv(tmp_path, base_config):
     assert main(["--config", str(base_config), "stealth-scan"]) == 0
     lines = (tmp_path / "results" / "stealth_scan.csv").read_text().splitlines()
@@ -247,6 +277,31 @@ def test_deadtime_extract_negative_tick_names_line(tmp_path, base_config, capsys
     bad.write_text("-5\n10\n20\n")
     assert main(["--config", str(base_config), "deadtime-extract", str(bad)]) == 1
     assert f"error: {bad}: negative timestamp at line 1: '-5'\n" in capsys.readouterr().err
+
+
+def test_deadtime_extract_huge_tick_names_line(tmp_path, base_config, capsys):
+    # 400 digits: int() reads it, float() would overflow
+    bad = tmp_path / "huge.txt"
+    bad.write_text("1\n" + "2" * 400 + "\n")
+    assert main(["--config", str(base_config), "deadtime-extract", str(bad)]) == 1
+    assert (f"error: {bad}: timestamp at line 2 is too large (400 characters)\n"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b"1\n\xff\n", "line 2: '\\udcff'"),
+    (b"\xff1\n2\n", "line 1: '\\udcff1'"),
+    # CRLF and CR end one line each, as text mode reads them
+    (b"1\r\n2\r3\n4\xc3", "line 4: '4\\udcc3'"),
+    # the first bad line is named, decodable or not
+    (b"1\nabc\n\xff\n", "line 2: 'abc'"),
+])
+def test_deadtime_extract_undecodable_byte_names_line(tmp_path, base_config, capsys, raw,
+                                                      message):
+    bad = tmp_path / "bytes.txt"
+    bad.write_bytes(raw)
+    assert main(["--config", str(base_config), "deadtime-extract", str(bad)]) == 1
+    assert f"error: {bad}: malformed timestamp at {message}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+import reference
+
 from riesim import timetag
 from riesim.detector import DeadTimeCurve, default_dead_time_curve
 from riesim.timetag import (
@@ -139,35 +141,39 @@ def _reference_filter(times_s, dead_s):
     return times_s[kept[:k]]
 
 
+def _draw_window(draw, times):
+    """A window that is a tick multiple (ties t[j] == t[i] + d), an exact
+    difference of two stream times, zero, sub-tick, longer than the stream,
+    or arbitrary."""
+    kind = draw(st.sampled_from(["ticks", "ticks", "difference", "difference",
+                                 "zero", "subtick", "longer", "any"]))
+    if kind == "ticks":
+        return draw(st.integers(1, 8000) | st.sampled_from([2000, 3000, 4000])) * TICK_S
+    if kind == "difference" and times.size >= 2:
+        i, j = sorted(draw(st.lists(st.integers(0, times.size - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        return times[j] - times[i]
+    if kind == "zero":
+        return 0.0
+    if kind == "subtick":
+        return draw(st.floats(1e-15, TICK_S, exclude_max=True))
+    if kind == "longer":
+        span = times[-1] - times[0] if times.size else 0.0
+        return span + draw(st.floats(TICK_S, 1e-6))
+    return draw(st.floats(1e-15, 1e-7))
+
+
 @st.composite
 def tick_streams_and_windows(draw):
-    """Strictly increasing integer-tick times times 8 ps, with a window that
-    is a tick multiple (ties t[j] == t[i] + d), an exact difference of two
-    stream times, zero, sub-tick, longer than the stream, or arbitrary."""
+    """Strictly increasing integer-tick times times 8 ps, with a window from
+    _draw_window."""
     start = draw(st.integers(0, 10_000))
     # gaps on a coarse grid make sums of consecutive gaps hit the window often
     gaps = draw(st.lists(st.integers(1, 6000) | st.sampled_from([1000, 2000, 3000]),
                          max_size=400))
     ticks = start + np.cumsum(np.asarray([0] + gaps, dtype=np.int64))
     times = ticks[: draw(st.integers(0, ticks.size))] * TICK_S
-    kind = draw(st.sampled_from(["ticks", "ticks", "difference", "difference",
-                                 "zero", "subtick", "longer", "any"]))
-    if kind == "ticks":
-        window = draw(st.integers(1, 8000) | st.sampled_from([2000, 3000, 4000])) * TICK_S
-    elif kind == "difference" and times.size >= 2:
-        i, j = sorted(draw(st.lists(st.integers(0, times.size - 1), min_size=2, max_size=2,
-                                    unique=True)))
-        window = times[j] - times[i]
-    elif kind == "zero":
-        window = 0.0
-    elif kind == "subtick":
-        window = draw(st.floats(1e-15, TICK_S, exclude_max=True))
-    elif kind == "longer":
-        span = times[-1] - times[0] if times.size else 0.0
-        window = span + draw(st.floats(TICK_S, 1e-6))
-    else:
-        window = draw(st.floats(1e-15, 1e-7))
-    return times, window
+    return times, _draw_window(draw, times)
 
 
 @settings(max_examples=400, deadline=None)
@@ -197,6 +203,75 @@ def test_filter_matches_reference_on_sweep_streams(rate):
     for window in (23.3e-9, 31.5e-9):
         assert np.array_equal(_filter_constant(stream.timestamps_s, window),
                               _reference_filter(stream.timestamps_s, window))
+
+
+@st.composite
+def window_steps(draw):
+    """A tick stream, the window w of its current kept set and the next
+    window w': a few ticks or a fraction of a tick from w (the fixed point's
+    steps), or any _draw_window window.  With w' < w the stream may gain an
+    event at t_last + w', the float sum the chase makes, after the last
+    event t_last kept at w."""
+    times, old = draw(tick_streams_and_windows())
+    kind = draw(st.sampled_from(["near", "near", "fraction", "difference", "window"]))
+    if kind == "near":
+        new = old + draw(st.integers(-40, 40).filter(bool)) * TICK_S
+    elif kind == "fraction":
+        new = old * draw(st.floats(0.9, 1.1))
+    elif kind == "difference" and times.size >= 2:
+        # a tie t[j] - t[i] == w' with t[i] early in the stream, where the
+        # difference and the sum t[i] + w' round apart
+        i = draw(st.integers(0, min(times.size - 2, 3)))
+        new = times[draw(st.integers(i + 1, times.size - 1))] - times[i]
+    else:
+        new = _draw_window(draw, times)
+    if times.size and new < old and draw(st.booleans()):
+        last = times[timetag._kept_mask(times, old)][-1]
+        if last + new > times[-1]:
+            times = np.append(times, last + new)
+    return times, old, new
+
+
+@settings(max_examples=500, deadline=None)
+@given(window_steps(), st.sampled_from([1, 2, 3, 7, timetag._REFILTER_BLOCK]))
+def test_refilter_step_matches_full_pass(case, block):
+    times, old, new = case
+    kept = timetag._kept_mask(times, old)
+    # small blocks put block edges between the kept events of short streams
+    with mock.patch.object(timetag, "_REFILTER_BLOCK", block):
+        timetag._refilter(times, kept, old, new)
+    assert times[kept].tobytes() == _filter_constant(times, new).tobytes()
+
+
+@pytest.mark.parametrize("times, old, new, expected", [
+    # no event follows the last kept one (0) at w = 10; at w' = 6 the tail
+    # event 8 is kept
+    ([0.0, 5.0, 8.0], 10.0, 6.0, [0.0, 8.0]),
+    ([0.0, 5.0, 8.0, 20.0], 10.0, 6.0, [0.0, 8.0, 20.0]),
+    # a longer window drops 2, 4 and 9 and keeps 5
+    ([0.0, 2.0, 4.0, 5.0, 9.0], 2.0, 5.0, [0.0, 5.0]),
+    # w' = t[1] - t[0] in floating point, yet t[0] + w' > t[1]: the chase
+    # drops t[1] at w', so the step must too
+    ([1.976e-09, 1.4632e-08, 3e-08], 1e-08, 1.4632e-08 - 1.976e-09, [1.976e-09, 3e-08]),
+    # t[1] - t[0] < w' but t[1] >= t[0] + w' in floating point: the chase
+    # keeps t[1] at w', so the step must too
+    ([6.8049936e-05, 6.807541599999999e-05, 6.809e-05], 3e-08, 2.548e-08,
+     [6.8049936e-05, 6.807541599999999e-05]),
+])
+def test_refilter_step_examples(times, old, new, expected):
+    times = np.asarray(times)
+    kept = timetag._kept_mask(times, old)
+    timetag._refilter(times, kept, old, new)
+    assert times[kept].tolist() == expected
+    assert times[kept].tobytes() == _reference_filter(times, new).tobytes()
+
+
+def test_refilter_same_window_keeps_mask():
+    times = generate_poisson_stream(40e6, 0.001, seed=3).timestamps_s
+    kept = timetag._kept_mask(times, 30e-9)
+    before = kept.copy()
+    timetag._refilter(times, kept, 30e-9, 30e-9)
+    assert np.array_equal(kept, before)
 
 
 def test_zero_dead_time_is_identity():
@@ -254,6 +329,43 @@ def test_rate_dependent_filter_diagnostics_on_non_convergence(monkeypatch):
     with pytest.raises(FixedPointError) as excinfo:
         apply_dead_time(stream, curve=curve)
     assert len(excinfo.value.trace) == 1
+
+
+class RecordingCurve:
+    """A dead-time curve that logs every (rate, window) lookup."""
+
+    def __init__(self, curve):
+        self.curve = curve
+        self.lookups = []
+
+    def dead_time_at(self, rate_cps):
+        window = self.curve.dead_time_at(rate_cps)
+        self.lookups.append((rate_cps, window))
+        return window
+
+
+@pytest.mark.parametrize("rate, duration, seed", [
+    (1e6, 0.05, 1), (5e6, 0.05, 2), (20e6, 0.05, 3), (40e6, 0.05, 4),
+    # the stream whose iteration cycles between two count plateaus (see above)
+    (20e6, 0.1, 335),
+])
+def test_rate_dependent_filter_matches_full_pass_oracle(monkeypatch, rate, duration, seed):
+    curve = default_dead_time_curve()
+    stream = generate_poisson_stream(rate, duration, seed)
+    oracle_curve, curve_seen = RecordingCurve(curve), RecordingCurve(curve)
+    expected, trace = reference.fixed_point_filter(stream, oracle_curve)
+    out = apply_dead_time(stream, curve=curve_seen)
+    assert out.timestamps_s.tobytes() == expected.timestamps_s.tobytes()
+    assert out.duration_s == expected.duration_s
+    # the same windows at the same rates, in the same order
+    assert curve_seen.lookups == oracle_curve.lookups
+    # one iteration short, both give up with the same trace
+    monkeypatch.setattr(timetag, "_FIXED_POINT_ITERATIONS", len(trace) - 1)
+    with pytest.raises(FixedPointError) as oracle_error:
+        reference.fixed_point_filter(stream, curve)
+    with pytest.raises(FixedPointError) as error:
+        apply_dead_time(stream, curve=curve)
+    assert error.value.trace == oracle_error.value.trace == trace[:-1]
 
 
 def test_filter_requires_exactly_one_mode():
@@ -493,6 +605,8 @@ def test_read_matches_line_reader(tmp_path_factory, raw):
     ("1\n1000000000000000000\n", [1, 10**18]),
     ("1\n9223372036854775808\n", [1, 2**63]),
     ("1\n٣\n", [1, 3]),
+    # the largest tick float() converts without overflow
+    (f"1\n{2**1024 - 2**970 - 1}\n", [1, 2**1024 - 2**970 - 1]),
 ])
 def test_timestamp_file_line_forms(tmp_path, text, ticks):
     path = tmp_path / "tags.txt"
@@ -501,6 +615,13 @@ def test_timestamp_file_line_forms(tmp_path, text, ticks):
     expected = np.asarray(ticks, dtype=float) * 1e-12
     assert stream.timestamps_s.tobytes() == expected.tobytes()
     assert stream.duration_s == expected[-1]
+
+
+def test_timestamp_file_tick_beyond_float_names_line(tmp_path):
+    path = tmp_path / "tags.txt"
+    path.write_text(f"1\n{2**1024 - 2**970}\n")
+    with pytest.raises(ValueError, match="tags.txt: timestamp at line 2 is too large"):
+        read_timestamps(path)
 
 
 def test_timestamp_file_whitespace_only_is_insufficient_data(tmp_path):
