@@ -35,8 +35,8 @@ from .detector import (
     availability,
     busy_fraction,
     default_dead_time_curve,
+    observed_rate,
     observed_to_true_rate,
-    true_to_observed_rate,
 )
 from .protocol import (
     BranchStats,

@@ -12,9 +12,12 @@ Availability under steady Poisson loading at observed rate lambda:
     Pr(available) ~= exp(-lambda * t_d(lambda))        (exponential model)
     Pr(available) >= 1 - lambda * t_d(lambda)          (conservative linear bound)
 
-and the observed/true rate relation for a non-paralyzable detector is
+A non-paralyzable detector under Poisson arrivals at true rate beta counts
+at the observed rate lambda that solves
 
-    true rate beta = lambda / (1 - t_d * lambda),  valid while lambda*t_d < 1.
+    lambda = beta / (1 + beta * t_d(lambda))
+
+with the dead time read at the observed rate itself (observed_rate).
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ __all__ = [
     "default_dead_time_curve",
     "availability",
     "busy_fraction",
+    "observed_rate",
     "observed_to_true_rate",
-    "true_to_observed_rate",
 ]
 
 
@@ -186,8 +189,39 @@ def observed_to_true_rate(observed_cps: float, dead_time_s: float) -> float:
     return observed_cps / (1.0 - loss)
 
 
-def true_to_observed_rate(true_cps: float, dead_time_s: float) -> float:
-    """Forward non-paralyzable pile-up: lambda = beta / (1 + t_d * beta)."""
-    if true_cps < 0:
-        raise ValueError("true rate must be >= 0")
-    return true_cps / (1.0 + dead_time_s * true_cps)
+def observed_rate(beta_cps: float, curve: DeadTimeCurve) -> float:
+    """Observed rate of a non-paralyzable detector under Poisson arrivals at
+    true rate beta: the root lambda of lambda * (1 + beta * t_d(lambda)) = beta.
+
+    t_d is linear on each piece of the curve and flat beyond its ends, so on
+    a piece that starts at rate r the condition is a quadratic in
+    x = lambda - r, solved in closed form.  Left of its first root the
+    condition's left side is below beta (it is 0 at lambda = 0), so the root
+    is the first piece's smallest root x >= 0.  On a curve whose t_d never
+    falls the root is unique; a falling curve can have several, and the
+    smallest is returned.  beta = 0 gives 0.
+    """
+    beta = float(beta_cps)
+    if not (np.isfinite(beta) and beta >= 0.0):
+        raise ValueError(f"true rate must be finite and >= 0, got {beta_cps!r}")
+    if beta == 0.0:
+        return 0.0
+    rates, times = curve.rates_cps, curve.dead_times_s
+    # the pieces start at 0 and at every positive table rate; the last one is
+    # flat and unbounded
+    starts = np.concatenate(([0.0], rates[rates > 0.0]))
+    dead = np.interp(starts, rates, times)
+    widths = np.append(np.diff(starts), np.inf)
+    slopes = np.append(np.diff(dead) / widths[:-1], 0.0)
+    # a x^2 + b x + c on each piece; c is the left side minus beta at its start
+    a = beta * slopes
+    b = 1.0 + beta * dead + a * starts
+    c = starts * (1.0 + beta * dead) - beta
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # the smaller root when c < 0, in the form that does not cancel
+        x = -2.0 * c / (b + np.sqrt(b * b - 4.0 * a * c))
+    # a piece holds a root when one lies in it, or when the left side reaches
+    # beta at its end (a root lost to rounding lies within a few ulps of it)
+    reaches = np.append(c[1:] >= 0.0, True)
+    found = np.flatnonzero(((x >= 0.0) & (x <= widths)) | reaches)[0]
+    return float(starts[found] + np.fmin(x[found], widths[found]))

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detector import DeadTimeCurve
+from .detector import DeadTimeCurve, observed_rate
 
 __all__ = [
     "TimestampStream",
@@ -58,6 +58,11 @@ _MAX_FLOAT_TICK = 2**1024 - 2**970 - 1
 # apply_dead_time's fixed point: iteration cap and relative rate tolerance
 _FIXED_POINT_ITERATIONS = 20
 _FIXED_POINT_REL_TOL = 1e-6
+# _chase probes this many events past each pointer before it searches; with
+# fewer live pointers than _PROBE_MIN_LIVE a step's numpy calls cost more than
+# its searches, so it searches at once
+_PROBE_EVENTS = 4
+_PROBE_MIN_LIVE = 64
 # kept events _refilter tests per numpy call: its temporaries stay near 1 MB
 # instead of the length of the kept set
 _REFILTER_BLOCK = 1 << 16
@@ -190,17 +195,35 @@ def _chase(times_s: np.ndarray, dead_s: float, kept: np.ndarray, cur: np.ndarray
     """Walk the chains that start at the kept events `cur` up to their segment
     ends `end`, all in lockstep, and mark every event they land on in `kept`.
 
-    Each step maps every live pointer i to searchsorted(t, t[i] + dead_s) —
-    the comparison and the float sum the sequential rule makes — and drops
-    the pointers that reached their segment's end.  A window too short to
-    move t[i] + dead_s past t[i] in floating point steps to the next event,
-    where the sequential walk would stall on i.
+    Each step maps every live pointer i to the first j > i with
+    t[j] >= t[i] + dead_s — the comparison and the float sum the sequential
+    rule makes — and drops the pointers that reached their segment's end.
+    The step first probes the next _PROBE_EVENTS events one at a time, since
+    at the sweep's rates almost every next kept event lies within them; only
+    the pointers still short of their window after the probe search the
+    stream (searchsorted).  With fewer than _PROBE_MIN_LIVE live pointers,
+    as in the long walks of a window much longer than the mean gap, every
+    pointer searches at once.  A window too short to move t[i] + dead_s past
+    t[i] in floating point steps to the next event, where the sequential
+    walk would stall on i.
     """
     while cur.size:
-        nxt = np.searchsorted(times_s, times_s[cur] + dead_s, side="left")
-        cur = np.maximum(nxt, cur + 1, out=nxt)
-        live = cur < end
-        cur = cur[live]
+        reach = times_s[cur] + dead_s
+        if cur.size < _PROBE_MIN_LIVE:
+            nxt = np.searchsorted(times_s, reach, side="left")
+            np.maximum(nxt, cur + 1, out=nxt)
+        else:
+            # the events after i that are short of the window come first, so
+            # counting them gives the first one that is not; an index past
+            # the stream reads its last event, short of the window whenever
+            # that index is reached, so such a pointer goes on to the search
+            nxt = cur + 1
+            for _ in range(_PROBE_EVENTS):
+                nxt += np.take(times_s, nxt, mode="clip") < reach
+            short = np.flatnonzero(nxt > cur + _PROBE_EVENTS)
+            nxt[short] = np.searchsorted(times_s, reach[short], side="left")
+        live = nxt < end
+        cur = nxt[live]
         end = end[live]
         kept[cur] = True
 
@@ -331,11 +354,17 @@ def apply_dead_time(
 
     Exactly one of `constant_dead_time_s` or `curve` must be given.  With a
     curve the dead window is t_d evaluated at the *output* observed rate,
-    which is found by fixed-point iteration starting from the input rate.
-    The first iteration filters the whole stream; each later one carries the
-    kept mask over and re-chases only the segments the new window changes
-    (_refilter), so every iteration keeps exactly the events of a full
-    _filter_constant pass at its window.
+    which is found by fixed-point iteration over whole counts n, each
+    filtered at t_d(n / duration).  The iteration starts at the count the
+    steady-state non-paralyzable law predicts, observed_rate(input rate,
+    curve) * duration, which lies within about 1e-4 of the count it ends
+    on, so one more iteration usually confirms it.  A count n that keeps
+    n events is self-consistent; when none is, the iteration ends at the
+    window of one of the two adjacent counts between which the kept count
+    minus n changes sign.  The first iteration filters the whole stream;
+    each later one carries the kept mask over and re-chases only the
+    segments the new window changes (_refilter), so every iteration keeps
+    exactly the events of a full _filter_constant pass at its window.
     """
     if (constant_dead_time_s is None) == (curve is None):
         raise ValueError("give exactly one of constant_dead_time_s or curve")
@@ -346,34 +375,44 @@ def apply_dead_time(
         kept = _filter_constant(t, constant_dead_time_s)
         return TimestampStream(kept, stream.duration_s)
 
-    rate = stream.observed_rate_cps
+    duration = stream.duration_s
+    # every window is t_d at a whole count over the duration, starting from
+    # the count the steady-state law predicts
+    n_in = round(observed_rate(stream.observed_rate_cps, curve) * duration)
+    # the latest whole counts n that keep more / fewer than n events at t_d(n / duration)
+    more = fewer = None
     trace = []
-    prev_change = 0.0
     kept = None
     for iteration in range(_FIXED_POINT_ITERATIONS):
+        rate = n_in / duration if duration > 0 else 0.0
         dead_s = curve.dead_time_at(rate)
         if kept is None:
             kept = _kept_mask(t, dead_s)
         else:
             # from the previous iteration's window to this one
             _refilter(t, kept, trace[-1][1], dead_s)
-        new_rate = np.count_nonzero(kept) / stream.duration_s if stream.duration_s > 0 else 0.0
+        count = int(np.count_nonzero(kept))
+        new_rate = count / duration if duration > 0 else 0.0
         trace.append((iteration, dead_s, new_rate))
         if rate == new_rate or (rate > 0 and abs(new_rate - rate) / rate < _FIXED_POINT_REL_TOL):
-            return TimestampStream(t[kept], stream.duration_s)
-        change = new_rate - rate
-        if prev_change * change < 0.0:
-            # The kept count is a step function of the window, so the exact
-            # fixed point can fall between two count plateaus and plain
-            # iteration then cycles.  Once the two candidate windows agree
-            # to better than the tagger resolution they are physically
-            # indistinguishable: accept the current solution.
-            if abs(curve.dead_time_at(new_rate) - dead_s) < RESOLUTION_S:
-                return TimestampStream(t[kept], stream.duration_s)
-            rate = 0.5 * (rate + new_rate)
+            return TimestampStream(t[kept], duration)
+        if count > n_in:
+            more = n_in
         else:
-            rate = new_rate
-        prev_change = change
+            fewer = n_in
+        # The kept count is a step function of the window, so plain
+        # iteration can step over the self-consistent count and cycle
+        # around it.  Once counts on both sides are known, iterate only
+        # while the kept count lies strictly between them, and bisect
+        # otherwise.
+        if more is None or fewer is None or min(more, fewer) < count < max(more, fewer):
+            n_in = count
+        elif abs(more - fewer) > 1:
+            n_in = (more + fewer) // 2
+        else:
+            # more and fewer are adjacent counts, so no count between them
+            # is self-consistent: end at this window, one of theirs
+            return TimestampStream(t[kept], duration)
     rates_seen = " -> ".join(f"{entry[2]:.6g}" for entry in trace)
     raise FixedPointError(
         f"rate-dependent dead-time filter did not converge in {_FIXED_POINT_ITERATIONS} "
@@ -528,10 +567,11 @@ def read_timestamps(path) -> TimestampStream:
     if not len(ticks):
         raise InsufficientDataError(f"{path}: insufficient data, no timestamps in file")
     times = np.asarray(ticks, dtype=float) * 1e-12
-    if np.any(np.diff(times) <= 0):
-        raise ValueError(f"{path}: timestamps must be strictly ascending")
-    duration = float(times[-1])
-    return TimestampStream(times, duration_s=duration)
+    # every time lies in [0, times[-1]], so the stream can only reject the order
+    try:
+        return TimestampStream(times, duration_s=float(times[-1]))
+    except ValueError:
+        raise ValueError(f"{path}: timestamps must be strictly ascending") from None
 
 
 def write_timestamps(stream: TimestampStream, path) -> None:

@@ -19,7 +19,8 @@ quantum efficiency p0, built from the package's one dead-time filter.
 
 fixed_point_filter is the rate-dependent fixed point with a full
 _filter_constant pass at every iteration: the oracle for apply_dead_time's
-incremental re-filter.
+incremental re-filter.  exact_fixed_point finds the count the fixed point
+should end on by bisection over counts, without iterating.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from itertools import product
 import numpy as np
 
 from riesim.adversary import AttackConfig, AttackMode, branch_click_probabilities
-from riesim.detector import DeadTimeCurve, availability
+from riesim.detector import DeadTimeCurve, availability, observed_rate
 from riesim.protocol import ProtocolConfig
 from riesim.quantum import Basis, PolarizationState
 from riesim import timetag
@@ -282,26 +283,72 @@ def thinned_click_rate(beta_cps: float, p0: float, dead_time_s: float, duration_
 
 def fixed_point_filter(stream: TimestampStream, curve: DeadTimeCurve):
     """apply_dead_time(stream, curve=curve) with a full filter pass at every
-    iteration; returns the filtered stream and the (iteration, window, rate)
-    trace.  Reads the iteration cap and tolerance from riesim.timetag."""
+    iteration: from the whole count the steady-state law predicts, plain
+    iteration, which once counts on both sides of the self-consistent one
+    are known goes on only from kept counts between them and bisects
+    otherwise.  Returns the filtered stream and the
+    (iteration, window, rate) trace.  Reads the iteration cap and tolerance
+    from riesim.timetag."""
     t = stream.timestamps_s
-    rate = stream.observed_rate_cps
+    duration = stream.duration_s
+    n_in = round(observed_rate(stream.observed_rate_cps, curve) * duration)
+    more = fewer = None
     trace = []
-    prev_change = 0.0
     for iteration in range(timetag._FIXED_POINT_ITERATIONS):
+        rate = n_in / duration if duration > 0 else 0.0
         dead_s = curve.dead_time_at(rate)
         kept = _filter_constant(t, dead_s)
-        new_rate = kept.size / stream.duration_s if stream.duration_s > 0 else 0.0
+        new_rate = kept.size / duration if duration > 0 else 0.0
         trace.append((iteration, dead_s, new_rate))
         if rate == new_rate or (rate > 0 and abs(new_rate - rate) / rate
                                 < timetag._FIXED_POINT_REL_TOL):
-            return TimestampStream(kept, stream.duration_s), trace
-        change = new_rate - rate
-        if prev_change * change < 0.0:
-            if abs(curve.dead_time_at(new_rate) - dead_s) < timetag.RESOLUTION_S:
-                return TimestampStream(kept, stream.duration_s), trace
-            rate = 0.5 * (rate + new_rate)
+            return TimestampStream(kept, duration), trace
+        if kept.size > n_in:
+            more = n_in
         else:
-            rate = new_rate
-        prev_change = change
+            fewer = n_in
+        if more is None or fewer is None or min(more, fewer) < kept.size < max(more, fewer):
+            n_in = kept.size
+        elif abs(more - fewer) > 1:
+            n_in = (more + fewer) // 2
+        else:
+            return TimestampStream(kept, duration), trace
     raise FixedPointError("fixed point did not converge", trace)
+
+
+def exact_fixed_point(stream: TimestampStream, curve: DeadTimeCurve) -> tuple[int, ...]:
+    """The kept counts the rate-dependent filter may end on, by bisection
+    over counts with a full _filter_constant pass at each.
+
+    With N(w) the number of events kept at window w and T the stream's
+    duration, a count n is self-consistent when N(t_d(n / T)) == n.  On a
+    curve whose t_d never falls, N(t_d(n / T)) - n strictly decreases in n,
+    from N(t_d(0)) >= 0 at n = 0 to at most 0 at n = len(stream), so at most
+    one count is: then this returns (n,).  Otherwise N(t_d(n / T)) - n
+    changes sign between two adjacent counts lo and lo + 1, and this returns
+    the counts kept at their windows, (N(t_d(lo / T)), N(t_d((lo + 1) / T))):
+    the first is above lo, the second below lo + 1.  They can lie several
+    events apart, because a window that crosses a tie moves a chain onto
+    another event and every kept event after it on that segment.
+    """
+    t = stream.timestamps_s
+
+    def kept_at(n: int) -> int:
+        rate = n / stream.duration_s if stream.duration_s > 0 else 0.0
+        return _filter_constant(t, curve.dead_time_at(rate)).size
+
+    lo, hi = 0, len(stream)
+    for n in (lo, hi):
+        if kept_at(n) == n:
+            return (n,)
+    # kept_at(lo) > lo and kept_at(hi) < hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        kept = kept_at(mid)
+        if kept == mid:
+            return (mid,)
+        if kept > mid:
+            lo = mid
+        else:
+            hi = mid
+    return (kept_at(lo), kept_at(hi))

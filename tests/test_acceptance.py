@@ -26,8 +26,8 @@ from riesim.detector import (
     DeadTimeCurve,
     availability,
     default_dead_time_curve,
+    observed_rate,
     observed_to_true_rate,
-    true_to_observed_rate,
 )
 from riesim.protocol import ProtocolConfig, run_simulation
 from riesim.quantum import Basis, PolarizationState
@@ -242,7 +242,7 @@ def test_criterion_9_property_suites():
         # observed <-> true rate round trip at 1e-12 relative
         for beta in np.logspace(4, 8.5, 25):
             for t_d in (5e-9, 23.3e-9, 31.5e-9):
-                lam = true_to_observed_rate(beta, t_d)
+                lam = observed_rate(beta, DeadTimeCurve.constant(t_d))
                 assert observed_to_true_rate(lam, t_d) == pytest.approx(beta, rel=1e-12)
 
         # non-paralyzable throughput: the stream filter against

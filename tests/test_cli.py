@@ -192,9 +192,9 @@ SWEEP_RATES = [1e6, 5e6, 20e6, 40e6]
 SWEEP_PINS = {
     "readme sweep": ({"seed": 7, "dead_time_curve": {"default": True},
                       "sweep": {"rates_cps": SWEEP_RATES, "duration_s": 0.05}}, (
-        "ee9ff4091c73f8dcfadf74c307fad3a60c9be3afc502f117f6fc7cf3e4a7542f",
-        "12079dd3b50a8e63b7666c4aaef7d8edb306069d3083495ea20cb859ffb2f12b",
-        "77bc5bc43c10a9dbc3cb728fed60dd6f11fa6197e1661f47bdd4d81e614b8280")),
+        "d38eb3a308ba9554616b37a51029e9f0f160a3ac526aa859c3ee47e201a44777",
+        "5bced1972c9a8347c2eee11120ccca8f2cc854a2d2a72b74a45d6c5e14aeba42",
+        "e27ece0688ad0e1b3cb8f882e445db79d683c07f57def924944853e0faf97fd0")),
     # the benchmark's sweep scenario at its tiny size, seed 1
     "bench sweep, tiny": ({"seed": 923725081, "dead_time_curve": {"default": True},
                            "sweep": {"rates_cps": SWEEP_RATES, "duration_s": 0.01,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riesim.detector import (
     AvailabilityModel,
@@ -10,8 +12,8 @@ from riesim.detector import (
     availability,
     busy_fraction,
     default_dead_time_curve,
+    observed_rate,
     observed_to_true_rate,
-    true_to_observed_rate,
 )
 
 from reference import thinned_click_rate
@@ -171,7 +173,7 @@ def test_busy_fraction_rejects_negative_rates():
 
 def test_zero_rate_maps_to_zero():
     assert observed_to_true_rate(0.0, 25e-9) == 0.0
-    assert true_to_observed_rate(0.0, 25e-9) == 0.0
+    assert observed_rate(0.0, DeadTimeCurve.constant(25e-9)) == 0.0
 
 
 def test_half_busy_doubles_rate():
@@ -182,8 +184,64 @@ def test_half_busy_doubles_rate():
 def test_rate_round_trip_identity():
     for beta in (1e5, 1e6, 4e7, 2e8):
         for t_d in (5e-9, 23.3e-9, 31.5e-9):
-            lam = true_to_observed_rate(beta, t_d)
+            lam = observed_rate(beta, DeadTimeCurve.constant(t_d))
             assert observed_to_true_rate(lam, t_d) == pytest.approx(beta, rel=1e-12)
+
+
+def test_observed_rate_on_a_flat_curve_is_the_nonparalyzable_law():
+    for beta in np.logspace(3, 9, 31):
+        for t_d in (5e-9, 23.3e-9, 31.5e-9):
+            expected = beta / (1.0 + beta * t_d)
+            assert observed_rate(beta, DeadTimeCurve.constant(t_d)) == pytest.approx(
+                expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("beta", [-1.0, -1e-300, float("nan"), float("inf"), -float("inf")])
+def test_observed_rate_rejects_invalid_true_rates(beta):
+    with pytest.raises(ValueError, match="true rate must be finite and >= 0"):
+        observed_rate(beta, default_dead_time_curve())
+
+
+@st.composite
+def table_curves(draw):
+    """Table curves of 1-12 points on a 1 Mcps grid (one may sit below 0)
+    with dead times of 5-100 ns: non-decreasing, or in any order, so that
+    t_d can fall steeply enough for the rate condition to have several
+    roots."""
+    rates = sorted(draw(st.lists(st.integers(-5, 100), min_size=1, max_size=12, unique=True)))
+    times = draw(st.lists(st.floats(5e-9, 100e-9), min_size=len(rates), max_size=len(rates)))
+    if draw(st.booleans()):
+        times.sort()
+    return DeadTimeCurve.from_points(zip(np.asarray(rates) * 1e6, times))
+
+
+@settings(max_examples=400, deadline=None)
+@given(table_curves(), st.floats(1e3, 1e9))
+def test_observed_rate_is_the_smallest_root(curve, beta):
+    def excess(rate):
+        return rate * (1.0 + beta * curve.dead_time_at(rate)) - beta
+
+    lam = observed_rate(beta, curve)
+    assert 0.0 < lam < beta
+    assert abs(excess(lam)) <= 1e-12 * beta
+    # no smaller root: the left side stays below beta on a grid below lam
+    # and at every table rate below it
+    rates = curve.rates_cps
+    below = np.concatenate((np.linspace(0.0, lam, 2001)[:-1], rates[(rates >= 0) & (rates < lam)]))
+    assert np.all(excess(below) < 0.0)
+
+
+def test_observed_rate_picks_the_smallest_of_three_roots():
+    # t_d falls from 40 ns to 10 ns over 25-40 Mcps: at beta = 100 Mcps,
+    # lambda * (1 + beta * t_d) reaches beta at 20 Mcps on the 40 ns plateau,
+    # falls back below it inside the falling piece and reaches it again at
+    # 50 Mcps on the 10 ns plateau
+    curve = DeadTimeCurve.from_points([(25e6, 40e-9), (40e6, 10e-9)])
+    beta = 100e6
+    grid = np.linspace(0.0, beta, 400_001)
+    side = grid * (1.0 + beta * curve.dead_time_at(grid)) >= beta
+    assert np.flatnonzero(side[1:] != side[:-1]).size == 3
+    assert observed_rate(beta, curve) == pytest.approx(20e6, rel=1e-12)
 
 
 def test_observed_to_true_saturation_error():

@@ -192,9 +192,11 @@ def test_filter_keeps_event_exactly_at_window_end():
 
 def test_filter_window_below_float_spacing_keeps_every_event():
     # t + 1e-300 == t, so no event can suppress another (the sequential walk
-    # never leaves the first event here)
-    times = np.arange(1, 50) * TICK_S
-    np.testing.assert_array_equal(_filter_constant(times, 1e-300), times)
+    # never leaves the first event here); the 40 Mcps stream steps all its
+    # pointers through the chase's forward probe at once
+    for times in (np.arange(1, 50) * TICK_S,
+                  generate_poisson_stream(40e6, 0.005, seed=4).timestamps_s):
+        np.testing.assert_array_equal(_filter_constant(times, 1e-300), times)
 
 
 @pytest.mark.parametrize("rate", [1e6, 20e6, 40e6])
@@ -203,6 +205,23 @@ def test_filter_matches_reference_on_sweep_streams(rate):
     for window in (23.3e-9, 31.5e-9):
         assert np.array_equal(_filter_constant(stream.timestamps_s, window),
                               _reference_filter(stream.timestamps_s, window))
+
+
+@pytest.mark.parametrize("window", [
+    # ~40 mean gaps: one chain walks the whole stream with few live pointers
+    1e-6,
+    # ~6 mean gaps: hundreds of live pointers, nearly all short of their
+    # window after the probe, so they fall back to the search
+    150e-9,
+    # below the 8 ps tick: every event is kept
+    4e-12,
+    # 3000 ticks of 8 ps: gaps equal to the window are float ties
+    24.0e-9,
+])
+def test_kept_mask_matches_sequential_reference_at_extreme_windows(window):
+    times = generate_poisson_stream(40e6, 0.005, seed=4).timestamps_s
+    kept = timetag._kept_mask(times, window)
+    assert times[kept].tobytes() == _reference_filter(times, window).tobytes()
 
 
 @st.composite
@@ -310,16 +329,39 @@ def test_rate_dependent_filter_self_consistency():
     assert np.all(np.diff(out.timestamps_s) >= window * (1 - 1e-9))
 
 
+class RecordingCurve:
+    """A dead-time curve that logs every (rate, window) lookup.  Its table is
+    the wrapped curve's, which observed_rate reads without a lookup."""
+
+    def __init__(self, curve):
+        self.curve = curve
+        self.rates_cps = curve.rates_cps
+        self.dead_times_s = curve.dead_times_s
+        self.lookups = []
+
+    def dead_time_at(self, rate_cps):
+        window = self.curve.dead_time_at(rate_cps)
+        self.lookups.append((rate_cps, window))
+        return window
+
+
 def test_rate_dependent_filter_converges_through_count_plateau_cycle():
-    # regression: at this seed and scale the plain iteration cycles between
-    # two adjacent count plateaus (relative gap ~1e-4, above the rate
-    # tolerance); the filter must accept the sub-resolution window instead
-    # of raising
-    curve = default_dead_time_curve()
+    # regression: on this stream no count is self-consistent, so plain
+    # iteration cycles between two count plateaus (relative gap ~1e-4, above
+    # the rate tolerance); the filter must bisect down to the two adjacent
+    # counts either side of the sign change and end there instead of raising
+    curve = RecordingCurve(default_dead_time_curve())
     stream = generate_poisson_stream(20e6, 0.1, seed=335)
     out = apply_dead_time(stream, curve=curve)
-    window = curve.dead_time_at(out.observed_rate_cps)
+    ends = reference.exact_fixed_point(stream, curve.curve)
+    assert len(ends) == 2 and len(out) in ends
+    window = curve.curve.dead_time_at(out.observed_rate_cps)
     assert np.all(np.diff(out.timestamps_s) >= window - timetag.RESOLUTION_S)
+    # the bisection ran: the last window was looked up at a whole count next
+    # to one looked up before it, and keeps a different count of events
+    counts = [round(rate * stream.duration_s) for rate, _ in curve.lookups]
+    assert counts[-1] - 1 in counts[:-1] or counts[-1] + 1 in counts[:-1]
+    assert counts[-1] != len(out)
 
 
 def test_rate_dependent_filter_diagnostics_on_non_convergence(monkeypatch):
@@ -329,19 +371,6 @@ def test_rate_dependent_filter_diagnostics_on_non_convergence(monkeypatch):
     with pytest.raises(FixedPointError) as excinfo:
         apply_dead_time(stream, curve=curve)
     assert len(excinfo.value.trace) == 1
-
-
-class RecordingCurve:
-    """A dead-time curve that logs every (rate, window) lookup."""
-
-    def __init__(self, curve):
-        self.curve = curve
-        self.lookups = []
-
-    def dead_time_at(self, rate_cps):
-        window = self.curve.dead_time_at(rate_cps)
-        self.lookups.append((rate_cps, window))
-        return window
 
 
 @pytest.mark.parametrize("rate, duration, seed", [
@@ -366,6 +395,16 @@ def test_rate_dependent_filter_matches_full_pass_oracle(monkeypatch, rate, durat
     with pytest.raises(FixedPointError) as error:
         apply_dead_time(stream, curve=curve)
     assert error.value.trace == oracle_error.value.trace == trace[:-1]
+
+
+@pytest.mark.parametrize("rate", [1e6, 5e6, 20e6, 40e6])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_rate_dependent_filter_ends_on_the_self_consistent_count(rate, seed):
+    # 5 ms streams keep 5k-90k events, so one count moves the rate by 1e-5
+    # to 2e-4: coarse enough that some have no self-consistent count
+    curve = default_dead_time_curve()
+    stream = generate_poisson_stream(rate, 0.005, seed)
+    assert len(apply_dead_time(stream, curve=curve)) in reference.exact_fixed_point(stream, curve)
 
 
 def test_filter_requires_exactly_one_mode():
@@ -540,6 +579,18 @@ def test_timestamp_file_malformed_line_names_line_number(tmp_path):
     path.write_text("1000\n2000\nxyz\n")
     with pytest.raises(ValueError, match="line 3"):
         read_timestamps(path)
+
+
+# in bulk and line by line; a repeated tick, a step back, and two ticks
+# above 2**53 that meet as floats
+@pytest.mark.parametrize("text", ["1000\n1000\n", "2000\n1000\n", "1\n 2000\n1000\n",
+                                  f"{2**60}\n{2**60 + 1}\n"])
+def test_timestamp_file_out_of_order_names_file(tmp_path, text):
+    path = tmp_path / "order.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as excinfo:
+        read_timestamps(path)
+    assert str(excinfo.value) == f"{path}: timestamps must be strictly ascending"
 
 
 def test_timestamp_file_empty_is_insufficient_data(tmp_path):
