@@ -12,6 +12,7 @@ before any computation), 1 for data-level errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -20,7 +21,8 @@ from . import analysis, timetag
 from .adversary import AttackMode, branch_click_probabilities, effective_r
 from .detector import DeadTimeCurve, busy_fraction
 from .protocol import run_simulation
-from .scenario import ScenarioConfig, ScenarioError, check_histogram, load_scenario
+from .scenario import (ScenarioConfig, ScenarioError, check_histogram, check_seed,
+                       load_scenario)
 
 __all__ = ["main", "build_parser"]
 
@@ -52,6 +54,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("stealth-scan", help="conservative bound over the loading-rate grid")
     sub.add_parser("mutualinfo", help="information curves I(A;B), I(A;E) versus r")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() uses: built on the first call, not at import, and
+    reused by every later call in the process.  parse_args keeps no state
+    between calls, and nothing else is cached: each call re-reads its
+    scenario file."""
+    return build_parser()
 
 
 def _outdir(scenario: ScenarioConfig, args) -> Path:
@@ -185,11 +196,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         scenario = load_scenario(args.config)
         if args.seed is not None:
+            check_seed(args.seed, "--seed")
             scenario = replace(scenario, seed=args.seed)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

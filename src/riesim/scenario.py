@@ -20,7 +20,7 @@ from .timetag import (DEFAULT_BIN_WIDTH_S, DEFAULT_MAX_GAP_S, DEFAULT_MIN_COUNT,
                       expected_events, histogram_bins)
 
 __all__ = ["ScenarioConfig", "ScenarioError", "SweepSettings", "ScanSettings",
-           "MutualInfoSettings", "check_histogram"]
+           "MutualInfoSettings", "check_histogram", "check_seed"]
 
 
 # the bench scan has 200k cells and its mutualinfo grid 10,001 points; the
@@ -245,6 +245,12 @@ def check_histogram(bin_width_s, max_gap_s, min_count, keys) -> None:
     _require(min_count >= 1, keys[2], ">= 1", min_count)
 
 
+def check_seed(seed: int, key: str) -> None:
+    """The run seed is a non-negative integer (numpy's SeedSequence takes no
+    other); key names it (the scenario key or the --seed flag) in the error."""
+    _require(seed >= 0, key, ">= 0", seed)
+
+
 def _rates(values, key: str) -> tuple[float, ...]:
     """A list of loading rates, each >= 0."""
     rates = _numbers(values, key)
@@ -338,6 +344,7 @@ def load_scenario(path=None, data: dict | None = None) -> ScenarioConfig:
     if not sweep.rates_cps:
         raise ScenarioError("sweep.rates_cps must not be empty")
     seed = _integer(data.get("seed", 1), "seed")
+    check_seed(seed, "seed")
     curve = _parse_curve(data.get("dead_time_curve"), base_dir)
     return ScenarioConfig(
         seed=seed,

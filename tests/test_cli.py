@@ -3,13 +3,19 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from riesim.cli import main
-from riesim.timetag import apply_dead_time, generate_poisson_stream, write_timestamps
+import riesim
+from riesim import cli
+from riesim.cli import build_parser, main
+from riesim.timetag import (DEFAULT_BIN_WIDTH_S, apply_dead_time, generate_poisson_stream,
+                            write_timestamps)
 
 
 def write_config(tmp_path, data, name="scenario.json"):
@@ -67,6 +73,99 @@ def test_seed_flag_overrides_config(tmp_path, base_config):
     second = (tmp_path / "results" / "simulation_report.txt").read_text()
     assert first != second
     assert "seed: 6" in second
+
+
+@pytest.fixture
+def fresh_parser():
+    """main() starts from an unbuilt parser and leaves none behind."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def _outputs(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def test_main_builds_its_parser_once(tmp_path, base_config, monkeypatch, fresh_parser):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    for _ in range(2):
+        assert main(["--config", str(base_config), "analytic"]) == 0
+    assert len(built) == 1
+
+
+def test_import_does_not_build_the_parser():
+    env = dict(os.environ, PYTHONPATH=str(Path(riesim.__file__).parents[1]))
+    code = "import riesim.cli as c; print(c._parser.cache_info().currsize)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "0\n"
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
+    assert build_parser() is not cli._parser()
+
+
+def test_help_through_main_matches_build_parser(capsys, monkeypatch, fresh_parser):
+    monkeypatch.setenv("COLUMNS", "80")
+    # the first call builds the parser, the second reuses it
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == build_parser().format_help()
+
+
+def test_seed_flag_does_not_carry_to_the_next_call(tmp_path, base_config, capsys):
+    def run(out, *flags):
+        assert main(["--config", str(base_config), *flags, "--out", str(tmp_path / out),
+                     "simulate"]) == 0
+        return capsys.readouterr().out, _outputs(tmp_path / out)
+
+    seeded = run("seeded", "--seed", "6")
+    after = run("after")
+    cli._parser.cache_clear()
+    fresh = run("fresh")
+    assert after == fresh != seeded
+
+
+def test_extract_flag_does_not_carry_to_the_next_call(tmp_path, base_config):
+    tags = tmp_path / "tags.txt"
+    tags.write_text("0\n1000\n2000\n")
+    report = tmp_path / "results" / "deadtime_extract.txt"
+    assert main(["--config", str(base_config), "deadtime-extract", "--bin-width", "1e-9",
+                 str(tags)]) == 0
+    assert "bin_width_s: 1e-09\n" in report.read_text()
+    assert main(["--config", str(base_config), "deadtime-extract", str(tags)]) == 0
+    assert f"bin_width_s: {DEFAULT_BIN_WIDTH_S!r}\n" in report.read_text()
+
+
+@pytest.mark.parametrize("bad", [["no-such-command"], ["--seed", "x", "analytic"]])
+def test_argparse_failure_leaves_the_next_call_intact(tmp_path, base_config, capsys, bad):
+    def run(out):
+        assert main(["--config", str(base_config), "--out", str(tmp_path / out),
+                     "analytic"]) == 0
+        return capsys.readouterr().out, _outputs(tmp_path / out)
+
+    before = run("before")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(base_config), *bad])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run("after") == before
+
+
+def test_each_call_rereads_the_scenario_file(tmp_path, base_config):
+    data = json.loads(base_config.read_text())
+    text = tmp_path / "results" / "analytic.txt"
+    assert main(["--config", str(base_config), "analytic"]) == 0
+    assert "e_abort: 0.11\n" in text.read_text()
+    data["protocol"]["abort_threshold"] = 0.2
+    base_config.write_text(json.dumps(data))
+    assert main(["--config", str(base_config), "analytic"]) == 0
+    assert "e_abort: 0.2\n" in text.read_text()
 
 
 def test_simulate_stealthy_rie_scenario(tmp_path, capsys):
@@ -405,6 +504,21 @@ def test_bad_protocol_attack_or_curve_exits_2(tmp_path, capsys, command, data, m
     config = write_config(tmp_path, {"out": str(tmp_path / "results"), **data})
     assert main(["--config", str(config), command]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep-deadtime", "analytic"])
+@pytest.mark.parametrize("flags, data, message", [
+    ([], {"seed": -1}, "seed must be >= 0, got -1"),
+    (["--seed", "-1"], {}, "--seed must be >= 0, got -1"),
+])
+def test_negative_seed_exits_2(tmp_path, capsys, command, flags, data, message):
+    # numpy rejects a negative seed only once it draws, and analytic never draws
+    config = write_config(tmp_path, {"out": str(tmp_path / "results"),
+                                     "protocol": {"n_rounds": 1000, "p0": 0.9}, "attack": RIE,
+                                     "sweep": {"rates_cps": [1e6], "duration_s": 0.001}, **data})
+    assert main(["--config", str(config), *flags, command]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "results").exists()
 
 

@@ -340,6 +340,8 @@ def test_non_object_sections_rejected(data, where):
      "scan.lambda_perp_grid.num", "<= 4194304"),
     ({"mutualinfo": {"r_step": 1e-15}}, "mutualinfo.r_step",
      "large enough for at most 4194304 grid points"),
+    ({"seed": -1}, "seed", ">= 0"),
+    ({"seed": -2.0}, "seed", ">= 0"),
 ])
 def test_out_of_range_values_rejected(data, key, rule):
     with pytest.raises(ScenarioError, match=re.escape(f"{key} must be {rule}, got ")):
@@ -348,11 +350,13 @@ def test_out_of_range_values_rejected(data, key, rule):
 
 def test_range_boundaries_accepted():
     scenario = load_scenario(data={
+        "seed": 0,
         "sweep": {"duration_s": 0, "min_count": 1},
         "scan": {"lambda_par_cps": [0, -0.0],
                  "lambda_perp_grid": {"start_cps": 0, "stop_cps": 0, "num": 1}},
         "mutualinfo": {"r_start": 0, "e_abort": 0.49},
     })
+    assert scenario.seed == 0
     assert scenario.sweep.duration_s == 0.0 and scenario.sweep.min_count == 1
     assert scenario.scan.lambda_perp_cps == (0.0,)
 
