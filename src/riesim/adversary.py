@@ -98,8 +98,9 @@ def branch_click_probabilities(config: ProtocolConfig, attack: AttackConfig) -> 
     if attack.mode is AttackMode.RIE_NON_DETERMINISTIC:
         return p_par, p_signal * availability(bg + attack.lambda_perp_cps, curve, model)
     if attack.mode is AttackMode.RIE_DETERMINISTIC:
-        # the dead interval is closed: a signal at delta == t_d is suppressed
-        return p_par, 0.0 if attack.delta_s <= curve.dead_time_at(bg) else p_par
+        # the dead interval [0, t_d) is half-open, as in timetag's filter: a
+        # signal at delta == t_d clicks
+        return p_par, 0.0 if attack.delta_s < curve.dead_time_at(bg) else p_par
     return p_par, p_par
 
 

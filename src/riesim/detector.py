@@ -23,6 +23,7 @@ with the dead time read at the observed rate itself (observed_rate).
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from math import exp
@@ -60,15 +61,16 @@ class DeadTimeCurve:
 
     Evaluation is piecewise-linear between table points and clamps to the
     first/last dead time outside the tabulated range.  Rates must be finite
-    and strictly increasing, dead times finite and positive.
+    and strictly increasing, dead times finite and positive.  The curve
+    holds read-only copies of its arrays, so one curve can be shared.
     """
 
     rates_cps: np.ndarray
     dead_times_s: np.ndarray
 
     def __post_init__(self):
-        rates = np.asarray(self.rates_cps, dtype=float)
-        times = np.asarray(self.dead_times_s, dtype=float)
+        rates = np.array(self.rates_cps, dtype=float)
+        times = np.array(self.dead_times_s, dtype=float)
         if rates.ndim != 1 or times.ndim != 1 or rates.size != times.size:
             raise ValueError("curve needs matching 1-d rate and dead-time arrays")
         if rates.size == 0:
@@ -79,8 +81,9 @@ class DeadTimeCurve:
             raise ValueError("curve rates must be strictly increasing")
         if np.any(times <= 0):
             raise ValueError("all dead times must be positive")
-        object.__setattr__(self, "rates_cps", rates)
-        object.__setattr__(self, "dead_times_s", times)
+        for name, values in (("rates_cps", rates), ("dead_times_s", times)):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
     def dead_time_at(self, rate_cps):
         """Interpolated dead time in seconds; accepts a scalar or an array."""
@@ -144,8 +147,10 @@ _DEFAULT_CURVE_POINTS = (
 )
 
 
+@functools.cache
 def default_dead_time_curve() -> DeadTimeCurve:
-    """The default SPAD recovery curve (23.3 ns low-rate, ~31.5 ns high-rate)."""
+    """The default SPAD recovery curve (23.3 ns low-rate, ~31.5 ns high-rate),
+    built on the first call and shared by every later one."""
     return DeadTimeCurve.from_points(_DEFAULT_CURVE_POINTS)
 
 

@@ -232,9 +232,9 @@ def _parse_sweep(section) -> SweepSettings:
 
 def check_histogram(bin_width_s, max_gap_s, min_count, keys) -> None:
     """Validate the inter-arrival histogram settings of sweep-deadtime and
-    deadtime-extract: finite widths > 0, at most MAX_HISTOGRAM_BINS bins and
-    min_count >= 1.  keys names the three values (scenario keys or
-    command-line flags) in the error."""
+    deadtime-extract: finite widths > 0 of whole picoseconds, at most
+    MAX_HISTOGRAM_BINS bins and min_count >= 1.  keys names the three values
+    (scenario keys or command-line flags) in the error."""
     for key, width in zip(keys, (bin_width_s, max_gap_s)):
         _require(isfinite(width), key, "a finite number", width)
         _require(width > 0, key, "> 0", width)

@@ -7,13 +7,16 @@ surviving inter-arrival gaps, and read the dead time off the onset of the
 first populated bin.  Sweeping the true rate recovers the full rate-dependent
 dead-time curve.
 
-Timestamps are quantized to the tagger resolution of 8 ps and the on-disk
-format is one integer per line, picoseconds since stream start.
+A stream holds int64 ticks of 1 ps, the unit of the on-disk format (one
+integer per line), on the generator's 8 ps tagger grid.  Seconds appear only
+at the edges (duration, rate, dead window, bins, CSVs), so the filter and the
+histogram decide a gap equal to the window or on a bin edge exactly.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,7 +43,8 @@ __all__ = [
     "write_sweep_csv",
 ]
 
-RESOLUTION_S = 8e-12
+TICK_S = 1e-12
+RESOLUTION_TICKS = 8
 DEFAULT_BIN_WIDTH_S = 0.5e-9
 DEFAULT_MAX_GAP_S = 200e-9
 DEFAULT_MIN_COUNT = 2
@@ -51,10 +55,10 @@ MAX_HISTOGRAM_BINS = 1 << 20
 # mistyped rate or duration from asking numpy for terabytes of gaps
 MAX_STREAM_EVENTS = 1 << 27
 _WRITE_CHUNK_LINES = 1 << 16
+# generated and filtered ticks stay below 2**62 (53 days): tick + window fits int64
+MAX_STREAM_TICK = 1 << 62
 # longest line read_timestamps parses in bulk (10**18 - 1 < 2**63)
 _MAX_BULK_DIGITS = 18
-# largest integer tick float() converts without OverflowError (2**1024 rounds up)
-_MAX_FLOAT_TICK = 2**1024 - 2**970 - 1
 # apply_dead_time's fixed point: iteration cap and relative rate tolerance
 _FIXED_POINT_ITERATIONS = 20
 _FIXED_POINT_REL_TOL = 1e-6
@@ -86,21 +90,23 @@ class FixedPointError(RuntimeError):
 
 @dataclass(frozen=True)
 class TimestampStream:
-    """Strictly increasing arrival times in seconds over [0, duration]."""
+    """Strictly increasing int64 ticks t of TICK_S over [0, duration]: the
+    duration in seconds as given, and t * TICK_S <= duration_s."""
 
-    timestamps_s: np.ndarray
+    ticks: np.ndarray
     duration_s: float
 
     def __post_init__(self):
-        t = np.asarray(self.timestamps_s, dtype=float)
-        if t.ndim != 1:
-            raise ValueError("timestamps must be a 1-d array")
-        if t.size and (np.any(np.diff(t) <= 0) or t[0] < 0 or t[-1] > self.duration_s):
-            raise ValueError("timestamps must be strictly increasing within [0, duration]")
-        object.__setattr__(self, "timestamps_s", t)
+        t = np.asarray(self.ticks)
+        if t.ndim != 1 or (t.size and t.dtype.kind not in "iu"):
+            raise ValueError("ticks must be a 1-d array of integers")
+        t = t.astype(np.int64, copy=False)
+        if t.size and (np.any(t[1:] <= t[:-1]) or t[0] < 0 or t[-1] * TICK_S > self.duration_s):
+            raise ValueError("ticks must be strictly increasing within [0, duration]")
+        object.__setattr__(self, "ticks", t)
 
     def __len__(self) -> int:
-        return int(self.timestamps_s.size)
+        return int(self.ticks.size)
 
     @property
     def observed_rate_cps(self) -> float:
@@ -127,22 +133,39 @@ class InterArrivalHistogram:
                 writer.writerow([repr(i * self.bin_width_s), int(count)])
 
 
-def _quantize(times_s: np.ndarray, duration_s: float) -> np.ndarray:
-    """Snap to the tagger grid, merge duplicates, drop anything past duration.
+def _ticks_of(seconds: float) -> float:
+    """`seconds` in ticks, the one conversion of a time given in seconds: a
+    quotient within 1e-12 (relative, far above float rounding) of a whole
+    count is that count, so 0.5e-9 s is 500 ticks, not 500.00000000000006."""
+    exact = seconds / TICK_S
+    nearest = float(np.rint(exact))
+    return nearest if abs(exact - nearest) <= 1e-12 * abs(exact) else exact
 
-    Works in place on `times_s`, which must be ascending.  Rounding keeps that
-    order, so equal ticks are neighbours and one comparison with the previous
-    tick merges them (the same values `np.unique` gives, without its sort).
-    """
-    ticks = np.divide(times_s, RESOLUTION_S, out=times_s)
-    np.round(ticks, out=ticks)
-    if ticks.size > 1:
-        fresh = np.empty(ticks.size, dtype=bool)
+
+def _window_ticks(dead_s: float) -> int:
+    """The dead window in whole ticks: a gap of g ticks is at least dead_s iff
+    g >= ceil(_ticks_of(dead_s)); capped at MAX_STREAM_TICK, past every gap."""
+    return math.ceil(min(_ticks_of(dead_s), MAX_STREAM_TICK))
+
+
+def _quantize(times_s: np.ndarray, duration_s: float) -> np.ndarray:
+    """Snap to the tagger grid as ticks, merge duplicates, drop anything past
+    duration.  Works in place on `times_s`, which must be ascending and which
+    the grid steps overwrite as int64: rounding keeps the order, so one
+    comparison with the previous step merges equal ones (as `np.unique`
+    would, without its sort)."""
+    steps = np.divide(times_s, RESOLUTION_TICKS * TICK_S, out=times_s)
+    np.rint(steps, out=steps)
+    grid = steps.view(np.int64)
+    np.copyto(grid, steps, casting="unsafe")
+    if grid.size > 1:
+        fresh = np.empty(grid.size, dtype=bool)
         fresh[0] = True
-        np.not_equal(ticks[1:], ticks[:-1], out=fresh[1:])
-        ticks = ticks[fresh]
-    out = np.multiply(ticks, RESOLUTION_S, out=ticks)
-    return out[: np.searchsorted(out, duration_s, side="right")]
+        np.not_equal(grid[1:], grid[:-1], out=fresh[1:])
+        grid = grid[fresh]
+    ticks = np.multiply(grid, RESOLUTION_TICKS, out=grid)
+    # rounding moves at most the last event (by up to 4 ps) past the duration
+    return ticks[:-1] if ticks.size and ticks[-1] * TICK_S > duration_s else ticks
 
 
 def _first_block_size(expected: float) -> int:
@@ -153,7 +176,10 @@ def _first_block_size(expected: float) -> int:
 
 def expected_events(beta_cps: float, duration_s: float) -> float:
     """Expected event count beta * duration of a Poisson stream; ValueError
-    above MAX_STREAM_EVENTS."""
+    above MAX_STREAM_EVENTS, or when the duration reaches MAX_STREAM_TICK."""
+    if not duration_s / TICK_S < MAX_STREAM_TICK:
+        raise ValueError(f"the stream would last {duration_s:.6g} s, more than the limit of "
+                         f"{MAX_STREAM_TICK * TICK_S:.6g} s")
     expected = beta_cps * duration_s
     if not expected <= MAX_STREAM_EVENTS:
         raise ValueError(
@@ -190,28 +216,25 @@ def generate_poisson_stream(beta_cps: float, duration_s: float, seed: int) -> Ti
     return TimestampStream(_quantize(times, duration_s), duration_s)
 
 
-def _chase(times_s: np.ndarray, dead_s: float, kept: np.ndarray, cur: np.ndarray,
+def _chase(ticks: np.ndarray, dead: int, kept: np.ndarray, cur: np.ndarray,
            end: np.ndarray) -> None:
     """Walk the chains that start at the kept events `cur` up to their segment
     ends `end`, all in lockstep, and mark every event they land on in `kept`.
 
-    Each step maps every live pointer i to the first j > i with
-    t[j] >= t[i] + dead_s — the comparison and the float sum the sequential
-    rule makes — and drops the pointers that reached their segment's end.
-    The step first probes the next _PROBE_EVENTS events one at a time, since
-    at the sweep's rates almost every next kept event lies within them; only
-    the pointers still short of their window after the probe search the
-    stream (searchsorted).  With fewer than _PROBE_MIN_LIVE live pointers,
-    as in the long walks of a window much longer than the mean gap, every
-    pointer searches at once.  A window too short to move t[i] + dead_s past
-    t[i] in floating point steps to the next event, where the sequential
-    walk would stall on i.
+    Each step maps every live pointer i to the first j with
+    t[j] >= t[i] + dead, the sequential rule's comparison (j > i, since the
+    window is at least one tick), and drops the pointers that reached their
+    segment's end.  The step first probes the next _PROBE_EVENTS events one
+    at a time, since at the sweep's rates almost every next kept event lies
+    within them; only the pointers still short of their window after the
+    probe search the stream (searchsorted).  With fewer than _PROBE_MIN_LIVE
+    live pointers, as in the long walks of a window much longer than the
+    mean gap, every pointer searches at once.
     """
     while cur.size:
-        reach = times_s[cur] + dead_s
+        reach = ticks[cur] + dead
         if cur.size < _PROBE_MIN_LIVE:
-            nxt = np.searchsorted(times_s, reach, side="left")
-            np.maximum(nxt, cur + 1, out=nxt)
+            nxt = np.searchsorted(ticks, reach, side="left")
         else:
             # the events after i that are short of the window come first, so
             # counting them gives the first one that is not; an index past
@@ -219,39 +242,39 @@ def _chase(times_s: np.ndarray, dead_s: float, kept: np.ndarray, cur: np.ndarray
             # that index is reached, so such a pointer goes on to the search
             nxt = cur + 1
             for _ in range(_PROBE_EVENTS):
-                nxt += np.take(times_s, nxt, mode="clip") < reach
+                nxt += np.take(ticks, nxt, mode="clip") < reach
             short = np.flatnonzero(nxt > cur + _PROBE_EVENTS)
-            nxt[short] = np.searchsorted(times_s, reach[short], side="left")
+            nxt[short] = np.searchsorted(ticks, reach[short], side="left")
         live = nxt < end
         cur = nxt[live]
         end = end[live]
         kept[cur] = True
 
 
-def _kept_mask(times_s: np.ndarray, dead_s: float) -> np.ndarray:
-    """The kept set of _filter_constant(times_s, dead_s) as a mask: one full pass."""
-    n = times_s.size
-    if n == 0 or dead_s <= 0:
+def _kept_mask(ticks: np.ndarray, dead: int) -> np.ndarray:
+    """The kept set of _filter_constant(ticks, dead) as a mask: one full pass."""
+    n = ticks.size
+    if n == 0 or dead <= 0:
         return np.ones(n, dtype=bool)
     kept = np.empty(n, dtype=bool)
     kept[0] = True
-    np.greater_equal(times_s[1:], times_s[:-1] + dead_s, out=kept[1:])
+    np.greater_equal(ticks[1:], ticks[:-1] + dead, out=kept[1:])
     cur = np.flatnonzero(kept)
-    _chase(times_s, dead_s, kept, cur, np.append(cur[1:], n))
+    _chase(ticks, dead, kept, cur, np.append(cur[1:], n))
     return kept
 
 
-def _filter_constant(times_s: np.ndarray, dead_s: float) -> np.ndarray:
-    """Non-paralyzable thinning: keep an event iff it lies at least dead_s
-    past the previously kept event.  Suppressed events never extend the window.
+def _filter_constant(ticks: np.ndarray, dead: int) -> np.ndarray:
+    """Non-paralyzable thinning: keep an event iff it lies at least dead
+    ticks past the previously kept event.  Suppressed events never extend the window.
 
     The sequential rule walks one event at a time: from a kept event i the
-    next kept one is the first j with t[j] >= t[i] + dead_s.  This kernel
+    next kept one is the first j with t[j] >= t[i] + dead.  This kernel
     gets the same kept set without that walk.
 
-    Segments.  If t[i] >= t[i-1] + dead_s, event i is kept whatever came
+    Segments.  If t[i] >= t[i-1] + dead, event i is kept whatever came
     before: every earlier kept event k has t[k] <= t[i-1], so its window
-    t[k] + dead_s ends no later than t[i], and the walk cannot jump past i
+    t[k] + dead ends no later than t[i], and the walk cannot jump past i
     (it always lands on the first event at or past the window's end).  The
     first event is kept too.  These always-kept events cut the stream into
     independent segments; the walk enters each one at its first event and
@@ -262,38 +285,35 @@ def _filter_constant(times_s: np.ndarray, dead_s: float) -> np.ndarray:
     stream length.  apply_dead_time's fixed point runs the same chase on
     the segments a change of window can alter (_refilter).
     """
-    return times_s[_kept_mask(times_s, dead_s)]
+    return ticks[_kept_mask(ticks, dead)]
 
 
-def _refilter(times_s: np.ndarray, kept: np.ndarray, old_s: float, new_s: float) -> None:
-    """Turn the kept mask at window old_s into the one at new_s, in place,
-    re-chasing only the segments the change of window can alter.
+def _refilter(ticks: np.ndarray, kept: np.ndarray, old: int, new: int) -> None:
+    """Turn the kept mask at window old into the one at new >= 1 tick, in
+    place, re-chasing only the segments the change of window can alter.
 
-    Dirty events.  From a kept event i the chain at old_s steps to the next
-    kept event j (j = n after the last one).  At new_s > old_s that step
-    changes iff t[j] < t[i] + new_s.  At new_s < old_s it changes iff some
-    event strictly between i and j lies at or past t[i] + new_s, that is iff
-    t[j-1] >= t[i] + new_s; for the last kept event this checks the events
-    after it.  Both tests use the chase's own float sum t[i] + w (a
-    difference t[j] - t[i] rounds differently on ties).  The second test
-    also marks i when j = i + 1 and t[i] + new_s == t[i] in floating point;
-    re-chasing a segment that did not change reproduces it.
+    Dirty events.  From a kept event i the chain at old steps to the next
+    kept event j (j = n after the last one).  At new > old that step
+    changes iff t[j] < t[i] + new.  At new < old it changes iff some
+    event strictly between i and j lies at or past t[i] + new, that is iff
+    t[j-1] >= t[i] + new; for the last kept event this checks the events
+    after it.
 
-    Segments.  An event s with t[s] >= t[s-1] + max(old_s, new_s) starts a
+    Segments.  An event s with t[s] >= t[s-1] + max(old, new) starts a
     segment at both windows, so both chains pass through it.  Between two
-    such events the chain at new_s follows the chain at old_s up to the
+    such events the chain at new follows the chain at old up to the
     first dirty event; from there to the segment's end the mask is cleared
-    and chased again at new_s.  Every other segment keeps its events.
+    and chased again at new.  Every other segment keeps its events.
     """
-    n = times_s.size
-    if n == 0 or new_s == old_s:
+    n = ticks.size
+    if n == 0 or new == old:
         return
     # the kept events' indices, then n: the next kept event after the last
     idx = np.flatnonzero(np.append(kept, True))
-    dirty = _dirty_positions(times_s, idx, old_s, new_s)
+    dirty = _dirty_positions(ticks, idx, old, new)
     if not dirty.size:
         return
-    end = _segment_ends(times_s, idx, dirty, max(old_s, new_s))
+    end = _segment_ends(ticks, idx, dirty, max(old, new))
     # the first dirty event of each segment
     first = np.empty(dirty.size, dtype=bool)
     first[0] = True
@@ -304,41 +324,41 @@ def _refilter(times_s: np.ndarray, kept: np.ndarray, old_s: float, new_s: float)
     lengths = end - cur - 1
     offsets = np.repeat(cur + 1 - (np.cumsum(lengths) - lengths), lengths)
     kept[offsets + np.arange(offsets.size)] = False
-    _chase(times_s, new_s, kept, cur, end)
+    _chase(ticks, new, kept, cur, end)
 
 
-def _dirty_positions(times_s: np.ndarray, idx: np.ndarray, old_s: float,
-                     new_s: float) -> np.ndarray:
+def _dirty_positions(ticks: np.ndarray, idx: np.ndarray, old: int,
+                     new: int) -> np.ndarray:
     """The positions p in idx (kept indices, then n) of the kept events whose
-    next step changes when the window moves from old_s to new_s (see
+    next step changes when the window moves from old to new (see
     _refilter), taken _REFILTER_BLOCK positions at a time so that no
     temporary as long as idx is ever allocated."""
-    stop = idx.size - 2 if new_s > old_s else idx.size - 1
+    stop = idx.size - 2 if new > old else idx.size - 1
     found = [np.empty(0, dtype=np.intp)]
     for a in range(0, stop, _REFILTER_BLOCK):
         b = min(a + _REFILTER_BLOCK, stop)
-        reach = times_s[idx[a:b]] + new_s
-        if new_s > old_s:
-            hit = times_s[idx[a + 1:b + 1]] < reach
+        reach = ticks[idx[a:b]] + new
+        if new > old:
+            hit = ticks[idx[a + 1:b + 1]] < reach
         else:
-            hit = times_s[idx[a + 1:b + 1] - 1] >= reach
+            hit = ticks[idx[a + 1:b + 1] - 1] >= reach
         found.append(np.flatnonzero(hit) + a)
     return np.concatenate(found)
 
 
-def _segment_ends(times_s: np.ndarray, idx: np.ndarray, pos: np.ndarray,
-                  width: float) -> np.ndarray:
+def _segment_ends(ticks: np.ndarray, idx: np.ndarray, pos: np.ndarray,
+                  width: int) -> np.ndarray:
     """For each position p in idx, the first later position whose event s
     starts a segment at window width (t[s] >= t[s-1] + width), or the
     position of n.  All walks advance in lockstep, one kept event a step,
     over the segments the chase then walks again at the new window."""
-    n = times_s.size
+    n = ticks.size
     end = pos + 1
     walking = np.arange(end.size)
     while walking.size:
         s = idx[end[walking]]
         inner = np.minimum(s, n - 1)
-        done = (s == n) | (times_s[inner] >= times_s[inner - 1] + width)
+        done = (s == n) | (ticks[inner] >= ticks[inner - 1] + width)
         walking = walking[~done]
         end[walking] += 1
     return end
@@ -355,24 +375,27 @@ def apply_dead_time(
     Exactly one of `constant_dead_time_s` or `curve` must be given.  With a
     curve the dead window is t_d evaluated at the *output* observed rate,
     which is found by fixed-point iteration over whole counts n, each
-    filtered at t_d(n / duration).  The iteration starts at the count the
-    steady-state non-paralyzable law predicts, observed_rate(input rate,
-    curve) * duration, which lies within about 1e-4 of the count it ends
-    on, so one more iteration usually confirms it.  A count n that keeps
-    n events is self-consistent; when none is, the iteration ends at the
-    window of one of the two adjacent counts between which the kept count
-    minus n changes sign.  The first iteration filters the whole stream;
-    each later one carries the kept mask over and re-chases only the
-    segments the new window changes (_refilter), so every iteration keeps
-    exactly the events of a full _filter_constant pass at its window.
+    filtered at t_d(n / duration) in whole ticks (_window_ticks).  The
+    iteration starts at the count the steady-state non-paralyzable law
+    predicts, observed_rate(input rate, curve) * duration, which lies within
+    about 1e-4 of the count it ends on, so one more iteration usually
+    confirms it.  A count n that keeps n events is self-consistent; when
+    none is, the iteration ends at the window of one of the two adjacent
+    counts between which the kept count minus n changes sign.  The first
+    iteration filters the whole stream; each later one carries the kept mask
+    over and re-chases only the segments the new window changes (_refilter),
+    so every iteration keeps exactly the events of a full _filter_constant
+    pass at its window.
     """
     if (constant_dead_time_s is None) == (curve is None):
         raise ValueError("give exactly one of constant_dead_time_s or curve")
-    t = stream.timestamps_s
+    t = stream.ticks
+    if t.size and t[-1] >= MAX_STREAM_TICK:
+        raise ValueError(f"the dead-time filter takes ticks below 2**62, got {t[-1]}")
     if constant_dead_time_s is not None:
         if constant_dead_time_s < 0:
             raise ValueError("dead time must be >= 0")
-        kept = _filter_constant(t, constant_dead_time_s)
+        kept = _filter_constant(t, _window_ticks(constant_dead_time_s))
         return TimestampStream(kept, stream.duration_s)
 
     duration = stream.duration_s
@@ -382,15 +405,15 @@ def apply_dead_time(
     # the latest whole counts n that keep more / fewer than n events at t_d(n / duration)
     more = fewer = None
     trace = []
-    kept = None
+    window = None
     for iteration in range(_FIXED_POINT_ITERATIONS):
         rate = n_in / duration if duration > 0 else 0.0
         dead_s = curve.dead_time_at(rate)
-        if kept is None:
-            kept = _kept_mask(t, dead_s)
+        previous, window = window, _window_ticks(dead_s)
+        if previous is None:
+            kept = _kept_mask(t, window)
         else:
-            # from the previous iteration's window to this one
-            _refilter(t, kept, trace[-1][1], dead_s)
+            _refilter(t, kept, previous, window)
         count = int(np.count_nonzero(kept))
         new_rate = count / duration if duration > 0 else 0.0
         trace.append((iteration, dead_s, new_rate))
@@ -423,13 +446,17 @@ def apply_dead_time(
 
 def histogram_bins(bin_width_s: float, max_gap_s: float) -> int:
     """Bins of width bin_width_s that cover [0, max_gap_s]; ValueError above
-    MAX_HISTOGRAM_BINS."""
-    n_bins = np.ceil(max_gap_s / bin_width_s)
+    MAX_HISTOGRAM_BINS, or if either is not a whole number of ticks."""
+    bin_ticks, max_ticks = _ticks_of(bin_width_s), _ticks_of(max_gap_s)
+    n_bins = np.ceil(max_ticks / bin_ticks)
     if not n_bins <= MAX_HISTOGRAM_BINS:
         raise ValueError(
             f"the histogram would need {n_bins:.6g} bins, more than the limit of "
             f"{MAX_HISTOGRAM_BINS}"
         )
+    if not (bin_ticks.is_integer() and max_ticks.is_integer()):
+        raise ValueError(f"bin width {bin_width_s!r} s and max gap {max_gap_s!r} s must be "
+                         f"whole numbers of picoseconds")
     return int(n_bins)
 
 
@@ -438,7 +465,9 @@ def interarrival_histogram(
     bin_width_s: float = DEFAULT_BIN_WIDTH_S,
     max_gap_s: float = DEFAULT_MAX_GAP_S,
 ) -> InterArrivalHistogram:
-    """Histogram of adjacent arrival-time differences within [0, max_gap]."""
+    """Histogram of adjacent gaps g <= max_gap in bins k * w <= g < (k + 1) * w
+    of width w: a gap on a bin edge counts in the upper bin, so one equal to
+    max_gap on the last bin's upper edge counts in none."""
     if bin_width_s <= 0:
         raise ValueError("bin width must be positive")
     n_bins = histogram_bins(bin_width_s, max_gap_s)
@@ -447,9 +476,10 @@ def interarrival_histogram(
             f"insufficient data: need at least 2 timestamps for an inter-arrival "
             f"histogram, got {len(stream)}"
         )
-    gaps = np.diff(stream.timestamps_s)
-    gaps = gaps[gaps <= max_gap_s]
-    counts, _ = np.histogram(gaps, bins=n_bins, range=(0.0, n_bins * bin_width_s))
+    bin_ticks = int(_ticks_of(bin_width_s))
+    gaps = np.diff(stream.ticks)
+    gaps = gaps[gaps < min(int(_ticks_of(max_gap_s)) + 1, n_bins * bin_ticks)]
+    counts = np.bincount(np.floor_divide(gaps, bin_ticks, out=gaps), minlength=n_bins)
     return InterArrivalHistogram(bin_width_s=bin_width_s, counts=counts)
 
 
@@ -546,8 +576,8 @@ def _ticks_by_line(path: Path) -> list:
                 raise ValueError(f"{path}: malformed timestamp at line {lineno}: {text!r}") from None
             if tick < 0:
                 raise ValueError(f"{path}: negative timestamp at line {lineno}: {text!r}")
-            if tick > _MAX_FLOAT_TICK:
-                raise ValueError(f"{path}: timestamp at line {lineno} is too large "
+            if tick > 2**63 - 1:
+                raise ValueError(f"{path}: timestamp at line {lineno} is above 2**63 - 1 "
                                  f"({len(text)} characters)")
             ticks.append(tick)
     return ticks
@@ -563,20 +593,19 @@ def read_timestamps(path) -> TimestampStream:
     path = Path(path)
     ticks = _ticks_in_bulk(path.read_bytes())
     if ticks is None:
-        ticks = _ticks_by_line(path)
-    if not len(ticks):
+        ticks = np.array(_ticks_by_line(path), dtype=np.int64)
+    if not ticks.size:
         raise InsufficientDataError(f"{path}: insufficient data, no timestamps in file")
-    times = np.asarray(ticks, dtype=float) * 1e-12
-    # every time lies in [0, times[-1]], so the stream can only reject the order
+    # every tick lies in [0, ticks[-1]], so the stream can only reject the order
     try:
-        return TimestampStream(times, duration_s=float(times[-1]))
+        return TimestampStream(ticks, duration_s=float(ticks[-1]) * TICK_S)
     except ValueError:
         raise ValueError(f"{path}: timestamps must be strictly ascending") from None
 
 
 def write_timestamps(stream: TimestampStream, path) -> None:
-    """Write picosecond-integer timestamps, one per line."""
-    ticks = np.round(stream.timestamps_s * 1e12).astype(np.int64)
+    """Write the ticks, integer picoseconds, one per line."""
+    ticks = stream.ticks
     with Path(path).open("w") as fh:
         for start in range(0, ticks.size, _WRITE_CHUNK_LINES):
             lines = map(str, ticks[start:start + _WRITE_CHUNK_LINES].tolist())

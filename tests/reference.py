@@ -17,6 +17,9 @@ the array algebra, so the two must agree bit for bit.
 thinned_click_rate is the event-level non-paralyzable detector with
 quantum efficiency p0, built from the package's one dead-time filter.
 
+sequential_filter, the non-paralyzable rule as a loop over int64 ticks, is
+the oracle of timetag's segment-parallel filter.
+
 fixed_point_filter is the rate-dependent fixed point with a full
 _filter_constant pass at every iteration: the oracle for apply_dead_time's
 incremental re-filter.  exact_fixed_point finds the count the fixed point
@@ -39,6 +42,7 @@ from riesim.timetag import (
     FixedPointError,
     TimestampStream,
     _filter_constant,
+    _window_ticks,
     apply_dead_time,
     generate_poisson_stream,
 )
@@ -139,13 +143,13 @@ def deterministic_suppression(
     """Click probability for a signal a fixed delay after a saturating pre-pulse.
 
     Step function against the recovery window: zero while the delay is inside
-    the dead time, p0 once past it.  The boundary delta == t_d counts as
-    suppressed (the dead interval is treated as closed).
+    the dead time, p0 from its end on.  The dead interval [0, t_d) is
+    half-open, so the boundary delta == t_d clicks.
     """
     if delta_s <= 0:
         raise ValueError("pre-pulse delay must be > 0")
     t_d = curve.dead_time_at(loading_context_cps)
-    return 0.0 if delta_s <= t_d else p0
+    return 0.0 if delta_s < t_d else p0
 
 
 @dataclass(frozen=True)
@@ -277,8 +281,18 @@ def thinned_click_rate(beta_cps: float, p0: float, dead_time_s: float, duration_
     """
     stream = generate_poisson_stream(beta_cps, duration_s, seed=seed)
     live = np.random.default_rng(seed).random(len(stream)) < p0
-    thinned = TimestampStream(stream.timestamps_s[live], stream.duration_s)
+    thinned = TimestampStream(stream.ticks[live], stream.duration_s)
     return apply_dead_time(thinned, constant_dead_time_s=dead_time_s).observed_rate_cps
+
+
+def sequential_filter(ticks: np.ndarray, window: int) -> np.ndarray:
+    """The non-paralyzable rule one event at a time: keep a tick iff it lies
+    at least `window` ticks past the last kept one."""
+    kept = []
+    for tick in ticks.tolist():
+        if not kept or tick - kept[-1] >= window:
+            kept.append(tick)
+    return np.array(kept, dtype=np.int64)
 
 
 def fixed_point_filter(stream: TimestampStream, curve: DeadTimeCurve):
@@ -289,7 +303,7 @@ def fixed_point_filter(stream: TimestampStream, curve: DeadTimeCurve):
     otherwise.  Returns the filtered stream and the
     (iteration, window, rate) trace.  Reads the iteration cap and tolerance
     from riesim.timetag."""
-    t = stream.timestamps_s
+    t = stream.ticks
     duration = stream.duration_s
     n_in = round(observed_rate(stream.observed_rate_cps, curve) * duration)
     more = fewer = None
@@ -297,7 +311,7 @@ def fixed_point_filter(stream: TimestampStream, curve: DeadTimeCurve):
     for iteration in range(timetag._FIXED_POINT_ITERATIONS):
         rate = n_in / duration if duration > 0 else 0.0
         dead_s = curve.dead_time_at(rate)
-        kept = _filter_constant(t, dead_s)
+        kept = _filter_constant(t, _window_ticks(dead_s))
         new_rate = kept.size / duration if duration > 0 else 0.0
         trace.append((iteration, dead_s, new_rate))
         if rate == new_rate or (rate > 0 and abs(new_rate - rate) / rate
@@ -331,11 +345,11 @@ def exact_fixed_point(stream: TimestampStream, curve: DeadTimeCurve) -> tuple[in
     events apart, because a window that crosses a tie moves a chain onto
     another event and every kept event after it on that segment.
     """
-    t = stream.timestamps_s
+    t = stream.ticks
 
     def kept_at(n: int) -> int:
         rate = n / stream.duration_s if stream.duration_s > 0 else 0.0
-        return _filter_constant(t, curve.dead_time_at(rate)).size
+        return _filter_constant(t, _window_ticks(curve.dead_time_at(rate))).size
 
     lo, hi = 0, len(stream)
     for n in (lo, hi):

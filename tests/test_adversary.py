@@ -141,9 +141,12 @@ def test_suppression_past_recovery_window():
     assert deterministic_suppression(50e-9, curve, 0.0, 0.9) == 0.9
 
 
-def test_suppression_boundary_counts_as_dead():
+def test_suppression_boundary_counts_as_live():
+    # the dead interval [0, t_d) is half-open
     curve = DeadTimeCurve.constant(23.3e-9)
-    assert deterministic_suppression(23.3e-9, curve, 0.0, 1.0) == 0.0
+    below, above = np.nextafter(23.3e-9, 0.0), np.nextafter(23.3e-9, 1.0)
+    assert [deterministic_suppression(delta, curve, 0.0, 1.0)
+            for delta in (below, 23.3e-9, above)] == [0.0, 1.0, 1.0]
 
 
 def test_suppression_uses_loading_context():
@@ -229,11 +232,14 @@ def test_branch_click_probabilities_by_mode():
     assert p_perp == pytest.approx(0.5, rel=1e-12)
 
 
-def test_deterministic_step_is_closed_and_reads_the_background():
-    # delta == t_d is suppressed; 30 Mcps of background stretches the window
-    # from 23.3 ns to 31.5 ns, past a 25 ns delay
+def test_deterministic_step_is_half_open_and_reads_the_background():
+    # delta < t_d is suppressed and delta == t_d is not; 30 Mcps of
+    # background stretches the window from 23.3 ns to 31.5 ns, past a 25 ns delay
     flat = _proto(curve=DeadTimeCurve.constant(23.3e-9))
-    assert branch_click_probabilities(flat, AttackConfig(mode=DET, delta_s=23.3e-9)) == (1.0, 0.0)
+    for delta, p_perp in ((np.nextafter(23.3e-9, 0.0), 0.0), (23.3e-9, 1.0),
+                          (np.nextafter(23.3e-9, 1.0), 1.0)):
+        assert branch_click_probabilities(flat, AttackConfig(mode=DET, delta_s=delta)) == (
+            1.0, p_perp)
     attack = AttackConfig(mode=DET, delta_s=25e-9)
     assert branch_click_probabilities(_proto(), attack) == (1.0, 1.0)
     p_par, p_perp = branch_click_probabilities(_proto(background_rate_cps=30e6), attack)

@@ -379,11 +379,11 @@ def test_deadtime_extract_negative_tick_names_line(tmp_path, base_config, capsys
 
 
 def test_deadtime_extract_huge_tick_names_line(tmp_path, base_config, capsys):
-    # 400 digits: int() reads it, float() would overflow
+    # 400 digits: int() reads it, int64 cannot hold it
     bad = tmp_path / "huge.txt"
     bad.write_text("1\n" + "2" * 400 + "\n")
     assert main(["--config", str(base_config), "deadtime-extract", str(bad)]) == 1
-    assert (f"error: {bad}: timestamp at line 2 is too large (400 characters)\n"
+    assert (f"error: {bad}: timestamp at line 2 is above 2**63 - 1 (400 characters)\n"
             in capsys.readouterr().err)
 
 
@@ -414,6 +414,8 @@ def test_deadtime_extract_undecodable_byte_names_line(tmp_path, base_config, cap
     (["--max-gap", "10", "--bin-width", "1e-12"], "--max-gap / --bin-width: the histogram "
                                                   "would need 1e+13 bins, more than the limit "
                                                   "of 1048576"),
+    (["--bin-width", "3e-13"], "--max-gap / --bin-width: bin width 3e-13 s and max gap 2e-07 s "
+                               "must be whole numbers of picoseconds"),
 ])
 def test_deadtime_extract_flag_overrides_exit_2(tmp_path, base_config, capsys, flags, message):
     # the overrides meet the loader's conditions on the sweep section

@@ -55,6 +55,15 @@ def test_curve_is_monotone_when_points_are():
     assert np.all(np.diff(values) >= 0)
 
 
+def test_curve_arrays_are_read_only_copies():
+    rates = np.array([0.0, 1e6])
+    curve = DeadTimeCurve(rates, np.array([2e-8, 3e-8]))
+    rates[1] = 5e6
+    assert curve.rates_cps[1] == 1e6
+    with pytest.raises(ValueError, match="read-only"):
+        curve.dead_times_s[0] = 1.0
+
+
 def test_empty_curve_rejected():
     with pytest.raises(ValueError):
         DeadTimeCurve.from_points([])

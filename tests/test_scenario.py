@@ -3,7 +3,6 @@
 import json
 import re
 
-import numpy as np
 import pytest
 
 from riesim.adversary import AttackMode
@@ -22,8 +21,8 @@ def test_empty_config_uses_defaults():
     scenario = load_scenario(data={})
     assert scenario.seed == 1
     assert scenario.attack.mode is AttackMode.NONE
-    np.testing.assert_array_equal(
-        scenario.curve.rates_cps, default_dead_time_curve().rates_cps)
+    # every load shares the one default curve, whose arrays are read-only
+    assert scenario.curve is load_scenario(data={}).curve is default_dead_time_curve()
 
 
 def test_full_config_round_trip(tmp_path):

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
@@ -15,6 +15,7 @@ import reference
 from riesim import timetag
 from riesim.detector import DeadTimeCurve, default_dead_time_curve
 from riesim.timetag import (
+    TICK_S,
     EstimationError,
     FixedPointError,
     InsufficientDataError,
@@ -49,26 +50,26 @@ def test_zero_duration_gives_empty_stream():
 def test_same_seed_gives_identical_stream():
     a = generate_poisson_stream(5e6, 0.01, seed=42)
     b = generate_poisson_stream(5e6, 0.01, seed=42)
-    np.testing.assert_array_equal(a.timestamps_s, b.timestamps_s)
+    np.testing.assert_array_equal(a.ticks, b.ticks)
 
 
 def test_different_seed_gives_different_stream():
     a = generate_poisson_stream(5e6, 0.01, seed=1)
     b = generate_poisson_stream(5e6, 0.01, seed=2)
-    assert len(a) != len(b) or not np.array_equal(a.timestamps_s, b.timestamps_s)
+    assert len(a) != len(b) or not np.array_equal(a.ticks, b.ticks)
 
 
 def test_timestamps_quantized_to_resolution():
     stream = generate_poisson_stream(1e7, 0.001, seed=5)
-    ticks = stream.timestamps_s / timetag.RESOLUTION_S
-    np.testing.assert_allclose(ticks, np.round(ticks), atol=1e-6)
+    assert stream.ticks.dtype == np.int64
+    assert np.all(stream.ticks % timetag.RESOLUTION_TICKS == 0)
 
 
 def test_timestamps_strictly_increasing_and_in_range():
     stream = generate_poisson_stream(5e7, 0.002, seed=6)
-    t = stream.timestamps_s
+    t = stream.ticks
     assert np.all(np.diff(t) > 0)
-    assert t[0] >= 0.0 and t[-1] <= stream.duration_s
+    assert t[0] >= 0 and t[-1] * TICK_S <= stream.duration_s
 
 
 def test_nonpositive_rate_rejected():
@@ -84,18 +85,21 @@ def test_stream_event_cap(monkeypatch):
     assert timetag.expected_events(1e3, 1.0) == 1000.0
     with pytest.raises(ValueError, match="more than the limit of 1000"):
         generate_poisson_stream(1e3, 1.001, seed=0)
+    # ticks stay below 2**62 ps, about 53 days
+    with pytest.raises(ValueError, match="the stream would last 5e\\+06 s, more than"):
+        generate_poisson_stream(1.0, 5e6, seed=0)
 
 
-# (event count, sha256 of timestamps_s.tobytes()) per (rate, duration, seed):
-# every output of sweep-deadtime follows from these bytes, so a change here
-# is a behaviour change
+# (event count, sha256 of ticks.tobytes()) per (rate, duration, seed): every
+# output of sweep-deadtime follows from these bytes, so a change here is a
+# behaviour change
 STREAM_PINS = {
     (1e6, 0.0, 3): (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    (1e4, 0.05, 5): (534, "65d13ae75037925d83ea7cd0ed869d95c20de1c45fa328e94dafc96e09303a17"),
-    (2e5, 0.001, 7): (195, "b21c971fb3ec95997d83e636ae1483e833c873e9ad33a93811856696c96f3e65"),
-    (5e6, 0.01, 42): (49976, "50cc83e85bb096b0a2f6e37a9bbe1795e30596fd334c1f831e94b14ad116c709"),
-    (1e7, 0.003, 0): (30205, "509367a531e350854c980a9ef3a1995826d79fe9ca63d5021066b12567902bdc"),
-    (40e6, 0.05, 2000001): (1998498, "328b2b7256cce21d3c22bd3fe991b9082713d2a3764d5200f6bc4dd4b7ab6764"),
+    (1e4, 0.05, 5): (534, "828acccf5a6ccb448b0be94fd1c570d6ad92f5902ffb55f782287d99b961720c"),
+    (2e5, 0.001, 7): (195, "23fa84a4ed09f96fd72d39f9df6699fd515a0647e76cb42cce6b9aa1a569bd4a"),
+    (5e6, 0.01, 42): (49976, "ff288b9db0e8b3ac5ede3d23ea638c597123b3ec66ac6c38226d4d774356352e"),
+    (1e7, 0.003, 0): (30205, "9249a40f96c7014706ff5b611c09f1926d4a38cc24d1f8b1807b42f56fe3bae1"),
+    (40e6, 0.05, 2000001): (1998498, "eb2031738d591ff9ddddf9ff8eca21548269ed68a39871d5a94908f6aff0ff5f"),
 }
 
 
@@ -104,16 +108,16 @@ def test_stream_bytes_are_pinned(rate, duration, seed):
     stream = generate_poisson_stream(rate, duration, seed)
     size, digest = STREAM_PINS[(rate, duration, seed)]
     assert len(stream) == size
-    assert hashlib.sha256(stream.timestamps_s.tobytes()).hexdigest() == digest
+    assert hashlib.sha256(stream.ticks.tobytes()).hexdigest() == digest
 
 
 def test_stream_spanning_several_blocks(monkeypatch):
     monkeypatch.setattr(timetag, "_first_block_size", lambda expected: 1024)
     rate, duration = 1e6, 0.01
-    times = generate_poisson_stream(rate, duration, seed=5).timestamps_s
+    times = generate_poisson_stream(rate, duration, seed=5).ticks
     assert times.size > 2 * 1024  # later blocks hold at most 1024 gaps each
     assert np.all(np.diff(times) > 0)
-    assert 0.0 <= times[0] and times[-1] <= duration
+    assert 0 <= times[0] and times[-1] * TICK_S <= duration
     expected = rate * duration
     assert abs(times.size - expected) < 5 * math.sqrt(expected)
 
@@ -121,90 +125,84 @@ def test_stream_spanning_several_blocks(monkeypatch):
 # ---------------------------------------------------------------- dead-time filter
 
 
-TICK_S = 8e-12
+GRID = timetag.RESOLUTION_TICKS
 
 
-def _reference_filter(times_s, dead_s):
-    """The sequential non-paralyzable rule, one kept event at a time: the
-    oracle for the segment-parallel kernel."""
-    n = times_s.size
-    if n == 0 or dead_s <= 0:
-        return times_s.copy()
-    next_idx = np.searchsorted(times_s, times_s + dead_s, side="left")
-    kept = np.empty(n, dtype=np.int64)
-    k = 0
-    i = 0
-    while i < n:
-        kept[k] = i
-        k += 1
-        i = next_idx[i]
-    return times_s[kept[:k]]
-
-
-def _draw_window(draw, times):
-    """A window that is a tick multiple (ties t[j] == t[i] + d), an exact
-    difference of two stream times, zero, sub-tick, longer than the stream,
-    or arbitrary."""
-    kind = draw(st.sampled_from(["ticks", "ticks", "difference", "difference",
-                                 "zero", "subtick", "longer", "any"]))
-    if kind == "ticks":
-        return draw(st.integers(1, 8000) | st.sampled_from([2000, 3000, 4000])) * TICK_S
-    if kind == "difference" and times.size >= 2:
-        i, j = sorted(draw(st.lists(st.integers(0, times.size - 1), min_size=2, max_size=2,
+def _draw_window(draw, ticks, tied):
+    """A window in ticks: `tied`, which some gaps equal, an exact difference
+    of two stream ticks, zero, longer than the stream, or arbitrary."""
+    kind = draw(st.sampled_from(["tied", "tied", "difference", "difference",
+                                 "zero", "longer", "any"]))
+    if kind == "tied":
+        return tied
+    if kind == "difference" and ticks.size >= 2:
+        i, j = sorted(draw(st.lists(st.integers(0, ticks.size - 1), min_size=2, max_size=2,
                                     unique=True)))
-        return times[j] - times[i]
+        return int(ticks[j] - ticks[i])
     if kind == "zero":
-        return 0.0
-    if kind == "subtick":
-        return draw(st.floats(1e-15, TICK_S, exclude_max=True))
+        return 0
     if kind == "longer":
-        span = times[-1] - times[0] if times.size else 0.0
-        return span + draw(st.floats(TICK_S, 1e-6))
-    return draw(st.floats(1e-15, 1e-7))
+        span = int(ticks[-1] - ticks[0]) if ticks.size else 0
+        return span + draw(st.integers(1, 10**6))
+    return draw(st.integers(1, 10**5))
 
 
 @st.composite
 def tick_streams_and_windows(draw):
-    """Strictly increasing integer-tick times times 8 ps, with a window from
-    _draw_window."""
+    """Strictly increasing ticks on the 8 ps grid, with a window from
+    _draw_window whose tied choice is a grid multiple that some gaps equal."""
+    steps = draw(st.integers(1, 8000) | st.sampled_from([2000, 3000, 4000]))
     start = draw(st.integers(0, 10_000))
     # gaps on a coarse grid make sums of consecutive gaps hit the window often
-    gaps = draw(st.lists(st.integers(1, 6000) | st.sampled_from([1000, 2000, 3000]),
+    gaps = draw(st.lists(st.integers(1, 6000) | st.sampled_from([1000, 2000, 3000, steps]),
                          max_size=400))
-    ticks = start + np.cumsum(np.asarray([0] + gaps, dtype=np.int64))
-    times = ticks[: draw(st.integers(0, ticks.size))] * TICK_S
-    return times, _draw_window(draw, times)
+    grid = start + np.cumsum(np.asarray([0] + gaps, dtype=np.int64))
+    ticks = GRID * grid[: draw(st.integers(0, grid.size))]
+    return ticks, _draw_window(draw, ticks, GRID * steps)
 
 
 @settings(max_examples=400, deadline=None)
 @given(tick_streams_and_windows())
 def test_filter_matches_sequential_reference(case):
-    times, window = case
-    assert np.array_equal(_filter_constant(times, window), _reference_filter(times, window))
+    ticks, window = case
+    assert np.array_equal(_filter_constant(ticks, window),
+                          reference.sequential_filter(ticks, window))
 
 
 def test_filter_keeps_event_exactly_at_window_end():
-    times = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 4.5, 6.5])
-    expected = [0.0, 2.0, 4.0, 6.5]
-    np.testing.assert_array_equal(_reference_filter(times, 2.0), expected)
-    np.testing.assert_array_equal(_filter_constant(times, 2.0), expected)
+    stream = TimestampStream(np.array([0, 10, 20, 30, 40, 45, 65]), duration_s=1e-10)
+    expected = [0, 20, 40, 65]
+    assert reference.sequential_filter(stream.ticks, 20).tolist() == expected
+    assert _filter_constant(stream.ticks, 20).tolist() == expected
+    assert apply_dead_time(stream, constant_dead_time_s=20e-12).ticks.tolist() == expected
 
 
-def test_filter_window_below_float_spacing_keeps_every_event():
-    # t + 1e-300 == t, so no event can suppress another (the sequential walk
-    # never leaves the first event here); the 40 Mcps stream steps all its
-    # pointers through the chase's forward probe at once
-    for times in (np.arange(1, 50) * TICK_S,
-                  generate_poisson_stream(40e6, 0.005, seed=4).timestamps_s):
-        np.testing.assert_array_equal(_filter_constant(times, 1e-300), times)
+def test_filter_takes_any_window_and_ticks_below_2_62():
+    stream = TimestampStream(np.array([0, 10, 2**62 - 1]), duration_s=1e7)
+    assert apply_dead_time(stream, constant_dead_time_s=1e300).ticks.tolist() == [0]
+    with pytest.raises(ValueError, match=r"ticks below 2\*\*62, got 4611686018427387904"):
+        apply_dead_time(TimestampStream([0, 2**62], 1e7), constant_dead_time_s=1e-9)
+    with pytest.raises(ValueError, match="1-d array of integers"):
+        TimestampStream(np.array([1e-6, 2e-6]), duration_s=1e-5)
+
+
+def test_gaps_equal_to_a_whole_tick_window_are_kept():
+    # 24.0 ns is 3000 grid steps: the default curve's 4 Mcps anchor and
+    # DeadTimeCurve.constant(24e-9).  An event a whole window after its
+    # predecessor starts a segment, so every such raw gap is kept
+    stream = generate_poisson_stream(40e6, 0.05, seed=4)
+    ties = np.flatnonzero(np.diff(stream.ticks) == 24_000) + 1
+    out = apply_dead_time(stream, constant_dead_time_s=24.0e-9)
+    assert ties.size == 247 and np.isin(stream.ticks[ties], out.ticks).all()
+    assert len(out) == 1_020_592
 
 
 @pytest.mark.parametrize("rate", [1e6, 20e6, 40e6])
 def test_filter_matches_reference_on_sweep_streams(rate):
-    stream = generate_poisson_stream(rate, 0.05, seed=int(rate))
-    for window in (23.3e-9, 31.5e-9):
-        assert np.array_equal(_filter_constant(stream.timestamps_s, window),
-                              _reference_filter(stream.timestamps_s, window))
+    ticks = generate_poisson_stream(rate, 0.05, seed=int(rate)).ticks
+    for window in (23_300, 31_500):
+        assert np.array_equal(_filter_constant(ticks, window),
+                              reference.sequential_filter(ticks, window))
 
 
 @pytest.mark.parametrize("window", [
@@ -213,102 +211,92 @@ def test_filter_matches_reference_on_sweep_streams(rate):
     # ~6 mean gaps: hundreds of live pointers, nearly all short of their
     # window after the probe, so they fall back to the search
     150e-9,
-    # below the 8 ps tick: every event is kept
+    # half a grid step: every event is kept
     4e-12,
-    # 3000 ticks of 8 ps: gaps equal to the window are float ties
+    # 3000 grid steps: gaps equal to the window are ties
     24.0e-9,
 ])
 def test_kept_mask_matches_sequential_reference_at_extreme_windows(window):
-    times = generate_poisson_stream(40e6, 0.005, seed=4).timestamps_s
-    kept = timetag._kept_mask(times, window)
-    assert times[kept].tobytes() == _reference_filter(times, window).tobytes()
+    ticks = generate_poisson_stream(40e6, 0.005, seed=4).ticks
+    window = timetag._window_ticks(window)
+    kept = timetag._kept_mask(ticks, window)
+    assert ticks[kept].tobytes() == reference.sequential_filter(ticks, window).tobytes()
 
 
 @st.composite
 def window_steps(draw):
     """A tick stream, the window w of its current kept set and the next
-    window w': a few ticks or a fraction of a tick from w (the fixed point's
-    steps), or any _draw_window window.  With w' < w the stream may gain an
-    event at t_last + w', the float sum the chase makes, after the last
-    event t_last kept at w."""
-    times, old = draw(tick_streams_and_windows())
-    kind = draw(st.sampled_from(["near", "near", "fraction", "difference", "window"]))
+    window w' >= 1 tick: a few grid steps or a few percent from w (the fixed
+    point's steps), or any _draw_window window.  With w' < w the stream may
+    gain an event at t_last + w' after the last event t_last kept at w."""
+    ticks, old = draw(tick_streams_and_windows())
+    kind = draw(st.sampled_from(["near", "near", "fraction", "window"]))
     if kind == "near":
-        new = old + draw(st.integers(-40, 40).filter(bool)) * TICK_S
+        new = old + draw(st.integers(-40, 40).filter(bool)) * GRID
     elif kind == "fraction":
-        new = old * draw(st.floats(0.9, 1.1))
-    elif kind == "difference" and times.size >= 2:
-        # a tie t[j] - t[i] == w' with t[i] early in the stream, where the
-        # difference and the sum t[i] + w' round apart
-        i = draw(st.integers(0, min(times.size - 2, 3)))
-        new = times[draw(st.integers(i + 1, times.size - 1))] - times[i]
+        new = round(old * draw(st.floats(0.9, 1.1)))
     else:
-        new = _draw_window(draw, times)
-    if times.size and new < old and draw(st.booleans()):
-        last = times[timetag._kept_mask(times, old)][-1]
-        if last + new > times[-1]:
-            times = np.append(times, last + new)
-    return times, old, new
+        new = _draw_window(draw, ticks, GRID * draw(st.integers(1, 8000)))
+    new = max(new, 1)
+    if ticks.size and new < old and draw(st.booleans()):
+        last = ticks[timetag._kept_mask(ticks, old)][-1]
+        if last + new > ticks[-1]:
+            ticks = np.append(ticks, last + new)
+    return ticks, old, new
 
 
 @settings(max_examples=500, deadline=None)
 @given(window_steps(), st.sampled_from([1, 2, 3, 7, timetag._REFILTER_BLOCK]))
 def test_refilter_step_matches_full_pass(case, block):
-    times, old, new = case
-    kept = timetag._kept_mask(times, old)
+    ticks, old, new = case
+    kept = timetag._kept_mask(ticks, old)
     # small blocks put block edges between the kept events of short streams
     with mock.patch.object(timetag, "_REFILTER_BLOCK", block):
-        timetag._refilter(times, kept, old, new)
-    assert times[kept].tobytes() == _filter_constant(times, new).tobytes()
+        timetag._refilter(ticks, kept, old, new)
+    assert ticks[kept].tobytes() == _filter_constant(ticks, new).tobytes()
 
 
+# windows in ticks, written as floats so that the cases keep their ids
 @pytest.mark.parametrize("times, old, new, expected", [
     # no event follows the last kept one (0) at w = 10; at w' = 6 the tail
     # event 8 is kept
-    ([0.0, 5.0, 8.0], 10.0, 6.0, [0.0, 8.0]),
-    ([0.0, 5.0, 8.0, 20.0], 10.0, 6.0, [0.0, 8.0, 20.0]),
+    ([0, 5, 8], 10.0, 6.0, [0, 8]),
+    ([0, 5, 8, 20], 10.0, 6.0, [0, 8, 20]),
     # a longer window drops 2, 4 and 9 and keeps 5
-    ([0.0, 2.0, 4.0, 5.0, 9.0], 2.0, 5.0, [0.0, 5.0]),
-    # w' = t[1] - t[0] in floating point, yet t[0] + w' > t[1]: the chase
-    # drops t[1] at w', so the step must too
-    ([1.976e-09, 1.4632e-08, 3e-08], 1e-08, 1.4632e-08 - 1.976e-09, [1.976e-09, 3e-08]),
-    # t[1] - t[0] < w' but t[1] >= t[0] + w' in floating point: the chase
-    # keeps t[1] at w', so the step must too
-    ([6.8049936e-05, 6.807541599999999e-05, 6.809e-05], 3e-08, 2.548e-08,
-     [6.8049936e-05, 6.807541599999999e-05]),
+    ([0, 2, 4, 5, 9], 2.0, 5.0, [0, 5]),
 ])
 def test_refilter_step_examples(times, old, new, expected):
-    times = np.asarray(times)
-    kept = timetag._kept_mask(times, old)
-    timetag._refilter(times, kept, old, new)
-    assert times[kept].tolist() == expected
-    assert times[kept].tobytes() == _reference_filter(times, new).tobytes()
+    ticks = np.asarray(times, dtype=np.int64)
+    kept = timetag._kept_mask(ticks, int(old))
+    timetag._refilter(ticks, kept, int(old), int(new))
+    assert ticks[kept].tolist() == expected
+    assert ticks[kept].tobytes() == reference.sequential_filter(ticks, int(new)).tobytes()
 
 
 def test_refilter_same_window_keeps_mask():
-    times = generate_poisson_stream(40e6, 0.001, seed=3).timestamps_s
-    kept = timetag._kept_mask(times, 30e-9)
+    ticks = generate_poisson_stream(40e6, 0.001, seed=3).ticks
+    kept = timetag._kept_mask(ticks, 30_000)
     before = kept.copy()
-    timetag._refilter(times, kept, 30e-9, 30e-9)
+    timetag._refilter(ticks, kept, 30_000, 30_000)
     assert np.array_equal(kept, before)
 
 
 def test_zero_dead_time_is_identity():
     stream = generate_poisson_stream(1e6, 0.01, seed=9)
     out = apply_dead_time(stream, constant_dead_time_s=0.0)
-    np.testing.assert_array_equal(out.timestamps_s, stream.timestamps_s)
+    np.testing.assert_array_equal(out.ticks, stream.ticks)
 
 
 def test_close_pair_loses_second_event():
-    stream = TimestampStream(np.array([1e-6, 1e-6 + 1e-9]), duration_s=1e-5)
+    stream = TimestampStream(np.array([1_000_000, 1_001_000]), duration_s=1e-5)
     out = apply_dead_time(stream, constant_dead_time_s=23.3e-9)
-    np.testing.assert_array_equal(out.timestamps_s, [1e-6])
+    np.testing.assert_array_equal(out.ticks, [1_000_000])
 
 
 def test_filtered_stream_never_violates_dead_window():
     stream = generate_poisson_stream(3e7, 0.005, seed=12)
     out = apply_dead_time(stream, constant_dead_time_s=23.3e-9)
-    assert np.all(np.diff(out.timestamps_s) >= 23.3e-9)
+    assert np.diff(out.ticks).min() >= 23_300
 
 
 def test_constant_filter_throughput_matches_formula():
@@ -326,7 +314,7 @@ def test_rate_dependent_filter_self_consistency():
     out = apply_dead_time(stream, curve=curve)
     # the applied window must equal the curve at the output's own rate
     window = curve.dead_time_at(out.observed_rate_cps)
-    assert np.all(np.diff(out.timestamps_s) >= window * (1 - 1e-9))
+    assert np.diff(out.ticks).min() >= timetag._ticks_of(window) * (1 - 1e-9)
 
 
 class RecordingCurve:
@@ -356,7 +344,7 @@ def test_rate_dependent_filter_converges_through_count_plateau_cycle():
     ends = reference.exact_fixed_point(stream, curve.curve)
     assert len(ends) == 2 and len(out) in ends
     window = curve.curve.dead_time_at(out.observed_rate_cps)
-    assert np.all(np.diff(out.timestamps_s) >= window - timetag.RESOLUTION_S)
+    assert np.diff(out.ticks).min() >= timetag._ticks_of(window) - GRID
     # the bisection ran: the last window was looked up at a whole count next
     # to one looked up before it, and keeps a different count of events
     counts = [round(rate * stream.duration_s) for rate, _ in curve.lookups]
@@ -384,7 +372,7 @@ def test_rate_dependent_filter_matches_full_pass_oracle(monkeypatch, rate, durat
     oracle_curve, curve_seen = RecordingCurve(curve), RecordingCurve(curve)
     expected, trace = reference.fixed_point_filter(stream, oracle_curve)
     out = apply_dead_time(stream, curve=curve_seen)
-    assert out.timestamps_s.tobytes() == expected.timestamps_s.tobytes()
+    assert out.ticks.tobytes() == expected.ticks.tobytes()
     assert out.duration_s == expected.duration_s
     # the same windows at the same rates, in the same order
     assert curve_seen.lookups == oracle_curve.lookups
@@ -419,8 +407,7 @@ def test_filter_requires_exactly_one_mode():
 
 
 def test_histogram_places_gaps_in_expected_bins():
-    times = np.array([0.0, 10e-9, 35e-9])  # gaps: 10 ns, 25 ns
-    stream = TimestampStream(times, duration_s=1e-6)
+    stream = TimestampStream(np.array([0, 10_000, 35_000]), duration_s=1e-6)  # 10 ns, 25 ns
     hist = interarrival_histogram(stream, bin_width_s=1e-9, max_gap_s=100e-9)
     assert hist.counts[10] == 1
     assert hist.counts[25] == 1
@@ -428,7 +415,7 @@ def test_histogram_places_gaps_in_expected_bins():
 
 
 def test_histogram_needs_two_timestamps():
-    stream = TimestampStream(np.array([1e-6]), duration_s=1e-5)
+    stream = TimestampStream(np.array([1_000_000]), duration_s=1e-5)
     with pytest.raises(InsufficientDataError):
         interarrival_histogram(stream, 1e-9, 100e-9)
 
@@ -456,17 +443,40 @@ def test_unfiltered_exponential_gaps_fit_exponential_decay():
 
 
 def test_histogram_counts_gaps_within_range_only():
-    times = np.array([0.0, 50e-9, 1e-6])  # second gap exceeds max_gap
-    stream = TimestampStream(times, duration_s=1e-5)
+    # gaps of 50 ns, 100 ns (on the upper edge of the last 1 ns bin, so in
+    # none) and 850 ns (past max_gap)
+    stream = TimestampStream(np.array([0, 50_000, 150_000, 1_000_000]), duration_s=1e-5)
     hist = interarrival_histogram(stream, bin_width_s=1e-9, max_gap_s=100e-9)
     assert hist.counts.sum() == 1
+
+
+def test_histogram_widths_are_whole_picoseconds():
+    for bin_width, max_gap in ((3e-13, 2e-9), (0.5e-9, 2.0005e-9)):
+        with pytest.raises(ValueError, match="must be whole numbers of picoseconds"):
+            timetag.histogram_bins(bin_width, max_gap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tick_streams_and_windows(), st.integers(1, 4000) | st.sampled_from([8, 500, 1000, 8000]),
+       st.integers(1, 50_000))
+def test_histogram_matches_per_gap_loop(case, bin_ticks, max_ticks):
+    # 500 ps bins put gaps of 1000, 2000 and 3000 grid steps on bin edges
+    ticks = case[0]
+    assume(ticks.size >= 2)
+    hist = interarrival_histogram(TimestampStream(ticks, duration_s=ticks[-1] * TICK_S),
+                                  bin_ticks * TICK_S, max_ticks * TICK_S)
+    expected = [0] * -(-max_ticks // bin_ticks)
+    for gap in np.diff(ticks).tolist():
+        if gap <= max_ticks and gap // bin_ticks < len(expected):
+            expected[gap // bin_ticks] += 1
+    assert hist.counts.tolist() == expected
 
 
 def test_histogram_bin_count_is_capped():
     cap = timetag.MAX_HISTOGRAM_BINS
     assert timetag.histogram_bins(0.5e-9, 200e-9) == 400
     assert timetag.histogram_bins(1.0, cap) == cap
-    stream = TimestampStream(np.array([0.0, 1e-9, 2e-9]), duration_s=1e-8)
+    stream = TimestampStream(np.array([0, 1000, 2000]), duration_s=1e-8)
     # 1e300 / 0.5e-9 overflows to inf, 10 / 1e-12 asks for 1e13 bins
     for bin_width, max_gap in ((1.0, cap + 0.5), (0.5e-9, 1e300), (1e-12, 10.0)):
         with pytest.raises(ValueError, match="histogram would need"):
@@ -559,10 +569,10 @@ def test_timestamp_file_round_trip(tmp_path):
     stream = generate_poisson_stream(1e7, 0.001, seed=90)
     path = tmp_path / "tags.txt"
     write_timestamps(stream, path)
-    ticks = np.round(stream.timestamps_s * 1e12).astype(np.int64)
-    assert path.read_text() == "".join(f"{tick}\n" for tick in ticks)
+    assert path.read_text() == "".join(f"{tick}\n" for tick in stream.ticks)
     loaded = read_timestamps(path)
-    np.testing.assert_allclose(loaded.timestamps_s, stream.timestamps_s, rtol=0, atol=1e-15)
+    assert loaded.ticks.tobytes() == stream.ticks.tobytes()
+    assert loaded.duration_s == stream.ticks[-1] * TICK_S
 
 
 def test_timestamp_file_spans_several_write_chunks(tmp_path):
@@ -570,8 +580,7 @@ def test_timestamp_file_spans_several_write_chunks(tmp_path):
     assert len(stream) > 2 * 65536
     path = tmp_path / "tags.txt"
     write_timestamps(stream, path)
-    ticks = np.round(stream.timestamps_s * 1e12).astype(np.int64)
-    assert path.read_text() == "".join(f"{tick}\n" for tick in ticks)
+    assert path.read_text() == "".join(f"{tick}\n" for tick in stream.ticks)
 
 
 def test_timestamp_file_malformed_line_names_line_number(tmp_path):
@@ -581,10 +590,8 @@ def test_timestamp_file_malformed_line_names_line_number(tmp_path):
         read_timestamps(path)
 
 
-# in bulk and line by line; a repeated tick, a step back, and two ticks
-# above 2**53 that meet as floats
-@pytest.mark.parametrize("text", ["1000\n1000\n", "2000\n1000\n", "1\n 2000\n1000\n",
-                                  f"{2**60}\n{2**60 + 1}\n"])
+# in bulk and line by line; a repeated tick and a step back
+@pytest.mark.parametrize("text", ["1000\n1000\n", "2000\n1000\n", "1\n 2000\n1000\n"])
 def test_timestamp_file_out_of_order_names_file(tmp_path, text):
     path = tmp_path / "order.txt"
     path.write_text(text)
@@ -611,7 +618,7 @@ def _outcome(read, path):
         stream = read(path)
     except Exception as exc:  # the exception is the outcome under comparison
         return type(exc), str(exc)
-    return stream.timestamps_s.tobytes(), stream.duration_s
+    return stream.ticks.tobytes(), stream.duration_s
 
 
 # line forms the bulk parse must leave to the line reader, which accepts some
@@ -654,24 +661,24 @@ def test_read_matches_line_reader(tmp_path_factory, raw):
     ("+5\n6\n", [5, 6]),
     ("1_000\n2_000\n", [1000, 2000]),
     ("1\n1000000000000000000\n", [1, 10**18]),
-    ("1\n9223372036854775808\n", [1, 2**63]),
+    # the largest tick, the int64 maximum
+    ("1\n9223372036854775807\n", [1, 2**63 - 1]),
     ("1\n٣\n", [1, 3]),
-    # the largest tick float() converts without overflow
-    (f"1\n{2**1024 - 2**970 - 1}\n", [1, 2**1024 - 2**970 - 1]),
+    # ticks above 2**53 that are one float apart stay distinct
+    (f"1\n{2**60}\n{2**60 + 1}\n", [1, 2**60, 2**60 + 1]),
 ])
 def test_timestamp_file_line_forms(tmp_path, text, ticks):
     path = tmp_path / "tags.txt"
     path.write_bytes(text.encode())
     stream = read_timestamps(path)
-    expected = np.asarray(ticks, dtype=float) * 1e-12
-    assert stream.timestamps_s.tobytes() == expected.tobytes()
-    assert stream.duration_s == expected[-1]
+    assert stream.ticks.tolist() == ticks
+    assert stream.duration_s == float(ticks[-1]) * 1e-12
 
 
-def test_timestamp_file_tick_beyond_float_names_line(tmp_path):
+def test_timestamp_file_tick_beyond_int64_names_line(tmp_path):
     path = tmp_path / "tags.txt"
-    path.write_text(f"1\n{2**1024 - 2**970}\n")
-    with pytest.raises(ValueError, match="tags.txt: timestamp at line 2 is too large"):
+    path.write_text(f"1\n{2**63}\n")
+    with pytest.raises(ValueError, match=r"tags.txt: timestamp at line 2 is above 2\*\*63 - 1"):
         read_timestamps(path)
 
 
@@ -703,7 +710,7 @@ def test_digit_only_file_skips_the_line_reader(tmp_path, monkeypatch):
     monkeypatch.setattr(timetag, "_ticks_by_line", record)
     by_line = read_timestamps(crlf)
     assert calls == [crlf]
-    assert bulk.timestamps_s.tobytes() == by_line.timestamps_s.tobytes()
+    assert bulk.ticks.tobytes() == by_line.ticks.tobytes()
     assert bulk.duration_s == by_line.duration_s
 
 
