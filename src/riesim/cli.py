@@ -80,9 +80,11 @@ def cmd_deadtime_extract(scenario: ScenarioConfig, args) -> int:
     check_histogram(bin_width, max_gap, min_count, ("--bin-width", "--max-gap", "--min-count"))
     stream = timetag.read_timestamps(args.timestamps)
     hist = timetag.interarrival_histogram(stream, bin_width, max_gap)
-    estimate = timetag.estimate_dead_time(hist, min_count)
     out = _outdir(scenario, args)
+    # written before the estimate, so a histogram with no onset bin is left
+    # to show why the estimate failed
     hist.write_csv(out / "deadtime_extract_histogram.csv")
+    estimate = timetag.estimate_dead_time(hist, min_count)
     report = (
         f"n_timestamps: {len(stream)}\n"
         f"observed_rate_cps: {stream.observed_rate_cps!r}\n"

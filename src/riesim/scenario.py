@@ -8,8 +8,9 @@ flags override the corresponding file values.
 from __future__ import annotations
 
 import json
-from math import isfinite
 from dataclasses import dataclass, field, replace
+from functools import partial
+from math import isfinite
 from pathlib import Path
 
 from .adversary import AttackConfig, AttackMode
@@ -57,17 +58,40 @@ def _number(value, key: str) -> float:
     return float(value)
 
 
-def _numbers(values, key: str) -> tuple[float, ...]:
-    """A JSON list of numbers; a bad entry is named by its index."""
+def _rates(values, key: str, positive: bool = False) -> tuple[float, ...]:
+    """A JSON list of rates, each a finite number >= 0, or > 0 if positive; a
+    bad entry is named by its index."""
     if not isinstance(values, (list, tuple)):
         raise ScenarioError(f"{key} must be a list of numbers, got {values!r}")
-    return tuple(_number(v, f"{key}[{i}]") for i, v in enumerate(values))
+    rates = tuple(_number(v, f"{key}[{i}]") for i, v in enumerate(values))
+    for i, rate in enumerate(rates):
+        _require(rate > 0 if positive else rate >= 0, f"{key}[{i}]",
+                 "> 0" if positive else ">= 0", rate)
+    return rates
+
+
+def _choice(enum, what: str):
+    """Converter to a member of enum by value; what names the field in the error."""
+    def convert(value, key: str):
+        try:
+            return enum(value)
+        except ValueError:
+            raise ScenarioError(f"unknown {what} {value!r}") from None
+    return convert
 
 
 def _require(ok: bool, key: str, rule: str, value) -> None:
     """Range check of a parsed value; rule reads as "<key> must be <rule>"."""
     if not ok:
         raise ScenarioError(f"{key} must be {rule}, got {value!r}")
+
+
+def _fields(section, where: str, converters) -> dict:
+    """The keys of a section converted: the section must be a JSON object
+    whose keys all appear in converters, and each present key is converted,
+    in file order, by its converter under the name "<where>.<key>"."""
+    _take(section, converters, where)
+    return {key: converters[key](value, f"{where}.{key}") for key, value in section.items()}
 
 
 @dataclass(frozen=True)
@@ -140,13 +164,13 @@ def _parse_curve(section, base_dir: Path) -> DeadTimeCurve:
         raise ScenarioError(f"invalid dead_time_curve: {exc}") from exc
 
 
-def _fixed_alice(value) -> PolarizationState | None:
+def _fixed_alice(value, key: str) -> PolarizationState | None:
     if value is None:
         return None
     rule = f'fixed_alice must be ["Z"|"X", 0|1] or null, got {value!r}'
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ScenarioError(rule)
-    bit = _integer(value[1], "protocol.fixed_alice[1]")
+    bit = _integer(value[1], f"{key}[1]")
     try:
         return PolarizationState(Basis(value[0]), bit)
     except (TypeError, ValueError):
@@ -156,28 +180,17 @@ def _fixed_alice(value) -> PolarizationState | None:
 def _parse_protocol(section, seed: int, curve: DeadTimeCurve) -> ProtocolConfig | None:
     if section is None:
         return None
-    allowed = {
-        "n_rounds", "p0", "abort_threshold", "basis_prior", "availability_model",
-        "transmission", "background_rate_cps", "fixed_alice",
+    converters = {
+        "n_rounds": _integer, "p0": _number, "abort_threshold": _number, "basis_prior": _number,
+        "availability_model": _choice(AvailabilityModel, "availability_model"),
+        "transmission": _number, "background_rate_cps": _number, "fixed_alice": _fixed_alice,
     }
-    _take(section, allowed, "protocol")
+    _take(section, converters, "protocol")
     if "n_rounds" not in section or "p0" not in section:
         raise ScenarioError("protocol section needs at least n_rounds and p0")
-    out = {}
-    for key, value in section.items():
-        if key == "n_rounds":
-            out[key] = _integer(value, "protocol.n_rounds")
-        elif key == "availability_model":
-            try:
-                out[key] = AvailabilityModel(value)
-            except ValueError:
-                raise ScenarioError(f"unknown availability_model {value!r}") from None
-        elif key == "fixed_alice":
-            out[key] = _fixed_alice(value)
-        else:
-            out[key] = _number(value, f"protocol.{key}")
+    fields = _fields(section, "protocol", converters)
     try:
-        return ProtocolConfig(seed=seed, dead_time_curve=curve, **out)
+        return ProtocolConfig(seed=seed, dead_time_curve=curve, **fields)
     except ValueError as exc:
         raise ScenarioError(f"invalid protocol section: {exc}") from exc
 
@@ -185,19 +198,14 @@ def _parse_protocol(section, seed: int, curve: DeadTimeCurve) -> ProtocolConfig 
 def _parse_attack(section) -> AttackConfig:
     if section is None:
         return AttackConfig()
-    allowed = {"mode", "lambda_parallel_cps", "lambda_perp_cps", "delta_s", "eve_basis_prior"}
-    _take(section, allowed, "attack")
-    out = {}
-    for key, value in section.items():
-        if key == "mode":
-            try:
-                out[key] = AttackMode(value)
-            except ValueError:
-                raise ScenarioError(f"unknown attack mode {value!r}") from None
-        elif not (key == "delta_s" and value is None):
-            out[key] = _number(value, f"attack.{key}")
+    fields = _fields(section, "attack", {
+        "mode": _choice(AttackMode, "attack mode"), "lambda_parallel_cps": _number,
+        "lambda_perp_cps": _number, "eve_basis_prior": _number,
+        # null is delta_s's default, which only the deterministic mode rejects
+        "delta_s": lambda value, key: None if value is None else _number(value, key),
+    })
     try:
-        return AttackConfig(**out)
+        return AttackConfig(**fields)
     except ValueError as exc:
         raise ScenarioError(f"invalid attack section: {exc}") from exc
 
@@ -205,19 +213,10 @@ def _parse_attack(section) -> AttackConfig:
 def _parse_sweep(section) -> SweepSettings:
     if section is None:
         return SweepSettings()
-    allowed = {"rates_cps", "duration_s", "bin_width_s", "max_gap_s", "min_count"}
-    _take(section, allowed, "sweep")
-    out = {}
-    for key, value in section.items():
-        if key == "rates_cps":
-            out[key] = _numbers(value, "sweep.rates_cps")
-            for i, rate in enumerate(out[key]):
-                _require(rate > 0, f"sweep.rates_cps[{i}]", "> 0", rate)
-        elif key == "min_count":
-            out[key] = _integer(value, "sweep.min_count")
-        else:
-            out[key] = _number(value, f"sweep.{key}")
-    settings = SweepSettings(**out)
+    settings = SweepSettings(**_fields(section, "sweep", {
+        "rates_cps": partial(_rates, positive=True), "duration_s": _number,
+        "bin_width_s": _number, "max_gap_s": _number, "min_count": _integer,
+    }))
     # the conditions sweep_dead_time and its stages check, here before any work
     _require(settings.duration_s >= 0, "sweep.duration_s", ">= 0", settings.duration_s)
     for i, rate in enumerate(settings.rates_cps):
@@ -227,6 +226,8 @@ def _parse_sweep(section) -> SweepSettings:
             raise ScenarioError(f"sweep.rates_cps[{i}] * sweep.duration_s: {exc}") from None
     check_histogram(settings.bin_width_s, settings.max_gap_s, settings.min_count,
                     ("sweep.bin_width_s", "sweep.max_gap_s", "sweep.min_count"))
+    if not settings.rates_cps:
+        raise ScenarioError("sweep.rates_cps must not be empty")
     return settings
 
 
@@ -251,57 +252,47 @@ def check_seed(seed: int, key: str) -> None:
     _require(seed >= 0, key, ">= 0", seed)
 
 
-def _rates(values, key: str) -> tuple[float, ...]:
-    """A list of loading rates, each >= 0."""
-    rates = _numbers(values, key)
-    for i, rate in enumerate(rates):
-        _require(rate >= 0, f"{key}[{i}]", ">= 0", rate)
-    return rates
+def _perp_grid(grid, key: str) -> tuple[float, ...]:
+    """num evenly spaced rates from start_cps to stop_cps."""
+    fields = _fields(grid, key, {"start_cps": _number, "stop_cps": _number, "num": _integer})
+    if len(fields) != 3:
+        raise ScenarioError(f"{key} needs start_cps, stop_cps, num")
+    start, stop, num = fields["start_cps"], fields["stop_cps"], fields["num"]
+    _require(start >= 0, f"{key}.start_cps", ">= 0", start)
+    if num < 1 or stop < start:
+        raise ScenarioError(f"{key} must have num >= 1 and stop >= start")
+    _require(num <= MAX_GRID_POINTS, f"{key}.num", f"<= {MAX_GRID_POINTS}", num)
+    step = (stop - start) / (num - 1) if num > 1 else 0.0
+    return tuple(start + i * step for i in range(num))
 
 
 def _parse_scan(section) -> ScanSettings:
     if section is None:
         return ScanSettings()
-    allowed = {"lambda_par_cps", "lambda_perp_cps", "lambda_perp_grid", "e_abort"}
-    _take(section, allowed, "scan")
-    out = {}
-    if "lambda_par_cps" in section:
-        out["lambda_par_cps"] = _rates(section["lambda_par_cps"], "scan.lambda_par_cps")
+    converters = {"lambda_par_cps": _rates, "lambda_perp_cps": _rates,
+                  "lambda_perp_grid": _perp_grid, "e_abort": _number}
+    _take(section, converters, "scan")
     if "lambda_perp_cps" in section and "lambda_perp_grid" in section:
         raise ScenarioError("scan: give lambda_perp_cps or lambda_perp_grid, not both")
-    if "lambda_perp_cps" in section:
-        out["lambda_perp_cps"] = _rates(section["lambda_perp_cps"], "scan.lambda_perp_cps")
-    if "lambda_perp_grid" in section:
-        grid = section["lambda_perp_grid"]
-        _take(grid, {"start_cps", "stop_cps", "num"}, "scan.lambda_perp_grid")
-        if len(grid) != 3:
-            raise ScenarioError("scan.lambda_perp_grid needs start_cps, stop_cps, num")
-        start = _number(grid["start_cps"], "scan.lambda_perp_grid.start_cps")
-        _require(start >= 0, "scan.lambda_perp_grid.start_cps", ">= 0", start)
-        stop = _number(grid["stop_cps"], "scan.lambda_perp_grid.stop_cps")
-        num = _integer(grid["num"], "scan.lambda_perp_grid.num")
-        if num < 1 or stop < start:
-            raise ScenarioError("scan.lambda_perp_grid must have num >= 1 and stop >= start")
-        _require(num <= MAX_GRID_POINTS, "scan.lambda_perp_grid.num", f"<= {MAX_GRID_POINTS}", num)
-        step = (stop - start) / (num - 1) if num > 1 else 0.0
-        out["lambda_perp_cps"] = tuple(start + i * step for i in range(num))
-    if "e_abort" in section:
-        out["e_abort"] = _number(section["e_abort"], "scan.e_abort")
-    settings = ScanSettings(**out)
+    fields = _fields(section, "scan", converters)
+    if "lambda_perp_grid" in fields:
+        fields["lambda_perp_cps"] = fields.pop("lambda_perp_grid")
+    settings = ScanSettings(**fields)
     _require(0 < settings.e_abort < 0.5, "scan.e_abort", "in (0, 0.5)", settings.e_abort)
     cells = len(settings.lambda_par_cps) * len(settings.lambda_perp_cps)
     if cells > MAX_GRID_POINTS:
         raise ScenarioError(f"scan.lambda_par_cps x scan.lambda_perp_cps: the scan would have "
                             f"{cells} cells, more than the limit of {MAX_GRID_POINTS}")
+    if not settings.lambda_par_cps or not settings.lambda_perp_cps:
+        raise ScenarioError("scan grids must not be empty")
     return settings
 
 
 def _parse_mutualinfo(section) -> MutualInfoSettings:
     if section is None:
         return MutualInfoSettings()
-    allowed = {"r_start", "r_stop", "r_step", "e_abort"}
-    _take(section, allowed, "mutualinfo")
-    settings = MutualInfoSettings(**{k: _number(v, f"mutualinfo.{k}") for k, v in section.items()})
+    settings = MutualInfoSettings(**_fields(section, "mutualinfo", dict.fromkeys(
+        ("r_start", "r_stop", "r_step", "e_abort"), _number)))
     _require(settings.r_step > 0, "mutualinfo.r_step", "> 0", settings.r_step)
     _require(settings.r_start >= 0, "mutualinfo.r_start", ">= 0", settings.r_start)
     # grid() has floor(steps) + 1 points, up to rounding; counted without building it
@@ -309,6 +300,9 @@ def _parse_mutualinfo(section) -> MutualInfoSettings:
     _require(steps < MAX_GRID_POINTS, "mutualinfo.r_step",
              f"large enough for at most {MAX_GRID_POINTS} grid points", settings.r_step)
     _require(0 < settings.e_abort < 0.5, "mutualinfo.e_abort", "in (0, 0.5)", settings.e_abort)
+    # grid() is empty exactly when its first point already lies past r_stop
+    if settings.r_start > settings.r_stop + 1e-12:
+        raise ScenarioError("mutualinfo grid is empty")
     return settings
 
 
@@ -334,15 +328,8 @@ def load_scenario(path=None, data: dict | None = None) -> ScenarioConfig:
     # workers is accepted for compatibility and has no effect
     _integer(data.get("workers", 1), "workers")
     scan = _parse_scan(data.get("scan"))
-    if not scan.lambda_par_cps or not scan.lambda_perp_cps:
-        raise ScenarioError("scan grids must not be empty")
     mutualinfo = _parse_mutualinfo(data.get("mutualinfo"))
-    # grid() is empty exactly when its first point already lies past r_stop
-    if mutualinfo.r_start > mutualinfo.r_stop + 1e-12:
-        raise ScenarioError("mutualinfo grid is empty")
     sweep = _parse_sweep(data.get("sweep"))
-    if not sweep.rates_cps:
-        raise ScenarioError("sweep.rates_cps must not be empty")
     seed = _integer(data.get("seed", 1), "seed")
     check_seed(seed, "seed")
     curve = _parse_curve(data.get("dead_time_curve"), base_dir)

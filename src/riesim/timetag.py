@@ -59,9 +59,8 @@ _WRITE_CHUNK_LINES = 1 << 16
 MAX_STREAM_TICK = 1 << 62
 # longest line read_timestamps parses in bulk (10**18 - 1 < 2**63)
 _MAX_BULK_DIGITS = 18
-# apply_dead_time's fixed point: iteration cap and relative rate tolerance
+# apply_dead_time's fixed point: iteration cap
 _FIXED_POINT_ITERATIONS = 20
-_FIXED_POINT_REL_TOL = 1e-6
 # _chase probes this many events past each pointer before it searches; with
 # fewer live pointers than _PROBE_MIN_LIVE a step's numpy calls cost more than
 # its searches, so it searches at once
@@ -417,7 +416,7 @@ def apply_dead_time(
         count = int(np.count_nonzero(kept))
         new_rate = count / duration if duration > 0 else 0.0
         trace.append((iteration, dead_s, new_rate))
-        if rate == new_rate or (rate > 0 and abs(new_rate - rate) / rate < _FIXED_POINT_REL_TOL):
+        if count == n_in:
             return TimestampStream(t[kept], duration)
         if count > n_in:
             more = n_in

@@ -301,8 +301,8 @@ def fixed_point_filter(stream: TimestampStream, curve: DeadTimeCurve):
     iteration, which once counts on both sides of the self-consistent one
     are known goes on only from kept counts between them and bisects
     otherwise.  Returns the filtered stream and the
-    (iteration, window, rate) trace.  Reads the iteration cap and tolerance
-    from riesim.timetag."""
+    (iteration, window, rate) trace.  Reads the iteration cap from
+    riesim.timetag."""
     t = stream.ticks
     duration = stream.duration_s
     n_in = round(observed_rate(stream.observed_rate_cps, curve) * duration)
@@ -314,8 +314,7 @@ def fixed_point_filter(stream: TimestampStream, curve: DeadTimeCurve):
         kept = _filter_constant(t, _window_ticks(dead_s))
         new_rate = kept.size / duration if duration > 0 else 0.0
         trace.append((iteration, dead_s, new_rate))
-        if rate == new_rate or (rate > 0 and abs(new_rate - rate) / rate
-                                < timetag._FIXED_POINT_REL_TOL):
+        if kept.size == n_in:
             return TimestampStream(kept, duration), trace
         if kept.size > n_in:
             more = n_in

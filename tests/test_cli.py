@@ -357,6 +357,18 @@ def test_deadtime_extract_recovers_known_dead_time(tmp_path, base_config):
     assert hist[0] == "bin_lower_edge_s,count"
 
 
+def test_deadtime_extract_without_onset_leaves_histogram(tmp_path, base_config, capsys):
+    # gaps of 500 and 1000 ps land in bins 1 and 2: no bin reaches min_count 2
+    tags = tmp_path / "edges.txt"
+    tags.write_text("0\n500\n1500\n")
+    assert main(["--config", str(base_config), "deadtime-extract", str(tags)]) == 1
+    assert "no histogram bin reaches min_count=2" in capsys.readouterr().err
+    rows = (tmp_path / "results" / "deadtime_extract_histogram.csv").read_text().splitlines()
+    counts = [int(row.split(",")[1]) for row in rows[1:]]
+    assert {i: c for i, c in enumerate(counts) if c} == {1: 1, 2: 1}
+    assert not (tmp_path / "results" / "deadtime_extract.txt").exists()
+
+
 def test_deadtime_extract_empty_file_fails(tmp_path, base_config, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("")

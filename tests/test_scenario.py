@@ -8,7 +8,8 @@ import pytest
 from riesim.adversary import AttackMode
 from riesim.detector import AvailabilityModel, default_dead_time_curve
 from riesim.quantum import Basis, PolarizationState
-from riesim.scenario import MAX_GRID_POINTS, ScenarioError, _parse_mutualinfo, load_scenario
+from riesim.scenario import (MAX_GRID_POINTS, MutualInfoSettings, ScenarioError,
+                             _parse_mutualinfo, load_scenario)
 
 
 def write_config(tmp_path, data):
@@ -312,6 +313,8 @@ def test_integer_valued_numbers_become_floats():
     ({"scan": [1e6]}, "scan"),
     ({"scan": {"lambda_perp_grid": [1, 2]}}, "scan.lambda_perp_grid"),
     ({"mutualinfo": 0.01}, "mutualinfo"),
+    ({"scan": 5}, "scan"),
+    ([1], "config root"),
 ])
 def test_non_object_sections_rejected(data, where):
     with pytest.raises(ScenarioError, match=f"^{where} must be a JSON object"):
@@ -365,8 +368,75 @@ def test_range_boundaries_accepted():
 ])
 def test_mutualinfo_empty_grid_check_matches_grid(r_start, r_stop):
     section = {"r_start": r_start, "r_stop": r_stop, "r_step": 0.1}
-    if _parse_mutualinfo(section).grid():
+    if MutualInfoSettings(**section).grid():
         assert load_scenario(data={"mutualinfo": section}).mutualinfo.grid()
     else:
         with pytest.raises(ScenarioError, match="mutualinfo grid is empty"):
             load_scenario(data={"mutualinfo": section})
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty dead-time curve file"),
+    ("lambda_cps\n", "expected two columns, got header ['lambda_cps']"),
+    ("lambda_cps,t_d_seconds\n", "dead-time curve has no data rows"),
+], ids=["empty", "one column", "header only"])
+def test_curve_csv_without_points_rejected(tmp_path, text, message):
+    (tmp_path / "curve.csv").write_text(text)
+    with pytest.raises(ScenarioError, match=re.escape(
+            f"invalid dead_time_curve: {tmp_path / 'curve.csv'}: {message}")):
+        load_scenario(write_config(tmp_path, {"dead_time_curve": {"csv": "curve.csv"}}))
+
+
+def test_curve_csv_skips_blank_rows(tmp_path):
+    (tmp_path / "curve.csv").write_text("lambda_cps,t_d_seconds\n0,2e-8\n\n1e7,3e-8\n")
+    scenario = load_scenario(write_config(tmp_path, {"dead_time_curve": {"csv": "curve.csv"}}))
+    assert scenario.curve.rates_cps.tolist() == [0.0, 1e7]
+    assert scenario.curve.dead_times_s.tolist() == [2e-8, 3e-8]
+
+
+def test_fixed_alice_may_be_null():
+    scenario = load_scenario(data={"protocol": {"n_rounds": 1, "p0": 1.0, "fixed_alice": None}})
+    assert scenario.protocol_config().fixed_alice is None
+
+
+def test_fixed_alice_unknown_basis_rejected():
+    with pytest.raises(ScenarioError, match=re.escape(
+            'fixed_alice must be ["Z"|"X", 0|1] or null, got [\'Q\', 0]')):
+        load_scenario(data={"protocol": {"n_rounds": 1, "p0": 1.0, "fixed_alice": ["Q", 0]}})
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"start_cps": 1e6, "stop_cps": 3e6}, "needs start_cps, stop_cps, num"),
+    ({"start_cps": 1e6, "stop_cps": 3e6, "num": 0}, "must have num >= 1 and stop >= start"),
+    ({"start_cps": 3e6, "stop_cps": 1e6, "num": 3}, "must have num >= 1 and stop >= start"),
+], ids=["no num", "num 0", "stop below start"])
+def test_perp_grid_shape_rejected(grid, message):
+    with pytest.raises(ScenarioError, match=re.escape(f"scan.lambda_perp_grid {message}")):
+        load_scenario(data={"scan": {"lambda_perp_grid": grid}})
+
+
+@pytest.mark.parametrize("data, message", [
+    # protocol: the section's shape, then its required keys, then their values
+    ({"protocol": {"n_rounds": 5, "typo": 1}}, "unknown key(s) in protocol: typo"),
+    ({"protocol": {"n_rounds": "x"}}, "protocol section needs at least n_rounds and p0"),
+    # scan: "not both" before the perp rates are read
+    ({"scan": {"lambda_perp_cps": ["x"], "lambda_perp_grid": {"start_cps": 0}}},
+     "scan: give lambda_perp_cps or lambda_perp_grid, not both"),
+    ({"scan": {"lambda_perp_cps": [1e6], "lambda_perp_grid": {}, "typo": 1}},
+     "unknown key(s) in scan: typo"),
+    # sweep: an empty rate list after the histogram checks
+    ({"sweep": {"rates_cps": [], "bin_width_s": 0}}, "sweep.bin_width_s must be > 0, got 0.0"),
+    ({"sweep": {"rates_cps": [], "duration_s": -1}}, "sweep.duration_s must be >= 0, got -1.0"),
+    # mutualinfo: an empty grid after the range checks
+    ({"mutualinfo": {"r_start": 0.5, "r_stop": 0.4, "e_abort": 0.7}},
+     "mutualinfo.e_abort must be in (0, 0.5), got 0.7"),
+    # sections in the loader's order: scan, mutualinfo, sweep, seed
+    ({"seed": -1, "sweep": {"rates_cps": []}, "mutualinfo": {"r_start": 2},
+      "scan": {"lambda_perp_cps": []}}, "scan grids must not be empty"),
+    ({"seed": -1, "sweep": {"rates_cps": []}, "mutualinfo": {"r_start": 2}},
+     "mutualinfo grid is empty"),
+    ({"seed": -1, "sweep": {"rates_cps": []}}, "sweep.rates_cps must not be empty"),
+])
+def test_first_of_two_faults_reported(data, message):
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        load_scenario(data=data)

@@ -335,8 +335,8 @@ class RecordingCurve:
 
 def test_rate_dependent_filter_converges_through_count_plateau_cycle():
     # regression: on this stream no count is self-consistent, so plain
-    # iteration cycles between two count plateaus (relative gap ~1e-4, above
-    # the rate tolerance); the filter must bisect down to the two adjacent
+    # iteration cycles between two count plateaus (relative gap ~1e-4); the
+    # filter must bisect down to the two adjacent
     # counts either side of the sign change and end there instead of raising
     curve = RecordingCurve(default_dead_time_curve())
     stream = generate_poisson_stream(20e6, 0.1, seed=335)
