@@ -16,12 +16,10 @@ from .adversary import (
     effective_r,
 )
 from .analysis import (
-    ChannelParams,
     StealthScanRow,
     binary_entropy,
     e_obs,
     mutual_info_bob_sifted,
-    mutual_info_erasure_bsc,
     mutual_info_eve_sifted,
     r_bound,
     r_threshold,

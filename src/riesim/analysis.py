@@ -25,14 +25,12 @@ import numpy as np
 from .detector import DeadTimeCurve, SaturationError, busy_fraction
 
 __all__ = [
-    "ChannelParams",
     "StealthScan",
     "StealthScanRow",
     "binary_entropy",
     "e_obs",
     "r_threshold",
     "sift_probability",
-    "mutual_info_erasure_bsc",
     "mutual_info_eve_sifted",
     "mutual_info_bob_sifted",
     "r_bound",
@@ -41,20 +39,6 @@ __all__ = [
     "mutual_info_curve",
     "write_mutual_info_csv",
 ]
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    """Erasure-and-error channel: BEC(epsilon) followed by BSC(e)."""
-
-    epsilon: float
-    e: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"erasure probability must be in [0, 1], got {self.epsilon}")
-        if not 0.0 <= self.e <= 0.5:
-            raise ValueError(f"conditional error must be in [0, 0.5], got {self.e}")
 
 
 def binary_entropy(x: float) -> float:
@@ -88,15 +72,6 @@ def sift_probability(p_par: float, p_perp: float) -> float:
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {value}")
     return (p_par + p_perp) / 4.0
-
-
-def mutual_info_erasure_bsc(params: ChannelParams) -> float:
-    """I(A;B) over the full erasure alphabet: (1 - eps) (1 - h2(e)).
-
-    An erasure carries nothing, a surviving bit carries 1 - h2(e), so the
-    information simply scales with the survival probability.
-    """
-    return (1.0 - params.epsilon) * (1.0 - binary_entropy(params.e))
 
 
 def mutual_info_eve_sifted(r: float) -> float:

@@ -70,6 +70,13 @@ def _rates(values, key: str, positive: bool = False) -> tuple[float, ...]:
     return rates
 
 
+def _path(value, key: str) -> str:
+    """A non-empty JSON string, as a directory to write into."""
+    if not isinstance(value, str) or not value:
+        raise ScenarioError(f"{key} must be a non-empty string, got {value!r}")
+    return value
+
+
 def _choice(enum, what: str):
     """Converter to a member of enum by value; what names the field in the error."""
     def convert(value, key: str):
@@ -335,7 +342,7 @@ def load_scenario(path=None, data: dict | None = None) -> ScenarioConfig:
     curve = _parse_curve(data.get("dead_time_curve"), base_dir)
     return ScenarioConfig(
         seed=seed,
-        out=str(data.get("out", ".")),
+        out=_path(data.get("out", "."), "out"),
         curve=curve,
         protocol=_parse_protocol(data.get("protocol"), seed, curve),
         attack=_parse_attack(data.get("attack")),

@@ -66,9 +66,11 @@ _FIXED_POINT_ITERATIONS = 20
 # its searches, so it searches at once
 _PROBE_EVENTS = 4
 _PROBE_MIN_LIVE = 64
-# kept events _refilter tests per numpy call: its temporaries stay near 1 MB
-# instead of the length of the kept set
-_REFILTER_BLOCK = 1 << 16
+# elements each blockwise pass takes per numpy call (grid steps compacted,
+# events tested for a segment start, pointers chased, kept events tested for
+# a changed step): its temporaries stay near 0.5 MB instead of the length of
+# the stream, and its Python loops run n / _BLOCK times
+_BLOCK = 1 << 16
 
 
 class InsufficientDataError(ValueError):
@@ -150,21 +152,37 @@ def _window_ticks(dead_s: float) -> int:
 def _quantize(times_s: np.ndarray, duration_s: float) -> np.ndarray:
     """Snap to the tagger grid as ticks, merge duplicates, drop anything past
     duration.  Works in place on `times_s`, which must be ascending and which
-    the grid steps overwrite as int64: rounding keeps the order, so one
-    comparison with the previous step merges equal ones (as `np.unique`
-    would, without its sort)."""
+    the grid steps overwrite as int64, and returns a view of it: rounding
+    keeps the order, so one comparison with the previous step merges equal
+    ones (as `np.unique` would, without its sort)."""
     steps = np.divide(times_s, RESOLUTION_TICKS * TICK_S, out=times_s)
     np.rint(steps, out=steps)
     grid = steps.view(np.int64)
     np.copyto(grid, steps, casting="unsafe")
-    if grid.size > 1:
-        fresh = np.empty(grid.size, dtype=bool)
-        fresh[0] = True
-        np.not_equal(grid[1:], grid[:-1], out=fresh[1:])
-        grid = grid[fresh]
+    grid = grid[:_drop_repeats(grid)]
     ticks = np.multiply(grid, RESOLUTION_TICKS, out=grid)
     # rounding moves at most the last event (by up to 4 ps) past the duration
     return ticks[:-1] if ticks.size and ticks[-1] * TICK_S > duration_s else ticks
+
+
+def _drop_repeats(grid: np.ndarray) -> int:
+    """Move the first step of each run of equal ones in the ascending `grid`
+    to the front, in order and in place, and return how many there are.
+
+    The repeat mask is taken first; the compaction then copies _BLOCK steps
+    at a time, each block's survivors landing at or before the block's
+    start, so it never overwrites a step it has yet to read."""
+    if grid.size < 2:
+        return grid.size
+    fresh = np.empty(grid.size, dtype=bool)
+    fresh[0] = True
+    np.not_equal(grid[1:], grid[:-1], out=fresh[1:])
+    size = 0
+    for start in range(0, grid.size, _BLOCK):
+        block = grid[start:start + _BLOCK][fresh[start:start + _BLOCK]]
+        grid[size:size + block.size] = block
+        size += block.size
+    return size
 
 
 def _first_block_size(expected: float) -> int:
@@ -250,6 +268,15 @@ def _chase(ticks: np.ndarray, dead: int, kept: np.ndarray, cur: np.ndarray,
         kept[cur] = True
 
 
+def _chase_segments(ticks: np.ndarray, dead: int, kept: np.ndarray, cur: np.ndarray,
+                    end: np.ndarray) -> None:
+    """_chase over _BLOCK segments at a time: the segments are independent,
+    so each block's walks give the same marks, and no step's temporaries
+    grow with the number of segments."""
+    for start in range(0, cur.size, _BLOCK):
+        _chase(ticks, dead, kept, cur[start:start + _BLOCK], end[start:start + _BLOCK])
+
+
 def _kept_mask(ticks: np.ndarray, dead: int) -> np.ndarray:
     """The kept set of _filter_constant(ticks, dead) as a mask: one full pass."""
     n = ticks.size
@@ -257,9 +284,14 @@ def _kept_mask(ticks: np.ndarray, dead: int) -> np.ndarray:
         return np.ones(n, dtype=bool)
     kept = np.empty(n, dtype=bool)
     kept[0] = True
-    np.greater_equal(ticks[1:], ticks[:-1] + dead, out=kept[1:])
-    cur = np.flatnonzero(kept)
-    _chase(ticks, dead, kept, cur, np.append(cur[1:], n))
+    # the segment starts, _BLOCK events at a time
+    for start in range(1, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        np.greater_equal(ticks[start:stop], ticks[start - 1:stop - 1] + dead,
+                         out=kept[start:stop])
+    # each segment runs from its start to the next one, the last to n
+    bounds = np.flatnonzero(np.append(kept, True))
+    _chase_segments(ticks, dead, kept, bounds[:-1], bounds[1:])
     return kept
 
 
@@ -279,10 +311,11 @@ def _filter_constant(ticks: np.ndarray, dead: int) -> np.ndarray:
     independent segments; the walk enters each one at its first event and
     leaves it exactly at the next segment's first event.
 
-    Chase.  The walks of all segments advance in lockstep (_chase), so the
-    number of numpy steps is the longest chain in any one segment, not the
-    stream length.  apply_dead_time's fixed point runs the same chase on
-    the segments a change of window can alter (_refilter).
+    Chase.  The walks of _BLOCK segments at a time advance in lockstep
+    (_chase_segments), so the number of numpy steps is the longest chain in
+    any one segment of each block, not the stream length.  apply_dead_time's
+    fixed point runs the same chase on the segments a change of window can
+    alter (_refilter).
     """
     return ticks[_kept_mask(ticks, dead)]
 
@@ -323,19 +356,19 @@ def _refilter(ticks: np.ndarray, kept: np.ndarray, old: int, new: int) -> None:
     lengths = end - cur - 1
     offsets = np.repeat(cur + 1 - (np.cumsum(lengths) - lengths), lengths)
     kept[offsets + np.arange(offsets.size)] = False
-    _chase(ticks, new, kept, cur, end)
+    _chase_segments(ticks, new, kept, cur, end)
 
 
 def _dirty_positions(ticks: np.ndarray, idx: np.ndarray, old: int,
                      new: int) -> np.ndarray:
     """The positions p in idx (kept indices, then n) of the kept events whose
     next step changes when the window moves from old to new (see
-    _refilter), taken _REFILTER_BLOCK positions at a time so that no
-    temporary as long as idx is ever allocated."""
+    _refilter), taken _BLOCK positions at a time so that no temporary as
+    long as idx is ever allocated."""
     stop = idx.size - 2 if new > old else idx.size - 1
     found = [np.empty(0, dtype=np.intp)]
-    for a in range(0, stop, _REFILTER_BLOCK):
-        b = min(a + _REFILTER_BLOCK, stop)
+    for a in range(0, stop, _BLOCK):
+        b = min(a + _BLOCK, stop)
         reach = ticks[idx[a:b]] + new
         if new > old:
             hit = ticks[idx[a + 1:b + 1]] < reach
@@ -530,9 +563,13 @@ def sweep_dead_time(
     for index, beta in enumerate(rates):
         stream = generate_poisson_stream(beta, duration_s, seed + index)
         filtered = apply_dead_time(stream, curve=truth_curve)
+        # one stream at a time: the raw one goes before the histogram, the
+        # filtered one before the next rate's raw stream
+        del stream
         hist = interarrival_histogram(filtered, bin_width_s, max_gap_s)
         estimate = estimate_dead_time(hist, min_count)
         points.append(SweepPoint(filtered.observed_rate_cps, estimate))
+        del filtered
     return points
 
 

@@ -18,7 +18,9 @@ thinned_click_rate is the event-level non-paralyzable detector with
 quantum efficiency p0, built from the package's one dead-time filter.
 
 sequential_filter, the non-paralyzable rule as a loop over int64 ticks, is
-the oracle of timetag's segment-parallel filter.
+the oracle of timetag's segment-parallel filter.  quantize snaps to the
+tagger grid and merges repeats with one masked copy: the oracle of
+timetag's in-place, blockwise _quantize.
 
 fixed_point_filter is the rate-dependent fixed point with a full
 _filter_constant pass at every iteration: the oracle for apply_dead_time's
@@ -293,6 +295,22 @@ def sequential_filter(ticks: np.ndarray, window: int) -> np.ndarray:
         if not kept or tick - kept[-1] >= window:
             kept.append(tick)
     return np.array(kept, dtype=np.int64)
+
+
+def quantize(times_s: np.ndarray, duration_s: float) -> np.ndarray:
+    """timetag._quantize with the repeated grid steps dropped by a masked
+    copy of the whole grid.  Overwrites `times_s` as _quantize does."""
+    steps = np.divide(times_s, timetag.RESOLUTION_TICKS * timetag.TICK_S, out=times_s)
+    np.rint(steps, out=steps)
+    grid = steps.view(np.int64)
+    np.copyto(grid, steps, casting="unsafe")
+    if grid.size > 1:
+        fresh = np.empty(grid.size, dtype=bool)
+        fresh[0] = True
+        np.not_equal(grid[1:], grid[:-1], out=fresh[1:])
+        grid = grid[fresh]
+    ticks = grid * timetag.RESOLUTION_TICKS
+    return ticks[:-1] if ticks.size and ticks[-1] * timetag.TICK_S > duration_s else ticks
 
 
 def fixed_point_filter(stream: TimestampStream, curve: DeadTimeCurve):

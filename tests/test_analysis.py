@@ -14,12 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riesim.analysis import (
-    ChannelParams,
     binary_entropy,
     e_obs,
     mutual_info_bob_sifted,
     mutual_info_curve,
-    mutual_info_erasure_bsc,
     mutual_info_eve_sifted,
     r_bound,
     r_threshold,
@@ -139,36 +137,6 @@ def test_sift_probability_domain():
 
 
 # ---------------------------------------------------------------- mutual information
-
-
-def test_erasure_bsc_perfect_channel():
-    assert mutual_info_erasure_bsc(ChannelParams(0.0, 0.0)) == 1.0
-
-
-def test_erasure_bsc_fully_erased():
-    assert mutual_info_erasure_bsc(ChannelParams(1.0, 0.3)) == 0.0
-
-
-def test_erasure_bsc_half_erased_at_abort_error():
-    expected = 0.5 * (1 - H2_011)  # 0.250042...
-    assert mutual_info_erasure_bsc(ChannelParams(0.5, 0.11)) == pytest.approx(
-        expected, abs=1e-14)
-    assert mutual_info_erasure_bsc(ChannelParams(0.5, 0.11)) == pytest.approx(
-        0.250042020917736, abs=1e-12)
-
-
-def test_erasure_bsc_scales_linearly_with_survival():
-    e = 0.07
-    base = mutual_info_erasure_bsc(ChannelParams(0.0, e))
-    for eps in np.linspace(0, 1, 21):
-        value = mutual_info_erasure_bsc(ChannelParams(eps, e))
-        assert value == pytest.approx((1 - eps) * base, abs=1e-12)
-
-
-def test_erasure_bsc_never_exceeds_one_bit():
-    for eps in np.linspace(0, 1, 11):
-        for e in np.linspace(0, 0.5, 11):
-            assert 0.0 <= mutual_info_erasure_bsc(ChannelParams(eps, e)) <= 1.0
 
 
 def test_eve_sifted_information():
@@ -380,10 +348,3 @@ def test_mutual_info_csv_schema_and_invariants(tmp_path):
         r, i_ab, i_ae = float(r_text), float(i_ab_text), float(i_ae_text)
         assert i_ae >= i_ab - 1e-12
         assert i_ae == pytest.approx(mutual_info_eve_sifted(r), abs=1e-12)
-
-
-def test_channel_params_validation():
-    with pytest.raises(ValueError):
-        ChannelParams(-0.1, 0.1)
-    with pytest.raises(ValueError):
-        ChannelParams(0.5, 0.6)

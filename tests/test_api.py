@@ -18,10 +18,12 @@ MODULES = [riesim] + [importlib.import_module(f"riesim.{info.name}")
 # rules the package keeps once elsewhere; branch_table and BranchRow rendered
 # SimulationReport.per_branch_stats a third time; the other names are the
 # per-round sampler's helpers and its Born rule on the four named states,
-# which live in tests/reference.py
-REMOVED = ("A", "ArrivalResult", "BranchRow", "D", "DetectorUnit", "EveAction", "H", "V",
-           "branch_table", "dead_time_at", "deterministic_suppression", "intercept",
-           "loading_for_branch", "projection_prob", "route_through_pbs")
+# which live in tests/reference.py; no command called ChannelParams and
+# mutual_info_erasure_bsc
+REMOVED = ("A", "ArrivalResult", "BranchRow", "ChannelParams", "D", "DetectorUnit", "EveAction",
+           "H", "V", "branch_table", "dead_time_at", "deterministic_suppression", "intercept",
+           "loading_for_branch", "mutual_info_erasure_bsc", "projection_prob",
+           "route_through_pbs")
 
 
 def test_every_exported_name_resolves():

@@ -512,13 +512,23 @@ RIE = {"mode": "rie_non_deterministic", "lambda_perp_cps": 25e6}
     ("analytic", {"dead_time_curve": {"csv": "curve.csv"},
                   "protocol": {"n_rounds": 10, "p0": 0.9}, "attack": RIE},
      "invalid dead_time_curve: curve rates and dead times must be finite"),
+    # the output directory: no command writes into "None", "" or a repr
+    ("sweep-deadtime", {"out": None}, "out must be a non-empty string, got None"),
+    ("mutualinfo", {"out": ""}, "out must be a non-empty string, got ''"),
+    ("stealth-scan", {"out": ["results"]}, "out must be a non-empty string, got ['results']"),
+    ("mutualinfo", {"out": False}, "out must be a non-empty string, got False"),
+    ("stealth-scan", {"out": 1}, "out must be a non-empty string, got 1"),
 ])
-def test_bad_protocol_attack_or_curve_exits_2(tmp_path, capsys, command, data, message):
+def test_bad_protocol_attack_or_curve_exits_2(tmp_path, capsys, monkeypatch, command, data,
+                                              message):
+    # a relative output directory would land in the working directory
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "curve.csv").write_text("lambda_cps,t_d_seconds\n0,nan\n")
     config = write_config(tmp_path, {"out": str(tmp_path / "results"), **data})
     assert main(["--config", str(config), command]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "results").exists()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["curve.csv", "scenario.json"]
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep-deadtime", "analytic"])

@@ -344,6 +344,11 @@ def test_non_object_sections_rejected(data, where):
      "large enough for at most 4194304 grid points"),
     ({"seed": -1}, "seed", ">= 0"),
     ({"seed": -2.0}, "seed", ">= 0"),
+    ({"out": None}, "out", "a non-empty string"),
+    ({"out": ""}, "out", "a non-empty string"),
+    ({"out": ["results"]}, "out", "a non-empty string"),
+    ({"out": True}, "out", "a non-empty string"),
+    ({"out": 7}, "out", "a non-empty string"),
 ])
 def test_out_of_range_values_rejected(data, key, rule):
     with pytest.raises(ScenarioError, match=re.escape(f"{key} must be {rule}, got ")):

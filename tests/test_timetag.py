@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -122,6 +123,45 @@ def test_stream_spanning_several_blocks(monkeypatch):
     assert abs(times.size - expected) < 5 * math.sqrt(expected)
 
 
+@st.composite
+def repeated_grid_steps(draw):
+    """Ascending times in seconds whose grid steps come in runs of 1-3 equal
+    ones, a run of 2-3 at the first or last position or across a block edge,
+    a duration at or just short of the last time, and the block size of
+    _quantize's compaction."""
+    runs = draw(st.lists(st.sampled_from([1, 1, 2, 3]), min_size=1, max_size=40))
+    where = draw(st.sampled_from(["first", "last", "edge"]))
+    if where == "first":
+        at = 0
+    elif where == "last":
+        at = len(runs) - 1
+    else:
+        at = draw(st.integers(0, len(runs) - 1))
+    runs[at] = draw(st.sampled_from([2, 3]))
+    starts = np.cumsum([0] + runs[:-1])
+    # at an edge the block ends after the run's first step; elsewhere any size
+    block = (int(starts[at]) + 1 if where == "edge"
+             else draw(st.sampled_from([1, 2, 3, 7, timetag._BLOCK])))
+    gaps = draw(st.lists(st.integers(1, 10**6), min_size=len(runs), max_size=len(runs)))
+    steps = np.repeat(np.cumsum(gaps), runs)
+    # -0.3, -0.1 and +0.1 of a grid step through each run: ascending, and
+    # each rounds to its run's step
+    offsets = np.arange(steps.size) - np.repeat(starts, runs)
+    times = (steps - 0.3 + 0.2 * offsets) * (GRID * TICK_S)
+    duration = times[-1] * draw(st.sampled_from([1.0, 1 - 1e-9]))
+    return times, duration, block
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_grid_steps())
+def test_quantize_drops_repeats_like_a_masked_copy(case):
+    times, duration, block = case
+    expected = reference.quantize(times.copy(), duration)
+    with mock.patch.object(timetag, "_BLOCK", block):
+        ticks = timetag._quantize(times.copy(), duration)
+    assert ticks.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------- dead-time filter
 
 
@@ -161,12 +201,18 @@ def tick_streams_and_windows(draw):
     return ticks, _draw_window(draw, ticks, GRID * steps)
 
 
+# small blocks put block edges between the events, segments and kept events
+# of short streams
+BLOCKS = [1, 2, 3, 7, timetag._BLOCK]
+
+
 @settings(max_examples=400, deadline=None)
-@given(tick_streams_and_windows())
-def test_filter_matches_sequential_reference(case):
+@given(tick_streams_and_windows(), st.sampled_from(BLOCKS))
+def test_filter_matches_sequential_reference(case, block):
     ticks, window = case
-    assert np.array_equal(_filter_constant(ticks, window),
-                          reference.sequential_filter(ticks, window))
+    with mock.patch.object(timetag, "_BLOCK", block):
+        kept = _filter_constant(ticks, window)
+    assert np.array_equal(kept, reference.sequential_filter(ticks, window))
 
 
 def test_filter_keeps_event_exactly_at_window_end():
@@ -219,8 +265,11 @@ def test_filter_matches_reference_on_sweep_streams(rate):
 def test_kept_mask_matches_sequential_reference_at_extreme_windows(window):
     ticks = generate_poisson_stream(40e6, 0.005, seed=4).ticks
     window = timetag._window_ticks(window)
-    kept = timetag._kept_mask(ticks, window)
-    assert ticks[kept].tobytes() == reference.sequential_filter(ticks, window).tobytes()
+    expected = reference.sequential_filter(ticks, window).tobytes()
+    for block in BLOCKS:
+        with mock.patch.object(timetag, "_BLOCK", block):
+            kept = timetag._kept_mask(ticks, window)
+        assert ticks[kept].tobytes() == expected, block
 
 
 @st.composite
@@ -246,12 +295,11 @@ def window_steps(draw):
 
 
 @settings(max_examples=500, deadline=None)
-@given(window_steps(), st.sampled_from([1, 2, 3, 7, timetag._REFILTER_BLOCK]))
+@given(window_steps(), st.sampled_from(BLOCKS))
 def test_refilter_step_matches_full_pass(case, block):
     ticks, old, new = case
     kept = timetag._kept_mask(ticks, old)
-    # small blocks put block edges between the kept events of short streams
-    with mock.patch.object(timetag, "_REFILTER_BLOCK", block):
+    with mock.patch.object(timetag, "_BLOCK", block):
         timetag._refilter(ticks, kept, old, new)
     assert ticks[kept].tobytes() == _filter_constant(ticks, new).tobytes()
 
@@ -560,6 +608,48 @@ def test_sweep_recovers_default_curve_at_each_rate():
 def test_sweep_rejects_empty_rate_list():
     with pytest.raises(ValueError):
         sweep_dead_time([], default_dead_time_curve(), 0.01, 0.5e-9, seed=0)
+
+
+# ---------------------------------------------------------------- memory
+
+
+def _peak_bytes(call, *args, **kwargs):
+    """call's result and the most bytes it held at once beyond what was held
+    when it began, as tracemalloc counts them: numpy reports its buffers to
+    tracemalloc, so the figure repeats exactly."""
+    tracemalloc.start()
+    try:
+        return call(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# a pinned 40 Mcps x 50 ms stream: 2.0M events, 16.0 MB of ticks
+LARGE_STREAM = (40e6, 0.05, 2000001)
+
+
+def test_generator_holds_about_one_stream():
+    # the first draw imports numpy.random's modules: not part of the figure
+    generate_poisson_stream(1e3, 1e-3, seed=0)
+    stream, peak = _peak_bytes(generate_poisson_stream, *LARGE_STREAM)
+    # the draws' buffer, which the ticks overwrite, and a mask of one byte an event
+    assert peak < 1.5 * stream.ticks.nbytes
+
+
+def test_curve_filter_holds_its_input_and_less_than_as_much_again():
+    stream = generate_poisson_stream(*LARGE_STREAM)
+    _, peak = _peak_bytes(apply_dead_time, stream, curve=default_dead_time_curve())
+    assert stream.ticks.nbytes + peak < 2.2 * stream.ticks.nbytes
+
+
+def test_sweep_holds_one_raw_stream_at_a_time():
+    # the README sweep
+    rates, duration, seed = [1e6, 5e6, 20e6, 40e6], 0.05, 7
+    largest = max(generate_poisson_stream(rate, duration, seed + index).ticks.nbytes
+                  for index, rate in enumerate(rates))
+    _, peak = _peak_bytes(sweep_dead_time, rates, default_dead_time_curve(), duration,
+                          0.5e-9, seed)
+    assert peak < 2.5 * largest
 
 
 # ---------------------------------------------------------------- file formats
