@@ -34,7 +34,6 @@ from .detector import (
     busy_fraction,
     default_dead_time_curve,
     observed_rate,
-    observed_to_true_rate,
 )
 from .protocol import (
     BranchStats,

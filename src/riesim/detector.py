@@ -39,7 +39,6 @@ __all__ = [
     "availability",
     "busy_fraction",
     "observed_rate",
-    "observed_to_true_rate",
 ]
 
 
@@ -180,18 +179,6 @@ def availability(rate_cps: float, curve: DeadTimeCurve, model: AvailabilityModel
             )
         return 1.0 - busy
     raise ValueError(f"unknown availability model {model!r}")
-
-
-def observed_to_true_rate(observed_cps: float, dead_time_s: float) -> float:
-    """Invert non-paralyzable pile-up: beta = lambda / (1 - t_d * lambda)."""
-    if observed_cps < 0:
-        raise ValueError("observed rate must be >= 0")
-    loss = dead_time_s * observed_cps
-    if loss >= 1.0:
-        raise SaturationError(
-            f"observed rate {observed_cps:.4g} cps saturates dead time {dead_time_s:.3g} s"
-        )
-    return observed_cps / (1.0 - loss)
 
 
 def observed_rate(beta_cps: float, curve: DeadTimeCurve) -> float:

@@ -61,6 +61,9 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.n_rounds < 1:
             raise ValueError("n_rounds must be >= 1")
+        # the most rounds numpy's multinomial draw takes
+        if self.n_rounds > 2**63 - 1:
+            raise ValueError(f"n_rounds must be <= 2**63 - 1, got {self.n_rounds}")
         if not 0.0 < self.p0 <= 1.0:
             raise ValueError(f"p0 must be in (0, 1], got {self.p0}")
         if not 0.0 < self.abort_threshold < 0.5:

@@ -319,11 +319,12 @@ def load_scenario(path=None, data: dict | None = None) -> ScenarioConfig:
     if path is not None:
         path = Path(path)
         base_dir = path.parent
+        # bytes, so that JSON's rules pick the encoding, not the locale
         try:
-            data = json.loads(path.read_text())
+            data = json.loads(path.read_bytes())
         except OSError as exc:
             raise ScenarioError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ScenarioError(f"config {path} is not valid JSON: {exc}") from exc
     if data is None:
         data = {}

@@ -16,6 +16,7 @@ histogram decide a gap equal to the window or on a bin edge exactly.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,11 +55,11 @@ MAX_HISTOGRAM_BINS = 1 << 20
 # the README and bench streams hold at most 2.0M events; the cap keeps a
 # mistyped rate or duration from asking numpy for terabytes of gaps
 MAX_STREAM_EVENTS = 1 << 27
-_WRITE_CHUNK_LINES = 1 << 16
 # generated and filtered ticks stay below 2**62 (53 days): tick + window fits int64
 MAX_STREAM_TICK = 1 << 62
-# longest line read_timestamps parses in bulk (10**18 - 1 < 2**63)
-_MAX_BULK_DIGITS = 18
+# read_timestamps parses a file in bulk only if every value lies below this,
+# and so below 2**63 - 1, the value numpy's parser clamps an overflow to
+_BULK_LIMIT = 10**18
 # apply_dead_time's fixed point: iteration cap
 _FIXED_POINT_ITERATIONS = 20
 # _chase probes this many events past each pointer before it searches; with
@@ -68,8 +69,8 @@ _PROBE_EVENTS = 4
 _PROBE_MIN_LIVE = 64
 # elements each blockwise pass takes per numpy call (grid steps compacted,
 # events tested for a segment start, pointers chased, kept events tested for
-# a changed step): its temporaries stay near 0.5 MB instead of the length of
-# the stream, and its Python loops run n / _BLOCK times
+# a changed step, lines written): its temporaries stay near 0.5 MB instead of
+# the length of the stream, and its Python loops run n / _BLOCK times
 _BLOCK = 1 << 16
 
 
@@ -499,7 +500,8 @@ def interarrival_histogram(
 ) -> InterArrivalHistogram:
     """Histogram of adjacent gaps g <= max_gap in bins k * w <= g < (k + 1) * w
     of width w: a gap on a bin edge counts in the upper bin, so one equal to
-    max_gap on the last bin's upper edge counts in none."""
+    max_gap on the last bin's upper edge counts in none.  The gaps are binned
+    in place: every gap out of range goes to one extra bin, which is dropped."""
     if bin_width_s <= 0:
         raise ValueError("bin width must be positive")
     n_bins = histogram_bins(bin_width_s, max_gap_s)
@@ -510,9 +512,9 @@ def interarrival_histogram(
         )
     bin_ticks = int(_ticks_of(bin_width_s))
     gaps = np.diff(stream.ticks)
-    gaps = gaps[gaps < min(int(_ticks_of(max_gap_s)) + 1, n_bins * bin_ticks)]
-    counts = np.bincount(np.floor_divide(gaps, bin_ticks, out=gaps), minlength=n_bins)
-    return InterArrivalHistogram(bin_width_s=bin_width_s, counts=counts)
+    gaps[gaps >= min(int(_ticks_of(max_gap_s)) + 1, n_bins * bin_ticks)] = n_bins * bin_ticks
+    counts = np.bincount(np.floor_divide(gaps, bin_ticks, out=gaps), minlength=n_bins + 1)
+    return InterArrivalHistogram(bin_width_s=bin_width_s, counts=counts[:n_bins])
 
 
 def estimate_dead_time(hist: InterArrivalHistogram, min_count: int = DEFAULT_MIN_COUNT) -> float:
@@ -574,34 +576,35 @@ def sweep_dead_time(
 
 
 def _ticks_in_bulk(raw: bytes):
-    """The ticks of a file of LF-separated lines of 1-18 ASCII digits each; else None.
+    """The ticks of a file of LF-separated digit-only lines, each value below
+    10**18 (zero-padded lines included); else None.
 
-    numpy's text parser reads blank lines, signs, spaces and unparseable text
-    differently from int(), or stops at them without an error, so it sees only
-    files it reads exactly as _ticks_by_line does.  The digit cap keeps every
-    value below 2**63, so how it treats int64 overflow never matters.
+    numpy's text parser reads signs, spaces and other text differently from
+    int(), so only digits and LF reach it.  The count of values it returns
+    and their size catch the rest, by three reliances:
+    - it skips a blank line as whitespace between values (documented for
+      `sep`), so that file yields fewer values than lines;
+    - it reads a file of one LF as a spurious 0, so a leading LF is refused;
+    - C strtoll clamps a value past int64 to 2**63 - 1 (C99 7.20.1.4), so a
+      value of 19 or more digits reads as at least _BULK_LIMIT.
     """
-    if not raw or raw.translate(None, b"0123456789\n"):
-        return None
-    ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
-    if not raw.endswith(b"\n"):
-        ends = np.append(ends, len(raw))
-    # each line's digits plus its newline
-    widths = np.diff(ends, prepend=-1)
-    if widths.min() < 2 or widths.max() > _MAX_BULK_DIGITS + 1:
+    if not raw or raw.startswith(b"\n") or raw.translate(None, b"0123456789\n"):
         return None
     ticks = np.fromstring(raw, dtype=np.int64, sep="\n")
-    return ticks if ticks.size == widths.size else None
+    lines = raw.count(b"\n") + (not raw.endswith(b"\n"))
+    return ticks if ticks.size == lines and ticks.max() < _BULK_LIMIT else None
 
 
-def _ticks_by_line(path: Path) -> list:
-    """Every non-blank line as int() reads it once stripped; errors name the line.
+def _ticks_by_line(raw: bytes, path: Path) -> list:
+    """Every non-blank line of the file's bytes as int() reads it once
+    stripped; errors name the line of path.
 
-    A byte the locale encoding cannot decode reads as a lone surrogate, which
-    int() rejects, so it fails as a malformed line in line order.
+    The bytes are decoded as text mode would read the file.  A byte the
+    locale encoding cannot decode reads as a lone surrogate, which int()
+    rejects, so it fails as a malformed line in line order.
     """
     ticks = []
-    with path.open(errors="surrogateescape") as fh:
+    with io.TextIOWrapper(io.BytesIO(raw), errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
@@ -622,14 +625,16 @@ def _ticks_by_line(path: Path) -> list:
 def read_timestamps(path) -> TimestampStream:
     """Read a timestamp file: one integer per line, picoseconds, ascending.
 
-    A file of LF-separated digit-only lines, as write_timestamps writes it, is
-    parsed in one pass; any other file is read line by line.  Both give the
-    same result on every file the one-pass parse takes.
+    The file is read once.  A file of LF-separated digit-only lines below
+    10**18, as write_timestamps writes it, is parsed in one pass; any other
+    file is read line by line.  Both give the same result on every file the
+    one-pass parse takes.
     """
     path = Path(path)
-    ticks = _ticks_in_bulk(path.read_bytes())
+    raw = path.read_bytes()
+    ticks = _ticks_in_bulk(raw)
     if ticks is None:
-        ticks = np.array(_ticks_by_line(path), dtype=np.int64)
+        ticks = np.array(_ticks_by_line(raw, path), dtype=np.int64)
     if not ticks.size:
         raise InsufficientDataError(f"{path}: insufficient data, no timestamps in file")
     # every tick lies in [0, ticks[-1]], so the stream can only reject the order
@@ -640,12 +645,11 @@ def read_timestamps(path) -> TimestampStream:
 
 
 def write_timestamps(stream: TimestampStream, path) -> None:
-    """Write the ticks, integer picoseconds, one per line."""
+    """Write the ticks, integer picoseconds, one per line, _BLOCK lines at a time."""
     ticks = stream.ticks
     with Path(path).open("w") as fh:
-        for start in range(0, ticks.size, _WRITE_CHUNK_LINES):
-            lines = map(str, ticks[start:start + _WRITE_CHUNK_LINES].tolist())
-            fh.write("\n".join(lines) + "\n")
+        for start in range(0, ticks.size, _BLOCK):
+            fh.write("\n".join(map(str, ticks[start:start + _BLOCK].tolist())) + "\n")
 
 
 def write_sweep_csv(points, path) -> None:

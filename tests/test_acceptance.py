@@ -27,7 +27,6 @@ from riesim.detector import (
     availability,
     default_dead_time_curve,
     observed_rate,
-    observed_to_true_rate,
 )
 from riesim.protocol import ProtocolConfig, run_simulation
 from riesim.quantum import Basis, PolarizationState
@@ -231,7 +230,7 @@ def test_criterion_8_branch_reproduction():
 
 
 def test_criterion_9_property_suites():
-    with criterion(9, "availability bound, rate round-trip, throughput, determinism"):
+    with criterion(9, "availability bound, observed-rate law, throughput, determinism"):
         curve = default_dead_time_curve()
         # 1 - x <= exp(-x) across the operating range
         for rate in np.linspace(0.0, 31e6, 100):
@@ -239,11 +238,12 @@ def test_criterion_9_property_suites():
             expo = availability(rate, curve, AvailabilityModel.EXPONENTIAL)
             assert lin <= expo
 
-        # observed <-> true rate round trip at 1e-12 relative
+        # the observed rate at a constant dead time is beta / (1 + beta * t_d)
+        # at 1e-12 relative
         for beta in np.logspace(4, 8.5, 25):
             for t_d in (5e-9, 23.3e-9, 31.5e-9):
                 lam = observed_rate(beta, DeadTimeCurve.constant(t_d))
-                assert observed_to_true_rate(lam, t_d) == pytest.approx(beta, rel=1e-12)
+                assert lam == pytest.approx(beta / (1.0 + beta * t_d), rel=1e-12)
 
         # non-paralyzable throughput: the stream filter against
         # beta / (1 + t_d * beta), and with p0 = 0.5 thinning against

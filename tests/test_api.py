@@ -19,11 +19,11 @@ MODULES = [riesim] + [importlib.import_module(f"riesim.{info.name}")
 # SimulationReport.per_branch_stats a third time; the other names are the
 # per-round sampler's helpers and its Born rule on the four named states,
 # which live in tests/reference.py; no command called ChannelParams and
-# mutual_info_erasure_bsc
+# mutual_info_erasure_bsc, nor the constant-t_d inverse observed_to_true_rate
 REMOVED = ("A", "ArrivalResult", "BranchRow", "ChannelParams", "D", "DetectorUnit", "EveAction",
            "H", "V", "branch_table", "dead_time_at", "deterministic_suppression", "intercept",
-           "loading_for_branch", "mutual_info_erasure_bsc", "projection_prob",
-           "route_through_pbs")
+           "loading_for_branch", "mutual_info_erasure_bsc", "observed_to_true_rate",
+           "projection_prob", "route_through_pbs")
 
 
 def test_every_exported_name_resolves():

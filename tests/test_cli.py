@@ -518,6 +518,13 @@ RIE = {"mode": "rie_non_deterministic", "lambda_perp_cps": 25e6}
     ("stealth-scan", {"out": ["results"]}, "out must be a non-empty string, got ['results']"),
     ("mutualinfo", {"out": False}, "out must be a non-empty string, got False"),
     ("stealth-scan", {"out": 1}, "out must be a non-empty string, got 1"),
+    # more rounds than numpy's multinomial draw takes: refused at load, analytic too
+    pytest.param("simulate", {"protocol": {"n_rounds": 1e30, "p0": 0.9}, "attack": RIE},
+                 "invalid protocol section: n_rounds must be <= 2**63 - 1",
+                 id="simulate-n_rounds above int64"),
+    pytest.param("analytic", {"protocol": {"n_rounds": 1e30, "p0": 0.9}, "attack": RIE},
+                 "invalid protocol section: n_rounds must be <= 2**63 - 1",
+                 id="analytic-n_rounds above int64"),
 ])
 def test_bad_protocol_attack_or_curve_exits_2(tmp_path, capsys, monkeypatch, command, data,
                                               message):
@@ -529,6 +536,16 @@ def test_bad_protocol_attack_or_curve_exits_2(tmp_path, capsys, monkeypatch, com
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "results").exists()
     assert sorted(path.name for path in tmp_path.iterdir()) == ["curve.csv", "scenario.json"]
+
+
+@pytest.mark.parametrize("raw", [b'{"seed": 1, \xff}', b"[" * 100_000 + b"]" * 100_000],
+                         ids=["byte not UTF-8", "nested 100000 deep"])
+def test_undecodable_or_too_deep_config_exits_2(tmp_path, capsys, raw):
+    config = tmp_path / "scenario.json"
+    config.write_bytes(raw)
+    assert main(["--config", str(config), "--out", str(tmp_path / "results"), "simulate"]) == 2
+    assert f"error: config {config} is not valid JSON: " in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep-deadtime", "analytic"])

@@ -13,7 +13,6 @@ from riesim.detector import (
     busy_fraction,
     default_dead_time_curve,
     observed_rate,
-    observed_to_true_rate,
 )
 
 from reference import thinned_click_rate
@@ -181,20 +180,7 @@ def test_busy_fraction_rejects_negative_rates():
 
 
 def test_zero_rate_maps_to_zero():
-    assert observed_to_true_rate(0.0, 25e-9) == 0.0
     assert observed_rate(0.0, DeadTimeCurve.constant(25e-9)) == 0.0
-
-
-def test_half_busy_doubles_rate():
-    # lambda * t_d = 0.5 means the true rate is twice the observed one
-    assert observed_to_true_rate(1e7, 5e-8) == pytest.approx(2e7, rel=1e-12)
-
-
-def test_rate_round_trip_identity():
-    for beta in (1e5, 1e6, 4e7, 2e8):
-        for t_d in (5e-9, 23.3e-9, 31.5e-9):
-            lam = observed_rate(beta, DeadTimeCurve.constant(t_d))
-            assert observed_to_true_rate(lam, t_d) == pytest.approx(beta, rel=1e-12)
 
 
 def test_observed_rate_on_a_flat_curve_is_the_nonparalyzable_law():
@@ -251,11 +237,6 @@ def test_observed_rate_picks_the_smallest_of_three_roots():
     side = grid * (1.0 + beta * curve.dead_time_at(grid)) >= beta
     assert np.flatnonzero(side[1:] != side[:-1]).size == 3
     assert observed_rate(beta, curve) == pytest.approx(20e6, rel=1e-12)
-
-
-def test_observed_to_true_saturation_error():
-    with pytest.raises(SaturationError):
-        observed_to_true_rate(1e9, 23.3e-9)
 
 
 # ---------------------------------------------------------------- event level

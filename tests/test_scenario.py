@@ -145,6 +145,10 @@ def test_protocol_section_requires_core_fields():
     ({"n_rounds": 0, "p0": 0.9}, "n_rounds must be >= 1"),
     ({"n_rounds": 10, "p0": 0.9, "abort_threshold": 0.5}, "abort threshold must be in (0, 0.5)"),
     ({"n_rounds": 10, "p0": 0.9, "background_rate_cps": -1}, "background rate must be >= 0"),
+    # numpy's multinomial draw takes at most 2**63 - 1 rounds
+    pytest.param({"n_rounds": 1e30, "p0": 0.9},
+                 "n_rounds must be <= 2**63 - 1, got 1000000000000000019884624838656",
+                 id="n_rounds above int64"),
 ])
 def test_protocol_section_checked_at_load(protocol, message):
     with pytest.raises(ScenarioError, match=re.escape(f"invalid protocol section: {message}")):
@@ -201,6 +205,25 @@ def test_invalid_json_reported(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ScenarioError, match="JSON"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b'{"seed": 1, \xff}', "'utf-8' codec can't decode byte 0xff in position 12"),
+    (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+], ids=["byte not UTF-8", "nested 100000 deep"])
+def test_undecodable_or_too_deep_json_reported(tmp_path, raw, message):
+    path = tmp_path / "broken.json"
+    path.write_bytes(raw)
+    with pytest.raises(ScenarioError, match=re.escape(f"config {path} is not valid JSON: {message}")):
+        load_scenario(path)
+
+
+def test_config_encoding_follows_json_not_the_locale(tmp_path):
+    # JSON's own detection: a UTF-8 byte order mark and UTF-16 both read
+    for raw in (b"\xef\xbb\xbf" + b'{"seed": 3}', '{"seed": 3}'.encode("utf-16")):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(raw)
+        assert load_scenario(path).seed == 3
 
 
 def test_missing_file_reported(tmp_path):

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -652,6 +653,22 @@ def test_sweep_holds_one_raw_stream_at_a_time():
     assert peak < 2.5 * largest
 
 
+def test_histogram_holds_its_gaps_and_a_byte_an_event():
+    stream = generate_poisson_stream(*LARGE_STREAM)
+    _, peak = _peak_bytes(interarrival_histogram, stream)
+    # the gaps, binned in place, and the out-of-range mask; no in-range copy
+    assert peak < 1.3 * stream.ticks.nbytes
+
+
+def test_reading_a_digit_only_file_holds_about_twice_the_file(tmp_path):
+    path = tmp_path / "tags.txt"
+    write_timestamps(generate_poisson_stream(1e7, 0.05, seed=94), path)
+    size = path.stat().st_size
+    _, peak = _peak_bytes(read_timestamps, path)
+    # the bytes, the byte test's result while it runs, then the ticks
+    assert peak < 2.2 * size
+
+
 # ---------------------------------------------------------------- file formats
 
 
@@ -788,12 +805,12 @@ def test_digit_only_file_skips_the_line_reader(tmp_path, monkeypatch):
     line_reader = timetag._ticks_by_line
     calls = []
 
-    def refuse(path):
+    def refuse(raw, path):
         raise AssertionError("the line reader ran on a digit-only LF file")
 
-    def record(path):
+    def record(raw, path):
         calls.append(path)
-        return line_reader(path)
+        return line_reader(raw, path)
 
     monkeypatch.setattr(timetag, "_ticks_by_line", refuse)
     bulk = read_timestamps(lf)
@@ -802,6 +819,71 @@ def test_digit_only_file_skips_the_line_reader(tmp_path, monkeypatch):
     assert calls == [crlf]
     assert bulk.ticks.tobytes() == by_line.ticks.tobytes()
     assert bulk.duration_s == by_line.duration_s
+
+
+def test_timestamp_file_is_opened_once(tmp_path, monkeypatch):
+    # CRLF lines go to the line reader, which reads the bytes already read
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(b"0\r\n1000\r\n2000\r\n")
+    opened = []
+    open_path = Path.open
+
+    def counting_open(self, *args, **kwargs):
+        opened.append(self)
+        return open_path(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    assert read_timestamps(path).ticks.tolist() == [0, 1000, 2000]
+    assert opened == [path]
+
+
+# what _ticks_in_bulk relies on numpy's text parser to do
+@pytest.mark.parametrize("raw, values", [
+    # a blank line is extra whitespace between values, so it is skipped
+    (b"1\n\n2\n", [1, 2]),
+    # a file of one LF reads as a spurious 0
+    (b"\n", [0]),
+    # strtoll clamps a value past int64 to 2**63 - 1
+    (b"9" * 25 + b"\n", [2**63 - 1]),
+], ids=["blank line skipped", "lone LF is 0", "overflow clamped"])
+def test_numpy_text_parse_reliances(raw, values):
+    assert np.fromstring(raw, dtype=np.int64, sep="\n").tolist() == values
+
+
+@pytest.mark.parametrize("raw, ticks, by_line", [
+    (b"1\n\n2\n", [1, 2], True),
+    # 25 characters, but a value below 10**18
+    (b"0\n0000000000000000000001000\n2000\n", [0, 1000, 2000], False),
+    (b"1\n1000000000000000000\n", [1, 10**18], True),
+], ids=["blank line", "zero-padded", "10**18"])
+def test_bulk_parse_guard_sends_each_reliance_to_its_reader(tmp_path, monkeypatch, raw,
+                                                           ticks, by_line):
+    path = tmp_path / "tags.txt"
+    path.write_bytes(raw)
+    line_reader = timetag._ticks_by_line
+    calls = []
+
+    def record(raw, path):
+        calls.append(path)
+        return line_reader(raw, path)
+
+    monkeypatch.setattr(timetag, "_ticks_by_line", record)
+    assert read_timestamps(path).ticks.tolist() == ticks
+    assert calls == ([path] if by_line else [])
+
+
+def test_timestamp_file_of_one_newline_has_no_timestamps(tmp_path):
+    path = tmp_path / "lf.txt"
+    path.write_bytes(b"\n")
+    with pytest.raises(InsufficientDataError, match="no timestamps in file"):
+        read_timestamps(path)
+
+
+def test_timestamp_file_of_25_nines_names_its_line(tmp_path):
+    path = tmp_path / "tags.txt"
+    path.write_bytes(b"1\n" + b"9" * 25 + b"\n")
+    with pytest.raises(ValueError, match=r"line 2 is above 2\*\*63 - 1 \(25 characters\)"):
+        read_timestamps(path)
 
 
 def test_sweep_csv_schema(tmp_path):
