@@ -17,7 +17,8 @@ Rounds are iid, and each falls into one of 2^7 = 128 cells (Alice's basis
 and bit, Eve's basis and bit, Bob's basis, the detector, click or not).  The
 run builds the probability of every cell once and draws all rounds with one
 multinomial over that table, so a run costs the same at 1e3 and 1e12
-rounds.  Every report field is a sum of cell counts.
+rounds.  Every report count is a row of one tally of the cell counts, per
+attack branch; the same tally of the law gives each count's expectation.
 """
 
 from __future__ import annotations
@@ -169,13 +170,28 @@ class SimulationReport:
 # The round cells, one index array per axis of the (2,) * 7 law: Alice's
 # basis, Alice's bit, Eve's basis, Eve's bit, Bob's basis, detector, click.
 # Basis index 0 is Z and 1 is X.  Without an attack the Eve axes carry
-# Alice's state, so the signal is always read from them.
+# Alice's state, so the signal is always read from them.  An attack branch
+# is one cell of the Eve and Bob axes; its counts sum out the other axes,
+# Alice's basis and bit, the detector and the click.
 _AB, _A, _EB, _E, _BB, _D, _CLICK = np.indices((2,) * 7)
+_OFF_BRANCH_AXES = (0, 1, 5, 6)
 _CLICKED = _CLICK == 1
 _SIFTED = _CLICKED & (_AB == _BB)
 _ERROR = _SIFTED & (_D != _A)
 _EVE_MATCH = _SIFTED & (_EB == _AB)
-_BRANCH = _EB * 4 + _E * 2 + _BB
+
+
+def _tally(table: np.ndarray) -> np.ndarray:
+    """Every count the report gives, per attack branch, from a (2,) * 7 cell
+    table: the integer counts of a run, or the law, whose tally is then each
+    count's expectation per round.
+
+    Shape (5, 2, 2, 2), indexed [row, Eve's basis, Eve's bit, Bob's basis];
+    the rows are every round (the mask True), clicked, sifted, error and
+    Eve-matched.
+    """
+    rows = (True, _CLICKED, _SIFTED, _ERROR, _EVE_MATCH)
+    return np.stack([(table * row).sum(axis=_OFF_BRANCH_AXES) for row in rows])
 
 
 def _weight(prior_z: float, basis) -> np.ndarray:
@@ -215,30 +231,23 @@ def run_simulation(config: ProtocolConfig, attack: AttackConfig) -> SimulationRe
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
     law = _round_law(config, attack)
     counts = rng.multinomial(config.n_rounds, law.ravel()).reshape(law.shape)
-    n_clicks = int(counts[_CLICKED].sum())
-    n_sifted = int(counts[_SIFTED].sum())
-    n_errors = int(counts[_ERROR].sum())
+    # int64 throughout: no count exceeds n_rounds <= 2**63 - 1
+    tally = _tally(counts)
+    _, n_clicks, n_sifted, n_errors, n_eve_match = tally.sum(axis=(1, 2, 3)).tolist()
 
     attacking = attack.mode is not AttackMode.NONE
     qber = n_errors / n_sifted if n_sifted else None
     per_branch = None
     if attacking:
-        per_branch = {}
         # keys in the order the report and the branch CSV print them: X before Z
-        for eb, e, bb in product((1, 0), (0, 1), (1, 0)):
-            branch = _BRANCH == eb * 4 + e * 2 + bb
-            per_branch[(_BASES[eb], e, _BASES[bb])] = BranchStats(
-                n_rounds=int(counts[branch].sum()),
-                n_clicks=int(counts[branch & _CLICKED].sum()),
-                n_sifted=int(counts[branch & _SIFTED].sum()),
-                n_errors=int(counts[branch & _ERROR].sum()),
-            )
+        per_branch = {(_BASES[eb], e, _BASES[bb]): BranchStats(*tally[:4, eb, e, bb].tolist())
+                      for eb, e, bb in product((1, 0), (0, 1), (1, 0))}
     return SimulationReport(
         n_rounds=config.n_rounds,
         n_clicks=n_clicks,
         n_sifted=n_sifted,
         n_errors=n_errors,
-        n_sifted_eve_match=int(counts[_EVE_MATCH].sum()) if attacking else None,
+        n_sifted_eve_match=n_eve_match if attacking else None,
         qber_observed=qber,
         sift_probability=n_sifted / config.n_rounds,
         erasure_probability=1.0 - n_clicks / config.n_rounds,

@@ -8,6 +8,7 @@ flags override the corresponding file values.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import partial
 from math import isfinite
@@ -124,16 +125,17 @@ class MutualInfoSettings:
     r_step: float = 0.01
     e_abort: float = 0.11
 
+    def n_points(self) -> int:
+        """The grid's length: the first k with r_start + k * r_step past
+        r_stop + 1e-12, or MAX_GRID_POINTS + 1 if there are more.  That sum
+        never falls as k grows, so bisection finds k, even where the step is
+        too small to move r_start."""
+        stop = self.r_stop + 1e-12
+        return bisect_left(range(MAX_GRID_POINTS + 1), True,
+                           key=lambda k: self.r_start + k * self.r_step > stop)
+
     def grid(self) -> list[float]:
-        values = []
-        k = 0
-        while True:
-            r = self.r_start + k * self.r_step
-            if r > self.r_stop + 1e-12:
-                break
-            values.append(round(r, 12))
-            k += 1
-        return values
+        return [round(self.r_start + k * self.r_step, 12) for k in range(self.n_points())]
 
 
 @dataclass(frozen=True)
@@ -154,6 +156,22 @@ class ScenarioConfig:
         return replace(self.protocol, seed=self.seed)
 
 
+def _curve_table(rows) -> list:
+    """dead_time_curve.table: a JSON list of [rate_cps, dead_time_s] pairs of
+    JSON numbers; a bad row or entry is named by its index.  NaN and
+    infinities pass, and the curve rejects them as the CSV path does."""
+    key = "dead_time_curve.table"
+    if not isinstance(rows, (list, tuple)):
+        raise ScenarioError(f"{key} must be a list of [rate_cps, dead_time_s] pairs, got {rows!r}")
+    for i, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)) or len(row) != 2:
+            raise ScenarioError(f"{key}[{i}] must be a [rate_cps, dead_time_s] pair, got {row!r}")
+        for j, value in enumerate(row):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ScenarioError(f"{key}[{i}][{j}] must be a number, got {value!r}")
+    return rows
+
+
 def _parse_curve(section, base_dir: Path) -> DeadTimeCurve:
     if section is None:
         return default_dead_time_curve()
@@ -163,10 +181,11 @@ def _parse_curve(section, base_dir: Path) -> DeadTimeCurve:
         raise ScenarioError("dead_time_curve needs exactly one of: default, table, csv")
     if given[0] == "default":
         return default_dead_time_curve()
+    points = _curve_table(section["table"]) if given[0] == "table" else None
     try:
-        if given[0] == "table":
-            return DeadTimeCurve.from_points(section["table"])
-        return DeadTimeCurve.from_csv(base_dir / section["csv"])
+        if points is None:
+            return DeadTimeCurve.from_csv(base_dir / section["csv"])
+        return DeadTimeCurve.from_points(points)
     except (TypeError, ValueError, OSError) as exc:
         raise ScenarioError(f"invalid dead_time_curve: {exc}") from exc
 
@@ -302,13 +321,11 @@ def _parse_mutualinfo(section) -> MutualInfoSettings:
         ("r_start", "r_stop", "r_step", "e_abort"), _number)))
     _require(settings.r_step > 0, "mutualinfo.r_step", "> 0", settings.r_step)
     _require(settings.r_start >= 0, "mutualinfo.r_start", ">= 0", settings.r_start)
-    # grid() has floor(steps) + 1 points, up to rounding; counted without building it
-    steps = (settings.r_stop + 1e-12 - settings.r_start) / settings.r_step
-    _require(steps < MAX_GRID_POINTS, "mutualinfo.r_step",
+    points = settings.n_points()
+    _require(points <= MAX_GRID_POINTS, "mutualinfo.r_step",
              f"large enough for at most {MAX_GRID_POINTS} grid points", settings.r_step)
     _require(0 < settings.e_abort < 0.5, "mutualinfo.e_abort", "in (0, 0.5)", settings.e_abort)
-    # grid() is empty exactly when its first point already lies past r_stop
-    if settings.r_start > settings.r_stop + 1e-12:
+    if not points:
         raise ScenarioError("mutualinfo grid is empty")
     return settings
 

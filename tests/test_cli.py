@@ -493,31 +493,42 @@ RIE = {"mode": "rie_non_deterministic", "lambda_perp_cps": 25e6}
 
 
 @pytest.mark.parametrize("command, data, message", [
-    ("stealth-scan", {"protocol": {"n_rounds": 10, "p0": 2}},
-     "invalid protocol section: p0 must be in (0, 1], got 2.0"),
-    ("analytic", {"protocol": {"n_rounds": 10, "p0": 0.9, "background_rate_cps": math.nan},
-                  "attack": RIE}, "protocol.background_rate_cps must be a finite number"),
-    ("analytic", {"protocol": {"n_rounds": 10, "p0": 0.9},
-                  "attack": dict(RIE, lambda_perp_cps=math.inf)},
-     "attack.lambda_perp_cps must be a finite number"),
-    ("analytic", {"protocol": {"n_rounds": 10, "p0": 0.9},
-                  "attack": {"mode": "rie_deterministic", "delta_s": math.nan}},
-     "attack.delta_s must be a finite number"),
-    ("analytic", {"protocol": {"n_rounds": 10, "p0": True}, "attack": RIE},
-     "protocol.p0 must be a finite number"),
-    ("simulate", {"protocol": {"n_rounds": 10, "p0": 0.9, "fixed_alice": ["Z", 1.5]},
-                  "attack": RIE}, "protocol.fixed_alice[1] must be an integer"),
-    ("stealth-scan", {"dead_time_curve": {"table": [[0, 1e-8], [1e6, math.nan]]}},
-     "invalid dead_time_curve: curve rates and dead times must be finite"),
-    ("analytic", {"dead_time_curve": {"csv": "curve.csv"},
-                  "protocol": {"n_rounds": 10, "p0": 0.9}, "attack": RIE},
-     "invalid dead_time_curve: curve rates and dead times must be finite"),
+    pytest.param("stealth-scan", {"protocol": {"n_rounds": 10, "p0": 2}},
+                 "invalid protocol section: p0 must be in (0, 1], got 2.0",
+                 id="stealth-scan-p0 above 1"),
+    pytest.param("analytic", {"protocol": {"n_rounds": 10, "p0": 0.9,
+                                           "background_rate_cps": math.nan}, "attack": RIE},
+                 "protocol.background_rate_cps must be a finite number",
+                 id="analytic-background nan"),
+    pytest.param("analytic", {"protocol": {"n_rounds": 10, "p0": 0.9},
+                              "attack": dict(RIE, lambda_perp_cps=math.inf)},
+                 "attack.lambda_perp_cps must be a finite number", id="analytic-lambda_perp inf"),
+    pytest.param("analytic", {"protocol": {"n_rounds": 10, "p0": 0.9},
+                              "attack": {"mode": "rie_deterministic", "delta_s": math.nan}},
+                 "attack.delta_s must be a finite number", id="analytic-delta_s nan"),
+    pytest.param("analytic", {"protocol": {"n_rounds": 10, "p0": True}, "attack": RIE},
+                 "protocol.p0 must be a finite number", id="analytic-p0 boolean"),
+    pytest.param("simulate", {"protocol": {"n_rounds": 10, "p0": 0.9, "fixed_alice": ["Z", 1.5]},
+                              "attack": RIE}, "protocol.fixed_alice[1] must be an integer",
+                 id="simulate-fixed_alice bit not integer"),
+    pytest.param("stealth-scan", {"dead_time_curve": {"table": [[0, 1e-8], [1e6, math.nan]]}},
+                 "invalid dead_time_curve: curve rates and dead times must be finite",
+                 id="stealth-scan-table nan"),
+    pytest.param("analytic", {"dead_time_curve": {"csv": "curve.csv"},
+                              "protocol": {"n_rounds": 10, "p0": 0.9}, "attack": RIE},
+                 "invalid dead_time_curve: curve rates and dead times must be finite",
+                 id="analytic-csv nan"),
     # the output directory: no command writes into "None", "" or a repr
-    ("sweep-deadtime", {"out": None}, "out must be a non-empty string, got None"),
-    ("mutualinfo", {"out": ""}, "out must be a non-empty string, got ''"),
-    ("stealth-scan", {"out": ["results"]}, "out must be a non-empty string, got ['results']"),
-    ("mutualinfo", {"out": False}, "out must be a non-empty string, got False"),
-    ("stealth-scan", {"out": 1}, "out must be a non-empty string, got 1"),
+    pytest.param("sweep-deadtime", {"out": None}, "out must be a non-empty string, got None",
+                 id="sweep-deadtime-out null"),
+    pytest.param("mutualinfo", {"out": ""}, "out must be a non-empty string, got ''",
+                 id="mutualinfo-out empty"),
+    pytest.param("stealth-scan", {"out": ["results"]},
+                 "out must be a non-empty string, got ['results']", id="stealth-scan-out list"),
+    pytest.param("mutualinfo", {"out": False}, "out must be a non-empty string, got False",
+                 id="mutualinfo-out false"),
+    pytest.param("stealth-scan", {"out": 1}, "out must be a non-empty string, got 1",
+                 id="stealth-scan-out number"),
     # more rounds than numpy's multinomial draw takes: refused at load, analytic too
     pytest.param("simulate", {"protocol": {"n_rounds": 1e30, "p0": 0.9}, "attack": RIE},
                  "invalid protocol section: n_rounds must be <= 2**63 - 1",
@@ -525,6 +536,25 @@ RIE = {"mode": "rie_non_deterministic", "lambda_perp_cps": 25e6}
     pytest.param("analytic", {"protocol": {"n_rounds": 1e30, "p0": 0.9}, "attack": RIE},
                  "invalid protocol section: n_rounds must be <= 2**63 - 1",
                  id="analytic-n_rounds above int64"),
+    # a curve table is a list of two-number rows: no traceback, no coercion
+    pytest.param("sweep-deadtime", {"dead_time_curve": {"table": 5}},
+                 "dead_time_curve.table must be a list of [rate_cps, dead_time_s] pairs, got 5",
+                 id="sweep-deadtime-table not a list"),
+    pytest.param("sweep-deadtime", {"dead_time_curve": {"table": [[0]]}},
+                 "dead_time_curve.table[0] must be a [rate_cps, dead_time_s] pair, got [0]",
+                 id="sweep-deadtime-table row of one"),
+    pytest.param("sweep-deadtime", {"dead_time_curve": {"table": [[0, 2e-8], [1e6]]}},
+                 "dead_time_curve.table[1] must be a [rate_cps, dead_time_s] pair, got [1000000.0]",
+                 id="sweep-deadtime-table later row of one"),
+    pytest.param("sweep-deadtime", {"dead_time_curve": {"table": [[0, 2e-8, 99]]}},
+                 "dead_time_curve.table[0] must be a [rate_cps, dead_time_s] pair, "
+                 "got [0, 2e-08, 99]", id="sweep-deadtime-table row of three"),
+    pytest.param("sweep-deadtime", {"dead_time_curve": {"table": [["1e6", 2e-8]]}},
+                 "dead_time_curve.table[0][0] must be a number, got '1e6'",
+                 id="sweep-deadtime-table string entry"),
+    pytest.param("sweep-deadtime", {"dead_time_curve": {"table": [[True, 2e-8]]}},
+                 "dead_time_curve.table[0][0] must be a number, got True",
+                 id="sweep-deadtime-table boolean entry"),
 ])
 def test_bad_protocol_attack_or_curve_exits_2(tmp_path, capsys, monkeypatch, command, data,
                                               message):

@@ -6,19 +6,21 @@ reference the law is checked against.
 """
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
 from riesim.adversary import AttackConfig, AttackMode, branch_click_probabilities, effective_r
-from riesim.analysis import e_obs, sift_probability
-from riesim.detector import AvailabilityModel, DeadTimeCurve
+from riesim.analysis import e_obs, mutual_info_eve_sifted, sift_probability
+from riesim.detector import AvailabilityModel, DeadTimeCurve, default_dead_time_curve
 from riesim.protocol import (
     _ERROR,
     _SIFTED,
     ProtocolConfig,
     _round_law,
+    _tally,
     run_simulation,
 )
 from riesim.quantum import Basis, PolarizationState
@@ -177,6 +179,31 @@ def test_round_law_reduces_to_branch_click_probabilities():
             assert click_rate == pytest.approx(expected, rel=1e-12)
     # Eve never disagrees with Alice when she measures in Alice's basis
     assert law[0, 0, 0, 1].sum() == 0.0 and law[1, 1, 1, 0].sum() == 0.0
+
+
+@pytest.mark.parametrize("model", list(AvailabilityModel), ids=lambda m: m.value)
+@pytest.mark.parametrize("mode", [m for m in AttackMode if m is not AttackMode.NONE],
+                         ids=lambda m: m.value)
+def test_law_tally_matches_closed_forms_at_uniform_priors(mode, model):
+    # the tally of the law is each report count's expectation per round; at
+    # uniform priors and without fixed_alice it is what analysis.py states.
+    # None of these cases saturates the linear law (busy stays below 0.9).
+    for bg, lam_perp, curve in product((0.0, 1e5, 3e6), (1e6, 10e6, 25e6),
+                                       (default_dead_time_curve(), FLAT)):
+        cfg = ProtocolConfig(n_rounds=1, p0=0.9, seed=0, dead_time_curve=curve,
+                             availability_model=model, background_rate_cps=bg)
+        attack = AttackConfig(mode=mode, lambda_parallel_cps=2e6, lambda_perp_cps=lam_perp,
+                              delta_s=10e-9 if mode is AttackMode.RIE_DETERMINISTIC else None)
+        rounds, clicks, sifted, errors, eve_match = _tally(_round_law(cfg, attack)).sum(
+            axis=(1, 2, 3))
+        p_par, p_perp = branch_click_probabilities(cfg, attack)
+        r = effective_r(cfg, attack)
+        case = (bg, lam_perp, curve)
+        assert rounds == pytest.approx(1.0, rel=1e-12), case
+        assert sifted == pytest.approx(sift_probability(p_par, p_perp), rel=1e-12), case
+        assert errors / sifted == pytest.approx(e_obs(r), rel=1e-12), case
+        assert 1.0 - clicks == pytest.approx(1.0 - (p_par + p_perp) / 2.0, rel=1e-12), case
+        assert eve_match / sifted == pytest.approx(mutual_info_eve_sifted(r), rel=1e-12), case
 
 
 # ---------------------------------------------------------------- outcome squash

@@ -305,9 +305,12 @@ def test_non_number_fields_rejected(data, key):
     ({"r_step": -0.1}, "r_step must be > 0"),
     ({"r_step": float("nan")}, "r_step must be a finite number"),
     ({"r_stop": float("inf")}, "r_stop must be a finite number"),
-], ids=["zero step", "negative step", "nan step", "infinite stop"])
+    # r_start + k * r_step stays r_start for every k
+    ({"r_start": 1e308, "r_stop": 1e308, "r_step": 1e-300},
+     "r_step must be large enough for at most 4194304 grid points"),
+], ids=["zero step", "negative step", "nan step", "infinite stop", "step absorbed by start"])
 def test_mutualinfo_grid_must_end(section, message):
-    # checked while parsing, before grid() would loop without end
+    # checked while parsing: a grid that never passes r_stop is refused at the cap
     with pytest.raises(ScenarioError, match=f"mutualinfo.{message}"):
         _parse_mutualinfo(section)
 

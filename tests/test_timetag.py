@@ -669,6 +669,16 @@ def test_reading_a_digit_only_file_holds_about_twice_the_file(tmp_path):
     assert peak < 2.2 * size
 
 
+def test_reading_a_crlf_file_line_by_line_holds_about_twice_the_file(tmp_path):
+    path = tmp_path / "tags.txt"
+    write_timestamps(generate_poisson_stream(1e7, 0.05, seed=94), path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    size = path.stat().st_size
+    _, peak = _peak_bytes(read_timestamps, path)
+    # the bytes and the ticks, 8 bytes a line, as the lines are read
+    assert peak < 2.2 * size
+
+
 # ---------------------------------------------------------------- file formats
 
 
