@@ -16,6 +16,9 @@ key than Bob does.
 
 from __future__ import annotations
 
+import os
+import shutil
+import warnings
 from dataclasses import dataclass
 from math import log2
 from pathlib import Path
@@ -195,19 +198,102 @@ def write_stealth_csv(scan: StealthScan, path) -> None:
     after a comment line recording the scan's abort QBER and threshold.
 
     Rows end in CRLF like the csv module's default dialect; the threshold
-    comment line ends in LF.  Each lambda_par block is written at once.
+    comment line ends in LF.  Each lambda_par block is formatted as one
+    string, and the blocks are written by _write_rows, which may format the
+    later half of them in a forked child.
     """
     perp_text = [repr(lam) for lam in scan.lambda_perp_cps.tolist()]
-    blocks = zip(scan.lambda_par_cps.tolist(), scan.r_bound.tolist(), scan.stealthy.tolist())
-    with Path(path).open("w", newline="") as fh:
-        fh.write(_threshold_line(scan.e_abort))
-        fh.write("lambda_par_cps,lambda_perp_cps,r_bound,stealthy\r\n")
-        for lam_par, bounds, flags in blocks:
-            prefix = f"{lam_par!r},"
-            fh.write("".join(
-                f"{prefix}{lam_perp},{bound!r},{'true' if flag else 'false'}\r\n"
-                for lam_perp, bound, flag in zip(perp_text, bounds, flags)
-            ))
+    par = scan.lambda_par_cps.tolist()
+
+    def block(i: int) -> bytes:
+        prefix = f"{par[i]!r},"
+        return "".join(
+            f"{prefix}{lam_perp},{bound!r},{'true' if flag else 'false'}\r\n"
+            for lam_perp, bound, flag in zip(perp_text, scan.r_bound[i].tolist(),
+                                              scan.stealthy[i].tolist())
+        ).encode("ascii")
+
+    with Path(path).open("wb") as fh:
+        fh.write(_threshold_line(scan.e_abort).encode("ascii"))
+        fh.write(b"lambda_par_cps,lambda_perp_cps,r_bound,stealthy\r\n")
+        _write_rows(fh, block, len(par))
+
+
+# Python 3.12+ warns on fork() in a process with more than one OS thread, and
+# numpy's OpenBLAS pool always adds one.  The child only formats strings,
+# writes a pipe and calls os._exit, so it takes no lock and makes no BLAS call
+# that another thread might hold.
+_FORK_WARNING = (r"This process \(pid=\d+\) is multi-threaded, "
+                 r"use of fork\(\) may lead to deadlocks in the child")
+
+
+def _write_rows(fh, row_bytes, n_rows: int) -> None:
+    """Write row_bytes(i) for each i in range(n_rows) to the binary file fh,
+    in order.
+
+    When the process may run on at least two CPUs and there are at least two
+    rows, one forked child formats rows [n_rows // 2, n_rows) while this
+    process formats and writes the rows before them, one at a time; the
+    child's rows then arrive through a pipe and are copied into fh after
+    them.  On one CPU, where sched_getaffinity is missing, or when fork
+    fails, every row is written here.  The bytes are the same either way.
+    row_bytes must not call BLAS, whose threads do not survive fork.
+    """
+    split = n_rows // 2
+    affinity = getattr(os, "sched_getaffinity", None)
+    child = None
+    if split and affinity is not None and len(affinity(0)) >= 2:
+        child = _fork_rows(row_bytes, split, n_rows)
+    if child is None:
+        for i in range(n_rows):
+            fh.write(row_bytes(i))
+        return
+    pid, pipe = child
+    try:
+        for i in range(split):
+            fh.write(row_bytes(i))
+        shutil.copyfileobj(pipe, fh)
+    finally:
+        pipe.close()
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        raise RuntimeError(
+            f"formatting CSV rows {split}..{n_rows - 1} failed in a child process "
+            f"(exit code {os.waitstatus_to_exitcode(status)})")
+
+
+def _fork_rows(row_bytes, start: int, stop: int):
+    """Fork a child that joins row_bytes(i) for i in range(start, stop) and
+    writes them to a pipe; (pid, the pipe's read end as a binary file), or
+    None when no process can be forked.
+
+    The child touches only the pipe and always leaves through os._exit, so
+    it never flushes a buffer it inherited nor runs exit hooks.  It formats
+    all its rows before writing any: a pipe holds only 64 KB and the parent
+    reads it only after writing its own rows, so an earlier write would
+    stall the child.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            data = b"".join(row_bytes(i) for i in range(start, stop))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
 
 
 def mutual_info_curve(r_values) -> list[tuple[float, float, float]]:

@@ -4,7 +4,9 @@ Subcommands: deadtime-extract, sweep-deadtime, simulate, analytic,
 stealth-scan, mutualinfo.  Configuration comes from one JSON scenario file
 (--config); --seed/--out flags override the file, and --workers is accepted
 for compatibility and has no effect.  Every command is deterministic per
-(config, seed) and emits plot-ready CSV rather than rendered figures.
+(config, seed) and emits plot-ready CSV rather than rendered figures.  Where
+the process may run on two CPUs, stealth-scan formats the later half of its
+CSV rows in one forked child; the bytes are the same.
 Exit codes: 0 on success, 2 for configuration/validation failures (raised
 before any computation), 1 for data-level errors.
 """

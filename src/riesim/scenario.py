@@ -11,7 +11,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import partial
-from math import isfinite
+from math import inf, isfinite
 from pathlib import Path
 
 from .adversary import AttackConfig, AttackMode
@@ -52,11 +52,17 @@ def _integer(value, key: str) -> int:
 
 
 def _number(value, key: str) -> float:
-    """A finite JSON number as a float; booleans, strings, null, NaN and
-    infinities are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not isfinite(value):
+    """A finite JSON number as a float; booleans, strings, null, NaN,
+    infinities and integer literals beyond float range are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{key} must be a finite number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = inf
+    if not isfinite(number):
+        raise ScenarioError(f"{key} must be a finite number, got {value!r}")
+    return number
 
 
 def _rates(values, key: str, positive: bool = False) -> tuple[float, ...]:
@@ -159,7 +165,8 @@ class ScenarioConfig:
 def _curve_table(rows) -> list:
     """dead_time_curve.table: a JSON list of [rate_cps, dead_time_s] pairs of
     JSON numbers; a bad row or entry is named by its index.  NaN and
-    infinities pass, and the curve rejects them as the CSV path does."""
+    infinities pass, and the curve rejects them as the CSV path does; an
+    integer literal beyond float range is rejected here."""
     key = "dead_time_curve.table"
     if not isinstance(rows, (list, tuple)):
         raise ScenarioError(f"{key} must be a list of [rate_cps, dead_time_s] pairs, got {rows!r}")
@@ -169,6 +176,8 @@ def _curve_table(rows) -> list:
         for j, value in enumerate(row):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ScenarioError(f"{key}[{i}][{j}] must be a number, got {value!r}")
+            if isinstance(value, int):
+                _number(value, f"{key}[{i}][{j}]")
     return rows
 
 

@@ -4,8 +4,10 @@ Frozen expected values were computed independently at 30-digit precision
 from the defining formulas.
 """
 
+import errno
 import hashlib
 import math
+import os
 from itertools import product
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riesim.analysis import (
+    _write_rows,
     binary_entropy,
     e_obs,
     mutual_info_bob_sifted,
@@ -319,6 +322,78 @@ def test_scan_csv_bytes_are_pinned(tmp_path):
     write_mutual_info_csv(triples, tmp_path / "mi.csv", 0.05)
     assert hashlib.sha256((tmp_path / "mi.csv").read_bytes()).hexdigest() == (
         "3bce25aecb9731decda72c0c78c4c767a0f7d45dc9dc4b54d225e031e6d95363")
+
+
+# The scan CSV is written by one process, or by two when the process may run
+# on two CPUs: the later half of the rows is formatted in a forked child.
+PINNED_SCAN_SHA256 = "f123756d09484e67e96a0a605d157eacc042857b48da2814998201dc5b0aec78"
+
+
+def _allow_cpus(monkeypatch, n_cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)), raising=False)
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("par", [PINNED_PAR, [1e6], [1e6, 20e6, 40e6]],
+                         ids=["pinned 6 rows", "1 row", "3 rows"])
+def test_scan_csv_serial_and_forked_writes_are_identical(tmp_path, monkeypatch, par):
+    scan = stealth_scan(par, PINNED_PERP, default_dead_time_curve(), 0.05)
+    forks = _count_forks(monkeypatch)
+    written = {}
+    for n_cpus in (1, 2):
+        _allow_cpus(monkeypatch, n_cpus)
+        path = tmp_path / f"cpus{n_cpus}.csv"
+        write_stealth_csv(scan, path)
+        _assert_no_child_left()
+        written[n_cpus] = path.read_bytes()
+    # one CPU never forks, and one row is never split
+    assert len(forks) == (len(par) >= 2)
+    assert written[1] == written[2]
+    assert written[1].count(b"\r\n") == 1 + len(par) * len(PINNED_PERP)
+    if par is PINNED_PAR:
+        assert hashlib.sha256(written[2]).hexdigest() == PINNED_SCAN_SHA256
+
+
+def test_scan_csv_written_serially_when_fork_fails(tmp_path, monkeypatch):
+    _allow_cpus(monkeypatch, 2)
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+    monkeypatch.setattr(os, "fork", no_fork)
+    scan = stealth_scan(PINNED_PAR, PINNED_PERP, default_dead_time_curve(), 0.05)
+    write_stealth_csv(scan, tmp_path / "scan.csv")
+    assert hashlib.sha256((tmp_path / "scan.csv").read_bytes()).hexdigest() == PINNED_SCAN_SHA256
+
+
+@pytest.mark.parametrize("failing, error", [("child", RuntimeError), ("parent", ZeroDivisionError)])
+def test_failed_row_writer_leaves_no_child(tmp_path, monkeypatch, failing, error):
+    _allow_cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    parent = os.getpid()
+
+    def row_bytes(i):
+        if (os.getpid() != parent) == (failing == "child"):
+            raise ZeroDivisionError(f"row {i}")
+        return b"%d\r\n" % i
+    with (tmp_path / "rows.csv").open("wb") as fh, pytest.raises(error):
+        _write_rows(fh, row_bytes, 3)
+    assert len(forks) == 1
+    _assert_no_child_left()
 
 
 # ---------------------------------------------------------------- CSV outputs

@@ -555,6 +555,9 @@ RIE = {"mode": "rie_non_deterministic", "lambda_perp_cps": 25e6}
     pytest.param("sweep-deadtime", {"dead_time_curve": {"table": [[True, 2e-8]]}},
                  "dead_time_curve.table[0][0] must be a number, got True",
                  id="sweep-deadtime-table boolean entry"),
+    pytest.param("sweep-deadtime", {"dead_time_curve": {"table": [[0, 2e-8], [10**400, 2e-8]]}},
+                 "dead_time_curve.table[1][0] must be a finite number, got 1" + "0" * 400,
+                 id="sweep-deadtime-table entry beyond float range"),
 ])
 def test_bad_protocol_attack_or_curve_exits_2(tmp_path, capsys, monkeypatch, command, data,
                                               message):

@@ -270,30 +270,49 @@ def test_integral_floats_accepted_as_integers():
 
 
 @pytest.mark.parametrize("data, key", [
-    ({"sweep": {"duration_s": "x"}}, "sweep.duration_s"),
-    ({"sweep": {"bin_width_s": True}}, "sweep.bin_width_s"),
-    ({"sweep": {"max_gap_s": None}}, "sweep.max_gap_s"),
-    ({"sweep": {"rates_cps": [1e6, "2e6"]}}, r"sweep.rates_cps\[1\]"),
-    ({"sweep": {"rates_cps": 1e6}}, "sweep.rates_cps"),
-    ({"scan": {"e_abort": "x"}}, "scan.e_abort"),
-    ({"scan": {"lambda_par_cps": [False]}}, r"scan.lambda_par_cps\[0\]"),
-    ({"scan": {"lambda_perp_cps": ["1e6"]}}, r"scan.lambda_perp_cps\[0\]"),
-    ({"scan": {"lambda_perp_grid": {"start_cps": "0", "stop_cps": 1e6, "num": 2}}},
-     "scan.lambda_perp_grid.start_cps"),
-    ({"scan": {"lambda_perp_grid": {"start_cps": 0, "stop_cps": [1e6], "num": 2}}},
-     "scan.lambda_perp_grid.stop_cps"),
-    ({"mutualinfo": {"r_step": "x"}}, "mutualinfo.r_step"),
-    ({"mutualinfo": {"r_start": True}}, "mutualinfo.r_start"),
-    ({"mutualinfo": {"e_abort": "0.1"}}, "mutualinfo.e_abort"),
-    ({"protocol": {"n_rounds": 10, "p0": True}}, "protocol.p0"),
-    ({"protocol": {"n_rounds": 10, "p0": 0.9, "background_rate_cps": float("nan")}},
-     "protocol.background_rate_cps"),
-    ({"protocol": {"n_rounds": 10, "p0": 0.9, "transmission": "1"}}, "protocol.transmission"),
-    ({"attack": {"mode": "rie_non_deterministic", "lambda_perp_cps": float("inf")}},
-     "attack.lambda_perp_cps"),
-    ({"attack": {"mode": "rie_deterministic", "delta_s": float("nan")}}, "attack.delta_s"),
-    ({"attack": {"eve_basis_prior": "0.5"}}, "attack.eve_basis_prior"),
-    ({"attack": {"lambda_parallel_cps": None}}, "attack.lambda_parallel_cps"),
+    pytest.param({"sweep": {"duration_s": "x"}}, "sweep.duration_s", id="duration string"),
+    pytest.param({"sweep": {"bin_width_s": True}}, "sweep.bin_width_s", id="bin width boolean"),
+    pytest.param({"sweep": {"max_gap_s": None}}, "sweep.max_gap_s", id="max gap null"),
+    pytest.param({"sweep": {"rates_cps": [1e6, "2e6"]}}, r"sweep.rates_cps\[1\]",
+                 id="sweep rate string"),
+    pytest.param({"sweep": {"rates_cps": 1e6}}, "sweep.rates_cps", id="sweep rates not a list"),
+    pytest.param({"scan": {"e_abort": "x"}}, "scan.e_abort", id="scan e_abort string"),
+    pytest.param({"scan": {"lambda_par_cps": [False]}}, r"scan.lambda_par_cps\[0\]",
+                 id="lambda_par boolean"),
+    pytest.param({"scan": {"lambda_perp_cps": ["1e6"]}}, r"scan.lambda_perp_cps\[0\]",
+                 id="lambda_perp string"),
+    pytest.param({"scan": {"lambda_perp_grid": {"start_cps": "0", "stop_cps": 1e6, "num": 2}}},
+                 "scan.lambda_perp_grid.start_cps", id="grid start string"),
+    pytest.param({"scan": {"lambda_perp_grid": {"start_cps": 0, "stop_cps": [1e6], "num": 2}}},
+                 "scan.lambda_perp_grid.stop_cps", id="grid stop list"),
+    pytest.param({"mutualinfo": {"r_step": "x"}}, "mutualinfo.r_step", id="r_step string"),
+    pytest.param({"mutualinfo": {"r_start": True}}, "mutualinfo.r_start", id="r_start boolean"),
+    pytest.param({"mutualinfo": {"e_abort": "0.1"}}, "mutualinfo.e_abort",
+                 id="mutualinfo e_abort string"),
+    pytest.param({"protocol": {"n_rounds": 10, "p0": True}}, "protocol.p0", id="p0 boolean"),
+    pytest.param({"protocol": {"n_rounds": 10, "p0": 0.9, "background_rate_cps": float("nan")}},
+                 "protocol.background_rate_cps", id="background nan"),
+    pytest.param({"protocol": {"n_rounds": 10, "p0": 0.9, "transmission": "1"}},
+                 "protocol.transmission", id="transmission string"),
+    pytest.param({"attack": {"mode": "rie_non_deterministic", "lambda_perp_cps": float("inf")}},
+                 "attack.lambda_perp_cps", id="lambda_perp inf"),
+    pytest.param({"attack": {"mode": "rie_deterministic", "delta_s": float("nan")}},
+                 "attack.delta_s", id="delta_s nan"),
+    pytest.param({"attack": {"eve_basis_prior": "0.5"}}, "attack.eve_basis_prior",
+                 id="eve_basis_prior string"),
+    pytest.param({"attack": {"lambda_parallel_cps": None}}, "attack.lambda_parallel_cps",
+                 id="lambda_parallel null"),
+    # JSON integer literals beyond float range
+    pytest.param({"mutualinfo": {"r_stop": 10**400}}, "mutualinfo.r_stop",
+                 id="r_stop beyond float range"),
+    pytest.param({"sweep": {"rates_cps": [1e6, -10**400]}}, r"sweep.rates_cps\[1\]",
+                 id="sweep rate beyond float range"),
+    pytest.param({"scan": {"lambda_perp_grid": {"start_cps": 0, "stop_cps": 10**400, "num": 2}}},
+                 "scan.lambda_perp_grid.stop_cps", id="grid stop beyond float range"),
+    pytest.param({"dead_time_curve": {"table": [[0, 2e-8], [10**400, 2e-8]]}},
+                 r"dead_time_curve.table\[1\]\[0\]", id="table rate beyond float range"),
+    pytest.param({"dead_time_curve": {"table": [[0, -10**400]]}},
+                 r"dead_time_curve.table\[0\]\[1\]", id="table dead time beyond float range"),
 ])
 def test_non_number_fields_rejected(data, key):
     with pytest.raises(ScenarioError, match=f"{key} must be a "):
