@@ -285,18 +285,24 @@ def test_integral_floats_accepted_as_integers():
                  "scan.lambda_perp_grid.start_cps", id="grid start string"),
     pytest.param({"scan": {"lambda_perp_grid": {"start_cps": 0, "stop_cps": [1e6], "num": 2}}},
                  "scan.lambda_perp_grid.stop_cps", id="grid stop list"),
-    ({"mutualinfo": {"r_step": "x"}}, "mutualinfo.r_step"),
-    ({"mutualinfo": {"r_start": True}}, "mutualinfo.r_start"),
-    ({"mutualinfo": {"e_abort": "0.1"}}, "mutualinfo.e_abort"),
-    ({"protocol": {"n_rounds": 10, "p0": True}}, "protocol.p0"),
-    ({"protocol": {"n_rounds": 10, "p0": 0.9, "background_rate_cps": float("nan")}},
-     "protocol.background_rate_cps"),
-    ({"protocol": {"n_rounds": 10, "p0": 0.9, "transmission": "1"}}, "protocol.transmission"),
-    ({"attack": {"mode": "rie_non_deterministic", "lambda_perp_cps": float("inf")}},
-     "attack.lambda_perp_cps"),
-    ({"attack": {"mode": "rie_deterministic", "delta_s": float("nan")}}, "attack.delta_s"),
-    ({"attack": {"eve_basis_prior": "0.5"}}, "attack.eve_basis_prior"),
-    ({"attack": {"lambda_parallel_cps": None}}, "attack.lambda_parallel_cps"),
+    pytest.param({"mutualinfo": {"r_step": "x"}}, "mutualinfo.r_step", id="r_step string"),
+    pytest.param({"mutualinfo": {"r_start": True}}, "mutualinfo.r_start",
+                 id="r_start boolean"),
+    pytest.param({"mutualinfo": {"e_abort": "0.1"}}, "mutualinfo.e_abort",
+                 id="mutualinfo e_abort string"),
+    pytest.param({"protocol": {"n_rounds": 10, "p0": True}}, "protocol.p0", id="p0 boolean"),
+    pytest.param({"protocol": {"n_rounds": 10, "p0": 0.9, "background_rate_cps": float("nan")}},
+                 "protocol.background_rate_cps", id="background rate nan"),
+    pytest.param({"protocol": {"n_rounds": 10, "p0": 0.9, "transmission": "1"}},
+                 "protocol.transmission", id="transmission string"),
+    pytest.param({"attack": {"mode": "rie_non_deterministic", "lambda_perp_cps": float("inf")}},
+                 "attack.lambda_perp_cps", id="attack lambda_perp infinite"),
+    pytest.param({"attack": {"mode": "rie_deterministic", "delta_s": float("nan")}},
+                 "attack.delta_s", id="delta nan"),
+    pytest.param({"attack": {"eve_basis_prior": "0.5"}}, "attack.eve_basis_prior",
+                 id="eve basis prior string"),
+    pytest.param({"attack": {"lambda_parallel_cps": None}}, "attack.lambda_parallel_cps",
+                 id="lambda_parallel null"),
     # JSON integer literals beyond float range
     pytest.param({"mutualinfo": {"r_stop": 10**400}}, "mutualinfo.r_stop",
                  id="r_stop beyond float range"),

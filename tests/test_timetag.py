@@ -79,6 +79,17 @@ def test_nonpositive_rate_rejected():
         generate_poisson_stream(0.0, 1.0, seed=0)
 
 
+@pytest.mark.parametrize("rate, duration, message", [
+    (float("nan"), 1e-3, "true rate must be finite and > 0, got nan"),
+    (float("inf"), 1e-3, "true rate must be finite and > 0, got inf"),
+    (1e6, float("nan"), "duration must be finite and >= 0, got nan"),
+    (1e6, float("inf"), "duration must be finite and >= 0, got inf"),
+], ids=["nan rate", "infinite rate", "nan duration", "infinite duration"])
+def test_non_finite_rate_or_duration_named(rate, duration, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        generate_poisson_stream(rate, duration, seed=1)
+
+
 def test_stream_event_cap(monkeypatch):
     # checked before any draw, so 1e12 expected events fail at once
     with pytest.raises(ValueError, match="the stream would hold 1e\\+12 events"):
@@ -444,6 +455,46 @@ def test_rate_dependent_filter_ends_on_the_self_consistent_count(rate, seed):
     assert len(apply_dead_time(stream, curve=curve)) in reference.exact_fixed_point(stream, curve)
 
 
+def test_nan_dead_time_rejected_and_infinite_keeps_the_first_event():
+    stream = generate_poisson_stream(1e6, 0.001, seed=1)
+    for dead in (float("nan"), -1e-9):
+        with pytest.raises(ValueError, match=f"^dead time must be >= 0, got {dead!r}$"):
+            apply_dead_time(stream, constant_dead_time_s=dead)
+    kept = apply_dead_time(stream, constant_dead_time_s=float("inf"))
+    assert kept.ticks.tolist() == stream.ticks[:1].tolist()
+
+
+def _alternating(n):
+    return np.arange(n) % 2 == 0
+
+
+def _random(n):
+    return np.random.default_rng(n).random(n) < 0.45
+
+
+def _runs(n):
+    # runs of 1-9 kept then 1-9 dropped events, so small blocks end inside runs
+    lengths = np.random.default_rng(n).integers(1, 10, size=n)
+    return (np.repeat(np.arange(lengths.size), lengths) % 2 == 0)[:n]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("make_mask", [
+    lambda n: np.zeros(n, dtype=bool), lambda n: np.ones(n, dtype=bool),
+    _alternating, _random, _runs,
+], ids=["all False", "all True", "alternating", "random", "runs"])
+def test_select_equals_boolean_gather(monkeypatch, block, make_mask):
+    monkeypatch.setattr(timetag, "_BLOCK", block)
+    for n in (0, 1, 1000):
+        mask = make_mask(n)
+        for dtype in (np.int64, np.float64):
+            values = np.arange(3, 3 + 7 * n, 7).astype(dtype)
+            selected, expected = timetag._select(values, mask), values[mask]
+            assert selected.dtype == expected.dtype
+            assert selected.flags.c_contiguous
+            assert np.array_equal(selected, expected)
+
+
 def test_filter_requires_exactly_one_mode():
     stream = generate_poisson_stream(1e6, 0.001, seed=1)
     with pytest.raises(ValueError):
@@ -641,6 +692,17 @@ def test_curve_filter_holds_its_input_and_less_than_as_much_again():
     stream = generate_poisson_stream(*LARGE_STREAM)
     _, peak = _peak_bytes(apply_dead_time, stream, curve=default_dead_time_curve())
     assert stream.ticks.nbytes + peak < 2.2 * stream.ticks.nbytes
+
+
+def test_selecting_kept_events_holds_the_result_and_under_a_megabyte():
+    stream = generate_poisson_stream(*LARGE_STREAM)
+    filtered = apply_dead_time(stream, curve=default_dead_time_curve())
+    kept = np.zeros(len(stream), dtype=bool)
+    kept[np.searchsorted(stream.ticks, filtered.ticks)] = True
+    selected, peak = _peak_bytes(timetag._select, stream.ticks, kept)
+    assert np.array_equal(selected, filtered.ticks)
+    # one block's indices and values beside the result
+    assert peak < selected.nbytes + 1_000_000
 
 
 def test_sweep_holds_one_raw_stream_at_a_time():
