@@ -1,11 +1,13 @@
 """Synthetic timestamp streams and dead-time extraction from inter-arrival histograms.
 
 This reproduces the bench methodology for measuring t_d(lambda) without
-hardware: generate Poisson arrivals at a known true rate, suppress events
-inside the recovery window of the previous registered event, histogram the
-surviving inter-arrival gaps, and read the dead time off the onset of the
-first populated bin.  Sweeping the true rate recovers the full rate-dependent
-dead-time curve.
+hardware: load a detector with Poisson arrivals at a known true rate, keep
+only the events outside the recovery window of the previous registered
+event, histogram the kept inter-arrival gaps, and read the dead time off the
+onset of the first populated bin.  Sweeping the true rate recovers the full
+rate-dependent dead-time curve.  The sweep draws each kept stream from its
+renewal law (_KeptChain); generate_poisson_stream and apply_dead_time are the
+raw stream and the event filter that law describes.
 
 A stream holds int64 ticks of 1 ps, the unit of the on-disk format (one
 integer per line), on the generator's 8 ps tagger grid.  Seconds appear only
@@ -61,7 +63,7 @@ MAX_STREAM_TICK = 1 << 62
 # read_timestamps parses a file in bulk only if every value lies below this,
 # and so below 2**63 - 1, the value numpy's parser clamps an overflow to
 _BULK_LIMIT = 10**18
-# apply_dead_time's fixed point: iteration cap
+# the sweep's rate-dependent fixed point: iteration cap
 _FIXED_POINT_ITERATIONS = 20
 # _chase probes this many events past each pointer before it searches; with
 # fewer live pointers than _PROBE_MIN_LIVE a step's numpy calls cost more than
@@ -69,8 +71,8 @@ _FIXED_POINT_ITERATIONS = 20
 _PROBE_EVENTS = 4
 _PROBE_MIN_LIVE = 64
 # elements each blockwise pass takes per numpy call (grid steps compacted,
-# events tested for a segment start, pointers chased, kept events tested for
-# a changed step, kept events selected, lines written): its temporaries stay
+# events tested for a segment start, pointers chased, kept events selected,
+# kept gaps binned, lines written): its temporaries stay
 # near 0.5 MB instead of the length of the stream, and its Python loops run
 # n / _BLOCK times
 _BLOCK = 1 << 16
@@ -196,16 +198,19 @@ def _first_block_size(expected: float) -> int:
 
 def expected_events(beta_cps: float, duration_s: float) -> float:
     """Expected event count beta * duration of a Poisson stream; ValueError
-    above MAX_STREAM_EVENTS, or when the duration reaches MAX_STREAM_TICK."""
+    unless beta is finite and > 0 and the duration finite and >= 0, above
+    MAX_STREAM_EVENTS, or when the duration reaches MAX_STREAM_TICK."""
+    if not (math.isfinite(beta_cps) and beta_cps > 0):
+        raise ValueError(f"true rate must be finite and > 0, got {beta_cps!r}")
+    if not (math.isfinite(duration_s) and duration_s >= 0):
+        raise ValueError(f"duration must be finite and >= 0, got {duration_s!r}")
     if not duration_s / TICK_S < MAX_STREAM_TICK:
         raise ValueError(f"the stream would last {duration_s:.6g} s, more than the limit of "
                          f"{MAX_STREAM_TICK * TICK_S:.6g} s")
     expected = beta_cps * duration_s
     if not expected <= MAX_STREAM_EVENTS:
-        raise ValueError(
-            f"the stream would hold {expected:.6g} events, more than the limit of "
-            f"{MAX_STREAM_EVENTS}"
-        )
+        raise ValueError(f"the stream would hold {expected:.6g} events, more than the limit "
+                         f"of {MAX_STREAM_EVENTS}")
     return expected
 
 
@@ -215,10 +220,6 @@ def generate_poisson_stream(beta_cps: float, duration_s: float, seed: int) -> Ti
     Inter-arrival gaps are exponential with mean 1/beta; the stream is
     deterministic per seed and quantized to the tagger resolution.
     """
-    if not (math.isfinite(beta_cps) and beta_cps > 0):
-        raise ValueError(f"true rate must be finite and > 0, got {beta_cps!r}")
-    if not (math.isfinite(duration_s) and duration_s >= 0):
-        raise ValueError(f"duration must be finite and >= 0, got {duration_s!r}")
     expected = expected_events(beta_cps, duration_s)
     rng = np.random.default_rng(seed)
     chunks = []
@@ -245,8 +246,8 @@ def _chase(ticks: np.ndarray, dead: int, kept: np.ndarray, cur: np.ndarray,
     t[j] >= t[i] + dead, the sequential rule's comparison (j > i, since the
     window is at least one tick), and drops the pointers that reached their
     segment's end.  The step first probes the next _PROBE_EVENTS events one
-    at a time, since at the sweep's rates almost every next kept event lies
-    within them; only the pointers still short of their window after the
+    at a time, since at 1-40 Mcps and 20-30 ns windows almost every next kept
+    event lies within them; only the pointers still short of their window after the
     probe search the stream (searchsorted).  With fewer than _PROBE_MIN_LIVE
     live pointers, as in the long walks of a window much longer than the
     mean gap, every pointer searches at once.
@@ -266,20 +267,11 @@ def _chase(ticks: np.ndarray, dead: int, kept: np.ndarray, cur: np.ndarray,
             short = np.flatnonzero(nxt > cur + _PROBE_EVENTS)
             nxt[short] = np.searchsorted(ticks, reach[short], side="left")
         # compress, not a boolean gather (which branches on each pointer) nor
-        # take by index (whose 8-byte indices raise the sweep's peak RSS)
+        # take by index (whose 8-byte indices raise the peak memory)
         live = nxt < end
         cur = nxt.compress(live)
         end = end.compress(live)
         kept[cur] = True
-
-
-def _chase_segments(ticks: np.ndarray, dead: int, kept: np.ndarray, cur: np.ndarray,
-                    end: np.ndarray) -> None:
-    """_chase over _BLOCK segments at a time: the segments are independent,
-    so each block's walks give the same marks, and no step's temporaries
-    grow with the number of segments."""
-    for start in range(0, cur.size, _BLOCK):
-        _chase(ticks, dead, kept, cur[start:start + _BLOCK], end[start:start + _BLOCK])
 
 
 def _kept_mask(ticks: np.ndarray, dead: int) -> np.ndarray:
@@ -294,9 +286,12 @@ def _kept_mask(ticks: np.ndarray, dead: int) -> np.ndarray:
         stop = min(start + _BLOCK, n)
         np.greater_equal(ticks[start:stop], ticks[start - 1:stop - 1] + dead,
                          out=kept[start:stop])
-    # each segment runs from its start to the next one, the last to n
+    # each segment runs from its start to the next one, the last to n; the
+    # segments are independent, so _BLOCK of them at a time are chased
     bounds = np.flatnonzero(np.append(kept, True))
-    _chase_segments(ticks, dead, kept, bounds[:-1], bounds[1:])
+    starts, ends = bounds[:-1], bounds[1:]
+    for start in range(0, starts.size, _BLOCK):
+        _chase(ticks, dead, kept, starts[start:start + _BLOCK], ends[start:start + _BLOCK])
     return kept
 
 
@@ -317,10 +312,8 @@ def _filter_constant(ticks: np.ndarray, dead: int) -> np.ndarray:
     leaves it exactly at the next segment's first event.
 
     Chase.  The walks of _BLOCK segments at a time advance in lockstep
-    (_chase_segments), so the number of numpy steps is the longest chain in
-    any one segment of each block, not the stream length.  apply_dead_time's
-    fixed point runs the same chase on the segments a change of window can
-    alter (_refilter).
+    (_chase), so the number of numpy steps is the longest chain in
+    any one segment of each block, not the stream length.
     """
     return _select(ticks, _kept_mask(ticks, dead))
 
@@ -340,161 +333,18 @@ def _select(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _refilter(ticks: np.ndarray, kept: np.ndarray, old: int, new: int) -> None:
-    """Turn the kept mask at window old into the one at new >= 1 tick, in
-    place, re-chasing only the segments the change of window can alter.
-
-    Dirty events.  From a kept event i the chain at old steps to the next
-    kept event j (j = n after the last one).  At new > old that step
-    changes iff t[j] < t[i] + new.  At new < old it changes iff some
-    event strictly between i and j lies at or past t[i] + new, that is iff
-    t[j-1] >= t[i] + new; for the last kept event this checks the events
-    after it.
-
-    Segments.  An event s with t[s] >= t[s-1] + max(old, new) starts a
-    segment at both windows, so both chains pass through it.  Between two
-    such events the chain at new follows the chain at old up to the
-    first dirty event; from there to the segment's end the mask is cleared
-    and chased again at new.  Every other segment keeps its events.
-    """
-    n = ticks.size
-    if n == 0 or new == old:
-        return
-    # the kept events' indices, then n: the next kept event after the last
-    idx = np.flatnonzero(np.append(kept, True))
-    dirty = _dirty_positions(ticks, idx, old, new)
-    if not dirty.size:
-        return
-    end = _segment_ends(ticks, idx, dirty, max(old, new))
-    # the first dirty event of each segment
-    first = np.empty(dirty.size, dtype=bool)
-    first[0] = True
-    np.not_equal(end[1:], end[:-1], out=first[1:])
-    cur = idx[dirty[first]]
-    end = idx[end[first]]
-    # clear the events strictly between each cur (kept at both windows) and its end
-    lengths = end - cur - 1
-    offsets = np.repeat(cur + 1 - (np.cumsum(lengths) - lengths), lengths)
-    kept[offsets + np.arange(offsets.size)] = False
-    _chase_segments(ticks, new, kept, cur, end)
-
-
-def _dirty_positions(ticks: np.ndarray, idx: np.ndarray, old: int,
-                     new: int) -> np.ndarray:
-    """The positions p in idx (kept indices, then n) of the kept events whose
-    next step changes when the window moves from old to new (see
-    _refilter), taken _BLOCK positions at a time so that no temporary as
-    long as idx is ever allocated."""
-    stop = idx.size - 2 if new > old else idx.size - 1
-    found = [np.empty(0, dtype=np.intp)]
-    for a in range(0, stop, _BLOCK):
-        b = min(a + _BLOCK, stop)
-        reach = ticks[idx[a:b]] + new
-        if new > old:
-            hit = ticks[idx[a + 1:b + 1]] < reach
-        else:
-            hit = ticks[idx[a + 1:b + 1] - 1] >= reach
-        found.append(np.flatnonzero(hit) + a)
-    return np.concatenate(found)
-
-
-def _segment_ends(ticks: np.ndarray, idx: np.ndarray, pos: np.ndarray,
-                  width: int) -> np.ndarray:
-    """For each position p in idx, the first later position whose event s
-    starts a segment at window width (t[s] >= t[s-1] + width), or the
-    position of n.  All walks advance in lockstep, one kept event a step,
-    over the segments the chase then walks again at the new window."""
-    n = ticks.size
-    end = pos + 1
-    walking = np.arange(end.size)
-    while walking.size:
-        s = idx[end[walking]]
-        inner = np.minimum(s, n - 1)
-        done = (s == n) | (ticks[inner] >= ticks[inner - 1] + width)
-        walking = walking[~done]
-        end[walking] += 1
-    return end
-
-
-def apply_dead_time(
-    stream: TimestampStream,
-    *,
-    constant_dead_time_s: float | None = None,
-    curve: DeadTimeCurve | None = None,
-) -> TimestampStream:
-    """Suppress events inside the detector recovery window.
-
-    Exactly one of `constant_dead_time_s` or `curve` must be given.  With a
-    curve the dead window is t_d evaluated at the *output* observed rate,
-    which is found by fixed-point iteration over whole counts n, each
-    filtered at t_d(n / duration) in whole ticks (_window_ticks).  The
-    iteration starts at the count the steady-state non-paralyzable law
-    predicts, observed_rate(input rate, curve) * duration, which lies within
-    about 1e-4 of the count it ends on, so one more iteration usually
-    confirms it.  A count n that keeps n events is self-consistent; when
-    none is, the iteration ends at the window of one of the two adjacent
-    counts between which the kept count minus n changes sign.  The first
-    iteration filters the whole stream; each later one carries the kept mask
-    over and re-chases only the segments the new window changes (_refilter),
-    so every iteration keeps exactly the events of a full _filter_constant
-    pass at its window.
-    """
-    if (constant_dead_time_s is None) == (curve is None):
-        raise ValueError("give exactly one of constant_dead_time_s or curve")
+def apply_dead_time(stream: TimestampStream, *, constant_dead_time_s: float) -> TimestampStream:
+    """Suppress events inside a recovery window of constant_dead_time_s: an
+    event is kept iff it lies at least the window (in whole ticks,
+    _window_ticks) past the previously kept one."""
     t = stream.ticks
     if t.size and t[-1] >= MAX_STREAM_TICK:
         raise ValueError(f"the dead-time filter takes ticks below 2**62, got {t[-1]}")
-    if constant_dead_time_s is not None:
-        # NaN fails this test; an infinite window keeps only the first event
-        if not constant_dead_time_s >= 0:
-            raise ValueError(f"dead time must be >= 0, got {constant_dead_time_s!r}")
-        kept = _filter_constant(t, _window_ticks(constant_dead_time_s))
-        return TimestampStream(kept, stream.duration_s)
-
-    duration = stream.duration_s
-    # every window is t_d at a whole count over the duration, starting from
-    # the count the steady-state law predicts
-    n_in = round(observed_rate(stream.observed_rate_cps, curve) * duration)
-    # the latest whole counts n that keep more / fewer than n events at t_d(n / duration)
-    more = fewer = None
-    trace = []
-    window = None
-    for iteration in range(_FIXED_POINT_ITERATIONS):
-        rate = n_in / duration if duration > 0 else 0.0
-        dead_s = curve.dead_time_at(rate)
-        previous, window = window, _window_ticks(dead_s)
-        if previous is None:
-            kept = _kept_mask(t, window)
-        else:
-            _refilter(t, kept, previous, window)
-        count = int(np.count_nonzero(kept))
-        new_rate = count / duration if duration > 0 else 0.0
-        trace.append((iteration, dead_s, new_rate))
-        if count == n_in:
-            return TimestampStream(_select(t, kept), duration)
-        if count > n_in:
-            more = n_in
-        else:
-            fewer = n_in
-        # The kept count is a step function of the window, so plain
-        # iteration can step over the self-consistent count and cycle
-        # around it.  Once counts on both sides are known, iterate only
-        # while the kept count lies strictly between them, and bisect
-        # otherwise.
-        if more is None or fewer is None or min(more, fewer) < count < max(more, fewer):
-            n_in = count
-        elif abs(more - fewer) > 1:
-            n_in = (more + fewer) // 2
-        else:
-            # more and fewer are adjacent counts, so no count between them
-            # is self-consistent: end at this window, one of theirs
-            return TimestampStream(_select(t, kept), duration)
-    rates_seen = " -> ".join(f"{entry[2]:.6g}" for entry in trace)
-    raise FixedPointError(
-        f"rate-dependent dead-time filter did not converge in {_FIXED_POINT_ITERATIONS} "
-        f"iterations (observed rates {rates_seen} cps)",
-        trace,
-    )
+    # NaN fails this test; an infinite window keeps only the first event
+    if not constant_dead_time_s >= 0:
+        raise ValueError(f"dead time must be >= 0, got {constant_dead_time_s!r}")
+    return TimestampStream(_filter_constant(t, _window_ticks(constant_dead_time_s)),
+                           stream.duration_s)
 
 
 def histogram_bins(bin_width_s: float, max_gap_s: float) -> int:
@@ -520,20 +370,27 @@ def interarrival_histogram(
 ) -> InterArrivalHistogram:
     """Histogram of adjacent gaps g <= max_gap in bins k * w <= g < (k + 1) * w
     of width w: a gap on a bin edge counts in the upper bin, so one equal to
-    max_gap on the last bin's upper edge counts in none.  The gaps are binned
-    in place: every gap out of range goes to one extra bin, which is dropped."""
+    max_gap on the last bin's upper edge counts in none."""
+    return _gap_histogram([np.diff(stream.ticks)], len(stream), bin_width_s, max_gap_s)
+
+
+def _gap_histogram(blocks, events: int, bin_width_s: float,
+                   max_gap_s: float) -> InterArrivalHistogram:
+    """interarrival_histogram of the gaps between `events` events, given as
+    blocks of tick gaps, each binned in place: every gap out of range goes
+    to one extra bin, which is dropped."""
     if bin_width_s <= 0:
         raise ValueError("bin width must be positive")
     n_bins = histogram_bins(bin_width_s, max_gap_s)
-    if len(stream) < 2:
-        raise InsufficientDataError(
-            f"insufficient data: need at least 2 timestamps for an inter-arrival "
-            f"histogram, got {len(stream)}"
-        )
+    if events < 2:
+        raise InsufficientDataError(f"insufficient data: need at least 2 timestamps for an "
+                                    f"inter-arrival histogram, got {events}")
     bin_ticks = int(_ticks_of(bin_width_s))
-    gaps = np.diff(stream.ticks)
-    gaps[gaps >= min(int(_ticks_of(max_gap_s)) + 1, n_bins * bin_ticks)] = n_bins * bin_ticks
-    counts = np.bincount(np.floor_divide(gaps, bin_ticks, out=gaps), minlength=n_bins + 1)
+    limit = min(int(_ticks_of(max_gap_s)) + 1, n_bins * bin_ticks)
+    counts = np.zeros(n_bins + 1, dtype=np.int64)
+    for gaps in blocks:
+        gaps[gaps >= limit] = n_bins * bin_ticks
+        counts += np.bincount(np.floor_divide(gaps, bin_ticks, out=gaps), minlength=n_bins + 1)
     return InterArrivalHistogram(bin_width_s=bin_width_s, counts=counts[:n_bins])
 
 
@@ -563,6 +420,149 @@ class SweepPoint:
     dead_time_est_s: float
 
 
+class _KeptChain:
+    """The events a non-paralyzable detector keeps of a Poisson stream at
+    true rate beta over [0, duration], drawn from their renewal law (Müller,
+    NIM 112 (1973) 47) instead of filtered out of a raw stream.
+
+    On the tagger grid the raw stream holds each slot independently with
+    probability q = 1 - exp(-beta * 8 ps).  A window of w ticks keeps the
+    first held slot d = max(1, ceil(w / 8)) or more slots past a kept event,
+    so kept gaps are iid d + G slots, G = floor(E / 8 ps) ~ Geom(q) for E
+    exponential of mean 1 / beta.  The first event is the first arrival,
+    rounded as _quantize rounds it (slot 0 is half as wide).  `sums` holds 0
+    and the prefix sums of the G, so event i lies at slot
+    first + i * d + sums[i] at every window.  Unlike _quantize, the chain
+    takes the last slot as whole.
+    """
+
+    def __init__(self, beta_cps: float, duration_s: float, seed: int, smallest_dead_s: float):
+        expected_events(beta_cps, duration_s)  # the generator's checks of its arguments
+        self._rng = np.random.default_rng(seed)
+        # the mean of E / 8 ps: infinite at a rate too small to draw an arrival
+        self._mean_slots = 1.0 / beta_cps / (RESOLUTION_TICKS * TICK_S)
+        # the last slot _quantize keeps, whose tick * TICK_S <= duration
+        last = int(duration_s / (RESOLUTION_TICKS * TICK_S)) + 1
+        while last * RESOLUTION_TICKS * TICK_S > duration_s:
+            last -= 1
+        self.last = last
+        arrival = self._rng.exponential(1.0 / beta_cps)
+        self.first = (int(np.rint(arrival / (RESOLUTION_TICKS * TICK_S)))
+                      if arrival <= duration_s else last + 1)
+        self.sums = np.zeros(1, dtype=np.int64)
+        # enough gaps for the count at the smallest window, (last + 1) slots
+        # over a mean gap of d + (1 - q) / q, plus 10 sigma
+        q = -math.expm1(-beta_cps * RESOLUTION_TICKS * TICK_S)
+        d = self.slots(_window_ticks(smallest_dead_s))
+        self._draw(_first_block_size((last + 1) * q / (1.0 + (d - 1) * q)))
+
+    @staticmethod
+    def slots(window: int) -> int:
+        """d: the least gap, in slots, that a window of `window` ticks keeps."""
+        return max(1, -(-window // RESOLUTION_TICKS))
+
+    def _draw(self, size: int) -> None:
+        """Append `size` gaps G to `sums`, drawn in the buffer that becomes
+        their prefix sums."""
+        buffer = np.empty(size + 1)
+        gaps = buffer[1:]
+        self._rng.standard_exponential(out=gaps)
+        np.multiply(gaps, self._mean_slots, out=gaps)
+        np.floor(gaps, out=gaps)
+        # a gap past the last slot ends the chain wherever it starts
+        np.minimum(gaps, self.last + 1, out=gaps)
+        buffer[0] = 0.0
+        if buffer.sum() >= 2.0**60:
+            # only on streams longer than about 20 hours: the gaps up to the
+            # first sum past 2**60 > last, so the sums stay below 2**62
+            buffer = buffer[:np.searchsorted(np.cumsum(buffer), 2.0**60) + 1]
+        sums = buffer.view(np.int64)
+        np.copyto(sums, buffer, casting="unsafe")
+        sums[0] = self.sums[-1]
+        np.cumsum(sums, out=sums)
+        self.sums = sums if self.sums.size == 1 else np.concatenate((self.sums, sums[1:]))
+
+    def _slot(self, i: int, d: int) -> int:
+        """The slot of event i when the least gap is d slots."""
+        return self.first + i * d + int(self.sums[i])
+
+    def count(self, window: int) -> int:
+        """The kept events at a window of `window` ticks: those up to the last slot."""
+        if self.first > self.last:
+            return 0
+        d = self.slots(window)
+        # the chain ran short (a 10 sigma shortfall): a quarter more at a
+        # time, so that the copies stay linear in the chain's length
+        while self._slot(self.sums.size - 1, d) <= self.last:
+            self._draw(max(self.sums.size // 4, 1024))
+        # event lo lies at or before the last slot, event hi past it
+        lo, hi = 0, self.sums.size - 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self._slot(mid, d) <= self.last:
+                lo = mid
+            else:
+                hi = mid
+        return lo + 1
+
+    def histogram(self, count: int, window: int, bin_width_s: float,
+                  max_gap_s: float) -> InterArrivalHistogram:
+        """interarrival_histogram of the first `count` events at `window`,
+        from their gaps 8 * (d + G), _BLOCK gaps at a time."""
+        d = self.slots(window)
+        blocks = ((np.diff(self.sums[start:min(start + _BLOCK, count - 1) + 1]) + d)
+                  * RESOLUTION_TICKS for start in range(0, count - 1, _BLOCK))
+        return _gap_histogram(blocks, count, bin_width_s, max_gap_s)
+
+
+def _fixed_point(kept_at, beta_cps: float, curve: DeadTimeCurve,
+                 duration_s: float) -> tuple[int, int]:
+    """The kept count and its window in ticks of the rate-dependent filter,
+    whose window is t_d at its own output rate: iteration over whole counts
+    n, each kept at t_d(n / duration) (kept_at(window)), from the count the
+    steady-state law predicts, observed_rate(beta, curve) * duration (there
+    is no raw stream to count, so the true rate beta is the input rate).
+    That lies within about 1e-4 of the count it ends on, so one more
+    iteration usually confirms it.  It ends on a count n that keeps n events
+    or, when none does, at the window of one of the two adjacent counts
+    between which the kept count minus n changes sign.  FixedPointError,
+    with the (iteration, window, rate) trace, after _FIXED_POINT_ITERATIONS.
+    """
+    n_in = round(observed_rate(beta_cps, curve) * duration_s)
+    # the latest whole counts n that keep more / fewer than n events at t_d(n / duration)
+    more = fewer = None
+    trace = []
+    for iteration in range(_FIXED_POINT_ITERATIONS):
+        rate = n_in / duration_s if duration_s > 0 else 0.0
+        dead_s = curve.dead_time_at(rate)
+        window = _window_ticks(dead_s)
+        count = kept_at(window)
+        trace.append((iteration, dead_s, count / duration_s if duration_s > 0 else 0.0))
+        if count == n_in:
+            return count, window
+        if count > n_in:
+            more = n_in
+        else:
+            fewer = n_in
+        # the kept count is a step function of the window, so plain iteration
+        # can step over the self-consistent count and cycle around it: once
+        # counts on both sides are known, bisect unless it lies between them
+        if more is None or fewer is None or min(more, fewer) < count < max(more, fewer):
+            n_in = count
+        elif abs(more - fewer) > 1:
+            n_in = (more + fewer) // 2
+        else:
+            # more and fewer are adjacent counts, so no count between them
+            # is self-consistent: end at this window, one of theirs
+            return count, window
+    rates_seen = " -> ".join(f"{entry[2]:.6g}" for entry in trace)
+    raise FixedPointError(
+        f"rate-dependent dead-time filter did not converge in {_FIXED_POINT_ITERATIONS} "
+        f"iterations (observed rates {rates_seen} cps)",
+        trace,
+    )
+
+
 def sweep_dead_time(
     rates_cps,
     truth_curve: DeadTimeCurve,
@@ -574,24 +574,23 @@ def sweep_dead_time(
 ) -> list[SweepPoint]:
     """Recover t_d(lambda) from synthetic streams at each true rate.
 
-    For each rate: generate -> rate-dependent filter against the truth curve
-    -> histogram -> onset estimate.  Per-rate streams use derived seeds
-    (seed + index) so points are independent and order-stable.
+    For each rate: the kept stream of a Poisson stream behind the truth
+    curve's rate-dependent window (_KeptChain, _fixed_point) -> histogram
+    -> onset estimate.  Per-rate streams use derived seeds (seed + index)
+    so points are independent and order-stable.
     """
     rates = list(rates_cps)
     if not rates:
         raise ValueError("rate list must not be empty")
     points = []
     for index, beta in enumerate(rates):
-        stream = generate_poisson_stream(beta, duration_s, seed + index)
-        filtered = apply_dead_time(stream, curve=truth_curve)
-        # one stream at a time: the raw one goes before the histogram, the
-        # filtered one before the next rate's raw stream
-        del stream
-        hist = interarrival_histogram(filtered, bin_width_s, max_gap_s)
-        estimate = estimate_dead_time(hist, min_count)
-        points.append(SweepPoint(filtered.observed_rate_cps, estimate))
-        del filtered
+        chain = _KeptChain(beta, duration_s, seed + index, float(np.min(truth_curve.dead_times_s)))
+        count, window = _fixed_point(chain.count, beta, truth_curve, duration_s)
+        estimate = estimate_dead_time(chain.histogram(count, window, bin_width_s, max_gap_s),
+                                      min_count)
+        points.append(SweepPoint(count / duration_s if duration_s > 0 else 0.0, estimate))
+        # one chain at a time: this one goes before the next rate's is drawn
+        del chain
     return points
 
 

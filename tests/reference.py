@@ -22,14 +22,19 @@ the oracle of timetag's segment-parallel filter.  quantize snaps to the
 tagger grid and merges repeats with one masked copy: the oracle of
 timetag's in-place, blockwise _quantize.
 
-fixed_point_filter is the rate-dependent fixed point with a full
-_filter_constant pass at every iteration: the oracle for apply_dead_time's
-incremental re-filter.  exact_fixed_point finds the count the fixed point
-should end on by bisection over counts, without iterating.
+fixed_point runs the rate-dependent fixed point over whole counts with any
+count function, and exact_fixed_point finds the count it should end on by
+bisection over counts, without iterating.  fixed_point_filter is that fixed
+point with a full _filter_constant pass at every iteration on a generated
+stream: the oracle for the law of the sweep's renewal sampler
+(timetag._KeptChain).  chain_slots places every event of a chain's draws in
+one array operation, and chain_kept_count counts them: the oracle for the
+chain's own count, a bisection over its prefix sums.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -313,73 +318,112 @@ def quantize(times_s: np.ndarray, duration_s: float) -> np.ndarray:
     return ticks[:-1] if ticks.size and ticks[-1] * timetag.TICK_S > duration_s else ticks
 
 
-def fixed_point_filter(stream: TimestampStream, curve: DeadTimeCurve):
-    """apply_dead_time(stream, curve=curve) with a full filter pass at every
-    iteration: from the whole count the steady-state law predicts, plain
-    iteration, which once counts on both sides of the self-consistent one
-    are known goes on only from kept counts between them and bisects
-    otherwise.  Returns the filtered stream and the
-    (iteration, window, rate) trace.  Reads the iteration cap from
-    riesim.timetag."""
-    t = stream.ticks
-    duration = stream.duration_s
-    n_in = round(observed_rate(stream.observed_rate_cps, curve) * duration)
+def fixed_point(kept_at, n_in: int, duration: float, curve: DeadTimeCurve):
+    """The rate-dependent fixed point from the whole count n_in, with
+    kept_at(window in ticks) the count kept at a window: plain iteration,
+    which once counts on both sides of the self-consistent one are known
+    goes on only from kept counts between them and bisects otherwise.
+    Returns the kept count, its window and the (iteration, window, rate)
+    trace.  Reads the iteration cap from riesim.timetag."""
     more = fewer = None
     trace = []
     for iteration in range(timetag._FIXED_POINT_ITERATIONS):
         rate = n_in / duration if duration > 0 else 0.0
         dead_s = curve.dead_time_at(rate)
-        kept = _filter_constant(t, _window_ticks(dead_s))
-        new_rate = kept.size / duration if duration > 0 else 0.0
-        trace.append((iteration, dead_s, new_rate))
-        if kept.size == n_in:
-            return TimestampStream(kept, duration), trace
-        if kept.size > n_in:
+        window = _window_ticks(dead_s)
+        count = kept_at(window)
+        trace.append((iteration, dead_s, count / duration if duration > 0 else 0.0))
+        if count == n_in:
+            return count, window, trace
+        if count > n_in:
             more = n_in
         else:
             fewer = n_in
-        if more is None or fewer is None or min(more, fewer) < kept.size < max(more, fewer):
-            n_in = kept.size
+        if more is None or fewer is None or min(more, fewer) < count < max(more, fewer):
+            n_in = count
         elif abs(more - fewer) > 1:
             n_in = (more + fewer) // 2
         else:
-            return TimestampStream(kept, duration), trace
+            return count, window, trace
     raise FixedPointError("fixed point did not converge", trace)
 
 
-def exact_fixed_point(stream: TimestampStream, curve: DeadTimeCurve) -> tuple[int, ...]:
-    """The kept counts the rate-dependent filter may end on, by bisection
-    over counts with a full _filter_constant pass at each.
-
-    With N(w) the number of events kept at window w and T the stream's
-    duration, a count n is self-consistent when N(t_d(n / T)) == n.  On a
-    curve whose t_d never falls, N(t_d(n / T)) - n strictly decreases in n,
-    from N(t_d(0)) >= 0 at n = 0 to at most 0 at n = len(stream), so at most
-    one count is: then this returns (n,).  Otherwise N(t_d(n / T)) - n
-    changes sign between two adjacent counts lo and lo + 1, and this returns
-    the counts kept at their windows, (N(t_d(lo / T)), N(t_d((lo + 1) / T))):
-    the first is above lo, the second below lo + 1.  They can lie several
-    events apart, because a window that crosses a tie moves a chain onto
-    another event and every kept event after it on that segment.
-    """
+def fixed_point_filter(stream: TimestampStream, curve: DeadTimeCurve):
+    """The rate-dependent filter of a raw stream with a full filter pass at
+    every iteration, from the count the steady-state law predicts for the
+    stream's own rate.  Returns the filtered stream and the trace."""
     t = stream.ticks
+    n_in = round(observed_rate(stream.observed_rate_cps, curve) * stream.duration_s)
+    _, window, trace = fixed_point(lambda window: _filter_constant(t, window).size, n_in,
+                                   stream.duration_s, curve)
+    return TimestampStream(_filter_constant(t, window), stream.duration_s), trace
 
-    def kept_at(n: int) -> int:
-        rate = n / stream.duration_s if stream.duration_s > 0 else 0.0
-        return _filter_constant(t, _window_ticks(curve.dead_time_at(rate))).size
 
-    lo, hi = 0, len(stream)
+def covering_chain(beta_cps: float, duration_s: float, seed: int,
+                   smallest_dead_s: float) -> timetag._KeptChain:
+    """The sampler's chain, drawn on until it reaches past its last slot at
+    the smallest window, so that chain_kept_count sees every event at any
+    window of the curve.  The generator's draws do not depend on how they
+    are split into blocks, so the gaps are the sampler's."""
+    chain = timetag._KeptChain(beta_cps, duration_s, seed, smallest_dead_s)
+    window = _window_ticks(smallest_dead_s)
+    while chain.first <= chain.last and chain_slots(chain, window)[-1] <= chain.last:
+        chain._draw(max(chain.sums.size, 1024))
+    return chain
+
+
+def chain_slots(chain: timetag._KeptChain, window: int) -> np.ndarray:
+    """Every slot the chain's draws place an event on at a window of `window`
+    ticks: the first slot, then each kept gap d + G after it.  A least gap d
+    past the last slot keeps the first event alone, at last + 1 as at any
+    longer one, so it is cut there to keep the slots within int64."""
+    d = min(max(1, math.ceil(window / timetag.RESOLUTION_TICKS)), chain.last + 1)
+    return chain.first + np.concatenate(([0], np.cumsum(np.diff(chain.sums) + d)))
+
+
+def chain_kept_count(chain: timetag._KeptChain, window: int) -> int:
+    """The chain's events at or before its last slot at `window`; the chain
+    must reach past the last slot."""
+    if chain.first > chain.last:
+        return 0
+    slots = chain_slots(chain, window)
+    assert slots[-1] > chain.last, "the chain does not cover the stream"
+    return int(np.count_nonzero(slots <= chain.last))
+
+
+def exact_fixed_point(kept_at, n_max: int, duration: float,
+                      curve: DeadTimeCurve) -> tuple[int, ...]:
+    """The kept counts the rate-dependent filter may end on, by bisection
+    over counts n in [0, n_max], with kept_at(window in ticks) the count
+    kept at a window; no window may keep more than n_max.
+
+    With N(w) = kept_at(w) and T the duration, a count n is self-consistent
+    when N(t_d(n / T)) == n.  On a curve whose t_d never falls,
+    N(t_d(n / T)) - n strictly decreases in n, from N(t_d(0)) >= 0 at n = 0
+    to at most 0 at n = n_max, so at most one count is: then this returns
+    (n,).  Otherwise N(t_d(n / T)) - n changes sign between two adjacent
+    counts lo and lo + 1, and this returns the counts kept at their windows,
+    (N(t_d(lo / T)), N(t_d((lo + 1) / T))): the first is above lo, the
+    second below lo + 1.  They can lie several events apart, because a
+    window that crosses a tie moves a chain onto another event and every
+    kept event after it.
+    """
+    def kept_at_count(n: int) -> int:
+        rate = n / duration if duration > 0 else 0.0
+        return kept_at(_window_ticks(curve.dead_time_at(rate)))
+
+    lo, hi = 0, n_max
     for n in (lo, hi):
-        if kept_at(n) == n:
+        if kept_at_count(n) == n:
             return (n,)
-    # kept_at(lo) > lo and kept_at(hi) < hi
+    # kept_at_count(lo) > lo and kept_at_count(hi) < hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        kept = kept_at(mid)
+        kept = kept_at_count(mid)
         if kept == mid:
             return (mid,)
         if kept > mid:
             lo = mid
         else:
             hi = mid
-    return (kept_at(lo), kept_at(hi))
+    return (kept_at_count(lo), kept_at_count(hi))

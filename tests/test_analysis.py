@@ -52,6 +52,17 @@ def test_binary_entropy_at_abort_threshold():
     assert binary_entropy(0.11) == pytest.approx(H2_011, abs=1e-14)
 
 
+def test_default_abort_threshold_is_the_shor_preskill_zero_to_four_digits():
+    # BB84's asymptotic key fraction 1 - 2 h2(e) (Shor and Preskill, PRL 85,
+    # 441 (2000)) vanishes at e = 0.110028; the default e_abort 0.11 is that
+    # zero to four digits, just on its positive side
+    def key_fraction(e):
+        return 1.0 - 2.0 * binary_entropy(e)
+
+    assert abs(key_fraction(0.110028)) < 1e-5
+    assert key_fraction(0.11) > 0.0 > key_fraction(0.1101)
+
+
 def test_binary_entropy_symmetry():
     for x in (0.05, 0.2, 0.37):
         assert binary_entropy(x) == pytest.approx(binary_entropy(1 - x), abs=1e-14)

@@ -1,15 +1,15 @@
 """Public API: every exported name resolves, and removed names stay removed."""
 
-import importlib
-import pkgutil
-
 import dataclasses
+import importlib
+import inspect
+import pkgutil
 
 import riesim
 from riesim.analysis import StealthScan
 from riesim.detector import DeadTimeCurve
 from riesim.quantum import PolarizationState
-from riesim.timetag import InterArrivalHistogram, TimestampStream
+from riesim.timetag import InterArrivalHistogram, TimestampStream, apply_dead_time
 
 MODULES = [riesim] + [importlib.import_module(f"riesim.{info.name}")
                       for info in pkgutil.iter_modules(riesim.__path__)]
@@ -41,3 +41,5 @@ def test_removed_names_are_not_importable():
     assert not hasattr(DeadTimeCurve, "to_csv")
     assert not hasattr(InterArrivalHistogram, "bin_edges_s")
     assert "resolution_s" not in {f.name for f in dataclasses.fields(TimestampStream)}
+    # the rate-dependent window is sweep_dead_time's; the filter takes a constant one
+    assert list(inspect.signature(apply_dead_time).parameters) == ["stream", "constant_dead_time_s"]

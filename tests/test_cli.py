@@ -286,21 +286,22 @@ def test_simulate_bytes_are_pinned(tmp_path, name):
 
 
 SWEEP_RATES = [1e6, 5e6, 20e6, 40e6]
-# sha256 of (deadtime_sweep.csv, busy_fraction.csv, stdout): the fixed point
-# of every rate decides these bytes, so a change here is a behaviour change
+# sha256 of (deadtime_sweep.csv, busy_fraction.csv, stdout): the renewal
+# sampler's draws and the fixed point of every rate decide these bytes, so a
+# change here is a behaviour change
 SWEEP_PINS = {
     "readme sweep": ({"seed": 7, "dead_time_curve": {"default": True},
                       "sweep": {"rates_cps": SWEEP_RATES, "duration_s": 0.05}}, (
-        "d38eb3a308ba9554616b37a51029e9f0f160a3ac526aa859c3ee47e201a44777",
-        "5bced1972c9a8347c2eee11120ccca8f2cc854a2d2a72b74a45d6c5e14aeba42",
-        "e27ece0688ad0e1b3cb8f882e445db79d683c07f57def924944853e0faf97fd0")),
+        "e1a3384ca7d360678cc5dedb73d16aa9be02dcae29d79fdc25049bffd6beb2a9",
+        "dd791a5b2c44dba41b5ac2cecf6fd92ebe9d9bb5b89d7f0700831a2473ede9d8",
+        "1b5dcbf5762019491c786d731595a18b560ebffaa8f344f38f382328732e2588")),
     # the benchmark's sweep scenario at its tiny size, seed 1
     "bench sweep, tiny": ({"seed": 923725081, "dead_time_curve": {"default": True},
                            "sweep": {"rates_cps": SWEEP_RATES, "duration_s": 0.01,
                                      "bin_width_s": 5e-10}}, (
-        "98640bb2f315cf1ac0bfc8405791c937b1ad3a4022f5d15cf6b37278d3561fee",
-        "2d3d8cc1f7ad4231c1c113079dd4f8257b66304e3841608e5485fc680255fd16",
-        "0324573bc2fd40b74213401cda134b5671ab8a9b19d98a0c57bca713ea49c2b5")),
+        "f308711b3e6261facb9900d15b66240bc16aa7efd424c759ae4d5d93a8c5c228",
+        "6adf4cb22a7eff1e08702e9f8a59c5a90b986fc8f7e722dbf698a9b695be0417",
+        "b849db9ec5f6bdcc5c3298bb2a7b77bb94139f3d67958b174750189320df014e")),
 }
 
 
@@ -621,7 +622,10 @@ def test_non_object_section_exits_2(tmp_path, capsys, data, where):
     ("stealth-scan", {"scan": {"lambda_perp_grid": {"start_cps": 0, "stop_cps": 1, "num": 1e12}}},
      "scan.lambda_perp_grid.num"),
     ("mutualinfo", {"mutualinfo": {"r_step": 1e-15}}, "mutualinfo.r_step"),
-])
+], ids=["sweep duration negative", "sweep bin width zero", "scan e_abort above 0.5",
+        "lambda_par negative", "lambda_perp start negative", "mutualinfo e_abort above 0.5",
+        "sweep duration negative under mutualinfo", "scan e_abort above 0.5 under mutualinfo",
+        "lambda_perp num past cap", "r_step too fine"])
 def test_out_of_range_values_exit_2(tmp_path, capsys, command, data, key):
     config = write_config(tmp_path, {"out": str(tmp_path / "results"), **data})
     assert main(["--config", str(config), command]) == 2

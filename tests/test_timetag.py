@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -10,12 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.stats import chisquare
+from scipy.stats import chi2_contingency, chisquare, ttest_ind
 
 import reference
 
 from riesim import timetag
-from riesim.detector import DeadTimeCurve, default_dead_time_curve
+from riesim.detector import DeadTimeCurve, default_dead_time_curve, observed_rate
 from riesim.timetag import (
     TICK_S,
     EstimationError,
@@ -284,63 +285,6 @@ def test_kept_mask_matches_sequential_reference_at_extreme_windows(window):
         assert ticks[kept].tobytes() == expected, block
 
 
-@st.composite
-def window_steps(draw):
-    """A tick stream, the window w of its current kept set and the next
-    window w' >= 1 tick: a few grid steps or a few percent from w (the fixed
-    point's steps), or any _draw_window window.  With w' < w the stream may
-    gain an event at t_last + w' after the last event t_last kept at w."""
-    ticks, old = draw(tick_streams_and_windows())
-    kind = draw(st.sampled_from(["near", "near", "fraction", "window"]))
-    if kind == "near":
-        new = old + draw(st.integers(-40, 40).filter(bool)) * GRID
-    elif kind == "fraction":
-        new = round(old * draw(st.floats(0.9, 1.1)))
-    else:
-        new = _draw_window(draw, ticks, GRID * draw(st.integers(1, 8000)))
-    new = max(new, 1)
-    if ticks.size and new < old and draw(st.booleans()):
-        last = ticks[timetag._kept_mask(ticks, old)][-1]
-        if last + new > ticks[-1]:
-            ticks = np.append(ticks, last + new)
-    return ticks, old, new
-
-
-@settings(max_examples=500, deadline=None)
-@given(window_steps(), st.sampled_from(BLOCKS))
-def test_refilter_step_matches_full_pass(case, block):
-    ticks, old, new = case
-    kept = timetag._kept_mask(ticks, old)
-    with mock.patch.object(timetag, "_BLOCK", block):
-        timetag._refilter(ticks, kept, old, new)
-    assert ticks[kept].tobytes() == _filter_constant(ticks, new).tobytes()
-
-
-# windows in ticks, written as floats so that the cases keep their ids
-@pytest.mark.parametrize("times, old, new, expected", [
-    # no event follows the last kept one (0) at w = 10; at w' = 6 the tail
-    # event 8 is kept
-    ([0, 5, 8], 10.0, 6.0, [0, 8]),
-    ([0, 5, 8, 20], 10.0, 6.0, [0, 8, 20]),
-    # a longer window drops 2, 4 and 9 and keeps 5
-    ([0, 2, 4, 5, 9], 2.0, 5.0, [0, 5]),
-])
-def test_refilter_step_examples(times, old, new, expected):
-    ticks = np.asarray(times, dtype=np.int64)
-    kept = timetag._kept_mask(ticks, int(old))
-    timetag._refilter(ticks, kept, int(old), int(new))
-    assert ticks[kept].tolist() == expected
-    assert ticks[kept].tobytes() == reference.sequential_filter(ticks, int(new)).tobytes()
-
-
-def test_refilter_same_window_keeps_mask():
-    ticks = generate_poisson_stream(40e6, 0.001, seed=3).ticks
-    kept = timetag._kept_mask(ticks, 30_000)
-    before = kept.copy()
-    timetag._refilter(ticks, kept, 30_000, 30_000)
-    assert np.array_equal(kept, before)
-
-
 def test_zero_dead_time_is_identity():
     stream = generate_poisson_stream(1e6, 0.01, seed=9)
     out = apply_dead_time(stream, constant_dead_time_s=0.0)
@@ -368,18 +312,103 @@ def test_constant_filter_throughput_matches_formula():
     assert abs(out.observed_rate_cps - expected) / expected < 0.02
 
 
+# significance of each statistical law check below; the seeds are fixed in
+# advance and never picked because they pass
+ALPHA = 1e-3
+
+
+def _geometric_bins(q, n, n_bins=20):
+    """Lower edges of about n_bins bins of G ~ Geom(q) (the empty slots
+    before the first held one) at its quantiles, and each bin's probability.
+    G = 0, a gap of exactly d slots, has a bin of its own when n draws
+    expect 5 or more there."""
+    quantiles = np.log1p(-np.arange(n_bins) / n_bins) / np.log1p(-q)
+    edges = np.unique(np.ceil(np.append(quantiles, 1.0 if n * q >= 5 else 0.0)))
+    tail = np.exp(edges * np.log1p(-q))
+    return edges, tail - np.append(tail[1:], 0.0)
+
+
+@pytest.mark.parametrize("rate, seed", [(5e6, 101), (40e6, 102)])
+def test_filter_kept_gaps_follow_the_geometric_law(rate, seed):
+    # a kept gap is d slots, the least the window keeps, plus the empty
+    # slots G before the next held one, G ~ Geom(q = 1 - exp(-rate * 8 ps));
+    # this is the law timetag._KeptChain draws from
+    window = 25_000
+    d = -(-window // GRID)
+    gaps = np.diff(_filter_constant(generate_poisson_stream(rate, 0.02, seed).ticks, window))
+    assert np.all(gaps % GRID == 0) and gaps.min() >= GRID * d
+    extra = gaps // GRID - d
+    edges, probabilities = _geometric_bins(-math.expm1(-rate * GRID * TICK_S), extra.size)
+    observed = np.bincount(np.searchsorted(edges, extra, side="right") - 1,
+                           minlength=edges.size)
+    assert chisquare(observed, probabilities * extra.size).pvalue > ALPHA
+
+
+# ---------------------------------------------------------------- renewal sampler
+
+
+def _smallest(curve):
+    return float(np.min(curve.dead_times_s))
+
+
+def _sampled(rate, duration, seed, curve):
+    """One rate of sweep_dead_time: its chain, kept count and window."""
+    chain = timetag._KeptChain(rate, duration, seed, _smallest(curve))
+    return (chain, *timetag._fixed_point(chain.count, rate, curve, duration))
+
+
+def _count_oracle(rate, duration, seed, curve):
+    """The kept count at a window over every slot of the same draws."""
+    return partial(reference.chain_kept_count,
+                   reference.covering_chain(rate, duration, seed, _smallest(curve)))
+
+
+@pytest.mark.parametrize("rate", [1e6, 40e6])
+@pytest.mark.parametrize("window", [0, 1, 7, 8, 9, 23_300, 31_500, 10**6, timetag.MAX_STREAM_TICK])
+def test_chain_count_matches_counting_every_slot(rate, window):
+    chain = reference.covering_chain(rate, 0.002, 5, 0.0)
+    assert chain.count(window) == reference.chain_kept_count(chain, window)
+    # one slot is the least gap at any window below 8 ticks
+    if window <= GRID:
+        assert chain.count(window) == chain.count(GRID)
+
+
+@pytest.mark.parametrize("slot", [0, 1, 3, 7, 10**9 + 7, 2**40 + 1, 6_250_000_000])
+def test_chain_last_slot_is_the_last_the_generator_keeps(slot):
+    # _quantize keeps a tick t iff t * TICK_S <= duration
+    duration = slot * GRID * TICK_S
+    assert timetag._KeptChain(1e3, duration, 0, 0.0).last == slot
+    if slot:
+        below = float(np.nextafter(duration, 0.0))
+        assert timetag._KeptChain(1e3, below, 0, 0.0).last == slot - 1
+
+
+def test_chain_of_a_long_sparse_stream_stays_within_int64():
+    # 46 days at 1e-6 cps: the first block's 1024 gaps of ~1.25e17 slots
+    # would sum past 2**63, so the chain stops once it passes the last slot
+    chain = reference.covering_chain(1e-6, 4e6, 1, 25e-9)
+    assert np.all(np.diff(chain.sums) >= 0) and chain.sums[-1] < 2**62
+    assert chain.count(25_000) == reference.chain_kept_count(chain, 25_000) == 2
+
+
+def test_chain_keeps_no_arrival_past_the_duration():
+    # the generator drops an arrival past the duration before it rounds it
+    # to slot 0, so a stream of no duration is empty at any rate
+    for seed in range(20):
+        assert timetag._KeptChain(1e12, 0.0, seed, 0.0).count(0) == 0
+
+
 def test_rate_dependent_filter_self_consistency():
     curve = default_dead_time_curve()
-    stream = generate_poisson_stream(30e6, 0.01, seed=30)
-    out = apply_dead_time(stream, curve=curve)
-    # the applied window must equal the curve at the output's own rate
-    window = curve.dead_time_at(out.observed_rate_cps)
-    assert np.diff(out.ticks).min() >= timetag._ticks_of(window) * (1 - 1e-9)
+    _, count, window = _sampled(30e6, 0.01, 30, curve)
+    # the applied window is the curve's at the output's own rate
+    assert window == timetag._window_ticks(curve.dead_time_at(count / 0.01))
 
 
 class RecordingCurve:
     """A dead-time curve that logs every (rate, window) lookup.  Its table is
-    the wrapped curve's, which observed_rate reads without a lookup."""
+    the wrapped curve's, which observed_rate and the sampler's first block
+    read without a lookup."""
 
     def __init__(self, curve):
         self.curve = curve
@@ -394,54 +423,63 @@ class RecordingCurve:
 
 
 def test_rate_dependent_filter_converges_through_count_plateau_cycle():
-    # regression: on this stream no count is self-consistent, so plain
+    # regression: on these draws no count is self-consistent, so plain
     # iteration cycles between two count plateaus (relative gap ~1e-4); the
-    # filter must bisect down to the two adjacent
-    # counts either side of the sign change and end there instead of raising
+    # fixed point must bisect down to the two adjacent counts either side of
+    # the sign change and end there instead of raising
     curve = RecordingCurve(default_dead_time_curve())
-    stream = generate_poisson_stream(20e6, 0.1, seed=335)
-    out = apply_dead_time(stream, curve=curve)
-    ends = reference.exact_fixed_point(stream, curve.curve)
-    assert len(ends) == 2 and len(out) in ends
-    window = curve.curve.dead_time_at(out.observed_rate_cps)
-    assert np.diff(out.ticks).min() >= timetag._ticks_of(window) - GRID
+    rate, duration, seed = 20e6, 0.1, 45
+    _, count, window = _sampled(rate, duration, seed, curve)
+    kept_at = _count_oracle(rate, duration, seed, curve.curve)
+    ends = reference.exact_fixed_point(kept_at, kept_at(timetag._window_ticks(23.3e-9)),
+                                       duration, curve.curve)
+    assert len(ends) == 2 and count in ends
+    assert kept_at(window) == count
     # the bisection ran: the last window was looked up at a whole count next
     # to one looked up before it, and keeps a different count of events
-    counts = [round(rate * stream.duration_s) for rate, _ in curve.lookups]
+    counts = [round(rate * duration) for rate, _ in curve.lookups]
     assert counts[-1] - 1 in counts[:-1] or counts[-1] + 1 in counts[:-1]
-    assert counts[-1] != len(out)
+    assert counts[-1] != count
 
 
 def test_rate_dependent_filter_diagnostics_on_non_convergence(monkeypatch):
     curve = default_dead_time_curve()
-    stream = generate_poisson_stream(40e6, 0.005, seed=31)
     monkeypatch.setattr(timetag, "_FIXED_POINT_ITERATIONS", 1)
     with pytest.raises(FixedPointError) as excinfo:
-        apply_dead_time(stream, curve=curve)
+        sweep_dead_time([40e6], curve, 0.005, 0.5e-9, seed=31)
     assert len(excinfo.value.trace) == 1
 
 
 @pytest.mark.parametrize("rate, duration, seed", [
-    (1e6, 0.05, 1), (5e6, 0.05, 2), (20e6, 0.05, 3), (40e6, 0.05, 4),
-    # the stream whose iteration cycles between two count plateaus (see above)
-    (20e6, 0.1, 335),
+    (1e6, 0.05, 1), (5e6, 0.05, 2), (20e6, 0.05, 3), (40e6, 0.05, 4), (20e6, 0.1, 335),
+    # draws whose iteration cycles between two count plateaus (see above)
+    (20e6, 0.1, 45),
 ])
 def test_rate_dependent_filter_matches_full_pass_oracle(monkeypatch, rate, duration, seed):
     curve = default_dead_time_curve()
-    stream = generate_poisson_stream(rate, duration, seed)
+    kept_at = _count_oracle(rate, duration, seed, curve)
+    n_in = round(observed_rate(rate, curve) * duration)
     oracle_curve, curve_seen = RecordingCurve(curve), RecordingCurve(curve)
-    expected, trace = reference.fixed_point_filter(stream, oracle_curve)
-    out = apply_dead_time(stream, curve=curve_seen)
-    assert out.ticks.tobytes() == expected.ticks.tobytes()
-    assert out.duration_s == expected.duration_s
+    count, window, trace = reference.fixed_point(kept_at, n_in, duration, oracle_curve)
+    chain, *result = _sampled(rate, duration, seed, curve_seen)
+    assert result == [count, window]
     # the same windows at the same rates, in the same order
     assert curve_seen.lookups == oracle_curve.lookups
+    # the histogram of the kept gaps is that of the kept events' ticks; 1 ns
+    # bins and a 40 ns max gap put gaps on bin edges and on max_gap
+    stream = TimestampStream(GRID * reference.chain_slots(kept_at.args[0], window)[:count],
+                             duration)
+    for bins in ((0.5e-9, 200e-9), (1e-9, 40e-9)):
+        expected = interarrival_histogram(stream, *bins).counts.tolist()
+        for block in (4099, timetag._BLOCK):
+            with mock.patch.object(timetag, "_BLOCK", block):
+                assert chain.histogram(count, window, *bins).counts.tolist() == expected
     # one iteration short, both give up with the same trace
     monkeypatch.setattr(timetag, "_FIXED_POINT_ITERATIONS", len(trace) - 1)
     with pytest.raises(FixedPointError) as oracle_error:
-        reference.fixed_point_filter(stream, curve)
+        reference.fixed_point(kept_at, n_in, duration, curve)
     with pytest.raises(FixedPointError) as error:
-        apply_dead_time(stream, curve=curve)
+        timetag._fixed_point(chain.count, rate, curve, duration)
     assert error.value.trace == oracle_error.value.trace == trace[:-1]
 
 
@@ -451,8 +489,64 @@ def test_rate_dependent_filter_ends_on_the_self_consistent_count(rate, seed):
     # 5 ms streams keep 5k-90k events, so one count moves the rate by 1e-5
     # to 2e-4: coarse enough that some have no self-consistent count
     curve = default_dead_time_curve()
-    stream = generate_poisson_stream(rate, 0.005, seed)
-    assert len(apply_dead_time(stream, curve=curve)) in reference.exact_fixed_point(stream, curve)
+    kept_at = _count_oracle(rate, 0.005, seed, curve)
+    _, count, _ = _sampled(rate, 0.005, seed, curve)
+    n_max = kept_at(timetag._window_ticks(_smallest(curve)))
+    assert count in reference.exact_fixed_point(kept_at, n_max, 0.005, curve)
+
+
+def test_sweep_draws_more_when_the_chain_runs_short(monkeypatch):
+    args = ([1e6, 40e6], default_dead_time_curve(), 0.005, 0.5e-9, 83)
+    expected = sweep_dead_time(*args)
+    sizes = []
+    draw = timetag._KeptChain._draw
+
+    def record(chain, size):
+        sizes.append(size)
+        draw(chain, size)
+
+    monkeypatch.setattr(timetag._KeptChain, "_draw", record)
+    monkeypatch.setattr(timetag, "_first_block_size", lambda expected: 1)
+    # the draws do not depend on how they are split into blocks
+    assert sweep_dead_time(*args) == expected
+    # each rate's first block of one gap, then blocks of a quarter more
+    assert sizes.count(1) == 2 and len(sizes) > 20
+
+
+# fixed before the check was first run: sampler seeds 0-39 and generator
+# seeds 1000-1039, 2 ms streams
+LAW_SEEDS = range(40)
+
+
+@pytest.mark.parametrize("rate, curve", [
+    (1e6, default_dead_time_curve()), (5e6, default_dead_time_curve()),
+    (20e6, default_dead_time_curve()), (40e6, default_dead_time_curve()),
+    # a window below one 8 ps slot keeps every held slot: d = 1
+    (20e6, DeadTimeCurve.constant(5e-12)),
+], ids=["1 Mcps", "5 Mcps", "20 Mcps", "40 Mcps", "20 Mcps, 5 ps window"])
+def test_sampler_matches_the_filtered_generator_in_law(rate, curve):
+    """The sweep's kept stream against the rate-dependent filter of a
+    generated raw stream: Welch's test on the kept counts and a two-sample
+    chi-square on the gaps in slots past d, each at ALPHA."""
+    duration = 0.002
+    counts, extras = ([], []), ([], [])
+    for seed in LAW_SEEDS:
+        chain, count, window = _sampled(rate, duration, seed, curve)
+        counts[0].append(count)
+        extras[0].append(np.diff(chain.sums[:count]))
+        stream, trace = reference.fixed_point_filter(
+            generate_poisson_stream(rate, duration, 1000 + seed), curve)
+        d = timetag._KeptChain.slots(timetag._window_ticks(trace[-1][1]))
+        counts[1].append(len(stream))
+        extras[1].append(np.diff(stream.ticks) // GRID - d)
+    assert ttest_ind(*counts, equal_var=False).pvalue > ALPHA
+    extras = [np.concatenate(extra) for extra in extras]
+    assert extras[1].min() >= 0
+    edges, _ = _geometric_bins(-math.expm1(-rate * GRID * TICK_S),
+                               min(extra.size for extra in extras))
+    table = [np.bincount(np.searchsorted(edges, extra, side="right") - 1, minlength=edges.size)
+             for extra in extras]
+    assert chi2_contingency(table).pvalue > ALPHA
 
 
 def test_nan_dead_time_rejected_and_infinite_keeps_the_first_event():
@@ -496,10 +590,12 @@ def test_select_equals_boolean_gather(monkeypatch, block, make_mask):
 
 
 def test_filter_requires_exactly_one_mode():
+    # a constant dead time is the filter's one mode; the rate-dependent
+    # window is the sweep's (sweep_dead_time)
     stream = generate_poisson_stream(1e6, 0.001, seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         apply_dead_time(stream)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         apply_dead_time(stream, constant_dead_time_s=1e-8, curve=default_dead_time_curve())
 
 
@@ -688,15 +784,19 @@ def test_generator_holds_about_one_stream():
     assert peak < 1.5 * stream.ticks.nbytes
 
 
+# the default curve's window at the 40 Mcps stream's kept rate
+LARGE_STREAM_WINDOW_S = 31.5e-9
+
+
 def test_curve_filter_holds_its_input_and_less_than_as_much_again():
     stream = generate_poisson_stream(*LARGE_STREAM)
-    _, peak = _peak_bytes(apply_dead_time, stream, curve=default_dead_time_curve())
+    _, peak = _peak_bytes(apply_dead_time, stream, constant_dead_time_s=LARGE_STREAM_WINDOW_S)
     assert stream.ticks.nbytes + peak < 2.2 * stream.ticks.nbytes
 
 
 def test_selecting_kept_events_holds_the_result_and_under_a_megabyte():
     stream = generate_poisson_stream(*LARGE_STREAM)
-    filtered = apply_dead_time(stream, curve=default_dead_time_curve())
+    filtered = apply_dead_time(stream, constant_dead_time_s=LARGE_STREAM_WINDOW_S)
     kept = np.zeros(len(stream), dtype=bool)
     kept[np.searchsorted(stream.ticks, filtered.ticks)] = True
     selected, peak = _peak_bytes(timetag._select, stream.ticks, kept)
@@ -713,6 +813,19 @@ def test_sweep_holds_one_raw_stream_at_a_time():
     _, peak = _peak_bytes(sweep_dead_time, rates, default_dead_time_curve(), duration,
                           0.5e-9, seed)
     assert peak < 2.5 * largest
+
+
+def test_sweep_holds_about_one_kept_stream():
+    # the README sweep; the first draw imports numpy.random's modules
+    timetag._KeptChain(1e3, 1e-3, 0, 0.0)
+    rates, duration, seed = [1e6, 5e6, 20e6, 40e6], 0.05, 7
+    points, peak = _peak_bytes(sweep_dead_time, rates, default_dead_time_curve(), duration,
+                               0.5e-9, seed)
+    largest = 8 * max(round(point.lambda_obs_cps * duration) for point in points)
+    # one chain: its draws' buffer, sized for the count at the curve's
+    # smallest window (1.16x the kept count at 40 Mcps), and the histogram's
+    # block temporaries (1.6 MB); 1.38x the kept stream in all
+    assert peak < 1.5 * largest
 
 
 def test_histogram_holds_its_gaps_and_a_byte_an_event():
