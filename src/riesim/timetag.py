@@ -209,8 +209,10 @@ def expected_events(beta_cps: float, duration_s: float) -> float:
                          f"{MAX_STREAM_TICK * TICK_S:.6g} s")
     expected = beta_cps * duration_s
     if not expected <= MAX_STREAM_EVENTS:
-        raise ValueError(f"the stream would hold {expected:.6g} events, more than the limit "
-                         f"of {MAX_STREAM_EVENTS}")
+        raise ValueError(
+            f"the stream would hold {expected:.6g} events, more than the limit of "
+            f"{MAX_STREAM_EVENTS}"
+        )
     return expected
 
 
@@ -450,11 +452,15 @@ class _KeptChain:
         self.first = (int(np.rint(arrival / (RESOLUTION_TICKS * TICK_S)))
                       if arrival <= duration_s else last + 1)
         self.sums = np.zeros(1, dtype=np.int64)
-        # enough gaps for the count at the smallest window, (last + 1) slots
-        # over a mean gap of d + (1 - q) / q, plus 10 sigma
+        # gaps for the count at the smallest window ((last + 1) slots over a
+        # mean gap of d + (1 - q) / q, plus 10 sigma), then a quarter more at a
+        # time until the chain passes the last slot at d, and so at any window
         q = -math.expm1(-beta_cps * RESOLUTION_TICKS * TICK_S)
         d = self.slots(_window_ticks(smallest_dead_s))
-        self._draw(_first_block_size((last + 1) * q / (1.0 + (d - 1) * q)))
+        size = _first_block_size((last + 1) * q / (1.0 + (d - 1) * q))
+        while self._slot(self.sums.size - 1, d) <= last:
+            self._draw(size)
+            size = max(self.sums.size // 4, 1024)
 
     @staticmethod
     def slots(window: int) -> int:
@@ -488,15 +494,9 @@ class _KeptChain:
 
     def count(self, window: int) -> int:
         """The kept events at a window of `window` ticks: those up to the last slot."""
-        if self.first > self.last:
-            return 0
         d = self.slots(window)
-        # the chain ran short (a 10 sigma shortfall): a quarter more at a
-        # time, so that the copies stay linear in the chain's length
-        while self._slot(self.sums.size - 1, d) <= self.last:
-            self._draw(max(self.sums.size // 4, 1024))
-        # event lo lies at or before the last slot, event hi past it
-        lo, hi = 0, self.sums.size - 1
+        # event lo lies at or before the last slot (-1: none does), event hi past it
+        lo, hi = -1, self.sums.size - 1
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if self._slot(mid, d) <= self.last:

@@ -359,19 +359,6 @@ def fixed_point_filter(stream: TimestampStream, curve: DeadTimeCurve):
     return TimestampStream(_filter_constant(t, window), stream.duration_s), trace
 
 
-def covering_chain(beta_cps: float, duration_s: float, seed: int,
-                   smallest_dead_s: float) -> timetag._KeptChain:
-    """The sampler's chain, drawn on until it reaches past its last slot at
-    the smallest window, so that chain_kept_count sees every event at any
-    window of the curve.  The generator's draws do not depend on how they
-    are split into blocks, so the gaps are the sampler's."""
-    chain = timetag._KeptChain(beta_cps, duration_s, seed, smallest_dead_s)
-    window = _window_ticks(smallest_dead_s)
-    while chain.first <= chain.last and chain_slots(chain, window)[-1] <= chain.last:
-        chain._draw(max(chain.sums.size, 1024))
-    return chain
-
-
 def chain_slots(chain: timetag._KeptChain, window: int) -> np.ndarray:
     """Every slot the chain's draws place an event on at a window of `window`
     ticks: the first slot, then each kept gap d + G after it.  A least gap d

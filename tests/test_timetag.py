@@ -360,13 +360,13 @@ def _sampled(rate, duration, seed, curve):
 def _count_oracle(rate, duration, seed, curve):
     """The kept count at a window over every slot of the same draws."""
     return partial(reference.chain_kept_count,
-                   reference.covering_chain(rate, duration, seed, _smallest(curve)))
+                   timetag._KeptChain(rate, duration, seed, _smallest(curve)))
 
 
 @pytest.mark.parametrize("rate", [1e6, 40e6])
 @pytest.mark.parametrize("window", [0, 1, 7, 8, 9, 23_300, 31_500, 10**6, timetag.MAX_STREAM_TICK])
 def test_chain_count_matches_counting_every_slot(rate, window):
-    chain = reference.covering_chain(rate, 0.002, 5, 0.0)
+    chain = timetag._KeptChain(rate, 0.002, 5, 0.0)
     assert chain.count(window) == reference.chain_kept_count(chain, window)
     # one slot is the least gap at any window below 8 ticks
     if window <= GRID:
@@ -386,7 +386,7 @@ def test_chain_last_slot_is_the_last_the_generator_keeps(slot):
 def test_chain_of_a_long_sparse_stream_stays_within_int64():
     # 46 days at 1e-6 cps: the first block's 1024 gaps of ~1.25e17 slots
     # would sum past 2**63, so the chain stops once it passes the last slot
-    chain = reference.covering_chain(1e-6, 4e6, 1, 25e-9)
+    chain = timetag._KeptChain(1e-6, 4e6, 1, 25e-9)
     assert np.all(np.diff(chain.sums) >= 0) and chain.sums[-1] < 2**62
     assert chain.count(25_000) == reference.chain_kept_count(chain, 25_000) == 2
 
