@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._cpus import two_cpus
 from .detector import DeadTimeCurve, SaturationError, busy_fraction
 
 __all__ = [
@@ -240,9 +241,8 @@ def _write_rows(fh, row_bytes, n_rows: int) -> None:
     row_bytes must not call BLAS, whose threads do not survive fork.
     """
     split = n_rows // 2
-    affinity = getattr(os, "sched_getaffinity", None)
     child = None
-    if split and affinity is not None and len(affinity(0)) >= 2:
+    if split and two_cpus():
         child = _fork_rows(row_bytes, split, n_rows)
     if child is None:
         for i in range(n_rows):

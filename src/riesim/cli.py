@@ -6,7 +6,9 @@ stealth-scan, mutualinfo.  Configuration comes from one JSON scenario file
 for compatibility and has no effect.  Every command is deterministic per
 (config, seed) and emits plot-ready CSV rather than rendered figures.  Where
 the process may run on two CPUs, stealth-scan formats the later half of its
-CSV rows in one forked child; the bytes are the same.
+CSV rows in one forked child, sweep-deadtime fills its draws on a second
+thread, and the gap histogram of sweep-deadtime and deadtime-extract bins
+half its gaps on a second thread; the bytes are the same.
 Exit codes: 0 on success, 2 for configuration/validation failures (raised
 before any computation), 1 for data-level errors.
 """
@@ -110,14 +112,17 @@ def cmd_sweep_deadtime(scenario: ScenarioConfig, args) -> int:
         max_gap_s=sweep.max_gap_s,
         min_count=sweep.min_count,
     )
+    # every busy fraction before either file: an estimate the curve rejects
+    # (an onset of 0 s) fails the command with no output written
+    busy = [busy_fraction(pt.lambda_obs_cps,
+                          DeadTimeCurve.from_points([(pt.lambda_obs_cps, pt.dead_time_est_s)]))
+            for pt in points]
     out = _outdir(scenario, args)
     timetag.write_sweep_csv(points, out / "deadtime_sweep.csv")
     with (out / "busy_fraction.csv").open("w") as fh:
         fh.write("lambda_obs_cps,busy_fraction\n")
-        for pt in points:
-            single = DeadTimeCurve.from_points([(pt.lambda_obs_cps, pt.dead_time_est_s)])
-            busy = busy_fraction(pt.lambda_obs_cps, single)
-            fh.write(f"{pt.lambda_obs_cps!r},{busy!r}\n")
+        for pt, fraction in zip(points, busy):
+            fh.write(f"{pt.lambda_obs_cps!r},{fraction!r}\n")
     for pt in points:
         print(f"lambda_obs={pt.lambda_obs_cps:.6g} cps  t_d={pt.dead_time_est_s:.4g} s")
     return 0

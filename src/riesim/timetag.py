@@ -20,12 +20,14 @@ from __future__ import annotations
 import csv
 import io
 import math
+import threading
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ._cpus import two_cpus
 from .detector import DeadTimeCurve, observed_rate
 
 __all__ = [
@@ -72,7 +74,7 @@ _PROBE_EVENTS = 4
 _PROBE_MIN_LIVE = 64
 # elements each blockwise pass takes per numpy call (grid steps compacted,
 # events tested for a segment start, pointers chased, kept events selected,
-# kept gaps binned, lines written): its temporaries stay
+# gaps drawn or binned, lines written): its temporaries stay
 # near 0.5 MB instead of the length of the stream, and its Python loops run
 # n / _BLOCK times
 _BLOCK = 1 << 16
@@ -373,27 +375,118 @@ def interarrival_histogram(
     """Histogram of adjacent gaps g <= max_gap in bins k * w <= g < (k + 1) * w
     of width w: a gap on a bin edge counts in the upper bin, so one equal to
     max_gap on the last bin's upper edge counts in none."""
-    return _gap_histogram([np.diff(stream.ticks)], len(stream), bin_width_s, max_gap_s)
+    return _gap_histogram(stream.ticks, 0, 1, bin_width_s, max_gap_s)
 
 
-def _gap_histogram(blocks, events: int, bin_width_s: float,
+def _gap_histogram(x: np.ndarray, offset: int, scale: int, bin_width_s: float,
                    max_gap_s: float) -> InterArrivalHistogram:
-    """interarrival_histogram of the gaps between `events` events, given as
-    blocks of tick gaps, each binned in place: every gap out of range goes
-    to one extra bin, which is dropped."""
+    """interarrival_histogram of the tick gaps (x[i + 1] - x[i] + offset) *
+    scale of the int64 array `x`, made _BLOCK gaps at a time in one reused
+    buffer and binned in place: every gap out of range goes to one extra
+    bin, which is dropped.
+
+    With two CPUs and at least 2 * _BLOCK gaps, a worker thread bins the
+    later half of the gaps (from a multiple of _BLOCK) into counts of its
+    own, and the two counts are summed."""
     if bin_width_s <= 0:
         raise ValueError("bin width must be positive")
     n_bins = histogram_bins(bin_width_s, max_gap_s)
-    if events < 2:
+    if x.size < 2:
         raise InsufficientDataError(f"insufficient data: need at least 2 timestamps for an "
-                                    f"inter-arrival histogram, got {events}")
+                                    f"inter-arrival histogram, got {x.size}")
     bin_ticks = int(_ticks_of(bin_width_s))
-    limit = min(int(_ticks_of(max_gap_s)) + 1, n_bins * bin_ticks)
-    counts = np.zeros(n_bins + 1, dtype=np.int64)
-    for gaps in blocks:
-        gaps[gaps >= limit] = n_bins * bin_ticks
-        counts += np.bincount(np.floor_divide(gaps, bin_ticks, out=gaps), minlength=n_bins + 1)
+    end = n_bins * bin_ticks
+    limit = min(int(_ticks_of(max_gap_s)) + 1, end)
+
+    def count(start: int, stop: int, gaps: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        for lo in range(start, stop, _BLOCK):
+            block = gaps[:min(_BLOCK, stop - lo)]
+            np.subtract(x[lo + 1:lo + 1 + block.size], x[lo:lo + block.size], out=block)
+            if offset:
+                np.add(block, offset, out=block)
+            if scale != 1:
+                np.multiply(block, scale, out=block)
+            block[block >= limit] = end
+            counts += np.bincount(np.floor_divide(block, bin_ticks, out=block),
+                                  minlength=n_bins + 1)
+        return counts
+
+    def buffers():
+        """A block of gaps and the counts, made on this thread: what a worker
+        thread allocates stays resident in a malloc arena of its own."""
+        return (np.empty(min(_BLOCK, n_gaps), dtype=np.int64),
+                np.zeros(n_bins + 1, dtype=np.int64))
+
+    n_gaps = x.size - 1
+    split = n_gaps // 2 // _BLOCK * _BLOCK
+    if split and two_cpus():
+        mine, theirs = buffers(), buffers()
+        counts, later = _beside(lambda: count(split, n_gaps, *theirs),
+                                lambda: count(0, split, *mine))
+        counts += later
+    else:
+        counts = count(0, n_gaps, *buffers())
     return InterArrivalHistogram(bin_width_s=bin_width_s, counts=counts[:n_bins])
+
+
+def _beside(background, foreground):
+    """foreground() on this thread while background() runs on a worker
+    thread: both results, once the worker is joined.  An exception from
+    foreground, else one from background, is raised here as itself."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((True, background()))
+        except BaseException as exc:
+            outcome.append((False, exc))
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    try:
+        mine = foreground()
+    finally:
+        worker.join()
+    finished, theirs = outcome[0]
+    if not finished:
+        raise theirs
+    return mine, theirs
+
+
+def _overlap(fill, work, parts) -> bool:
+    """fill(part), then work(part), for each of `parts` in order, while a
+    worker thread (_beside) fills the parts after the one being worked on;
+    stops once work returns False, and returns whether every part was
+    worked.  The fills not yet begun when the work ends are dropped."""
+    ready = [threading.Event() for _ in parts]
+    # set once the work ends, so that no more parts are filled, or once a
+    # fill fails, so that no more parts are waited for
+    ended = threading.Event()
+
+    def fill_in_order():
+        try:
+            for part, event in zip(parts, ready):
+                if ended.is_set():
+                    return
+                fill(part)
+                event.set()
+        except BaseException:
+            ended.set()
+            for event in ready:
+                event.set()
+            raise
+
+    def work_in_order():
+        try:
+            for part, event in zip(parts, ready):
+                event.wait()
+                if ended.is_set() or not work(part):
+                    return False
+            return True
+        finally:
+            ended.set()
+
+    return _beside(fill_in_order, work_in_order)[0]
 
 
 def estimate_dead_time(hist: InterArrivalHistogram, min_count: int = DEFAULT_MIN_COUNT) -> float:
@@ -467,16 +560,35 @@ class _KeptChain:
         """d: the least gap, in slots, that a window of `window` ticks keeps."""
         return max(1, -(-window // RESOLUTION_TICKS))
 
-    def _draw(self, size: int) -> None:
-        """Append `size` gaps G to `sums`, drawn in the buffer that becomes
-        their prefix sums."""
-        buffer = np.empty(size + 1)
-        gaps = buffer[1:]
-        self._rng.standard_exponential(out=gaps)
+    def _fill(self, out: np.ndarray) -> None:
+        """Fill `out` with the chain's next draws E / mean, E ~ Exp(1)."""
+        self._rng.standard_exponential(out=out)
+
+    def _slots(self, gaps: np.ndarray) -> None:
+        """Turn draws E / mean into gaps G = floor(E / 8 ps) in place."""
         np.multiply(gaps, self._mean_slots, out=gaps)
         np.floor(gaps, out=gaps)
         # a gap past the last slot ends the chain wherever it starts
         np.minimum(gaps, self.last + 1, out=gaps)
+
+    def _draw(self, size: int) -> None:
+        """Append `size` gaps G to `sums`, drawn in the buffer that becomes
+        their prefix sums.
+
+        With two CPUs and more than one chunk of _BLOCK draws, one worker
+        thread fills the chunks in order while this thread turns each filled
+        one into its prefix sums (_draw_overlapped).  The draws come from the
+        one generator in the same order, so the sums are the same."""
+        if size > _BLOCK and two_cpus():
+            state = self._rng.bit_generator.state
+            if self._draw_overlapped(size):
+                return
+            # the sums came near the 2**60 cut: draw the same gaps again at once
+            self._rng.bit_generator.state = state
+        buffer = np.empty(size + 1)
+        gaps = buffer[1:]
+        self._fill(gaps)
+        self._slots(gaps)
         buffer[0] = 0.0
         if buffer.sum() >= 2.0**60:
             # only on streams longer than about 20 hours: the gaps up to the
@@ -486,6 +598,40 @@ class _KeptChain:
         np.copyto(sums, buffer, casting="unsafe")
         sums[0] = self.sums[-1]
         np.cumsum(sums, out=sums)
+        self._append(sums)
+
+    def _draw_overlapped(self, size: int) -> bool:
+        """_draw's sums of `size` gaps, a chunk at a time, carrying each
+        chunk's last sum into the next; False, and nothing appended, as soon
+        as a chunk could take the sums to 2**58.
+
+        Below 2**58 the int64 sums cannot overflow, and _draw's float sum of
+        the gaps cannot reach its 2**60 cut, so that draw keeps every gap
+        too and its sums are these."""
+        buffer = np.empty(size + 1)
+        gaps, sums = buffer[1:], buffer.view(np.int64)
+        sums[0] = self.sums[-1]
+
+        def settle(chunk: slice) -> bool:
+            part = gaps[chunk]
+            self._slots(part)
+            carry = int(sums[chunk.start])
+            if (carry + part.size * (self.last + 1) >= 2**58
+                    and carry + float(part.sum()) >= 2**58):
+                return False
+            # gaps[i] is sums[i + 1]: cast in place, then sum from the carry
+            np.copyto(sums[chunk.start + 1:chunk.stop + 1], part, casting="unsafe")
+            np.cumsum(sums[chunk.start:chunk.stop + 1], out=sums[chunk.start:chunk.stop + 1])
+            return True
+
+        chunks = [slice(start, min(start + _BLOCK, size)) for start in range(0, size, _BLOCK)]
+        if not _overlap(lambda chunk: self._fill(gaps[chunk]), settle, chunks):
+            return False
+        self._append(sums)
+        return True
+
+    def _append(self, sums: np.ndarray) -> None:
+        """Append the prefix sums `sums`, whose first is the chain's last."""
         self.sums = sums if self.sums.size == 1 else np.concatenate((self.sums, sums[1:]))
 
     def _slot(self, i: int, d: int) -> int:
@@ -508,11 +654,9 @@ class _KeptChain:
     def histogram(self, count: int, window: int, bin_width_s: float,
                   max_gap_s: float) -> InterArrivalHistogram:
         """interarrival_histogram of the first `count` events at `window`,
-        from their gaps 8 * (d + G), _BLOCK gaps at a time."""
-        d = self.slots(window)
-        blocks = ((np.diff(self.sums[start:min(start + _BLOCK, count - 1) + 1]) + d)
-                  * RESOLUTION_TICKS for start in range(0, count - 1, _BLOCK))
-        return _gap_histogram(blocks, count, bin_width_s, max_gap_s)
+        from their gaps 8 * (d + G)."""
+        return _gap_histogram(self.sums[:count], self.slots(window), RESOLUTION_TICKS,
+                              bin_width_s, max_gap_s)
 
 
 def _fixed_point(kept_at, beta_cps: float, curve: DeadTimeCurve,

@@ -345,6 +345,18 @@ def test_sweep_deadtime_outputs(tmp_path, base_config):
     assert fraction == pytest.approx(lam * t_d, rel=1e-12)
 
 
+def test_sweep_onset_below_one_bin_writes_no_file(tmp_path, capsys):
+    # a 5 ps curve keeps gaps of one 8 ps slot, which 0.5 ns bins read as an
+    # onset of 0 s: no busy fraction, so neither CSV is written
+    out = tmp_path / "results"
+    config = write_config(tmp_path, {"dead_time_curve": {"table": [[0, 5e-12]]},
+                                     "sweep": {"rates_cps": [20e6, 40e6], "duration_s": 0.001}})
+    assert main(["--config", str(config), "--out", str(out), "sweep-deadtime"]) == 1
+    assert capsys.readouterr().err == "error: all dead times must be positive\n"
+    assert not (out / "deadtime_sweep.csv").exists()
+    assert not (out / "busy_fraction.csv").exists()
+
+
 def test_deadtime_extract_recovers_known_dead_time(tmp_path, base_config):
     stream = generate_poisson_stream(50e6, 0.005, seed=3)
     filtered = apply_dead_time(stream, constant_dead_time_s=23.3e-9)
@@ -470,7 +482,7 @@ def test_simulate_accepts_integral_float_rounds(tmp_path, capsys):
     ({"protocol": {"n_rounds": True, "p0": 1.0}}, "protocol.n_rounds"),
     ({"seed": "x", "protocol": {"n_rounds": 100, "p0": 1.0}}, "seed"),
     ({"seed": 1.7, "protocol": {"n_rounds": 100, "p0": 1.0}}, "seed"),
-])
+], ids=["n_rounds boolean", "seed string", "seed fraction"])
 def test_simulate_rejects_non_integer_fields(tmp_path, capsys, data, key):
     config = write_config(tmp_path, {"out": str(tmp_path / "results"), **data})
     assert main(["--config", str(config), "simulate"]) == 2
@@ -482,7 +494,7 @@ def test_simulate_rejects_non_integer_fields(tmp_path, capsys, data, key):
     ("mutualinfo", {"mutualinfo": {"r_step": "x"}}, "mutualinfo.r_step"),
     ("stealth-scan", {"scan": {"e_abort": "x"}}, "scan.e_abort"),
     ("sweep-deadtime", {"sweep": {"duration_s": "x"}}, "sweep.duration_s"),
-])
+], ids=["r_step string", "scan e_abort string", "sweep duration string"])
 def test_non_number_fields_exit_2(tmp_path, capsys, command, data, key):
     config = write_config(tmp_path, {"out": str(tmp_path / "results"), **data})
     assert main(["--config", str(config), command]) == 2
@@ -586,7 +598,7 @@ def test_undecodable_or_too_deep_config_exits_2(tmp_path, capsys, raw):
 @pytest.mark.parametrize("flags, data, message", [
     ([], {"seed": -1}, "seed must be >= 0, got -1"),
     (["--seed", "-1"], {}, "--seed must be >= 0, got -1"),
-])
+], ids=["seed key negative", "seed flag negative"])
 def test_negative_seed_exits_2(tmp_path, capsys, command, flags, data, message):
     # numpy rejects a negative seed only once it draws, and analytic never draws
     config = write_config(tmp_path, {"out": str(tmp_path / "results"),
@@ -600,7 +612,7 @@ def test_negative_seed_exits_2(tmp_path, capsys, command, flags, data, message):
 @pytest.mark.parametrize("data, where", [
     ({"sweep": 5}, "sweep"),
     ({"scan": {"lambda_perp_grid": [1, 2]}}, "scan.lambda_perp_grid"),
-])
+], ids=["sweep section a number", "lambda_perp_grid a list"])
 def test_non_object_section_exits_2(tmp_path, capsys, data, where):
     config = write_config(tmp_path, {"out": str(tmp_path / "results"), **data})
     assert main(["--config", str(config), "mutualinfo"]) == 2

@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import os
+import sys
+import threading
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -756,6 +759,157 @@ def test_sweep_recovers_default_curve_at_each_rate():
 def test_sweep_rejects_empty_rate_list():
     with pytest.raises(ValueError):
         sweep_dead_time([], default_dead_time_curve(), 0.01, 0.5e-9, seed=0)
+
+
+# ---------------------------------------------------------------- threads
+
+
+def _allow_cpus(monkeypatch, n_cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)), raising=False)
+
+
+def _count_workers(monkeypatch):
+    """A list that gets an entry for each worker thread timetag starts."""
+    workers = []
+    beside = timetag._beside
+
+    def counted(background, foreground):
+        workers.append(None)
+        return beside(background, foreground)
+
+    monkeypatch.setattr(timetag, "_beside", counted)
+    return workers
+
+
+@pytest.mark.parametrize("block", [4099, timetag._BLOCK])
+def test_sweep_is_the_same_on_one_cpu_and_two(monkeypatch, block):
+    # the README sweep: chains of 51k-1.05M draws
+    rates, duration, seed = [1e6, 5e6, 20e6, 40e6], 0.05, 7
+    monkeypatch.setattr(timetag, "_BLOCK", block)
+    workers = _count_workers(monkeypatch)
+    points = {}
+    for n_cpus in (1, 2):
+        _allow_cpus(monkeypatch, n_cpus)
+        threads = threading.active_count()
+        points[n_cpus] = sweep_dead_time(rates, default_dead_time_curve(), duration, 0.5e-9,
+                                         seed)
+        assert threading.active_count() == threads
+        # no thread on one CPU; on two, the draws and the histograms of the
+        # chains longer than a block
+        assert bool(workers) == (n_cpus == 2)
+    assert points[1] == points[2]
+
+
+@pytest.mark.parametrize("block", [4099, timetag._BLOCK])
+@pytest.mark.parametrize("bins", [(0.5e-9, 200e-9), (1e-9, 40.5e-9)],
+                         ids=["README bins", "max gap inside the last bin"])
+def test_histogram_is_the_same_on_one_cpu_and_two(monkeypatch, block, bins):
+    stream = generate_poisson_stream(40e6, 0.005, seed=95)
+    gaps = np.diff(stream.ticks)
+    assert gaps.size > 2 * timetag._BLOCK
+    bin_ticks, max_ticks = round(bins[0] / TICK_S), round(bins[1] / TICK_S)
+    n_bins = timetag.histogram_bins(*bins)
+    binned = gaps[gaps <= max_ticks] // bin_ticks
+    expected = np.bincount(binned[binned < n_bins], minlength=n_bins).tolist()
+    monkeypatch.setattr(timetag, "_BLOCK", block)
+    workers = _count_workers(monkeypatch)
+    for n_cpus in (1, 2):
+        _allow_cpus(monkeypatch, n_cpus)
+        threads = threading.active_count()
+        assert interarrival_histogram(stream, *bins).counts.tolist() == expected
+        assert threading.active_count() == threads
+        assert len(workers) == n_cpus - 1
+
+
+@pytest.mark.parametrize("block", [4099, timetag._BLOCK])
+@pytest.mark.parametrize("rate, seed", [(5e6, 8), (40e6, 10)])
+def test_chain_sums_are_those_of_one_sequential_draw(monkeypatch, block, rate, seed):
+    monkeypatch.setattr(timetag, "_BLOCK", block)
+    for n_cpus in (1, 2):
+        _allow_cpus(monkeypatch, n_cpus)
+        chain = timetag._KeptChain(rate, 0.05, seed, 23.3e-9)
+        rng = np.random.default_rng(seed)
+        rng.exponential(1.0 / rate)  # the first arrival
+        draws = rng.standard_exponential(chain.sums.size - 1)
+        gaps = np.minimum(np.floor(draws * chain._mean_slots), chain.last + 1)
+        expected = np.concatenate(([0], np.cumsum(gaps.astype(np.int64))))
+        assert chain.sums.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("rate, duration", [
+    # 5 hours at 2.2e-4 cps: 1024 gaps of ~2**49 slots, whose sums pass
+    # 2**58 about halfway
+    (2.22e-4, 18014.0),
+    # the long sparse stream above, whose draw is cut at 2**60
+    (1e-6, 4e6),
+], ids=["sums past 2**58", "sums past 2**60"])
+def test_chain_draws_again_at_once_when_its_sums_grow_large(monkeypatch, rate, duration):
+    monkeypatch.setattr(timetag, "_BLOCK", 64)
+    overlapped = []
+    draw = timetag._KeptChain._draw_overlapped
+
+    def recorded(chain, size):
+        overlapped.append(draw(chain, size))
+        return overlapped[-1]
+
+    monkeypatch.setattr(timetag._KeptChain, "_draw_overlapped", recorded)
+    sums = {}
+    for n_cpus in (1, 2):
+        _allow_cpus(monkeypatch, n_cpus)
+        sums[n_cpus] = timetag._KeptChain(rate, duration, 1, 25e-9).sums
+    assert overlapped == [False]
+    assert sums[1].tobytes() == sums[2].tobytes()
+
+
+@pytest.mark.parametrize("stop", [None, 500], ids=["every part", "work ends at part 500"])
+def test_overlap_works_each_part_after_its_fill_and_joins_its_worker(stop):
+    # a 1 us switch interval interleaves the two threads as finely as it can
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        filled, worked, returned = [], [], []
+
+        def work(part):
+            assert filled[part] == part
+            worked.append(part)
+            return part != stop
+
+        threads = threading.active_count()
+        runner = threading.Thread(target=lambda: returned.append(
+            timetag._overlap(filled.append, work, list(range(2000)))))
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert threading.active_count() == threads
+    finally:
+        sys.setswitchinterval(interval)
+    assert returned == [stop is None]
+    assert worked == list(range(2000 if stop is None else stop + 1))
+    # filled in order
+    assert filled == list(range(len(filled)))
+
+
+def test_a_failed_draw_raises_itself_and_leaves_no_thread(monkeypatch):
+    _allow_cpus(monkeypatch, 2)
+    monkeypatch.setattr(timetag, "_BLOCK", 4099)
+    error = RuntimeError("the third chunk's draws failed")
+    fill = timetag._KeptChain._fill
+    filled_on = []
+
+    def failing(chain, out):
+        filled_on.append(threading.current_thread())
+        if len(filled_on) == 3:
+            raise error
+        fill(chain, out)
+
+    monkeypatch.setattr(timetag._KeptChain, "_fill", failing)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as excinfo:
+        # about 100k draws: 25 chunks
+        timetag._KeptChain(40e6, 0.005, 1, 23.3e-9)
+    assert excinfo.value is error
+    assert threading.active_count() == threads
+    assert threading.current_thread() not in filled_on
 
 
 # ---------------------------------------------------------------- memory
