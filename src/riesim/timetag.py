@@ -62,9 +62,23 @@ MAX_HISTOGRAM_BINS = 1 << 20
 MAX_STREAM_EVENTS = 1 << 27
 # generated and filtered ticks stay below 2**62 (53 days): tick + window fits int64
 MAX_STREAM_TICK = 1 << 62
-# read_timestamps parses a file in bulk only if every value lies below this,
-# and so below 2**63 - 1, the value numpy's parser clamps an overflow to
-_BULK_LIMIT = 10**18
+# the digits the bulk parse takes a line's value from, in three 8-byte words:
+# any more must be leading zeros, so every value it reads lies below 10**18
+_BULK_DIGITS = 18
+# past this many runs of equal-width lines the bulk parse leaves a file to the
+# line reader, which is then faster; an ascending file without zero padding
+# has at most 19 runs
+_BULK_RUNS = 64
+# the widest line the bulk parse takes: int(), which the line reader uses,
+# may refuse a string of more digits (640 is the least limit
+# sys.set_int_max_str_digits accepts)
+_BULK_WIDTH = 640
+_LF = ord("\n")
+_ZERO = ord("0")
+# write_timestamps: where a tick gains a digit, and the digits of 0 to 99
+_POWERS_OF_TEN = np.array([10**k for k in range(1, 19)], dtype=np.int64)
+_DIGIT_PAIRS = np.frombuffer("".join(f"{pair:02d}" for pair in range(100)).encode(),
+                             dtype=np.uint16)
 # the sweep's rate-dependent fixed point: iteration cap
 _FIXED_POINT_ITERATIONS = 20
 # _chase probes this many events past each pointer before it searches; with
@@ -74,7 +88,7 @@ _PROBE_EVENTS = 4
 _PROBE_MIN_LIVE = 64
 # elements each blockwise pass takes per numpy call (grid steps compacted,
 # events tested for a segment start, pointers chased, kept events selected,
-# gaps drawn or binned, lines written): its temporaries stay
+# gaps drawn or binned, lines parsed or written): its temporaries stay
 # near 0.5 MB instead of the length of the stream, and its Python loops run
 # n / _BLOCK times
 _BLOCK = 1 << 16
@@ -738,24 +752,130 @@ def sweep_dead_time(
     return points
 
 
-def _ticks_in_bulk(raw: bytes):
-    """The ticks of a file of LF-separated digit-only lines, each value below
-    10**18 (zero-padded lines included); else None.
+def _width_runs(raw: bytes, buf: np.ndarray):
+    """The runs of equal-width lines raw is made of, as (start, width, rows),
+    an unterminated last line a run of its own; None at a blank line, a line
+    wider than _BULK_WIDTH or past _BULK_RUNS runs.
 
-    numpy's text parser reads signs, spaces and other text differently from
-    int(), so only digits and LF reach it.  The count of values it returns
-    and their size catch the rest, by three reliances:
-    - it skips a blank line as whitespace between values (documented for
-      `sep`), so that file yields fewer values than lines;
-    - it reads a file of one LF as a spurious 0, so a leading LF is refused;
-    - C strtoll clamps a value past int64 to 2**63 - 1 (C99 7.20.1.4), so a
-      value of 19 or more digits reads as at least _BULK_LIMIT.
+    A run's width is that of its first line.  It holds the rows
+    start + k * (width + 1) for as long as each ends in an LF, tested
+    _BLOCK rows at a time on the byte that ends each row; the bytes inside the
+    rows are not tested here.
     """
-    if not raw or raw.startswith(b"\n") or raw.translate(None, b"0123456789\n"):
+    runs = []
+    start = 0
+    while start < len(raw):
+        if len(runs) == _BULK_RUNS:
+            return None
+        end = raw.find(b"\n", start)
+        width = (len(raw) if end < 0 else end) - start
+        if not 0 < width <= _BULK_WIDTH:
+            return None
+        if end < 0:
+            runs.append((start, width, 1))
+            break
+        stride = width + 1
+        fit = (len(raw) - start) // stride
+        rows = 1
+        while rows < fit:
+            stop = min(rows + _BLOCK, fit)
+            ends = buf[start + rows * stride + width:start + stop * stride:stride] == _LF
+            if not ends.all():
+                rows += int(ends.argmin())
+                break
+            rows = stop
+        runs.append((start, width, rows))
+        start += rows * stride
+    return runs
+
+
+def _digit_count(buf: np.ndarray, scratch: np.ndarray) -> int:
+    """The number of ASCII digits in buf, counted len(scratch) bytes at a time."""
+    count = 0
+    for start in range(0, buf.size, scratch.size):
+        part = buf[start:start + scratch.size]
+        below = np.subtract(part, _ZERO, out=scratch[:part.size])
+        count += np.count_nonzero(np.less(below, 10, out=below.view(bool)))
+    return count
+
+
+def _word_values(words: np.ndarray) -> None:
+    """Each uint64 of 8 digit values, the first in its low byte, to the value
+    the digits spell, in place: three steps each join neighbouring pairs of
+    1, 2 and then 4 digits by one multiply, shift and mask."""
+    words *= np.uint64(10 << 8 | 1)
+    words >>= np.uint64(8)
+    words &= np.uint64(0x00FF00FF00FF00FF)
+    words *= np.uint64(100 << 16 | 1)
+    words >>= np.uint64(16)
+    words &= np.uint64(0x0000FFFF0000FFFF)
+    words *= np.uint64(10000 << 32 | 1)
+    words >>= np.uint64(32)
+
+
+def _row_values(raw: bytes, out: np.ndarray, end: int, stride: int, digits: int,
+                part: np.ndarray) -> None:
+    """out[i] = the value of the `digits` digits of raw that end before
+    end + i * stride, read as up to three unaligned little-endian words, each
+    ending 8 bytes before the next, masked to the digits and turned into its
+    value in place (_word_values); part holds a word's values beside out."""
+    for k in range(-(-digits // 8)):
+        word = np.ndarray(out.shape, dtype="<u8", buffer=raw, offset=end - 8 * (k + 1),
+                          strides=(stride,))
+        value = out if k == 0 else part[:out.size]
+        np.copyto(value, word)
+        kept = min(8, digits - 8 * k)
+        value &= np.uint64(int.from_bytes(bytes(8 - kept) + b"\x0f" * kept, "little"))
+        _word_values(value)
+        if k:
+            value *= np.uint64(10 ** (8 * k))
+            out += value
+
+
+def _ticks_in_bulk(raw: bytes):
+    """The ticks of a file of digit-only lines, each LF-terminated but
+    perhaps the last, whose characters before the last 18 are all '0'; else
+    None.
+
+    The file is split into runs of equal-width rows (_width_runs), which are
+    parsed _BLOCK rows at a time.  A block's bytes must hold as many digits as
+    its rows' widths add up to: with the LF found at each row's end, that
+    proves every other byte a digit.  Each row's value is then read from its
+    last 18 digits as words (_row_values), or by int() if the row ends too
+    near the start of the file for its first word.
+    """
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    runs = _width_runs(raw, buf)
+    if runs is None:
         return None
-    ticks = np.fromstring(raw, dtype=np.int64, sep="\n")
-    lines = raw.count(b"\n") + (not raw.endswith(b"\n"))
-    return ticks if ticks.size == lines and ticks.max() < _BULK_LIMIT else None
+    ticks = np.empty(sum(rows for _, _, rows in runs), dtype=np.int64)
+    words = ticks.view(np.uint64)
+    part = np.empty(min(_BLOCK, ticks.size), dtype=np.uint64)
+    # the digit count's scratch: free until the block's digits are counted
+    scratch = part.view(np.uint8)
+    first = 0
+    for start, width, rows in runs:
+        stride = width + 1
+        for lo in range(0, rows, _BLOCK):
+            hi = min(lo + _BLOCK, rows)
+            row = start + lo * stride
+            block = buf[row:start + hi * stride]
+            if _digit_count(block, scratch) != (hi - lo) * width:
+                return None
+            for column in range(width - _BULK_DIGITS):
+                if not (block[column::stride] == _ZERO).all():
+                    return None
+            out = words[first + lo:first + hi]
+            # the rows that end within three words of the start of the file
+            head = 0
+            while head < out.size and row + head * stride + width < 3 * 8:
+                out[head] = int(raw[row + head * stride:row + head * stride + width])
+                head += 1
+            if head < out.size:
+                _row_values(raw, out[head:], row + head * stride + width, stride,
+                            min(width, _BULK_DIGITS), part)
+        first += rows
+    return ticks
 
 
 def _ticks_by_line(raw: bytes, path: Path) -> np.ndarray:
@@ -789,10 +909,10 @@ def _ticks_by_line(raw: bytes, path: Path) -> np.ndarray:
 def read_timestamps(path) -> TimestampStream:
     """Read a timestamp file: one integer per line, picoseconds, ascending.
 
-    The file is read once.  A file of LF-separated digit-only lines below
-    10**18, as write_timestamps writes it, is parsed in one pass; any other
-    file is read line by line.  Both give the same result on every file the
-    one-pass parse takes.
+    The file is read once.  A file of digit-only lines below 10**18, as
+    write_timestamps writes it, is parsed in bulk as rows of equal width
+    (_ticks_in_bulk); any other file is read line by line.  Both give the
+    same result on every file the bulk parse takes.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -808,12 +928,37 @@ def read_timestamps(path) -> TimestampStream:
         raise ValueError(f"{path}: timestamps must be strictly ascending") from None
 
 
+def _digit_rows(ticks: np.ndarray, width: int) -> np.ndarray:
+    """Ticks of `width` digits each as the rows of their lines: ASCII digits
+    and an LF, written two digits per division by 100."""
+    rows = np.empty((ticks.size, width + 1), dtype=np.uint8)
+    rows[:, width] = _LF
+    rest = ticks.copy()
+    quotient = np.empty_like(rest)
+    scaled = np.empty_like(rest)
+    pairs = np.empty(ticks.size, dtype=np.uint16)
+    for column in range(width - 2, -1, -2):
+        np.floor_divide(rest, 100, out=quotient)
+        np.subtract(rest, np.multiply(quotient, 100, out=scaled), out=rest)
+        rows[:, column:column + 2].view(np.uint16)[:, 0] = np.take(_DIGIT_PAIRS, rest, out=pairs)
+        rest, quotient = quotient, rest
+    if width % 2:
+        np.add(rest, _ZERO, out=rows[:, 0], casting="unsafe")
+    return rows
+
+
 def write_timestamps(stream: TimestampStream, path) -> None:
-    """Write the ticks, integer picoseconds, one per line, _BLOCK lines at a time."""
+    """Write the ticks, integer picoseconds, one per line, _BLOCK lines at a
+    time: the ticks ascend, so a block's ticks of each digit count are one
+    run of rows (_digit_rows)."""
     ticks = stream.ticks
-    with Path(path).open("w") as fh:
+    with Path(path).open("wb") as fh:
         for start in range(0, ticks.size, _BLOCK):
-            fh.write("\n".join(map(str, ticks[start:start + _BLOCK].tolist())) + "\n")
+            block = ticks[start:start + _BLOCK]
+            edges = [0, *np.searchsorted(block, _POWERS_OF_TEN).tolist(), block.size]
+            for width, (lo, hi) in enumerate(zip(edges, edges[1:]), start=1):
+                if lo < hi:
+                    fh.write(_digit_rows(block[lo:hi], width))
 
 
 def write_sweep_csv(points, path) -> None:

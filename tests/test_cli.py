@@ -651,7 +651,7 @@ def test_out_of_range_values_exit_2(tmp_path, capsys, command, data, key):
     ("stealth-scan", {"scan": {"lambda_par_cps": [1e6] * 3000,
                                "lambda_perp_grid": {"start_cps": 0, "stop_cps": 1, "num": 1500}}},
      "scan.lambda_par_cps x scan.lambda_perp_cps: the scan would have 4500000 cells"),
-])
+], ids=["sweep stream past cap", "scan cells past cap"])
 def test_stream_and_scan_caps_exit_2(tmp_path, capsys, command, data, message):
     config = write_config(tmp_path, {"out": str(tmp_path / "results"), **data})
     assert main(["--config", str(config), command]) == 2

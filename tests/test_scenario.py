@@ -487,7 +487,10 @@ def test_perp_grid_shape_rejected(grid, message):
     ({"seed": -1, "sweep": {"rates_cps": []}, "mutualinfo": {"r_start": 2}},
      "mutualinfo grid is empty"),
     ({"seed": -1, "sweep": {"rates_cps": []}}, "sweep.rates_cps must not be empty"),
-])
+], ids=["protocol unknown key", "protocol keys missing", "scan perp both given",
+        "scan unknown key", "sweep bin width zero", "sweep duration negative",
+        "mutualinfo e_abort above 0.5", "scan before mutualinfo", "mutualinfo before sweep",
+        "sweep before seed"])
 def test_first_of_two_faults_reported(data, message):
     with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
         load_scenario(data=data)
