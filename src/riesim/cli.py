@@ -7,8 +7,9 @@ for compatibility and has no effect.  Every command is deterministic per
 (config, seed) and emits plot-ready CSV rather than rendered figures.  Where
 the process may run on two CPUs, stealth-scan formats the later half of its
 CSV rows in one forked child, sweep-deadtime fills its draws on a second
-thread, and the gap histogram of sweep-deadtime and deadtime-extract bins
-half its gaps on a second thread; the bytes are the same.
+thread, and the gap histogram of sweep-deadtime (and of a piece of
+deadtime-extract's file that holds more than 131,072 lines) bins half its
+gaps on a second thread; the bytes are the same.
 Exit codes: 0 on success, 2 for configuration/validation failures (raised
 before any computation), 1 for data-level errors.
 """
@@ -82,16 +83,16 @@ def cmd_deadtime_extract(scenario: ScenarioConfig, args) -> int:
     min_count = args.min_count if args.min_count is not None else sweep.min_count
     # the scenario values passed this check at load; a failure names a flag
     check_histogram(bin_width, max_gap, min_count, ("--bin-width", "--max-gap", "--min-count"))
-    stream = timetag.read_timestamps(args.timestamps)
-    hist = timetag.interarrival_histogram(stream, bin_width, max_gap)
+    n_timestamps, duration_s, hist = timetag.read_interarrival_histogram(
+        args.timestamps, bin_width, max_gap)
     out = _outdir(scenario, args)
     # written before the estimate, so a histogram with no onset bin is left
     # to show why the estimate failed
     hist.write_csv(out / "deadtime_extract_histogram.csv")
     estimate = timetag.estimate_dead_time(hist, min_count)
     report = (
-        f"n_timestamps: {len(stream)}\n"
-        f"observed_rate_cps: {stream.observed_rate_cps!r}\n"
+        f"n_timestamps: {n_timestamps}\n"
+        f"observed_rate_cps: {n_timestamps / duration_s!r}\n"
         f"bin_width_s: {bin_width!r}\n"
         f"min_count: {min_count}\n"
         f"dead_time_estimate_s: {estimate!r}\n"

@@ -45,6 +45,7 @@ __all__ = [
     "estimate_dead_time",
     "sweep_dead_time",
     "read_timestamps",
+    "read_interarrival_histogram",
     "write_timestamps",
     "write_sweep_csv",
 ]
@@ -65,7 +66,7 @@ MAX_STREAM_TICK = 1 << 62
 # the digits the bulk parse takes a line's value from, in three 8-byte words:
 # any more must be leading zeros, so every value it reads lies below 10**18
 _BULK_DIGITS = 18
-# past this many runs of equal-width lines the bulk parse leaves a file to the
+# past this many runs of equal-width lines the bulk parse leaves a piece to the
 # line reader, which is then faster; an ascending file without zero padding
 # has at most 19 runs
 _BULK_RUNS = 64
@@ -73,6 +74,10 @@ _BULK_RUNS = 64
 # may refuse a string of more digits (640 is the least limit
 # sys.set_int_max_str_digits accepts)
 _BULK_WIDTH = 640
+# bytes read from a timestamp file at a time (_pieces): beside what it keeps,
+# a read holds the buffer, one piece and that piece's ticks and scratch, a
+# few pieces whatever the file's size
+_PIECE = 1 << 19
 _LF = ord("\n")
 _ZERO = ord("0")
 # write_timestamps: where a tick gains a digit, and the digits of 0 to 99
@@ -123,7 +128,7 @@ class TimestampStream:
         if t.ndim != 1 or (t.size and t.dtype.kind not in "iu"):
             raise ValueError("ticks must be a 1-d array of integers")
         t = t.astype(np.int64, copy=False)
-        if t.size and (np.any(t[1:] <= t[:-1]) or t[0] < 0 or t[-1] * TICK_S > self.duration_s):
+        if t.size and (not _ascending(t) or t[0] < 0 or t[-1] * TICK_S > self.duration_s):
             raise ValueError("ticks must be strictly increasing within [0, duration]")
         object.__setattr__(self, "ticks", t)
 
@@ -153,6 +158,15 @@ class InterArrivalHistogram:
             writer.writerow(["bin_lower_edge_s", "count"])
             for i, count in enumerate(self.counts):
                 writer.writerow([repr(i * self.bin_width_s), int(count)])
+
+
+def _ascending(t: np.ndarray) -> bool:
+    """Whether t strictly increases, tested _BLOCK pairs at a time."""
+    for start in range(0, t.size - 1, _BLOCK):
+        pairs = t[start:start + _BLOCK + 1]
+        if np.any(pairs[1:] <= pairs[:-1]):
+            return False
+    return True
 
 
 def _ticks_of(seconds: float) -> float:
@@ -833,16 +847,16 @@ def _row_values(raw: bytes, out: np.ndarray, end: int, stride: int, digits: int,
 
 
 def _ticks_in_bulk(raw: bytes):
-    """The ticks of a file of digit-only lines, each LF-terminated but
+    """The ticks of bytes of digit-only lines, each LF-terminated but
     perhaps the last, whose characters before the last 18 are all '0'; else
     None.
 
-    The file is split into runs of equal-width rows (_width_runs), which are
+    The bytes are split into runs of equal-width rows (_width_runs), which are
     parsed _BLOCK rows at a time.  A block's bytes must hold as many digits as
     its rows' widths add up to: with the LF found at each row's end, that
     proves every other byte a digit.  Each row's value is then read from its
     last 18 digits as words (_row_values), or by int() if the row ends too
-    near the start of the file for its first word.
+    near the start of the bytes for its first word.
     """
     buf = np.frombuffer(raw, dtype=np.uint8)
     runs = _width_runs(raw, buf)
@@ -866,7 +880,7 @@ def _ticks_in_bulk(raw: bytes):
                 if not (block[column::stride] == _ZERO).all():
                     return None
             out = words[first + lo:first + hi]
-            # the rows that end within three words of the start of the file
+            # the rows that end within three words of the start of the bytes
             head = 0
             while head < out.size and row + head * stride + width < 3 * 8:
                 out[head] = int(raw[row + head * stride:row + head * stride + width])
@@ -878,18 +892,20 @@ def _ticks_in_bulk(raw: bytes):
     return ticks
 
 
-def _ticks_by_line(raw: bytes, path: Path) -> np.ndarray:
-    """Every non-blank line of the file's bytes as int() reads it once
-    stripped; errors name the line of path.
+def _ticks_by_line(raw: bytes, path: Path, lines: int) -> tuple[np.ndarray, int]:
+    """Every non-blank line of the bytes raw as int() reads it once stripped,
+    and the line count after raw; errors name the line of path, raw's first
+    line being line lines + 1.
 
-    The bytes are decoded as text mode would read the file.  A byte the
-    locale encoding cannot decode reads as a lone surrogate, which int()
-    rejects, so it fails as a malformed line in line order.  The ticks are
-    held as int64 while they are read, 8 bytes a line.
+    The bytes are decoded as text mode would read the file, so a lone CR ends
+    a line too.  A byte the locale encoding cannot decode reads as a lone
+    surrogate, which int() rejects, so it fails as a malformed line in line
+    order.  The ticks are held as int64 while they are read, 8 bytes a line.
     """
     ticks = array("q")
+    lineno = lines
     with io.TextIOWrapper(io.BytesIO(raw), errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(fh, start=lines + 1):
             text = line.strip()
             if not text:
                 continue
@@ -903,29 +919,113 @@ def _ticks_by_line(raw: bytes, path: Path) -> np.ndarray:
                 raise ValueError(f"{path}: timestamp at line {lineno} is above 2**63 - 1 "
                                  f"({len(text)} characters)")
             ticks.append(tick)
-    return np.frombuffer(ticks, dtype=np.int64)
+    return np.frombuffer(ticks, dtype=np.int64), lineno
+
+
+def _pieces(fh):
+    """The bytes of the binary file fh in pieces of whole lines, read
+    _PIECE bytes at a time into one reused buffer: each piece ends after its
+    last LF, and the line it cuts is carried into the next; the last piece
+    is the rest of the file.  The buffer grows only to hold a line longer
+    than itself."""
+    buffer = bytearray(_PIECE)
+    held = 0
+    while True:
+        with memoryview(buffer)[held:] as free:
+            size = fh.readinto(free)
+        if not size:
+            if held:
+                yield bytes(memoryview(buffer)[:held])
+            return
+        end = held + size
+        # the bytes carried hold no LF
+        cut = buffer.rfind(b"\n", held, end) + 1
+        if cut:
+            piece = bytes(memoryview(buffer)[:cut])
+            buffer[:end - cut] = buffer[cut:end]
+            held = end - cut
+            yield piece
+        else:
+            held = end
+            if held == len(buffer):
+                buffer.extend(bytes(len(buffer)))
+
+
+def _tick_blocks(path: Path):
+    """The ticks of the timestamp file at path as int64 blocks in file order,
+    one for each piece of it (_pieces): parsed in bulk (_ticks_in_bulk),
+    else line by line (_ticks_by_line), with the lines of the pieces before
+    counted as text mode counts them.  A parse fault is raised once the
+    blocks before it are yielded."""
+    lines = 0
+    with path.open("rb", buffering=0) as fh:
+        for piece in _pieces(fh):
+            ticks = _ticks_in_bulk(piece)
+            if ticks is None:
+                ticks, lines = _ticks_by_line(piece, path, lines)
+            else:
+                lines += ticks.size
+            yield ticks
 
 
 def read_timestamps(path) -> TimestampStream:
     """Read a timestamp file: one integer per line, picoseconds, ascending.
 
-    The file is read once.  A file of digit-only lines below 10**18, as
-    write_timestamps writes it, is parsed in bulk as rows of equal width
-    (_ticks_in_bulk); any other file is read line by line.  Both give the
-    same result on every file the bulk parse takes.
+    The file is read once, a piece at a time (_tick_blocks).  A piece of
+    digit-only lines below 10**18, as write_timestamps writes them, is parsed
+    in bulk as rows of equal width; any other piece is read line by line.
+    Both give the same result on every piece the bulk parse takes.
     """
     path = Path(path)
-    raw = path.read_bytes()
-    ticks = _ticks_in_bulk(raw)
-    if ticks is None:
-        ticks = _ticks_by_line(raw, path)
-    if not ticks.size:
+    ticks = array("q")
+    for block in _tick_blocks(path):
+        ticks.frombytes(block.view(np.uint8))
+    if not ticks:
         raise InsufficientDataError(f"{path}: insufficient data, no timestamps in file")
+    ticks = np.frombuffer(ticks, dtype=np.int64)
     # every tick lies in [0, ticks[-1]], so the stream can only reject the order
     try:
         return TimestampStream(ticks, duration_s=float(ticks[-1]) * TICK_S)
     except ValueError:
         raise ValueError(f"{path}: timestamps must be strictly ascending") from None
+
+
+def read_interarrival_histogram(
+    path,
+    bin_width_s: float = DEFAULT_BIN_WIDTH_S,
+    max_gap_s: float = DEFAULT_MAX_GAP_S,
+) -> tuple[int, float, InterArrivalHistogram]:
+    """The length and duration_s of read_timestamps(path) and its
+    interarrival_histogram, with the same errors in the same order, folded
+    over the file's blocks (_tick_blocks) without holding its ticks.  Bins
+    that interarrival_histogram refuses raise its error the first time the
+    fold bins, which may come before a fault later in the file.
+
+    Each block is tested for order and binned with the last tick of the
+    block before it in front.  An order fault stops the binning but not the
+    parse, and is raised once the file has parsed: read_timestamps parses
+    the whole file before it tests the order, so a parse fault in a later
+    line wins."""
+    path = Path(path)
+    count = 0
+    ordered = True
+    counts = 0
+    last = np.empty(0, dtype=np.int64)
+    for block in _tick_blocks(path):
+        ticks = np.concatenate((last, block))
+        ordered = ordered and _ascending(ticks)
+        if ordered and ticks.size > 1:
+            counts = counts + _gap_histogram(ticks, 0, 1, bin_width_s, max_gap_s).counts
+        count += block.size
+        last = ticks[-1:].copy()
+    if not count:
+        raise InsufficientDataError(f"{path}: insufficient data, no timestamps in file")
+    if not ordered:
+        raise ValueError(f"{path}: timestamps must be strictly ascending")
+    if count == 1:
+        # raises the histogram's InsufficientDataError
+        _gap_histogram(last, 0, 1, bin_width_s, max_gap_s)
+    return count, float(last[0]) * TICK_S, InterArrivalHistogram(bin_width_s, counts)
 
 
 def _digit_rows(ticks: np.ndarray, width: int) -> np.ndarray:

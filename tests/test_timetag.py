@@ -32,6 +32,7 @@ from riesim.timetag import (
     estimate_dead_time,
     generate_poisson_stream,
     interarrival_histogram,
+    read_interarrival_histogram,
     read_timestamps,
     sweep_dead_time,
     write_sweep_csv,
@@ -76,6 +77,18 @@ def test_timestamps_strictly_increasing_and_in_range():
     t = stream.ticks
     assert np.all(np.diff(t) > 0)
     assert t[0] >= 0 and t[-1] * TICK_S <= stream.duration_s
+
+
+# the order is tested _BLOCK pairs at a time: a fault on either side of a
+# block's edge, and in the last, short block
+@pytest.mark.parametrize("fault", [3, 4, 5, 9])
+def test_stream_order_is_tested_across_block_edges(monkeypatch, fault):
+    monkeypatch.setattr(timetag, "_BLOCK", 4)
+    ticks = np.arange(10) * 8
+    TimestampStream(ticks, 1.0)
+    ticks[fault] = ticks[fault - 1]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        TimestampStream(ticks, 1.0)
 
 
 def test_nonpositive_rate_rejected():
@@ -989,24 +1002,36 @@ def test_histogram_holds_its_gaps_and_a_byte_an_event():
     assert peak < 1.3 * stream.ticks.nbytes
 
 
-def test_reading_a_digit_only_file_holds_about_twice_the_file(tmp_path):
+def test_reading_a_digit_only_file_holds_its_ticks_and_a_few_pieces(tmp_path):
     path = tmp_path / "tags.txt"
     write_timestamps(generate_poisson_stream(1e7, 0.05, seed=94), path)
-    size = path.stat().st_size
-    _, peak = _peak_bytes(read_timestamps, path)
-    # the bytes, the ticks (8 bytes a line, 0.68x the file) and one block's
-    # words beside them (0.09x); 1.78x the file in all
-    assert peak < 1.8 * size
+    stream, peak = _peak_bytes(read_timestamps, path)
+    # the ticks as they grow (by a sixteenth at a time), and beside them the
+    # read buffer, one piece and its block's ticks and words (3.6 pieces)
+    assert peak < 1.1 * stream.ticks.nbytes + 4 * timetag._PIECE
 
 
-def test_reading_a_crlf_file_line_by_line_holds_about_twice_the_file(tmp_path):
+def test_reading_a_crlf_file_line_by_line_holds_its_ticks_and_a_few_pieces(tmp_path):
     path = tmp_path / "tags.txt"
     write_timestamps(generate_poisson_stream(1e7, 0.05, seed=94), path)
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-    size = path.stat().st_size
-    _, peak = _peak_bytes(read_timestamps, path)
-    # the bytes and the ticks, 8 bytes a line, as the lines are read
-    assert peak < 2.2 * size
+    stream, peak = _peak_bytes(read_timestamps, path)
+    # the ticks, and one piece and its lines as they are read (3.6 pieces)
+    assert peak < 1.1 * stream.ticks.nbytes + 4 * timetag._PIECE
+
+
+@pytest.mark.parametrize("pieces", [1, 4, 16])
+def test_histogram_of_a_file_holds_a_few_pieces_whatever_its_size(tmp_path, pieces):
+    # lines of 10 digits and an LF
+    ticks = 10**9 + 1000 * np.arange(pieces * timetag._PIECE // 11)
+    path = tmp_path / "tags.txt"
+    write_timestamps(TimestampStream(ticks, float(ticks[-1]) * TICK_S), path)
+    assert path.stat().st_size > (pieces - 1) * timetag._PIECE
+    (count, _, _), peak = _peak_bytes(read_interarrival_histogram, path)
+    assert count == ticks.size
+    # the read buffer, one piece, its block's ticks and words, those ticks
+    # behind the last of the block before, and the histogram's gaps (4.3 pieces)
+    assert peak < 5 * timetag._PIECE
 
 
 # ---------------------------------------------------------------- file formats
@@ -1101,12 +1126,61 @@ def timestamp_files(draw):
     return (newline.join(lines) + draw(st.sampled_from(["", newline]))).encode()
 
 
+def _read_and_histogram(path, bin_width_s, max_gap_s):
+    """read_interarrival_histogram by way of the whole stream."""
+    stream = read_timestamps(path)
+    return len(stream), stream.duration_s, interarrival_histogram(stream, bin_width_s, max_gap_s)
+
+
+def _histogram_outcome(read, path, bins):
+    try:
+        count, duration_s, hist = read(path, *bins)
+    except Exception as exc:  # the exception is the outcome under comparison
+        return type(exc), str(exc)
+    return count, duration_s, hist.counts.tobytes()
+
+
 @settings(max_examples=500, deadline=None)
-@given(raw=timestamp_files())
-def test_read_matches_line_reader(tmp_path_factory, raw):
+@given(raw=timestamp_files(), piece=st.integers(1, 24),
+       bins=st.sampled_from([(0.5e-9, 200e-9), (1e-12, 1e-9)]))
+def test_read_matches_line_reader(tmp_path_factory, raw, piece, bins):
     path = tmp_path_factory.getbasetemp() / "read_property_tags.txt"
     path.write_bytes(raw)
-    assert _outcome(read_timestamps, path) == _outcome(_read_by_line, path)
+    expected = _outcome(_read_by_line, path)
+    assert _outcome(read_timestamps, path) == expected
+    whole = _histogram_outcome(_read_and_histogram, path, bins)
+    assert _histogram_outcome(read_interarrival_histogram, path, bins) == whole
+    # pieces of a few bytes: lines and runs of equal width cross their edges
+    with mock.patch.object(timetag, "_PIECE", piece):
+        assert _outcome(read_timestamps, path) == expected
+        assert _histogram_outcome(read_interarrival_histogram, path, bins) == whole
+
+
+# the first fault in file order, with its line number as the whole file gives it
+@pytest.mark.parametrize("raw, message", [
+    (b"1000\n999\n" + "".join(f"{t}\n" for t in range(2000, 2010)).encode() + b"12a\n",
+     "malformed timestamp at line 13: '12a'"),
+    (b"2\n1\n3\n-4\n", "negative timestamp at line 4: '-4'"),
+    (b"2\n1\n3\n" + b"9" * 20 + b"\n", "timestamp at line 4 is above 2**63 - 1 (20 characters)"),
+    (b"1\n" + b"7" * 30 + b"x\n", f"malformed timestamp at line 2: '{'7' * 30}x'"),
+    (b"1\n" + b"2".zfill(30) + b"\n1\n", "timestamps must be strictly ascending"),
+    (b"1\r\n2\r\n\r\n3\r\n+x\r\n", "malformed timestamp at line 5: '+x'"),
+    (b"1\r2\r\r3\rx\r", "malformed timestamp at line 5: 'x'"),
+    (b"1\r2\n3\r4\nx\n", "malformed timestamp at line 5: 'x'"),
+    (b"1000\n1000\n", "timestamps must be strictly ascending"),
+], ids=["malformed after an order fault", "negative after an order fault",
+        "above int64 after an order fault", "malformed line longer than a piece",
+        "order fault after a line longer than a piece", "CRLF", "CR only", "CR and LF",
+        "equal ticks either side of a piece edge"])
+@pytest.mark.parametrize("piece", [1, 5, 8, timetag._PIECE])
+def test_reading_in_pieces_keeps_the_first_fault(tmp_path, monkeypatch, raw, message, piece):
+    path = tmp_path / "tags.txt"
+    path.write_bytes(raw)
+    monkeypatch.setattr(timetag, "_PIECE", piece)
+    for read in (read_timestamps, read_interarrival_histogram):
+        with pytest.raises(ValueError) as excinfo:
+            read(path)
+        assert str(excinfo.value) == f"{path}: {message}"
 
 
 def test_long_zero_padded_line_reads_as_the_line_reader_reads_it(tmp_path):
@@ -1144,7 +1218,9 @@ def test_digit_only_file_across_blocks_and_word_edges(tmp_path):
     ("1\n٣\n", [1, 3]),
     # ticks above 2**53 that are one float apart stay distinct
     (f"1\n{2**60}\n{2**60 + 1}\n", [1, 2**60, 2**60 + 1]),
-])
+], ids=["CRLF", "CR without a final one", "blank lines", "blank first line",
+        "spaces and tabs", "plus sign", "underscores", "10**18", "int64 maximum",
+        "Arabic-Indic digit", "one float apart above 2**53"])
 def test_timestamp_file_line_forms(tmp_path, text, ticks):
     path = tmp_path / "tags.txt"
     path.write_bytes(text.encode())
@@ -1176,12 +1252,12 @@ def test_digit_only_file_skips_the_line_reader(tmp_path, monkeypatch):
     line_reader = timetag._ticks_by_line
     calls = []
 
-    def refuse(raw, path):
+    def refuse(raw, path, lines):
         raise AssertionError("the line reader ran on a digit-only LF file")
 
-    def record(raw, path):
+    def record(raw, path, lines):
         calls.append(path)
-        return line_reader(raw, path)
+        return line_reader(raw, path, lines)
 
     monkeypatch.setattr(timetag, "_ticks_by_line", refuse)
     bulk = read_timestamps(lf)
@@ -1235,9 +1311,9 @@ def test_bulk_parse_guard_sends_each_reliance_to_its_reader(tmp_path, monkeypatc
     line_reader = timetag._ticks_by_line
     calls = []
 
-    def record(raw, path):
+    def record(raw, path, lines):
         calls.append(path)
-        return line_reader(raw, path)
+        return line_reader(raw, path, lines)
 
     monkeypatch.setattr(timetag, "_ticks_by_line", record)
     assert read_timestamps(path).ticks.tolist() == ticks
