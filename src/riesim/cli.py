@@ -6,10 +6,8 @@ stealth-scan, mutualinfo.  Configuration comes from one JSON scenario file
 for compatibility and has no effect.  Every command is deterministic per
 (config, seed) and emits plot-ready CSV rather than rendered figures.  Where
 the process may run on two CPUs, stealth-scan formats the later half of its
-CSV rows in one forked child, sweep-deadtime fills its draws on a second
-thread, and the gap histogram of sweep-deadtime (and of a piece of
-deadtime-extract's file that holds more than 131,072 lines) bins half its
-gaps on a second thread; the bytes are the same.
+CSV rows in one forked child and sweep-deadtime fills its draws on a second
+thread; the bytes are the same.  deadtime-extract runs on one thread.
 Exit codes: 0 on success, 2 for configuration/validation failures (raised
 before any computation), 1 for data-level errors.
 """

@@ -402,59 +402,40 @@ def interarrival_histogram(
 ) -> InterArrivalHistogram:
     """Histogram of adjacent gaps g <= max_gap in bins k * w <= g < (k + 1) * w
     of width w: a gap on a bin edge counts in the upper bin, so one equal to
-    max_gap on the last bin's upper edge counts in none."""
-    return _gap_histogram(stream.ticks, 0, 1, bin_width_s, max_gap_s)
+    max_gap on the last bin's upper edge counts in none.  The gaps are made
+    _BLOCK at a time in one reused buffer and binned there (_bin)."""
+    x = stream.ticks
+    binning = _binning(bin_width_s, max_gap_s, x.size)
+    counts = np.zeros(binning[0] + 1, dtype=np.int64)
+    gaps = np.empty(min(_BLOCK, x.size - 1), dtype=np.int64)
+    for lo in range(0, x.size - 1, _BLOCK):
+        block = gaps[:min(_BLOCK, x.size - 1 - lo)]
+        np.subtract(x[lo + 1:lo + 1 + block.size], x[lo:lo + block.size], out=block)
+        _bin(block, binning, counts)
+    return InterArrivalHistogram(bin_width_s=bin_width_s, counts=counts[:-1])
 
 
-def _gap_histogram(x: np.ndarray, offset: int, scale: int, bin_width_s: float,
-                   max_gap_s: float) -> InterArrivalHistogram:
-    """interarrival_histogram of the tick gaps (x[i + 1] - x[i] + offset) *
-    scale of the int64 array `x`, made _BLOCK gaps at a time in one reused
-    buffer and binned in place: every gap out of range goes to one extra
-    bin, which is dropped.
-
-    With two CPUs and at least 2 * _BLOCK gaps, a worker thread bins the
-    later half of the gaps (from a multiple of _BLOCK) into counts of its
-    own, and the two counts are summed."""
+def _binning(bin_width_s: float, max_gap_s: float, events: int) -> tuple[int, int, int]:
+    """The bins of interarrival_histogram over `events` timestamps: their
+    number, their width in ticks and the tick limit below which a gap is
+    binned.  ValueError on bins it refuses, then InsufficientDataError below
+    two timestamps."""
     if bin_width_s <= 0:
         raise ValueError("bin width must be positive")
     n_bins = histogram_bins(bin_width_s, max_gap_s)
-    if x.size < 2:
+    if events < 2:
         raise InsufficientDataError(f"insufficient data: need at least 2 timestamps for an "
-                                    f"inter-arrival histogram, got {x.size}")
+                                    f"inter-arrival histogram, got {events}")
     bin_ticks = int(_ticks_of(bin_width_s))
-    end = n_bins * bin_ticks
-    limit = min(int(_ticks_of(max_gap_s)) + 1, end)
+    return n_bins, bin_ticks, min(int(_ticks_of(max_gap_s)) + 1, n_bins * bin_ticks)
 
-    def count(start: int, stop: int, gaps: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        for lo in range(start, stop, _BLOCK):
-            block = gaps[:min(_BLOCK, stop - lo)]
-            np.subtract(x[lo + 1:lo + 1 + block.size], x[lo:lo + block.size], out=block)
-            if offset:
-                np.add(block, offset, out=block)
-            if scale != 1:
-                np.multiply(block, scale, out=block)
-            block[block >= limit] = end
-            counts += np.bincount(np.floor_divide(block, bin_ticks, out=block),
-                                  minlength=n_bins + 1)
-        return counts
 
-    def buffers():
-        """A block of gaps and the counts, made on this thread: what a worker
-        thread allocates stays resident in a malloc arena of its own."""
-        return (np.empty(min(_BLOCK, n_gaps), dtype=np.int64),
-                np.zeros(n_bins + 1, dtype=np.int64))
-
-    n_gaps = x.size - 1
-    split = n_gaps // 2 // _BLOCK * _BLOCK
-    if split and two_cpus():
-        mine, theirs = buffers(), buffers()
-        counts, later = _beside(lambda: count(split, n_gaps, *theirs),
-                                lambda: count(0, split, *mine))
-        counts += later
-    else:
-        counts = count(0, n_gaps, *buffers())
-    return InterArrivalHistogram(bin_width_s=bin_width_s, counts=counts[:n_bins])
+def _bin(gaps: np.ndarray, binning: tuple[int, int, int], counts: np.ndarray) -> None:
+    """Add the int64 tick gaps `gaps` into `counts` (_binning's bins and one
+    more), binned in place: every gap out of range goes to the extra bin."""
+    n_bins, bin_ticks, limit = binning
+    gaps[gaps >= limit] = n_bins * bin_ticks
+    counts += np.bincount(np.floor_divide(gaps, bin_ticks, out=gaps), minlength=n_bins + 1)
 
 
 def _beside(background, foreground):
@@ -553,13 +534,18 @@ class _KeptChain:
     first held slot d = max(1, ceil(w / 8)) or more slots past a kept event,
     so kept gaps are iid d + G slots, G = floor(E / 8 ps) ~ Geom(q) for E
     exponential of mean 1 / beta.  The first event is the first arrival,
-    rounded as _quantize rounds it (slot 0 is half as wide).  `sums` holds 0
-    and the prefix sums of the G, so event i lies at slot
-    first + i * d + sums[i] at every window.  Unlike _quantize, the chain
-    takes the last slot as whole.
+    rounded as _quantize rounds it (slot 0 is half as wide).  `gaps` holds
+    the G, so event i lies at slot first + i * d + (the sum of the first i
+    gaps) at every window.  Unlike _quantize, the chain takes the last slot
+    as whole.  `_before[b]` sums the gaps before block b of _BLOCK gaps (the
+    last entry, all of them).  `_counts` counts the gaps by slot, those of
+    `_top` = ceil(max_gap_s / 8 ps) slots or more together, past max_gap_s at
+    any window; with `_top` capped at _BLOCK the histogram bins longer gaps
+    one by one.
     """
 
-    def __init__(self, beta_cps: float, duration_s: float, seed: int, smallest_dead_s: float):
+    def __init__(self, beta_cps: float, duration_s: float, seed: int, smallest_dead_s: float,
+                 max_gap_s: float = DEFAULT_MAX_GAP_S):
         expected_events(beta_cps, duration_s)  # the generator's checks of its arguments
         self._rng = np.random.default_rng(seed)
         # the mean of E / 8 ps: infinite at a rate too small to draw an arrival
@@ -572,21 +558,35 @@ class _KeptChain:
         arrival = self._rng.exponential(1.0 / beta_cps)
         self.first = (int(np.rint(arrival / (RESOLUTION_TICKS * TICK_S)))
                       if arrival <= duration_s else last + 1)
-        self.sums = np.zeros(1, dtype=np.int64)
+        self._max_gap_s = max_gap_s
+        self._block = _BLOCK
+        # 0 at a max gap the histogram refuses (NaN, not positive)
+        top = _ticks_of(max_gap_s) / RESOLUTION_TICKS
+        self._top = math.ceil(min(top, _BLOCK)) if top > 0 else 0
+        self._counts = np.zeros(self._top + 1, dtype=np.int64)
+        self.gaps = np.empty(0, dtype=np.int64)
+        self._before = [0]
+        # count()'s last block and its gaps' prefix sums
+        self._sums = (None, None)
         # gaps for the count at the smallest window ((last + 1) slots over a
         # mean gap of d + (1 - q) / q, plus 10 sigma), then a quarter more at a
         # time until the chain passes the last slot at d, and so at any window
         q = -math.expm1(-beta_cps * RESOLUTION_TICKS * TICK_S)
         d = self.slots(_window_ticks(smallest_dead_s))
         size = _first_block_size((last + 1) * q / (1.0 + (d - 1) * q))
-        while self._slot(self.sums.size - 1, d) <= last:
+        while self.first + self.gaps.size * d + self._before[-1] <= last:
             self._draw(size)
-            size = max(self.sums.size // 4, 1024)
+            size = max(self.gaps.size // 4, 1024)
 
     @staticmethod
     def slots(window: int) -> int:
         """d: the least gap, in slots, that a window of `window` ticks keeps."""
         return max(1, -(-window // RESOLUTION_TICKS))
+
+    def _least(self, window: int) -> int:
+        """d, capped at last + 1 (past which every d keeps the first event
+        alone) so that d times a count stays within int64."""
+        return min(self.slots(window), self.last + 1)
 
     def _fill(self, out: np.ndarray) -> None:
         """Fill `out` with the chain's next draws E / mean, E ~ Exp(1)."""
@@ -599,92 +599,139 @@ class _KeptChain:
         # a gap past the last slot ends the chain wherever it starts
         np.minimum(gaps, self.last + 1, out=gaps)
 
-    def _draw(self, size: int) -> None:
-        """Append `size` gaps G to `sums`, drawn in the buffer that becomes
-        their prefix sums.
+    def _chunks(self, size: int) -> list[slice]:
+        """`size` new gaps in chunks cut at the chain's block edges."""
+        edges = [0, *range(-self.gaps.size % self._block or self._block, size, self._block), size]
+        return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
-        With two CPUs and more than one chunk of _BLOCK draws, one worker
-        thread fills the chunks in order while this thread turns each filled
-        one into its prefix sums (_draw_overlapped).  The draws come from the
-        one generator in the same order, so the sums are the same."""
-        if size > _BLOCK and two_cpus():
+    def _slot_counts(self, gaps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The int64 gaps' counts by slot, those of _top or more together,
+        capped in `out` if given."""
+        return np.bincount(np.minimum(gaps, self._top, out=out), minlength=self._top + 1)
+
+    def _tally(self, gaps: np.ndarray) -> int:
+        """Add the int64 gaps' slot counts into `_counts`; their total."""
+        self._counts += self._slot_counts(gaps)
+        return int(gaps.sum())
+
+    def _draw(self, size: int) -> None:
+        """Append `size` gaps, drawn as floats in the buffer that then holds
+        them as int64.  With two CPUs and more than one chunk, a worker
+        thread fills the chunks in order while this thread settles each
+        filled one (_draw_overlapped); the one generator gives the same
+        draws either way."""
+        if size > self._block and two_cpus():
             state = self._rng.bit_generator.state
             if self._draw_overlapped(size):
                 return
-            # the sums came near the 2**60 cut: draw the same gaps again at once
+            # the gaps came near the 2**60 cut: draw the same gaps again at once
             self._rng.bit_generator.state = state
-        buffer = np.empty(size + 1)
-        gaps = buffer[1:]
-        self._fill(gaps)
-        self._slots(gaps)
-        buffer[0] = 0.0
+        buffer = np.empty(size)
+        self._fill(buffer)
+        self._slots(buffer)
         if buffer.sum() >= 2.0**60:
             # only on streams longer than about 20 hours: the gaps up to the
-            # first sum past 2**60 > last, so the sums stay below 2**62
+            # first sum past 2**60 > last, so the totals stay below 2**61
             buffer = buffer[:np.searchsorted(np.cumsum(buffer), 2.0**60) + 1]
-        sums = buffer.view(np.int64)
-        np.copyto(sums, buffer, casting="unsafe")
-        sums[0] = self.sums[-1]
-        np.cumsum(sums, out=sums)
-        self._append(sums)
+        gaps = buffer.view(np.int64)
+        np.copyto(gaps, buffer, casting="unsafe")
+        self._append(gaps, [self._tally(gaps[chunk]) for chunk in self._chunks(gaps.size)])
 
     def _draw_overlapped(self, size: int) -> bool:
-        """_draw's sums of `size` gaps, a chunk at a time, carrying each
-        chunk's last sum into the next; False, and nothing appended, as soon
-        as a chunk could take the sums to 2**58.
-
-        Below 2**58 the int64 sums cannot overflow, and _draw's float sum of
-        the gaps cannot reach its 2**60 cut, so that draw keeps every gap
-        too and its sums are these."""
-        buffer = np.empty(size + 1)
-        gaps, sums = buffer[1:], buffer.view(np.int64)
-        sums[0] = self.sums[-1]
+        """_draw's gaps, each chunk floored, capped, cast in place and
+        tallied once filled; False, and nothing appended or tallied, as soon
+        as a chunk could take the gaps' total to 2**58.  Below that the int64
+        totals cannot overflow and _draw's float sum cannot reach its 2**60
+        cut."""
+        buffer = np.empty(size)
+        gaps = buffer.view(np.int64)
+        totals = []
+        chunks = self._chunks(size)
 
         def settle(chunk: slice) -> bool:
-            part = gaps[chunk]
+            part = buffer[chunk]
             self._slots(part)
-            carry = int(sums[chunk.start])
+            carry = self._before[-1] + sum(totals)
             if (carry + part.size * (self.last + 1) >= 2**58
                     and carry + float(part.sum()) >= 2**58):
                 return False
-            # gaps[i] is sums[i + 1]: cast in place, then sum from the carry
-            np.copyto(sums[chunk.start + 1:chunk.stop + 1], part, casting="unsafe")
-            np.cumsum(sums[chunk.start:chunk.stop + 1], out=sums[chunk.start:chunk.stop + 1])
+            np.copyto(gaps[chunk], part, casting="unsafe")
+            totals.append(self._tally(gaps[chunk]))
             return True
 
-        chunks = [slice(start, min(start + _BLOCK, size)) for start in range(0, size, _BLOCK)]
-        if not _overlap(lambda chunk: self._fill(gaps[chunk]), settle, chunks):
-            return False
-        self._append(sums)
-        return True
+        if _overlap(lambda chunk: self._fill(buffer[chunk]), settle, chunks):
+            self._append(gaps, totals)
+            return True
+        if totals:
+            self._counts -= self._slot_counts(gaps[:chunks[len(totals) - 1].stop])
+        return False
 
-    def _append(self, sums: np.ndarray) -> None:
-        """Append the prefix sums `sums`, whose first is the chain's last."""
-        self.sums = sums if self.sums.size == 1 else np.concatenate((self.sums, sums[1:]))
-
-    def _slot(self, i: int, d: int) -> int:
-        """The slot of event i when the least gap is d slots."""
-        return self.first + i * d + int(self.sums[i])
+    def _append(self, gaps: np.ndarray, totals: list[int]) -> None:
+        """Append int64 gaps, tallied, with their chunks' totals."""
+        totals = iter(totals)
+        if self.gaps.size % self._block:
+            # the first chunk ends the chain's last block
+            self._before[-1] += next(totals)
+        for total in totals:
+            self._before.append(self._before[-1] + total)
+        self.gaps = np.concatenate((self.gaps, gaps)) if self.gaps.size else gaps
 
     def count(self, window: int) -> int:
         """The kept events at a window of `window` ticks: those up to the last slot."""
-        d = self.slots(window)
-        # event lo lies at or before the last slot (-1: none does), event hi past it
-        lo, hi = -1, self.sums.size - 1
+        d, room = self._least(window), self.last - self.first
+        if room < 0:
+            return 0
+        # the last block whose first event lies at or before the last slot,
+        # then the last event of that block that does
+        block, before = self._block, self._before
+        lo, hi = 0, len(before) - 1
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if self._slot(mid, d) <= self.last:
+            if mid * block * d + before[mid] <= room:
                 lo = mid
             else:
                 hi = mid
-        return lo + 1
+        if self._sums[0] != lo:
+            self._sums = (lo, np.cumsum(self.gaps[lo * block:(lo + 1) * block]))
+        sums = self._sums[1]
+        room -= lo * block * d + before[lo]
+        j, hi = 0, sums.size
+        while hi - j > 1:
+            mid = (j + hi) // 2
+            if mid * d + int(sums[mid - 1]) <= room:
+                j = mid
+            else:
+                hi = mid
+        return lo * block + j + 1
 
-    def histogram(self, count: int, window: int, bin_width_s: float,
-                  max_gap_s: float) -> InterArrivalHistogram:
-        """interarrival_histogram of the first `count` events at `window`,
-        from their gaps 8 * (d + G)."""
-        return _gap_histogram(self.sums[:count], self.slots(window), RESOLUTION_TICKS,
-                              bin_width_s, max_gap_s)
+    def histogram(self, count: int, window: int, bin_width_s: float) -> InterArrivalHistogram:
+        """interarrival_histogram, up to max_gap_s, of the first `count`
+        events at `window`: the slot counts less those of the gaps past the
+        first count - 1, each slot G added into the bin of 8 * (d + G) ticks.
+        The gaps of _top slots or more are binned one by one if any can lie
+        in range."""
+        n_bins, bin_ticks, limit = _binning(bin_width_s, self._max_gap_s, count)
+        d, top = self._least(window), self._top
+        self._sums = (None, None)  # the fixed point is over
+        counts = self._counts.copy()
+        rest = self.gaps[count - 1:]
+        buffer = np.empty(min(_BLOCK, rest.size), dtype=np.int64)
+        for lo in range(0, rest.size, _BLOCK):
+            block = rest[lo:lo + _BLOCK]
+            counts -= self._slot_counts(block, buffer[:block.size])
+        # a gap of G slots lies in range iff G < fits
+        fits = -(-limit // RESOLUTION_TICKS) - d
+        hist = np.zeros(n_bins, dtype=np.int64)
+        bins = np.arange(d, d + max(0, min(fits, top)), dtype=np.int64)
+        bins *= RESOLUTION_TICKS
+        np.add.at(hist, np.floor_divide(bins, bin_ticks, out=bins), counts[:bins.size])
+        if fits > top:
+            kept = self.gaps[:count - 1]
+            for lo in range(0, kept.size, _BLOCK):
+                block = kept[lo:lo + _BLOCK]
+                wide = block[(block >= top) & (block < fits)]
+                np.add.at(hist, (wide + d) * RESOLUTION_TICKS // bin_ticks, 1)
+        return InterArrivalHistogram(bin_width_s=bin_width_s, counts=hist)
 
 
 def _fixed_point(kept_at, beta_cps: float, curve: DeadTimeCurve,
@@ -756,10 +803,10 @@ def sweep_dead_time(
         raise ValueError("rate list must not be empty")
     points = []
     for index, beta in enumerate(rates):
-        chain = _KeptChain(beta, duration_s, seed + index, float(np.min(truth_curve.dead_times_s)))
+        chain = _KeptChain(beta, duration_s, seed + index, float(np.min(truth_curve.dead_times_s)),
+                           max_gap_s)
         count, window = _fixed_point(chain.count, beta, truth_curve, duration_s)
-        estimate = estimate_dead_time(chain.histogram(count, window, bin_width_s, max_gap_s),
-                                      min_count)
+        estimate = estimate_dead_time(chain.histogram(count, window, bin_width_s), min_count)
         points.append(SweepPoint(count / duration_s if duration_s > 0 else 0.0, estimate))
         # one chain at a time: this one goes before the next rate's is drawn
         del chain
@@ -1001,31 +1048,38 @@ def read_interarrival_histogram(
     that interarrival_histogram refuses raise its error the first time the
     fold bins, which may come before a fault later in the file.
 
-    Each block is tested for order and binned with the last tick of the
-    block before it in front.  An order fault stops the binning but not the
-    parse, and is raised once the file has parsed: read_timestamps parses
-    the whole file before it tests the order, so a parse fault in a later
-    line wins."""
+    Each block's gaps, the first behind the last tick of the block before,
+    are made in one buffer, tested for order there and binned in place
+    (_bin).  An order fault stops the binning but not the parse, and is
+    raised once the file has parsed: read_timestamps parses the whole file
+    before it tests the order, so a parse fault in a later line wins."""
     path = Path(path)
     count = 0
     ordered = True
-    counts = 0
-    last = np.empty(0, dtype=np.int64)
+    binning = counts = last = None
     for block in _tick_blocks(path):
-        ticks = np.concatenate((last, block))
-        ordered = ordered and _ascending(ticks)
-        if ordered and ticks.size > 1:
-            counts = counts + _gap_histogram(ticks, 0, 1, bin_width_s, max_gap_s).counts
+        if ordered and block.size:
+            gaps = np.empty(block.size if count else block.size - 1, dtype=np.int64)
+            if count:
+                gaps[0] = block[0] - last
+            np.subtract(block[1:], block[:-1], out=gaps[gaps.size - block.size + 1:])
+            ordered = not gaps.size or gaps.min() > 0
+            if ordered and gaps.size:
+                if binning is None:
+                    binning = _binning(bin_width_s, max_gap_s, 2)
+                    counts = np.zeros(binning[0] + 1, dtype=np.int64)
+                _bin(gaps, binning, counts)
         count += block.size
-        last = ticks[-1:].copy()
+        if block.size:
+            last = int(block[-1])
     if not count:
         raise InsufficientDataError(f"{path}: insufficient data, no timestamps in file")
     if not ordered:
         raise ValueError(f"{path}: timestamps must be strictly ascending")
     if count == 1:
-        # raises the histogram's InsufficientDataError
-        _gap_histogram(last, 0, 1, bin_width_s, max_gap_s)
-    return count, float(last[0]) * TICK_S, InterArrivalHistogram(bin_width_s, counts)
+        # raises the histogram's error
+        _binning(bin_width_s, max_gap_s, count)
+    return count, float(last) * TICK_S, InterArrivalHistogram(bin_width_s, counts[:-1])
 
 
 def _digit_rows(ticks: np.ndarray, width: int) -> np.ndarray:

@@ -29,7 +29,8 @@ point with a full _filter_constant pass at every iteration on a generated
 stream: the oracle for the law of the sweep's renewal sampler
 (timetag._KeptChain).  chain_slots places every event of a chain's draws in
 one array operation, and chain_kept_count counts them: the oracle for the
-chain's own count, a bisection over its prefix sums.
+chain's own count, a search over its block totals and then one block's
+gaps.
 """
 
 from __future__ import annotations
@@ -365,7 +366,7 @@ def chain_slots(chain: timetag._KeptChain, window: int) -> np.ndarray:
     past the last slot keeps the first event alone, at last + 1 as at any
     longer one, so it is cut there to keep the slots within int64."""
     d = min(max(1, math.ceil(window / timetag.RESOLUTION_TICKS)), chain.last + 1)
-    return chain.first + np.concatenate(([0], np.cumsum(np.diff(chain.sums) + d)))
+    return chain.first + np.concatenate(([0], np.cumsum(chain.gaps + d)))
 
 
 def chain_kept_count(chain: timetag._KeptChain, window: int) -> int:

@@ -389,6 +389,20 @@ def test_chain_count_matches_counting_every_slot(rate, window):
         assert chain.count(window) == chain.count(GRID)
 
 
+def test_chain_count_with_the_last_slot_on_and_beside_block_edges(monkeypatch):
+    # 64-gap blocks; the last slot moved onto, before and after events that
+    # start a block or follow one, back and forth between blocks, so that
+    # each search meets its bound exactly and the kept block sums change
+    monkeypatch.setattr(timetag, "_BLOCK", 64)
+    chain = timetag._KeptChain(40e6, 1e-4, 3, 0.0)
+    window = 25_000
+    slots = reference.chain_slots(chain, window)
+    for event in (64, 65, 127, 128, 192, 5, 130, 0):
+        for last in (slots[event] - 1, slots[event], slots[event] + 1):
+            chain.last = int(last)
+            assert chain.count(window) == reference.chain_kept_count(chain, window)
+
+
 @pytest.mark.parametrize("slot", [0, 1, 3, 7, 10**9 + 7, 2**40 + 1, 6_250_000_000])
 def test_chain_last_slot_is_the_last_the_generator_keeps(slot):
     # _quantize keeps a tick t iff t * TICK_S <= duration
@@ -403,7 +417,7 @@ def test_chain_of_a_long_sparse_stream_stays_within_int64():
     # 46 days at 1e-6 cps: the first block's 1024 gaps of ~1.25e17 slots
     # would sum past 2**63, so the chain stops once it passes the last slot
     chain = timetag._KeptChain(1e-6, 4e6, 1, 25e-9)
-    assert np.all(np.diff(chain.sums) >= 0) and chain.sums[-1] < 2**62
+    assert np.all(chain.gaps >= 0) and sum(chain.gaps.tolist()) < 2**62
     assert chain.count(25_000) == reference.chain_kept_count(chain, 25_000) == 2
 
 
@@ -412,6 +426,49 @@ def test_chain_keeps_no_arrival_past_the_duration():
     # to slot 0, so a stream of no duration is empty at any rate
     for seed in range(20):
         assert timetag._KeptChain(1e12, 0.0, seed, 0.0).count(0) == 0
+
+
+@st.composite
+def chains_and_bins(draw):
+    """A chain drawn in blocks of 7 to _BLOCK gaps and from first draws of
+    its usual size or of 1 to 3000 gaps (so that later draws start inside a
+    block); a window of 0, below 8 ticks, of any size, at or past the last
+    slot or MAX_STREAM_TICK; bins of 1-3000 ps (mostly not a multiple of
+    8 ps) and a max gap anywhere inside the last bin."""
+    rate = draw(st.floats(1e5, 4e7))
+    duration = draw(st.floats(1e-5, 5e-4))
+    block = draw(st.sampled_from([7, 64, 4099, timetag._BLOCK]))
+    first_size = draw(st.none() | st.integers(1, 3000))
+    bin_ticks = draw(st.sampled_from([12, 333, 500]) | st.integers(1, 3000))
+    n_bins = draw(st.integers(1, 400))
+    max_ticks = n_bins * bin_ticks - draw(st.integers(0, bin_ticks - 1))
+    with mock.patch.object(timetag, "_BLOCK", block):
+        first_block_size = timetag._first_block_size if first_size is None else (
+            lambda expected: first_size)
+        with mock.patch.object(timetag, "_first_block_size", first_block_size):
+            chain = timetag._KeptChain(rate, duration, draw(st.integers(0, 2**32 - 1)), 0.0,
+                                       max_ticks * TICK_S)
+    window = draw(st.just(0) | st.integers(1, 7) | st.integers(8, 60_000)
+                  | st.sampled_from([GRID * chain.last, GRID * (chain.last + 1) + 3,
+                                     timetag.MAX_STREAM_TICK]))
+    return chain, window, bin_ticks, max_ticks
+
+
+@settings(max_examples=150, deadline=None)
+@given(chains_and_bins())
+def test_chain_count_and_histogram_match_every_slot(case):
+    chain, window, bin_ticks, max_ticks = case
+    count = reference.chain_kept_count(chain, window)
+    assert chain.count(window) == count
+    if count < 2:
+        with pytest.raises(InsufficientDataError):
+            chain.histogram(count, window, bin_ticks * TICK_S)
+        return
+    gaps = GRID * np.diff(reference.chain_slots(chain, window)[:count])
+    binned = gaps[gaps <= max_ticks] // bin_ticks
+    n_bins = -(-max_ticks // bin_ticks)
+    expected = np.bincount(binned[binned < n_bins], minlength=n_bins).tolist()
+    assert chain.histogram(count, window, bin_ticks * TICK_S).counts.tolist() == expected
 
 
 def test_rate_dependent_filter_self_consistency():
@@ -485,11 +542,13 @@ def test_rate_dependent_filter_matches_full_pass_oracle(monkeypatch, rate, durat
     # bins and a 40 ns max gap put gaps on bin edges and on max_gap
     stream = TimestampStream(GRID * reference.chain_slots(kept_at.args[0], window)[:count],
                              duration)
-    for bins in ((0.5e-9, 200e-9), (1e-9, 40e-9)):
-        expected = interarrival_histogram(stream, *bins).counts.tolist()
+    for bin_width, max_gap in ((0.5e-9, 200e-9), (1e-9, 40e-9)):
+        expected = interarrival_histogram(stream, bin_width, max_gap).counts.tolist()
         for block in (4099, timetag._BLOCK):
             with mock.patch.object(timetag, "_BLOCK", block):
-                assert chain.histogram(count, window, *bins).counts.tolist() == expected
+                hist = timetag._KeptChain(rate, duration, seed, _smallest(curve),
+                                          max_gap).histogram(count, window, bin_width)
+                assert hist.counts.tolist() == expected
     # one iteration short, both give up with the same trace
     monkeypatch.setattr(timetag, "_FIXED_POINT_ITERATIONS", len(trace) - 1)
     with pytest.raises(FixedPointError) as oracle_error:
@@ -549,7 +608,7 @@ def test_sampler_matches_the_filtered_generator_in_law(rate, curve):
     for seed in LAW_SEEDS:
         chain, count, window = _sampled(rate, duration, seed, curve)
         counts[0].append(count)
-        extras[0].append(np.diff(chain.sums[:count]))
+        extras[0].append(chain.gaps[:count - 1])
         stream, trace = reference.fixed_point_filter(
             generate_poisson_stream(rate, duration, 1000 + seed), curve)
         d = timetag._KeptChain.slots(timetag._window_ticks(trace[-1][1]))
@@ -807,8 +866,8 @@ def test_sweep_is_the_same_on_one_cpu_and_two(monkeypatch, block):
         points[n_cpus] = sweep_dead_time(rates, default_dead_time_curve(), duration, 0.5e-9,
                                          seed)
         assert threading.active_count() == threads
-        # no thread on one CPU; on two, the draws and the histograms of the
-        # chains longer than a block
+        # no thread on one CPU; on two, the draws of the chains longer than
+        # a block
         assert bool(workers) == (n_cpus == 2)
     assert points[1] == points[2]
 
@@ -831,7 +890,7 @@ def test_histogram_is_the_same_on_one_cpu_and_two(monkeypatch, block, bins):
         threads = threading.active_count()
         assert interarrival_histogram(stream, *bins).counts.tolist() == expected
         assert threading.active_count() == threads
-        assert len(workers) == n_cpus - 1
+        assert not workers
 
 
 @pytest.mark.parametrize("block", [4099, timetag._BLOCK])
@@ -843,10 +902,15 @@ def test_chain_sums_are_those_of_one_sequential_draw(monkeypatch, block, rate, s
         chain = timetag._KeptChain(rate, 0.05, seed, 23.3e-9)
         rng = np.random.default_rng(seed)
         rng.exponential(1.0 / rate)  # the first arrival
-        draws = rng.standard_exponential(chain.sums.size - 1)
-        gaps = np.minimum(np.floor(draws * chain._mean_slots), chain.last + 1)
-        expected = np.concatenate(([0], np.cumsum(gaps.astype(np.int64))))
-        assert chain.sums.tobytes() == expected.tobytes()
+        draws = rng.standard_exponential(chain.gaps.size)
+        gaps = np.minimum(np.floor(draws * chain._mean_slots), chain.last + 1).astype(np.int64)
+        assert chain.gaps.tobytes() == gaps.tobytes()
+        # the prefix sums of the gaps at each block's first event
+        sums = np.concatenate(([0], np.cumsum(gaps)))
+        assert chain._before == sums[::block].tolist() + [sums[-1]] * bool(gaps.size % block)
+        # the slots of a gap up to the default max gap, 25,000, capped at a block
+        top = min(round(timetag.DEFAULT_MAX_GAP_S / (GRID * TICK_S)), block)
+        assert np.array_equal(chain._counts, np.bincount(np.minimum(gaps, top), minlength=top + 1))
 
 
 @pytest.mark.parametrize("rate, duration", [
@@ -866,12 +930,14 @@ def test_chain_draws_again_at_once_when_its_sums_grow_large(monkeypatch, rate, d
         return overlapped[-1]
 
     monkeypatch.setattr(timetag._KeptChain, "_draw_overlapped", recorded)
-    sums = {}
+    chains = {}
     for n_cpus in (1, 2):
         _allow_cpus(monkeypatch, n_cpus)
-        sums[n_cpus] = timetag._KeptChain(rate, duration, 1, 25e-9).sums
+        chains[n_cpus] = timetag._KeptChain(rate, duration, 1, 25e-9)
     assert overlapped == [False]
-    assert sums[1].tobytes() == sums[2].tobytes()
+    assert chains[1].gaps.tobytes() == chains[2].gaps.tobytes()
+    # the chunks tallied before the draw gave up are taken back
+    assert np.array_equal(chains[1]._counts, chains[2]._counts)
 
 
 @pytest.mark.parametrize("stop", [None, 500], ids=["every part", "work ends at part 500"])
