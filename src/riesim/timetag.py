@@ -17,6 +17,7 @@ histogram decide a gap equal to the window or on a bin edge exactly.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import math
@@ -381,7 +382,9 @@ def apply_dead_time(stream: TimestampStream, *, constant_dead_time_s: float) -> 
 
 def histogram_bins(bin_width_s: float, max_gap_s: float) -> int:
     """Bins of width bin_width_s that cover [0, max_gap_s]; ValueError above
-    MAX_HISTOGRAM_BINS, or if either is not a whole number of ticks."""
+    MAX_HISTOGRAM_BINS, if either is not a whole number of ticks, or if the
+    bins' upper edge passes 2**63 - 1 ticks, past which int64 gaps cannot
+    be binned."""
     bin_ticks, max_ticks = _ticks_of(bin_width_s), _ticks_of(max_gap_s)
     n_bins = np.ceil(max_ticks / bin_ticks)
     if not n_bins <= MAX_HISTOGRAM_BINS:
@@ -392,6 +395,9 @@ def histogram_bins(bin_width_s: float, max_gap_s: float) -> int:
     if not (bin_ticks.is_integer() and max_ticks.is_integer()):
         raise ValueError(f"bin width {bin_width_s!r} s and max gap {max_gap_s!r} s must be "
                          f"whole numbers of picoseconds")
+    edge = int(n_bins) * int(bin_ticks)
+    if edge > 2**63 - 1:
+        raise ValueError(f"the histogram's upper edge must be at most 2**63 - 1 ps, got {edge} ps")
     return int(n_bins)
 
 
@@ -402,16 +408,12 @@ def interarrival_histogram(
 ) -> InterArrivalHistogram:
     """Histogram of adjacent gaps g <= max_gap in bins k * w <= g < (k + 1) * w
     of width w: a gap on a bin edge counts in the upper bin, so one equal to
-    max_gap on the last bin's upper edge counts in none.  The gaps are made
-    _BLOCK at a time in one reused buffer and binned there (_bin)."""
+    max_gap on the last bin's upper edge counts in none.  The ticks are
+    folded _BLOCK at a time (_fold)."""
     x = stream.ticks
-    binning = _binning(bin_width_s, max_gap_s, x.size)
-    counts = np.zeros(binning[0] + 1, dtype=np.int64)
-    gaps = np.empty(min(_BLOCK, x.size - 1), dtype=np.int64)
-    for lo in range(0, x.size - 1, _BLOCK):
-        block = gaps[:min(_BLOCK, x.size - 1 - lo)]
-        np.subtract(x[lo + 1:lo + 1 + block.size], x[lo:lo + block.size], out=block)
-        _bin(block, binning, counts)
+    _binning(bin_width_s, max_gap_s, x.size)  # its errors, before any gap is made
+    blocks = (x[lo:lo + _BLOCK] for lo in range(0, x.size, _BLOCK))
+    counts = _fold(blocks, bin_width_s, max_gap_s)[3]
     return InterArrivalHistogram(bin_width_s=bin_width_s, counts=counts[:-1])
 
 
@@ -438,39 +440,59 @@ def _bin(gaps: np.ndarray, binning: tuple[int, int, int], counts: np.ndarray) ->
     counts += np.bincount(np.floor_divide(gaps, bin_ticks, out=gaps), minlength=n_bins + 1)
 
 
-def _beside(background, foreground):
-    """foreground() on this thread while background() runs on a worker
-    thread: both results, once the worker is joined.  An exception from
-    foreground, else one from background, is raised here as itself."""
-    outcome = []
+def _fold(blocks, bin_width_s: float, max_gap_s: float):
+    """The tick count, the last tick, whether the ticks strictly increase and
+    the counts of _binning's bins and one more (None if no gap was binned)
+    of the int64 tick blocks `blocks`, taken in order.
 
-    def run():
-        try:
-            outcome.append((True, background()))
-        except BaseException as exc:
-            outcome.append((False, exc))
-
-    worker = threading.Thread(target=run)
-    worker.start()
-    try:
-        mine = foreground()
-    finally:
-        worker.join()
-    finished, theirs = outcome[0]
-    if not finished:
-        raise theirs
-    return mine, theirs
+    Each block's gaps, the first behind the last tick of the block before,
+    are made in one buffer, grown only for a block longer than itself,
+    tested for order there and binned in place (_bin).  An order fault stops
+    the binning but not the count."""
+    count = 0
+    ordered = True
+    binning = counts = last = None
+    buffer = np.empty(0, dtype=np.int64)
+    for block in blocks:
+        if ordered and block.size:
+            if buffer.size < block.size:
+                buffer = np.empty(block.size, dtype=np.int64)
+            gaps = buffer[:block.size if count else block.size - 1]
+            if count:
+                gaps[0] = block[0] - last
+            np.subtract(block[1:], block[:-1], out=gaps[gaps.size - block.size + 1:])
+            ordered = not gaps.size or gaps.min() > 0
+            if ordered and gaps.size:
+                if binning is None:
+                    binning = _binning(bin_width_s, max_gap_s, 2)
+                    counts = np.zeros(binning[0] + 1, dtype=np.int64)
+                _bin(gaps, binning, counts)
+        count += block.size
+        if block.size:
+            last = int(block[-1])
+    return count, last, ordered, counts
 
 
 def _overlap(fill, work, parts) -> bool:
-    """fill(part), then work(part), for each of `parts` in order, while a
-    worker thread (_beside) fills the parts after the one being worked on;
-    stops once work returns False, and returns whether every part was
-    worked.  The fills not yet begun when the work ends are dropped."""
+    """fill(part), then work(part), for each of `parts` in order; stops once
+    work returns False, and returns whether every part was worked.
+
+    With two CPUs and two parts or more, a worker thread fills the parts in
+    order, ahead of the one being worked on here; the fills not yet begun
+    when the work ends are dropped, and the worker is joined before this
+    returns.  An exception from work, else one from fill, is raised here as
+    itself.  Otherwise each part is filled and worked on this thread."""
+    if len(parts) < 2 or not two_cpus():
+        for part in parts:
+            fill(part)
+            if not work(part):
+                return False
+        return True
     ready = [threading.Event() for _ in parts]
     # set once the work ends, so that no more parts are filled, or once a
     # fill fails, so that no more parts are waited for
     ended = threading.Event()
+    failed = []
 
     def fill_in_order():
         try:
@@ -479,23 +501,27 @@ def _overlap(fill, work, parts) -> bool:
                     return
                 fill(part)
                 event.set()
-        except BaseException:
+        except BaseException as exc:
+            failed.append(exc)
             ended.set()
             for event in ready:
                 event.set()
-            raise
 
-    def work_in_order():
-        try:
-            for part, event in zip(parts, ready):
-                event.wait()
-                if ended.is_set() or not work(part):
-                    return False
-            return True
-        finally:
-            ended.set()
-
-    return _beside(fill_in_order, work_in_order)[0]
+    worker = threading.Thread(target=fill_in_order)
+    worker.start()
+    worked = True
+    try:
+        for part, event in zip(parts, ready):
+            event.wait()
+            if ended.is_set() or not work(part):
+                worked = False
+                break
+    finally:
+        ended.set()
+        worker.join()
+    if failed:
+        raise failed[0]
+    return worked
 
 
 def estimate_dead_time(hist: InterArrivalHistogram, min_count: int = DEFAULT_MIN_COUNT) -> float:
@@ -616,55 +642,37 @@ class _KeptChain:
 
     def _draw(self, size: int) -> None:
         """Append `size` gaps, drawn as floats in the buffer that then holds
-        them as int64.  With two CPUs and more than one chunk, a worker
-        thread fills the chunks in order while this thread settles each
-        filled one (_draw_overlapped); the one generator gives the same
-        draws either way."""
-        if size > self._block and two_cpus():
-            state = self._rng.bit_generator.state
-            if self._draw_overlapped(size):
-                return
-            # the gaps came near the 2**60 cut: draw the same gaps again at once
-            self._rng.bit_generator.state = state
-        buffer = np.empty(size)
-        self._fill(buffer)
-        self._slots(buffer)
-        if buffer.sum() >= 2.0**60:
-            # only on streams longer than about 20 hours: the gaps up to the
-            # first sum past 2**60 > last, so the totals stay below 2**61
-            buffer = buffer[:np.searchsorted(np.cumsum(buffer), 2.0**60) + 1]
-        gaps = buffer.view(np.int64)
-        np.copyto(gaps, buffer, casting="unsafe")
-        self._append(gaps, [self._tally(gaps[chunk]) for chunk in self._chunks(gaps.size)])
-
-    def _draw_overlapped(self, size: int) -> bool:
-        """_draw's gaps, each chunk floored, capped, cast in place and
-        tallied once filled; False, and nothing appended or tallied, as soon
-        as a chunk could take the gaps' total to 2**58.  Below that the int64
-        totals cannot overflow and _draw's float sum cannot reach its 2**60
-        cut."""
+        them as int64: each chunk is filled, then floored, capped, cast in
+        place and tallied (_overlap, which may fill on a second thread); the
+        one generator gives the same draws on one thread or two."""
         buffer = np.empty(size)
         gaps = buffer.view(np.int64)
         totals = []
-        chunks = self._chunks(size)
+        # the gaps settled so far and their total
+        settled = carry = 0
 
         def settle(chunk: slice) -> bool:
+            nonlocal settled, carry
             part = buffer[chunk]
             self._slots(part)
-            carry = self._before[-1] + sum(totals)
-            if (carry + part.size * (self.last + 1) >= 2**58
-                    and carry + float(part.sum()) >= 2**58):
-                return False
-            np.copyto(gaps[chunk], part, casting="unsafe")
-            totals.append(self._tally(gaps[chunk]))
-            return True
+            cut = (carry + part.size * (self.last + 1) >= 2**60
+                   and carry + float(part.sum()) >= 2**60)
+            if cut:
+                # only on streams longer than about 20 hours: the gaps up to
+                # the first sum past 2**60, so the totals stay below 2**61.
+                # That sum is past last, so __init__ draws no more, and the
+                # generator, which may have filled chunks past this one, is
+                # never read again
+                part = part[:np.searchsorted(carry + np.cumsum(part), 2.0**60) + 1]
+            kept = gaps[chunk.start:chunk.start + part.size]
+            np.copyto(kept, part, casting="unsafe")
+            totals.append(self._tally(kept))
+            settled += part.size
+            carry += totals[-1]
+            return not cut
 
-        if _overlap(lambda chunk: self._fill(buffer[chunk]), settle, chunks):
-            self._append(gaps, totals)
-            return True
-        if totals:
-            self._counts -= self._slot_counts(gaps[:chunks[len(totals) - 1].stop])
-        return False
+        _overlap(lambda chunk: self._fill(buffer[chunk]), settle, self._chunks(size))
+        self._append(gaps[:settled], totals)
 
     def _append(self, gaps: np.ndarray, totals: list[int]) -> None:
         """Append int64 gaps, tallied, with their chunks' totals."""
@@ -684,24 +692,13 @@ class _KeptChain:
         # the last block whose first event lies at or before the last slot,
         # then the last event of that block that does
         block, before = self._block, self._before
-        lo, hi = 0, len(before) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if mid * block * d + before[mid] <= room:
-                lo = mid
-            else:
-                hi = mid
+        lo = bisect.bisect_right(range(len(before) - 1), room,
+                                 key=lambda b: b * block * d + before[b]) - 1
         if self._sums[0] != lo:
             self._sums = (lo, np.cumsum(self.gaps[lo * block:(lo + 1) * block]))
         sums = self._sums[1]
         room -= lo * block * d + before[lo]
-        j, hi = 0, sums.size
-        while hi - j > 1:
-            mid = (j + hi) // 2
-            if mid * d + int(sums[mid - 1]) <= room:
-                j = mid
-            else:
-                hi = mid
+        j = bisect.bisect_right(range(1, sums.size), room, key=lambda m: m * d + int(sums[m - 1]))
         return lo * block + j + 1
 
     def histogram(self, count: int, window: int, bin_width_s: float) -> InterArrivalHistogram:
@@ -1044,34 +1041,14 @@ def read_interarrival_histogram(
 ) -> tuple[int, float, InterArrivalHistogram]:
     """The length and duration_s of read_timestamps(path) and its
     interarrival_histogram, with the same errors in the same order, folded
-    over the file's blocks (_tick_blocks) without holding its ticks.  Bins
-    that interarrival_histogram refuses raise its error the first time the
-    fold bins, which may come before a fault later in the file.
-
-    Each block's gaps, the first behind the last tick of the block before,
-    are made in one buffer, tested for order there and binned in place
-    (_bin).  An order fault stops the binning but not the parse, and is
-    raised once the file has parsed: read_timestamps parses the whole file
-    before it tests the order, so a parse fault in a later line wins."""
+    over the file's blocks (_tick_blocks, _fold) without holding its ticks.
+    Bins that interarrival_histogram refuses raise its error the first time
+    the fold bins, which may come before a fault later in the file.  An
+    order fault is raised once the file has parsed: read_timestamps parses
+    the whole file before it tests the order, so a parse fault in a later
+    line wins."""
     path = Path(path)
-    count = 0
-    ordered = True
-    binning = counts = last = None
-    for block in _tick_blocks(path):
-        if ordered and block.size:
-            gaps = np.empty(block.size if count else block.size - 1, dtype=np.int64)
-            if count:
-                gaps[0] = block[0] - last
-            np.subtract(block[1:], block[:-1], out=gaps[gaps.size - block.size + 1:])
-            ordered = not gaps.size or gaps.min() > 0
-            if ordered and gaps.size:
-                if binning is None:
-                    binning = _binning(bin_width_s, max_gap_s, 2)
-                    counts = np.zeros(binning[0] + 1, dtype=np.int64)
-                _bin(gaps, binning, counts)
-        count += block.size
-        if block.size:
-            last = int(block[-1])
+    count, last, ordered, counts = _fold(_tick_blocks(path), bin_width_s, max_gap_s)
     if not count:
         raise InsufficientDataError(f"{path}: insufficient data, no timestamps in file")
     if not ordered:

@@ -441,6 +441,13 @@ def test_deadtime_extract_undecodable_byte_names_line(tmp_path, base_config, cap
                                                   "of 1048576"),
     (["--bin-width", "3e-13"], "--max-gap / --bin-width: bin width 3e-13 s and max gap 2e-07 s "
                                "must be whole numbers of picoseconds"),
+    # two bins of 5e18 ps, or one of 1e19 ps, end past int64
+    pytest.param(["--bin-width", "5e6", "--max-gap", "6e6", "--min-count", "1"],
+                 "--max-gap / --bin-width: the histogram's upper edge must be at most "
+                 "2**63 - 1 ps, got 10000000000000000000 ps", id="two bins past int64"),
+    pytest.param(["--bin-width", "1e7", "--max-gap", "1e7"],
+                 "--max-gap / --bin-width: the histogram's upper edge must be at most "
+                 "2**63 - 1 ps, got 10000000000000000000 ps", id="one bin past int64"),
 ])
 def test_deadtime_extract_flag_overrides_exit_2(tmp_path, base_config, capsys, flags, message):
     # the overrides meet the loader's conditions on the sweep section

@@ -232,18 +232,23 @@ def test_missing_file_reported(tmp_path):
 
 
 @pytest.mark.parametrize("data, key", [
-    ({"seed": "x"}, "seed"),
-    ({"seed": 1.7}, "seed"),
-    ({"seed": True}, "seed"),
-    ({"workers": 2.5}, "workers"),
-    ({"workers": "2"}, "workers"),
-    ({"protocol": {"n_rounds": True, "p0": 1.0}}, "protocol.n_rounds"),
-    ({"protocol": {"n_rounds": 1e5 + 0.5, "p0": 1.0}}, "protocol.n_rounds"),
-    ({"protocol": {"n_rounds": "100", "p0": 1.0}}, "protocol.n_rounds"),
-    ({"sweep": {"min_count": 2.5}}, "sweep.min_count"),
-    ({"sweep": {"min_count": False}}, "sweep.min_count"),
-    ({"scan": {"lambda_perp_grid": {"start_cps": 1e6, "stop_cps": 3e6, "num": 2.5}}},
-     "scan.lambda_perp_grid.num"),
+    pytest.param({"seed": "x"}, "seed", id="seed string"),
+    pytest.param({"seed": 1.7}, "seed", id="seed fraction"),
+    pytest.param({"seed": True}, "seed", id="seed boolean"),
+    pytest.param({"workers": 2.5}, "workers", id="workers fraction"),
+    pytest.param({"workers": "2"}, "workers", id="workers string"),
+    pytest.param({"protocol": {"n_rounds": True, "p0": 1.0}}, "protocol.n_rounds",
+                 id="n_rounds boolean"),
+    pytest.param({"protocol": {"n_rounds": 1e5 + 0.5, "p0": 1.0}}, "protocol.n_rounds",
+                 id="n_rounds fraction"),
+    pytest.param({"protocol": {"n_rounds": "100", "p0": 1.0}}, "protocol.n_rounds",
+                 id="n_rounds string"),
+    pytest.param({"sweep": {"min_count": 2.5}}, "sweep.min_count", id="min_count fraction"),
+    pytest.param({"sweep": {"min_count": False}}, "sweep.min_count", id="min_count boolean"),
+    pytest.param({"scan": {"lambda_perp_grid": {"start_cps": 1e6, "stop_cps": 3e6, "num": 2.5}}},
+                 "scan.lambda_perp_grid.num", id="grid num fraction"),
+    # the cases below keep their positional ids for now: at most 15 tracked
+    # test names change at once
     ({"scan": {"lambda_perp_grid": {"start_cps": 1e6, "stop_cps": 3e6, "num": "3"}}},
      "scan.lambda_perp_grid.num"),
     ({"scan": {"lambda_perp_grid": {"start_cps": 1e6, "stop_cps": 3e6, "num": True}}},
@@ -395,6 +400,9 @@ def test_non_object_sections_rejected(data, where):
     ({"out": ["results"]}, "out", "a non-empty string"),
     ({"out": True}, "out", "a non-empty string"),
     ({"out": 7}, "out", "a non-empty string"),
+    pytest.param({"sweep": {"bin_width_s": 1e7, "max_gap_s": 1e7}},
+                 "sweep.max_gap_s / sweep.bin_width_s: the histogram's upper edge",
+                 "at most 2**63 - 1 ps", id="histogram edge past int64"),
 ])
 def test_out_of_range_values_rejected(data, key, rule):
     with pytest.raises(ScenarioError, match=re.escape(f"{key} must be {rule}, got ")):

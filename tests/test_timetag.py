@@ -1,10 +1,13 @@
 """Timestamp generation, dead-time filtering, histogram onset estimation."""
 
+import bisect
 import hashlib
+import itertools
 import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -756,6 +759,16 @@ def test_histogram_bin_count_is_capped():
             interarrival_histogram(stream, bin_width, max_gap)
 
 
+def test_histogram_edge_stays_within_int64():
+    # one bin of 5e18 ps ends below 2**63 - 1; two of them, or one of
+    # 1e19 ps, end past it
+    stream = TimestampStream(np.array([0, 1000, 2000]), duration_s=1e-8)
+    assert interarrival_histogram(stream, 5e6, 5e6).counts.tolist() == [2]
+    for bin_width, max_gap in ((5e6, 6e6), (1e7, 1e7)):
+        with pytest.raises(ValueError, match=r"upper edge must be at most 2\*\*63 - 1 ps"):
+            interarrival_histogram(stream, bin_width, max_gap)
+
+
 # ---------------------------------------------------------------- onset estimator
 
 
@@ -840,17 +853,17 @@ def _allow_cpus(monkeypatch, n_cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)), raising=False)
 
 
-def _count_workers(monkeypatch):
-    """A list that gets an entry for each worker thread timetag starts."""
-    workers = []
-    beside = timetag._beside
+def _threads_calling(monkeypatch, owner, name):
+    """A list that gets the thread of each call of owner.name."""
+    threads = []
+    call = getattr(owner, name)
 
-    def counted(background, foreground):
-        workers.append(None)
-        return beside(background, foreground)
+    def recorded(*args):
+        threads.append(threading.current_thread())
+        return call(*args)
 
-    monkeypatch.setattr(timetag, "_beside", counted)
-    return workers
+    monkeypatch.setattr(owner, name, recorded)
+    return threads
 
 
 @pytest.mark.parametrize("block", [4099, timetag._BLOCK])
@@ -858,7 +871,7 @@ def test_sweep_is_the_same_on_one_cpu_and_two(monkeypatch, block):
     # the README sweep: chains of 51k-1.05M draws
     rates, duration, seed = [1e6, 5e6, 20e6, 40e6], 0.05, 7
     monkeypatch.setattr(timetag, "_BLOCK", block)
-    workers = _count_workers(monkeypatch)
+    filled_on = _threads_calling(monkeypatch, timetag._KeptChain, "_fill")
     points = {}
     for n_cpus in (1, 2):
         _allow_cpus(monkeypatch, n_cpus)
@@ -866,9 +879,9 @@ def test_sweep_is_the_same_on_one_cpu_and_two(monkeypatch, block):
         points[n_cpus] = sweep_dead_time(rates, default_dead_time_curve(), duration, 0.5e-9,
                                          seed)
         assert threading.active_count() == threads
-        # no thread on one CPU; on two, the draws of the chains longer than
-        # a block
-        assert bool(workers) == (n_cpus == 2)
+        # no thread on one CPU; on two, the draws of more than one chunk
+        # are filled on a worker
+        assert (set(filled_on) != {threading.current_thread()}) == (n_cpus == 2)
     assert points[1] == points[2]
 
 
@@ -884,13 +897,13 @@ def test_histogram_is_the_same_on_one_cpu_and_two(monkeypatch, block, bins):
     binned = gaps[gaps <= max_ticks] // bin_ticks
     expected = np.bincount(binned[binned < n_bins], minlength=n_bins).tolist()
     monkeypatch.setattr(timetag, "_BLOCK", block)
-    workers = _count_workers(monkeypatch)
+    binned_on = _threads_calling(monkeypatch, timetag, "_bin")
     for n_cpus in (1, 2):
         _allow_cpus(monkeypatch, n_cpus)
         threads = threading.active_count()
         assert interarrival_histogram(stream, *bins).counts.tolist() == expected
         assert threading.active_count() == threads
-        assert not workers
+        assert set(binned_on) == {threading.current_thread()}
 
 
 @pytest.mark.parametrize("block", [4099, timetag._BLOCK])
@@ -915,33 +928,40 @@ def test_chain_sums_are_those_of_one_sequential_draw(monkeypatch, block, rate, s
 
 @pytest.mark.parametrize("rate, duration", [
     # 5 hours at 2.2e-4 cps: 1024 gaps of ~2**49 slots, whose sums pass
-    # 2**58 about halfway
+    # 2**58 about halfway and stay below 2**60
     (2.22e-4, 18014.0),
     # the long sparse stream above, whose draw is cut at 2**60
     (1e-6, 4e6),
 ], ids=["sums past 2**58", "sums past 2**60"])
-def test_chain_draws_again_at_once_when_its_sums_grow_large(monkeypatch, rate, duration):
-    monkeypatch.setattr(timetag, "_BLOCK", 64)
-    overlapped = []
-    draw = timetag._KeptChain._draw_overlapped
-
-    def recorded(chain, size):
-        overlapped.append(draw(chain, size))
-        return overlapped[-1]
-
-    monkeypatch.setattr(timetag._KeptChain, "_draw_overlapped", recorded)
-    chains = {}
-    for n_cpus in (1, 2):
-        _allow_cpus(monkeypatch, n_cpus)
-        chains[n_cpus] = timetag._KeptChain(rate, duration, 1, 25e-9)
-    assert overlapped == [False]
-    assert chains[1].gaps.tobytes() == chains[2].gaps.tobytes()
-    # the chunks tallied before the draw gave up are taken back
-    assert np.array_equal(chains[1]._counts, chains[2]._counts)
+def test_chain_of_large_sums_is_the_same_on_one_cpu_and_two(monkeypatch, rate, duration):
+    # one draw of the first block's 1024 gaps, in order, cut after the first
+    # gap whose exact prefix sum reaches 2**60 (an int64 cumsum of 1024 gaps
+    # of ~1.25e17 slots would overflow)
+    chain = timetag._KeptChain(rate, duration, 1, 25e-9)
+    rng = np.random.default_rng(1)
+    rng.exponential(1.0 / rate)  # the first arrival
+    draws = rng.standard_exponential(1024)
+    gaps = np.minimum(np.floor(draws * chain._mean_slots), chain.last + 1).astype(np.int64)
+    sums = [0, *itertools.accumulate(gaps.tolist())]
+    cut = bisect.bisect_left(sums, 2**60)
+    gaps, sums = gaps[:cut], sums[:cut + 1]
+    assert (sums[-1] >= 2**60) == (rate == 1e-6)
+    # at a block of 7 the 1e-6 cps draw is cut in its second chunk
+    for block in (7, 64):
+        monkeypatch.setattr(timetag, "_BLOCK", block)
+        top = min(round(timetag.DEFAULT_MAX_GAP_S / (GRID * TICK_S)), block)
+        for n_cpus in (1, 2):
+            _allow_cpus(monkeypatch, n_cpus)
+            chain = timetag._KeptChain(rate, duration, 1, 25e-9)
+            assert chain.gaps.tobytes() == gaps.tobytes()
+            assert chain._before == sums[::block] + [sums[-1]] * bool(gaps.size % block)
+            assert np.array_equal(chain._counts,
+                                  np.bincount(np.minimum(gaps, top), minlength=top + 1))
 
 
 @pytest.mark.parametrize("stop", [None, 500], ids=["every part", "work ends at part 500"])
-def test_overlap_works_each_part_after_its_fill_and_joins_its_worker(stop):
+def test_overlap_works_each_part_after_its_fill_and_joins_its_worker(monkeypatch, stop):
+    _allow_cpus(monkeypatch, 2)
     # a 1 us switch interval interleaves the two threads as finely as it can
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -966,6 +986,66 @@ def test_overlap_works_each_part_after_its_fill_and_joins_its_worker(stop):
     assert worked == list(range(2000 if stop is None else stop + 1))
     # filled in order
     assert filled == list(range(len(filled)))
+
+
+@pytest.mark.parametrize("n_cpus, n_parts", [(1, 2000), (2, 1)],
+                         ids=["one cpu", "one part"])
+def test_overlap_on_one_cpu_or_of_one_part_runs_on_this_thread(monkeypatch, n_cpus, n_parts):
+    _allow_cpus(monkeypatch, n_cpus)
+    threads = threading.active_count()
+    for stop in (None, n_parts // 2):
+        calls, seen_on = [], set()
+
+        def fill(part):
+            seen_on.add(threading.current_thread())
+            calls.append(("fill", part))
+
+        def work(part):
+            seen_on.add(threading.current_thread())
+            calls.append(("work", part))
+            return part != stop
+
+        last = n_parts - 1 if stop is None else stop
+        assert timetag._overlap(fill, work, list(range(n_parts))) == (stop is None)
+        # each part filled, then worked, up to the part whose work says stop
+        assert calls == [(step, part) for part in range(last + 1) for step in ("fill", "work")]
+        assert seen_on == {threading.current_thread()}
+    error = RuntimeError("the last part's fill failed")
+
+    def failing(part):
+        if part == n_parts - 1:
+            raise error
+
+    worked = []
+    with pytest.raises(RuntimeError) as excinfo:
+        timetag._overlap(failing, lambda part: worked.append(part) or True,
+                         list(range(n_parts)))
+    assert excinfo.value is error
+    assert worked == list(range(n_parts - 1))
+    assert threading.active_count() == threads
+
+
+def test_overlap_raises_the_work_error_over_the_fill_error(monkeypatch):
+    _allow_cpus(monkeypatch, 2)
+    working = threading.Event()
+    fill_error, work_error = RuntimeError("fill"), RuntimeError("work")
+
+    def fill(part):
+        # the second fill fails once the first part's work has begun
+        if part == 1:
+            working.wait(timeout=60)
+            raise fill_error
+
+    def work(part):
+        working.set()
+        time.sleep(0.05)
+        raise work_error
+
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as excinfo:
+        timetag._overlap(fill, work, [0, 1, 2])
+    assert excinfo.value is work_error
+    assert threading.active_count() == threads
 
 
 def test_a_failed_draw_raises_itself_and_leaves_no_thread(monkeypatch):
@@ -1038,16 +1118,6 @@ def test_selecting_kept_events_holds_the_result_and_under_a_megabyte():
     assert peak < selected.nbytes + 1_000_000
 
 
-def test_sweep_holds_one_raw_stream_at_a_time():
-    # the README sweep
-    rates, duration, seed = [1e6, 5e6, 20e6, 40e6], 0.05, 7
-    largest = max(generate_poisson_stream(rate, duration, seed + index).ticks.nbytes
-                  for index, rate in enumerate(rates))
-    _, peak = _peak_bytes(sweep_dead_time, rates, default_dead_time_curve(), duration,
-                          0.5e-9, seed)
-    assert peak < 2.5 * largest
-
-
 def test_sweep_holds_about_one_kept_stream():
     # the README sweep; the first draw imports numpy.random's modules
     timetag._KeptChain(1e3, 1e-3, 0, 0.0)
@@ -1061,11 +1131,12 @@ def test_sweep_holds_about_one_kept_stream():
     assert peak < 1.5 * largest
 
 
-def test_histogram_holds_its_gaps_and_a_byte_an_event():
+def test_histogram_holds_one_block_of_gaps():
     stream = generate_poisson_stream(*LARGE_STREAM)
     _, peak = _peak_bytes(interarrival_histogram, stream)
-    # the gaps, binned in place, and the out-of-range mask; no in-range copy
-    assert peak < 1.3 * stream.ticks.nbytes
+    # one _BLOCK of gaps (0.5 MB), binned in place, and its out-of-range
+    # mask, whatever the stream's 16 MB
+    assert peak < 1_000_000
 
 
 def test_reading_a_digit_only_file_holds_its_ticks_and_a_few_pieces(tmp_path):
