@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import isfinite
 from typing import TYPE_CHECKING
 
 from .detector import availability
@@ -70,6 +71,10 @@ class AttackConfig:
     eve_basis_prior: float = 0.5
 
     def __post_init__(self):
+        for name in ("lambda_parallel_cps", "lambda_perp_cps", "delta_s"):
+            value = getattr(self, name)
+            if value is not None and not isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.lambda_parallel_cps < 0 or self.lambda_perp_cps < 0:
             raise ValueError("loading rates must be >= 0")
         if not 0.0 < self.eve_basis_prior < 1.0:

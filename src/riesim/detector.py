@@ -155,8 +155,8 @@ def default_dead_time_curve() -> DeadTimeCurve:
 
 def busy_fraction(rate_cps, curve: DeadTimeCurve):
     """lambda * t_d(lambda): the fraction of time the detector is recovering;
-    accepts a scalar or an array of rates."""
-    if np.any(np.asarray(rate_cps) < 0):
+    accepts a scalar or an array of rates, each >= 0 (not NaN)."""
+    if not np.all(np.asarray(rate_cps) >= 0):
         raise ValueError("count rate must be >= 0")
     return rate_cps * curve.dead_time_at(rate_cps)
 

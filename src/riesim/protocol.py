@@ -73,6 +73,8 @@ class ProtocolConfig:
             raise ValueError("basis prior must be in (0, 1)")
         if not 0.0 < self.transmission <= 1.0:
             raise ValueError("transmission must be in (0, 1]")
+        if not np.isfinite(self.background_rate_cps):
+            raise ValueError(f"background rate must be finite, got {self.background_rate_cps!r}")
         if self.background_rate_cps < 0:
             raise ValueError("background rate must be >= 0")
 

@@ -6,8 +6,9 @@ only the events outside the recovery window of the previous registered
 event, histogram the kept inter-arrival gaps, and read the dead time off the
 onset of the first populated bin.  Sweeping the true rate recovers the full
 rate-dependent dead-time curve.  The sweep draws each kept stream from its
-renewal law (_KeptChain); generate_poisson_stream and apply_dead_time are the
-raw stream and the event filter that law describes.
+renewal law (_KeptChain), and generate_poisson_stream reads the raw stream
+off the same law at a window of no length; apply_dead_time is the event
+filter the law describes.
 
 A stream holds int64 ticks of 1 ps, the unit of the on-disk format (one
 integer per line), on the generator's 8 ps tagger grid.  Seconds appear only
@@ -92,7 +93,7 @@ _FIXED_POINT_ITERATIONS = 20
 # its searches, so it searches at once
 _PROBE_EVENTS = 4
 _PROBE_MIN_LIVE = 64
-# elements each blockwise pass takes per numpy call (grid steps compacted,
+# elements each blockwise pass takes per numpy call (kept ticks placed,
 # events tested for a segment start, pointers chased, kept events selected,
 # gaps drawn or binned, lines parsed or written): its temporaries stay
 # near 0.5 MB instead of the length of the stream, and its Python loops run
@@ -185,42 +186,6 @@ def _window_ticks(dead_s: float) -> int:
     return math.ceil(min(_ticks_of(dead_s), MAX_STREAM_TICK))
 
 
-def _quantize(times_s: np.ndarray, duration_s: float) -> np.ndarray:
-    """Snap to the tagger grid as ticks, merge duplicates, drop anything past
-    duration.  Works in place on `times_s`, which must be ascending and which
-    the grid steps overwrite as int64, and returns a view of it: rounding
-    keeps the order, so one comparison with the previous step merges equal
-    ones (as `np.unique` would, without its sort)."""
-    steps = np.divide(times_s, RESOLUTION_TICKS * TICK_S, out=times_s)
-    np.rint(steps, out=steps)
-    grid = steps.view(np.int64)
-    np.copyto(grid, steps, casting="unsafe")
-    grid = grid[:_drop_repeats(grid)]
-    ticks = np.multiply(grid, RESOLUTION_TICKS, out=grid)
-    # rounding moves at most the last event (by up to 4 ps) past the duration
-    return ticks[:-1] if ticks.size and ticks[-1] * TICK_S > duration_s else ticks
-
-
-def _drop_repeats(grid: np.ndarray) -> int:
-    """Move the first step of each run of equal ones in the ascending `grid`
-    to the front, in order and in place, and return how many there are.
-
-    The repeat mask is taken first; the compaction then copies _BLOCK steps
-    at a time, each block's survivors landing at or before the block's
-    start, so it never overwrites a step it has yet to read."""
-    if grid.size < 2:
-        return grid.size
-    fresh = np.empty(grid.size, dtype=bool)
-    fresh[0] = True
-    np.not_equal(grid[1:], grid[:-1], out=fresh[1:])
-    size = 0
-    for start in range(0, grid.size, _BLOCK):
-        block = grid[start:start + _BLOCK][fresh[start:start + _BLOCK]]
-        grid[size:size + block.size] = block
-        size += block.size
-    return size
-
-
 def _first_block_size(expected: float) -> int:
     """Gaps drawn in the first block: the expected count plus 10 sigma, so a
     second block is needed only on a >10 sigma shortfall."""
@@ -248,26 +213,11 @@ def expected_events(beta_cps: float, duration_s: float) -> float:
 
 
 def generate_poisson_stream(beta_cps: float, duration_s: float, seed: int) -> TimestampStream:
-    """Homogeneous Poisson arrivals at true rate beta over [0, duration].
-
-    Inter-arrival gaps are exponential with mean 1/beta; the stream is
-    deterministic per seed and quantized to the tagger resolution.
-    """
-    expected = expected_events(beta_cps, duration_s)
-    rng = np.random.default_rng(seed)
-    chunks = []
-    t_last = 0.0
-    block = _first_block_size(expected)
-    while t_last <= duration_s:
-        chunk = rng.exponential(1.0 / beta_cps, size=block)
-        np.cumsum(chunk, out=chunk)
-        chunk += t_last
-        chunks.append(chunk)
-        t_last = chunk[-1]
-        block = max(block // 4, 1024)
-    times = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    times = times[: np.searchsorted(times, duration_s, side="right")]
-    return TimestampStream(_quantize(times, duration_s), duration_s)
+    """Homogeneous Poisson arrivals at true rate beta over [0, duration],
+    deterministic per seed, on the tagger grid: the held slots, every one of
+    which the kept chain keeps at a window of no length (_KeptChain)."""
+    chain = _KeptChain(beta_cps, duration_s, seed, 0.0, 0.0)
+    return TimestampStream(chain.ticks(chain.count(0), 0), duration_s)
 
 
 def _chase(ticks: np.ndarray, dead: int, kept: np.ndarray, cur: np.ndarray,
@@ -560,10 +510,12 @@ class _KeptChain:
     first held slot d = max(1, ceil(w / 8)) or more slots past a kept event,
     so kept gaps are iid d + G slots, G = floor(E / 8 ps) ~ Geom(q) for E
     exponential of mean 1 / beta.  The first event is the first arrival,
-    rounded as _quantize rounds it (slot 0 is half as wide).  `gaps` holds
-    the G, so event i lies at slot first + i * d + (the sum of the first i
-    gaps) at every window.  Unlike _quantize, the chain takes the last slot
-    as whole.  `_before[b]` sums the gaps before block b of _BLOCK gaps (the
+    rounded to the nearest slot (slot 0 is half as wide).  `gaps` holds the
+    G, so event i lies at slot first + i * d + (the sum of the first i gaps)
+    at every window.  The last slot is held with probability q, as if whole,
+    though part of it may lie past the duration.  At a window of no length
+    d = 1 keeps every held slot: the raw stream, generate_poisson_stream's
+    ticks.  `_before[b]` sums the gaps before block b of _BLOCK gaps (the
     last entry, all of them).  `_counts` counts the gaps by slot, those of
     `_top` = ceil(max_gap_s / 8 ps) slots or more together, past max_gap_s at
     any window; with `_top` capped at _BLOCK the histogram bins longer gaps
@@ -576,7 +528,7 @@ class _KeptChain:
         self._rng = np.random.default_rng(seed)
         # the mean of E / 8 ps: infinite at a rate too small to draw an arrival
         self._mean_slots = 1.0 / beta_cps / (RESOLUTION_TICKS * TICK_S)
-        # the last slot _quantize keeps, whose tick * TICK_S <= duration
+        # the last slot, whose tick * TICK_S <= duration
         last = int(duration_s / (RESOLUTION_TICKS * TICK_S)) + 1
         while last * RESOLUTION_TICKS * TICK_S > duration_s:
             last -= 1
@@ -636,8 +588,10 @@ class _KeptChain:
         return np.bincount(np.minimum(gaps, self._top, out=out), minlength=self._top + 1)
 
     def _tally(self, gaps: np.ndarray) -> int:
-        """Add the int64 gaps' slot counts into `_counts`; their total."""
-        self._counts += self._slot_counts(gaps)
+        """Add the int64 gaps' slot counts into `_counts`, unless _top is 0
+        (the generator's chain, which bins no gap); their total."""
+        if self._top:
+            self._counts += self._slot_counts(gaps)
         return int(gaps.sum())
 
     def _draw(self, size: int) -> None:
@@ -700,6 +654,20 @@ class _KeptChain:
         room -= lo * block * d + before[lo]
         j = bisect.bisect_right(range(1, sums.size), room, key=lambda m: m * d + int(sums[m - 1]))
         return lo * block + j + 1
+
+    def ticks(self, count: int, window: int) -> np.ndarray:
+        """The ticks of the first `count` events at `window`, event i at
+        8 * (first + i * d + the sum of the first i gaps), written over the
+        gaps in place: the chain's last call, since it then has no gaps."""
+        out = self.gaps[:count]
+        slots = out[:-1]
+        slots += self._least(window)
+        slots[:1] += self.first
+        np.cumsum(slots, out=slots)
+        out[1:] = slots
+        out[:1] = self.first
+        out *= RESOLUTION_TICKS
+        return out
 
     def histogram(self, count: int, window: int, bin_width_s: float) -> InterArrivalHistogram:
         """interarrival_histogram, up to max_gap_s, of the first `count`

@@ -18,14 +18,17 @@ thinned_click_rate is the event-level non-paralyzable detector with
 quantum efficiency p0, built from the package's one dead-time filter.
 
 sequential_filter, the non-paralyzable rule as a loop over int64 ticks, is
-the oracle of timetag's segment-parallel filter.  quantize snaps to the
-tagger grid and merges repeats with one masked copy: the oracle of
-timetag's in-place, blockwise _quantize.
+the oracle of timetag's segment-parallel filter.  poisson_stream is the
+textbook tagged Poisson stream: cumulative exponential arrivals, snapped to
+the tagger grid with repeats merged by one masked copy (quantize).  It is
+the raw stream of the law checks of timetag's renewal chain (_KeptChain),
+which generate_poisson_stream reads too, so those checks never take their
+raw stream from the chain they test.
 
 fixed_point runs the rate-dependent fixed point over whole counts with any
 count function, and exact_fixed_point finds the count it should end on by
 bisection over counts, without iterating.  fixed_point_filter is that fixed
-point with a full _filter_constant pass at every iteration on a generated
+point with a full _filter_constant pass at every iteration on a raw
 stream: the oracle for the law of the sweep's renewal sampler
 (timetag._KeptChain).  chain_slots places every event of a chain's draws in
 one array operation, and chain_kept_count counts them: the oracle for the
@@ -304,8 +307,9 @@ def sequential_filter(ticks: np.ndarray, window: int) -> np.ndarray:
 
 
 def quantize(times_s: np.ndarray, duration_s: float) -> np.ndarray:
-    """timetag._quantize with the repeated grid steps dropped by a masked
-    copy of the whole grid.  Overwrites `times_s` as _quantize does."""
+    """Ascending times in seconds snapped to the tagger grid as ticks, each
+    repeated grid step dropped by a masked copy of the whole grid, and a
+    last tick past the duration dropped.  Overwrites `times_s`."""
     steps = np.divide(times_s, timetag.RESOLUTION_TICKS * timetag.TICK_S, out=times_s)
     np.rint(steps, out=steps)
     grid = steps.view(np.int64)
@@ -316,7 +320,23 @@ def quantize(times_s: np.ndarray, duration_s: float) -> np.ndarray:
         np.not_equal(grid[1:], grid[:-1], out=fresh[1:])
         grid = grid[fresh]
     ticks = grid * timetag.RESOLUTION_TICKS
+    # rounding moves at most the last arrival (by up to 4 ps) past the duration
     return ticks[:-1] if ticks.size and ticks[-1] * timetag.TICK_S > duration_s else ticks
+
+
+def poisson_stream(beta_cps: float, duration_s: float, seed: int) -> TimestampStream:
+    """Poisson arrivals at beta_cps over [0, duration] as cumulative
+    exponential gaps, drawn until one passes the duration, then quantized.
+    Unlike the renewal chain, it rounds each arrival and cuts the last slot
+    at the duration."""
+    rng = np.random.default_rng(seed)
+    size = max(int(beta_cps * duration_s), 1024)
+    times = np.cumsum(rng.exponential(1.0 / beta_cps, size=size))
+    while times[-1] <= duration_s:
+        more = times[-1] + np.cumsum(rng.exponential(1.0 / beta_cps, size=size))
+        times = np.concatenate((times, more))
+    times = times[:np.searchsorted(times, duration_s, side="right")]
+    return TimestampStream(quantize(times, duration_s), duration_s)
 
 
 def fixed_point(kept_at, n_in: int, duration: float, curve: DeadTimeCurve):

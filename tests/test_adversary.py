@@ -288,3 +288,20 @@ def test_config_validation():
         AttackConfig(mode=DET, delta_s=0.0)
     with pytest.raises(ValueError):
         AttackConfig(eve_basis_prior=1.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "infinite", "negative infinite"])
+@pytest.mark.parametrize("name", ["lambda_parallel_cps", "lambda_perp_cps", "delta_s"])
+def test_config_rejects_non_finite_rates_and_delay(name, value):
+    # NaN passes every `< 0` check; unchecked, its click probabilities reach
+    # numpy's multinomial draw, which refuses them
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+        AttackConfig(mode=DET, **{"delta_s": 1e-8, name: value})
+
+
+def test_config_names_negative_rates_and_delay():
+    with pytest.raises(ValueError, match="^loading rates must be >= 0$"):
+        AttackConfig(mode=ND, lambda_parallel_cps=-1.0)
+    with pytest.raises(ValueError, match="^deterministic mode requires delta_s > 0$"):
+        AttackConfig(mode=DET, delta_s=-1e-9)

@@ -201,7 +201,8 @@ def test_analytic_reports_closed_forms(tmp_path, capsys):
     assert "e_obs: 0.0" in text
 
 
-@pytest.mark.parametrize("attack", [{"attack": {"mode": "none"}}, {}])
+@pytest.mark.parametrize("attack", [{"attack": {"mode": "none"}}, {}],
+                         ids=["mode none", "no attack section"])
 def test_analytic_without_attack_exits_2(tmp_path, capsys, attack):
     config = write_config(tmp_path, {"out": str(tmp_path / "results"),
                                      "protocol": {"n_rounds": 1000, "p0": 0.9}, **attack})

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riesim.analysis import r_bound
 from riesim.detector import (
     AvailabilityModel,
     DeadTimeCurve,
@@ -83,7 +84,7 @@ def test_nonpositive_dead_time_rejected():
     [(float("nan"), 1e-8)],
     [(0.0, 1e-8), (float("inf"), 2e-8)],
     [(0.0, float("inf"))],
-])
+], ids=["nan dead time", "nan rate", "infinite rate", "infinite dead time"])
 def test_non_finite_curve_points_rejected(points):
     with pytest.raises(ValueError, match="finite"):
         DeadTimeCurve.from_points(points)
@@ -174,6 +175,16 @@ def test_busy_fraction_rejects_negative_rates():
     for rate in (-1.0, np.array([1e6, -1.0])):
         with pytest.raises(ValueError, match="count rate must be >= 0"):
             busy_fraction(rate, curve)
+
+
+def test_busy_fraction_rejects_nan_rates():
+    curve = default_dead_time_curve()
+    for rate in (float("nan"), np.array([1e6, np.nan])):
+        with pytest.raises(ValueError, match="count rate must be >= 0"):
+            busy_fraction(rate, curve)
+    # r_bound reads both rates through busy_fraction
+    with pytest.raises(ValueError, match="count rate must be >= 0"):
+        r_bound(float("nan"), 1e6, curve)
 
 
 # ---------------------------------------------------------------- rate conversion

@@ -422,6 +422,14 @@ def test_eve_match_fraction_tracks_sifted_composition():
 # ---------------------------------------------------------------- config validation
 
 
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")], ids=["nan", "infinite"])
+def test_protocol_config_rejects_non_finite_background(rate):
+    # unchecked, an infinite background leaves the detector never live (a
+    # run of no clicks), and NaN reaches numpy's multinomial draw
+    with pytest.raises(ValueError, match=f"^background rate must be finite, got {rate!r}$"):
+        config(10, background_rate_cps=rate)
+
+
 def test_protocol_config_validation():
     with pytest.raises(ValueError):
         config(0)
@@ -433,5 +441,5 @@ def test_protocol_config_validation():
         config(10, basis_prior=1.0)
     with pytest.raises(ValueError):
         config(10, transmission=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^background rate must be >= 0$"):
         config(10, background_rate_cps=-5.0)

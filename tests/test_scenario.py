@@ -141,10 +141,12 @@ def test_protocol_section_requires_core_fields():
 
 
 @pytest.mark.parametrize("protocol, message", [
-    ({"n_rounds": 10, "p0": 2}, "p0 must be in (0, 1], got 2.0"),
-    ({"n_rounds": 0, "p0": 0.9}, "n_rounds must be >= 1"),
-    ({"n_rounds": 10, "p0": 0.9, "abort_threshold": 0.5}, "abort threshold must be in (0, 0.5)"),
-    ({"n_rounds": 10, "p0": 0.9, "background_rate_cps": -1}, "background rate must be >= 0"),
+    pytest.param({"n_rounds": 10, "p0": 2}, "p0 must be in (0, 1], got 2.0", id="p0 above 1"),
+    pytest.param({"n_rounds": 0, "p0": 0.9}, "n_rounds must be >= 1", id="no rounds"),
+    pytest.param({"n_rounds": 10, "p0": 0.9, "abort_threshold": 0.5},
+                 "abort threshold must be in (0, 0.5)", id="abort threshold at 0.5"),
+    pytest.param({"n_rounds": 10, "p0": 0.9, "background_rate_cps": -1},
+                 "background rate must be >= 0", id="negative background rate"),
     # numpy's multinomial draw takes at most 2**63 - 1 rounds
     pytest.param({"n_rounds": 1e30, "p0": 0.9},
                  "n_rounds must be <= 2**63 - 1, got 1000000000000000019884624838656",
@@ -247,16 +249,14 @@ def test_missing_file_reported(tmp_path):
     pytest.param({"sweep": {"min_count": False}}, "sweep.min_count", id="min_count boolean"),
     pytest.param({"scan": {"lambda_perp_grid": {"start_cps": 1e6, "stop_cps": 3e6, "num": 2.5}}},
                  "scan.lambda_perp_grid.num", id="grid num fraction"),
-    # the cases below keep their positional ids for now: at most 15 tracked
-    # test names change at once
-    ({"scan": {"lambda_perp_grid": {"start_cps": 1e6, "stop_cps": 3e6, "num": "3"}}},
-     "scan.lambda_perp_grid.num"),
-    ({"scan": {"lambda_perp_grid": {"start_cps": 1e6, "stop_cps": 3e6, "num": True}}},
-     "scan.lambda_perp_grid.num"),
-    ({"protocol": {"n_rounds": 10, "p0": 1.0, "fixed_alice": ["Z", 1.5]}},
-     r"protocol.fixed_alice\[1\]"),
-    ({"protocol": {"n_rounds": 10, "p0": 1.0, "fixed_alice": ["Z", True]}},
-     r"protocol.fixed_alice\[1\]"),
+    pytest.param({"scan": {"lambda_perp_grid": {"start_cps": 1e6, "stop_cps": 3e6, "num": "3"}}},
+                 "scan.lambda_perp_grid.num", id="grid num string"),
+    pytest.param({"scan": {"lambda_perp_grid": {"start_cps": 1e6, "stop_cps": 3e6, "num": True}}},
+                 "scan.lambda_perp_grid.num", id="grid num boolean"),
+    pytest.param({"protocol": {"n_rounds": 10, "p0": 1.0, "fixed_alice": ["Z", 1.5]}},
+                 r"protocol.fixed_alice\[1\]", id="fixed_alice bit fraction"),
+    pytest.param({"protocol": {"n_rounds": 10, "p0": 1.0, "fixed_alice": ["Z", True]}},
+                 r"protocol.fixed_alice\[1\]", id="fixed_alice bit boolean"),
 ])
 def test_non_integer_fields_rejected(data, key):
     with pytest.raises(ScenarioError, match=f"{key} must be an integer"):

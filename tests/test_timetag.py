@@ -123,16 +123,16 @@ def test_stream_event_cap(monkeypatch):
         generate_poisson_stream(1.0, 5e6, seed=0)
 
 
-# (event count, sha256 of ticks.tobytes()) per (rate, duration, seed): every
-# output of sweep-deadtime follows from these bytes, so a change here is a
-# behaviour change
+# (event count, sha256 of ticks.tobytes()) per (rate, duration, seed): the
+# generator is the sweep's renewal chain at a window of no length, so a change
+# here is a behaviour change of both
 STREAM_PINS = {
     (1e6, 0.0, 3): (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    (1e4, 0.05, 5): (534, "828acccf5a6ccb448b0be94fd1c570d6ad92f5902ffb55f782287d99b961720c"),
-    (2e5, 0.001, 7): (195, "23fa84a4ed09f96fd72d39f9df6699fd515a0647e76cb42cce6b9aa1a569bd4a"),
-    (5e6, 0.01, 42): (49976, "ff288b9db0e8b3ac5ede3d23ea638c597123b3ec66ac6c38226d4d774356352e"),
-    (1e7, 0.003, 0): (30205, "9249a40f96c7014706ff5b611c09f1926d4a38cc24d1f8b1807b42f56fe3bae1"),
-    (40e6, 0.05, 2000001): (1998498, "eb2031738d591ff9ddddf9ff8eca21548269ed68a39871d5a94908f6aff0ff5f"),
+    (1e4, 0.05, 5): (534, "bf0dfb1f50dfecfcf571288b6da20ab9e25039358859d012abffa175cf61e440"),
+    (2e5, 0.001, 7): (195, "6083a717dcfecc42533dbd1114d0997d7c5dfa2d2c4e745392fdf8713b57dd2d"),
+    (5e6, 0.01, 42): (49972, "655fe54bedf523b8a00d43333d1fe5fc4ee9fa75b106b4fd3cbcd2dbbf3abfb8"),
+    (1e7, 0.003, 0): (30202, "2d406b66303f9b4f8be4b3988fc7fca2d750c27ff723ecc0e3c741ad485f4df6"),
+    (40e6, 0.05, 2000001): (1998491, "dc4cc4f5f8c51dd42a5964dc3d97e0fc3f9d93f981db9ff622b0e6384ee7777f"),
 }
 
 
@@ -148,50 +148,11 @@ def test_stream_spanning_several_blocks(monkeypatch):
     monkeypatch.setattr(timetag, "_first_block_size", lambda expected: 1024)
     rate, duration = 1e6, 0.01
     times = generate_poisson_stream(rate, duration, seed=5).ticks
-    assert times.size > 2 * 1024  # later blocks hold at most 1024 gaps each
+    assert times.size > 2 * 1024  # later draws add a quarter more, at least 1024
     assert np.all(np.diff(times) > 0)
     assert 0 <= times[0] and times[-1] * TICK_S <= duration
     expected = rate * duration
     assert abs(times.size - expected) < 5 * math.sqrt(expected)
-
-
-@st.composite
-def repeated_grid_steps(draw):
-    """Ascending times in seconds whose grid steps come in runs of 1-3 equal
-    ones, a run of 2-3 at the first or last position or across a block edge,
-    a duration at or just short of the last time, and the block size of
-    _quantize's compaction."""
-    runs = draw(st.lists(st.sampled_from([1, 1, 2, 3]), min_size=1, max_size=40))
-    where = draw(st.sampled_from(["first", "last", "edge"]))
-    if where == "first":
-        at = 0
-    elif where == "last":
-        at = len(runs) - 1
-    else:
-        at = draw(st.integers(0, len(runs) - 1))
-    runs[at] = draw(st.sampled_from([2, 3]))
-    starts = np.cumsum([0] + runs[:-1])
-    # at an edge the block ends after the run's first step; elsewhere any size
-    block = (int(starts[at]) + 1 if where == "edge"
-             else draw(st.sampled_from([1, 2, 3, 7, timetag._BLOCK])))
-    gaps = draw(st.lists(st.integers(1, 10**6), min_size=len(runs), max_size=len(runs)))
-    steps = np.repeat(np.cumsum(gaps), runs)
-    # -0.3, -0.1 and +0.1 of a grid step through each run: ascending, and
-    # each rounds to its run's step
-    offsets = np.arange(steps.size) - np.repeat(starts, runs)
-    times = (steps - 0.3 + 0.2 * offsets) * (GRID * TICK_S)
-    duration = times[-1] * draw(st.sampled_from([1.0, 1 - 1e-9]))
-    return times, duration, block
-
-
-@settings(max_examples=300, deadline=None)
-@given(repeated_grid_steps())
-def test_quantize_drops_repeats_like_a_masked_copy(case):
-    times, duration, block = case
-    expected = reference.quantize(times.copy(), duration)
-    with mock.patch.object(timetag, "_BLOCK", block):
-        ticks = timetag._quantize(times.copy(), duration)
-    assert ticks.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------- dead-time filter
@@ -271,8 +232,8 @@ def test_gaps_equal_to_a_whole_tick_window_are_kept():
     stream = generate_poisson_stream(40e6, 0.05, seed=4)
     ties = np.flatnonzero(np.diff(stream.ticks) == 24_000) + 1
     out = apply_dead_time(stream, constant_dead_time_s=24.0e-9)
-    assert ties.size == 247 and np.isin(stream.ticks[ties], out.ticks).all()
-    assert len(out) == 1_020_592
+    assert ties.size == 244 and np.isin(stream.ticks[ties], out.ticks).all()
+    assert len(out) == 1_020_602
 
 
 @pytest.mark.parametrize("rate", [1e6, 20e6, 40e6])
@@ -354,7 +315,7 @@ def test_filter_kept_gaps_follow_the_geometric_law(rate, seed):
     # this is the law timetag._KeptChain draws from
     window = 25_000
     d = -(-window // GRID)
-    gaps = np.diff(_filter_constant(generate_poisson_stream(rate, 0.02, seed).ticks, window))
+    gaps = np.diff(_filter_constant(reference.poisson_stream(rate, 0.02, seed).ticks, window))
     assert np.all(gaps % GRID == 0) and gaps.min() >= GRID * d
     extra = gaps // GRID - d
     edges, probabilities = _geometric_bins(-math.expm1(-rate * GRID * TICK_S), extra.size)
@@ -408,7 +369,7 @@ def test_chain_count_with_the_last_slot_on_and_beside_block_edges(monkeypatch):
 
 @pytest.mark.parametrize("slot", [0, 1, 3, 7, 10**9 + 7, 2**40 + 1, 6_250_000_000])
 def test_chain_last_slot_is_the_last_the_generator_keeps(slot):
-    # _quantize keeps a tick t iff t * TICK_S <= duration
+    # the generator keeps a tick t iff t * TICK_S <= duration
     duration = slot * GRID * TICK_S
     assert timetag._KeptChain(1e3, duration, 0, 0.0).last == slot
     if slot:
@@ -591,7 +552,7 @@ def test_sweep_draws_more_when_the_chain_runs_short(monkeypatch):
     assert sizes.count(1) == 2 and len(sizes) > 20
 
 
-# fixed before the check was first run: sampler seeds 0-39 and generator
+# fixed before the check was first run: sampler seeds 0-39 and raw-stream
 # seeds 1000-1039, 2 ms streams
 LAW_SEEDS = range(40)
 
@@ -603,9 +564,10 @@ LAW_SEEDS = range(40)
     (20e6, DeadTimeCurve.constant(5e-12)),
 ], ids=["1 Mcps", "5 Mcps", "20 Mcps", "40 Mcps", "20 Mcps, 5 ps window"])
 def test_sampler_matches_the_filtered_generator_in_law(rate, curve):
-    """The sweep's kept stream against the rate-dependent filter of a
-    generated raw stream: Welch's test on the kept counts and a two-sample
-    chi-square on the gaps in slots past d, each at ALPHA."""
+    """The sweep's kept stream against the rate-dependent filter of the
+    textbook raw stream (reference.poisson_stream): Welch's test on the kept
+    counts and a two-sample chi-square on the gaps in slots past d, each at
+    ALPHA."""
     duration = 0.002
     counts, extras = ([], []), ([], [])
     for seed in LAW_SEEDS:
@@ -613,13 +575,36 @@ def test_sampler_matches_the_filtered_generator_in_law(rate, curve):
         counts[0].append(count)
         extras[0].append(chain.gaps[:count - 1])
         stream, trace = reference.fixed_point_filter(
-            generate_poisson_stream(rate, duration, 1000 + seed), curve)
+            reference.poisson_stream(rate, duration, 1000 + seed), curve)
         d = timetag._KeptChain.slots(timetag._window_ticks(trace[-1][1]))
         counts[1].append(len(stream))
         extras[1].append(np.diff(stream.ticks) // GRID - d)
     assert ttest_ind(*counts, equal_var=False).pvalue > ALPHA
     extras = [np.concatenate(extra) for extra in extras]
     assert extras[1].min() >= 0
+    edges, _ = _geometric_bins(-math.expm1(-rate * GRID * TICK_S),
+                               min(extra.size for extra in extras))
+    table = [np.bincount(np.searchsorted(edges, extra, side="right") - 1, minlength=edges.size)
+             for extra in extras]
+    assert chi2_contingency(table).pvalue > ALPHA
+
+
+@pytest.mark.parametrize("rate", [1e6, 20e6, 40e6])
+def test_generator_matches_the_textbook_stream_in_law(rate):
+    """The generator, the renewal chain at a window of no length, against
+    cumulative exponential arrivals rounded onto the grid
+    (reference.poisson_stream): Welch's test on the event counts and a
+    two-sample chi-square on the gaps in slots past one, each at ALPHA."""
+    duration = 0.002
+    counts, extras = ([], []), ([], [])
+    for seed in LAW_SEEDS:
+        for side, stream in enumerate((generate_poisson_stream(rate, duration, seed),
+                                       reference.poisson_stream(rate, duration, 1000 + seed))):
+            counts[side].append(len(stream))
+            extras[side].append(np.diff(stream.ticks) // GRID - 1)
+    assert ttest_ind(*counts, equal_var=False).pvalue > ALPHA
+    extras = [np.concatenate(extra) for extra in extras]
+    assert extras[0].min() >= 0 and extras[1].min() >= 0
     edges, _ = _geometric_bins(-math.expm1(-rate * GRID * TICK_S),
                                min(extra.size for extra in extras))
     table = [np.bincount(np.searchsorted(edges, extra, side="right") - 1, minlength=edges.size)
@@ -883,6 +868,24 @@ def test_sweep_is_the_same_on_one_cpu_and_two(monkeypatch, block):
         # are filled on a worker
         assert (set(filled_on) != {threading.current_thread()}) == (n_cpus == 2)
     assert points[1] == points[2]
+
+
+@pytest.mark.parametrize("block", [4099, timetag._BLOCK])
+def test_generator_is_the_same_on_one_cpu_and_two(monkeypatch, block):
+    # the largest pinned stream: 2.0M draws in 31 or 488 chunks
+    args = (40e6, 0.05, 2000001)
+    monkeypatch.setattr(timetag, "_BLOCK", block)
+    filled_on = _threads_calling(monkeypatch, timetag._KeptChain, "_fill")
+    for n_cpus in (1, 2):
+        _allow_cpus(monkeypatch, n_cpus)
+        threads = threading.active_count()
+        ticks = generate_poisson_stream(*args).ticks
+        assert hashlib.sha256(ticks.tobytes()).hexdigest() == STREAM_PINS[args][1]
+        # the draws are filled on a worker on two CPUs only, and it is joined
+        workers = set(filled_on) - {threading.current_thread()}
+        assert bool(workers) == (n_cpus == 2)
+        assert threading.active_count() == threads
+        assert not any(worker.is_alive() for worker in workers)
 
 
 @pytest.mark.parametrize("block", [4099, timetag._BLOCK])
