@@ -57,7 +57,7 @@ def binary_entropy(x: float) -> float:
 def e_obs(r: float) -> float:
     """Observed sifted-key QBER as a function of the suppression ratio:
     r / (2 (1 + r)), increasing from 0 toward 1/2."""
-    if r < 0:
+    if not r >= 0:
         raise ValueError(f"ratio must be >= 0, got {r}")
     return r / (2.0 * (1.0 + r))
 
@@ -85,7 +85,7 @@ def mutual_info_eve_sifted(r: float) -> float:
     bit) with probability p_par / (p_par + p_perp), else her record is
     uncorrelated.
     """
-    if r < 0:
+    if not r >= 0:
         raise ValueError(f"ratio must be >= 0, got {r}")
     return 1.0 / (1.0 + r)
 

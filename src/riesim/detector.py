@@ -85,8 +85,12 @@ class DeadTimeCurve:
             object.__setattr__(self, name, values)
 
     def dead_time_at(self, rate_cps):
-        """Interpolated dead time in seconds; accepts a scalar or an array."""
+        """Interpolated dead time in seconds; accepts a scalar or an array
+        of rates, none NaN."""
         out = np.interp(rate_cps, self.rates_cps, self.dead_times_s)
+        # the curve is finite, so a NaN out is a NaN rate
+        if np.isnan(out).any():
+            raise ValueError("count rate must not be NaN")
         return float(out) if np.isscalar(rate_cps) else out
 
     @classmethod

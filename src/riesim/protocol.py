@@ -60,6 +60,9 @@ class ProtocolConfig:
     fixed_alice: PolarizationState | None = None
 
     def __post_init__(self):
+        # NaN and the infinities leave a remainder of NaN
+        if isinstance(self.n_rounds, (bool, np.bool_)) or self.n_rounds % 1 != 0:
+            raise ValueError(f"n_rounds must be an integer, got {self.n_rounds!r}")
         if self.n_rounds < 1:
             raise ValueError("n_rounds must be >= 1")
         # the most rounds numpy's multinomial draw takes

@@ -6,9 +6,9 @@ only the events outside the recovery window of the previous registered
 event, histogram the kept inter-arrival gaps, and read the dead time off the
 onset of the first populated bin.  Sweeping the true rate recovers the full
 rate-dependent dead-time curve.  The sweep draws each kept stream from its
-renewal law (_KeptChain), and generate_poisson_stream reads the raw stream
-off the same law at a window of no length; apply_dead_time is the event
-filter the law describes.
+renewal law (_KeptChain), in one pass from its seed, and
+generate_poisson_stream reads the raw stream off the same law at a window
+of no length; apply_dead_time is the event filter the law describes.
 
 A stream holds int64 ticks of 1 ps, the unit of the on-disk format (one
 integer per line), on the generator's 8 ps tagger grid.  Seconds appear only
@@ -19,9 +19,11 @@ histogram decide a gap equal to the window or on a bin edge exactly.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import csv
 import io
 import math
+import queue
 import threading
 from array import array
 from dataclasses import dataclass
@@ -187,8 +189,8 @@ def _window_ticks(dead_s: float) -> int:
 
 
 def _first_block_size(expected: float) -> int:
-    """Gaps drawn in the first block: the expected count plus 10 sigma, so a
-    second block is needed only on a >10 sigma shortfall."""
+    """Gaps in a chain's first draw: the expected count plus 10 sigma, so it
+    is drawn again only on a >10 sigma shortfall."""
     return max(int(expected + 10.0 * np.sqrt(expected + 1.0)) + 16, 1024)
 
 
@@ -423,55 +425,47 @@ def _fold(blocks, bin_width_s: float, max_gap_s: float):
     return count, last, ordered, counts
 
 
-def _overlap(fill, work, parts) -> bool:
-    """fill(part), then work(part), for each of `parts` in order; stops once
-    work returns False, and returns whether every part was worked.
+def _filled(fill, parts):
+    """Each of `parts` in order, once fill(out=part) has returned for it; a
+    fill's exception is raised at its part, as itself.
 
     With two CPUs and two parts or more, a worker thread fills the parts in
-    order, ahead of the one being worked on here; the fills not yet begun
-    when the work ends are dropped, and the worker is joined before this
-    returns.  An exception from work, else one from fill, is raised here as
-    itself.  Otherwise each part is filled and worked on this thread."""
+    order, ahead of the caller.  Once the caller stops (at the end, or by
+    closing this iterator, as contextlib.closing does on a break or an
+    error) no more parts are filled, and the worker is joined; an error of
+    the caller's then wins over a fill's.  Otherwise each part is filled on
+    this thread when it is asked for."""
     if len(parts) < 2 or not two_cpus():
         for part in parts:
-            fill(part)
-            if not work(part):
-                return False
-        return True
-    ready = [threading.Event() for _ in parts]
-    # set once the work ends, so that no more parts are filled, or once a
-    # fill fails, so that no more parts are waited for
+            fill(out=part)
+            yield part
+        return
+    # None for each part filled, else the fill's exception
+    done = queue.SimpleQueue()
     ended = threading.Event()
-    failed = []
 
-    def fill_in_order():
-        try:
-            for part, event in zip(parts, ready):
-                if ended.is_set():
-                    return
-                fill(part)
-                event.set()
-        except BaseException as exc:
-            failed.append(exc)
-            ended.set()
-            for event in ready:
-                event.set()
+    def fill_ahead():
+        for part in parts:
+            if ended.is_set():
+                return
+            try:
+                fill(out=part)
+            except BaseException as exc:
+                done.put(exc)
+                return
+            done.put(None)
 
-    worker = threading.Thread(target=fill_in_order)
+    worker = threading.Thread(target=fill_ahead)
     worker.start()
-    worked = True
     try:
-        for part, event in zip(parts, ready):
-            event.wait()
-            if ended.is_set() or not work(part):
-                worked = False
-                break
+        for part in parts:
+            failed = done.get()
+            if failed is not None:
+                raise failed
+            yield part
     finally:
         ended.set()
         worker.join()
-    if failed:
-        raise failed[0]
-    return worked
 
 
 def estimate_dead_time(hist: InterArrivalHistogram, min_count: int = DEFAULT_MIN_COUNT) -> float:
@@ -519,13 +513,14 @@ class _KeptChain:
     last entry, all of them).  `_counts` counts the gaps by slot, those of
     `_top` = ceil(max_gap_s / 8 ps) slots or more together, past max_gap_s at
     any window; with `_top` capped at _BLOCK the histogram bins longer gaps
-    one by one.
+    one by one.  The chain is drawn in one pass from its seed (_draw); one
+    that falls short of the last slot is drawn again with more gaps.
     """
 
     def __init__(self, beta_cps: float, duration_s: float, seed: int, smallest_dead_s: float,
                  max_gap_s: float = DEFAULT_MAX_GAP_S):
         expected_events(beta_cps, duration_s)  # the generator's checks of its arguments
-        self._rng = np.random.default_rng(seed)
+        self._seed, self._beta_cps, self._duration_s = seed, beta_cps, duration_s
         # the mean of E / 8 ps: infinite at a rate too small to draw an arrival
         self._mean_slots = 1.0 / beta_cps / (RESOLUTION_TICKS * TICK_S)
         # the last slot, whose tick * TICK_S <= duration
@@ -533,28 +528,22 @@ class _KeptChain:
         while last * RESOLUTION_TICKS * TICK_S > duration_s:
             last -= 1
         self.last = last
-        arrival = self._rng.exponential(1.0 / beta_cps)
-        self.first = (int(np.rint(arrival / (RESOLUTION_TICKS * TICK_S)))
-                      if arrival <= duration_s else last + 1)
         self._max_gap_s = max_gap_s
         self._block = _BLOCK
         # 0 at a max gap the histogram refuses (NaN, not positive)
         top = _ticks_of(max_gap_s) / RESOLUTION_TICKS
         self._top = math.ceil(min(top, _BLOCK)) if top > 0 else 0
-        self._counts = np.zeros(self._top + 1, dtype=np.int64)
-        self.gaps = np.empty(0, dtype=np.int64)
-        self._before = [0]
         # count()'s last block and its gaps' prefix sums
         self._sums = (None, None)
         # gaps for the count at the smallest window ((last + 1) slots over a
-        # mean gap of d + (1 - q) / q, plus 10 sigma), then a quarter more at a
-        # time until the chain passes the last slot at d, and so at any window
+        # mean gap of d + (1 - q) / q, plus 10 sigma), drawn again with a
+        # quarter more until the chain passes the last slot at d, and so at
+        # any window
         q = -math.expm1(-beta_cps * RESOLUTION_TICKS * TICK_S)
         d = self.slots(_window_ticks(smallest_dead_s))
-        size = _first_block_size((last + 1) * q / (1.0 + (d - 1) * q))
+        self._draw(_first_block_size((last + 1) * q / (1.0 + (d - 1) * q)))
         while self.first + self.gaps.size * d + self._before[-1] <= last:
-            self._draw(size)
-            size = max(self.gaps.size // 4, 1024)
+            self._draw(self.gaps.size + max(self.gaps.size // 4, 1024))
 
     @staticmethod
     def slots(window: int) -> int:
@@ -566,21 +555,12 @@ class _KeptChain:
         alone) so that d times a count stays within int64."""
         return min(self.slots(window), self.last + 1)
 
-    def _fill(self, out: np.ndarray) -> None:
-        """Fill `out` with the chain's next draws E / mean, E ~ Exp(1)."""
-        self._rng.standard_exponential(out=out)
-
     def _slots(self, gaps: np.ndarray) -> None:
         """Turn draws E / mean into gaps G = floor(E / 8 ps) in place."""
         np.multiply(gaps, self._mean_slots, out=gaps)
         np.floor(gaps, out=gaps)
         # a gap past the last slot ends the chain wherever it starts
         np.minimum(gaps, self.last + 1, out=gaps)
-
-    def _chunks(self, size: int) -> list[slice]:
-        """`size` new gaps in chunks cut at the chain's block edges."""
-        edges = [0, *range(-self.gaps.size % self._block or self._block, size, self._block), size]
-        return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
     def _slot_counts(self, gaps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The int64 gaps' counts by slot, those of _top or more together,
@@ -595,48 +575,41 @@ class _KeptChain:
         return int(gaps.sum())
 
     def _draw(self, size: int) -> None:
-        """Append `size` gaps, drawn as floats in the buffer that then holds
-        them as int64: each chunk is filled, then floored, capped, cast in
-        place and tallied (_overlap, which may fill on a second thread); the
-        one generator gives the same draws on one thread or two."""
+        """Draw the chain from its seed: the first arrival, then `size` gaps
+        as floats in the buffer that then holds them as int64, in parts of
+        _BLOCK from gap 0, each filled (_filled, which may fill ahead on a
+        second thread), then floored, capped, cast in place and tallied.  A
+        longer draw from the seed begins with the same draws, so drawing
+        the chain again with more gaps keeps the gaps it had."""
+        # the chain's earlier draw goes before this one is made
+        self.gaps = None
+        rng = np.random.default_rng(self._seed)
+        arrival = rng.exponential(1.0 / self._beta_cps)
+        self.first = (int(np.rint(arrival / (RESOLUTION_TICKS * TICK_S)))
+                      if arrival <= self._duration_s else self.last + 1)
+        self._counts = np.zeros(self._top + 1, dtype=np.int64)
+        self._before = [0]
         buffer = np.empty(size)
-        gaps = buffer.view(np.int64)
-        totals = []
-        # the gaps settled so far and their total
-        settled = carry = 0
-
-        def settle(chunk: slice) -> bool:
-            nonlocal settled, carry
-            part = buffer[chunk]
-            self._slots(part)
-            cut = (carry + part.size * (self.last + 1) >= 2**60
-                   and carry + float(part.sum()) >= 2**60)
-            if cut:
-                # only on streams longer than about 20 hours: the gaps up to
-                # the first sum past 2**60, so the totals stay below 2**61.
-                # That sum is past last, so __init__ draws no more, and the
-                # generator, which may have filled chunks past this one, is
-                # never read again
-                part = part[:np.searchsorted(carry + np.cumsum(part), 2.0**60) + 1]
-            kept = gaps[chunk.start:chunk.start + part.size]
-            np.copyto(kept, part, casting="unsafe")
-            totals.append(self._tally(kept))
-            settled += part.size
-            carry += totals[-1]
-            return not cut
-
-        _overlap(lambda chunk: self._fill(buffer[chunk]), settle, self._chunks(size))
-        self._append(gaps[:settled], totals)
-
-    def _append(self, gaps: np.ndarray, totals: list[int]) -> None:
-        """Append int64 gaps, tallied, with their chunks' totals."""
-        totals = iter(totals)
-        if self.gaps.size % self._block:
-            # the first chunk ends the chain's last block
-            self._before[-1] += next(totals)
-        for total in totals:
-            self._before.append(self._before[-1] + total)
-        self.gaps = np.concatenate((self.gaps, gaps)) if self.gaps.size else gaps
+        parts = [buffer[lo:lo + self._block] for lo in range(0, size, self._block)]
+        drawn = 0
+        with contextlib.closing(_filled(rng.standard_exponential, parts)) as filled:
+            for draws in filled:
+                self._slots(draws)
+                total = self._before[-1]
+                cut = (total + draws.size * (self.last + 1) >= 2**60
+                       and total + float(draws.sum()) >= 2**60)
+                if cut:
+                    # only on streams longer than about 20 hours: the gaps up
+                    # to the first sum past 2**60, so the totals stay below
+                    # 2**61.  That sum is past last, so __init__ draws no more
+                    draws = draws[:np.searchsorted(total + np.cumsum(draws), 2.0**60) + 1]
+                kept = draws.view(np.int64)
+                np.copyto(kept, draws, casting="unsafe")
+                self._before.append(total + self._tally(kept))
+                drawn += kept.size
+                if cut:
+                    break
+        self.gaps = buffer.view(np.int64)[:drawn]
 
     def count(self, window: int) -> int:
         """The kept events at a window of `window` ticks: those up to the last slot."""

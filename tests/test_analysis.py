@@ -102,6 +102,16 @@ def test_e_obs_rejects_negative_ratio():
         e_obs(-0.1)
 
 
+@pytest.mark.parametrize("function", [e_obs, mutual_info_eve_sifted],
+                         ids=["e_obs", "mutual_info_eve_sifted"])
+def test_ratio_functions_reject_nan(function):
+    with pytest.raises(ValueError, match="^ratio must be >= 0, got nan$"):
+        function(float("nan"))
+    with pytest.raises(ValueError, match="^ratio must be >= 0, got -0.1$"):
+        function(-0.1)
+    assert function(0.0) == (0.0 if function is e_obs else 1.0)
+
+
 # ---------------------------------------------------------------- threshold
 
 

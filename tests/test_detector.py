@@ -177,6 +177,17 @@ def test_busy_fraction_rejects_negative_rates():
             busy_fraction(rate, curve)
 
 
+def test_dead_time_at_rejects_nan_rates():
+    curve = default_dead_time_curve()
+    for rate in (float("nan"), np.array([1e6, np.nan]), [np.nan]):
+        with pytest.raises(ValueError, match="^count rate must not be NaN$"):
+            curve.dead_time_at(rate)
+    # finite rates, negative ones too, read the curve as before
+    assert curve.dead_time_at(-1.0) == curve.dead_time_at(0.0) == curve.dead_times_s[0]
+    assert curve.dead_time_at(np.array([1e6, 100e6])).tolist() == [
+        curve.dead_time_at(1e6), curve.dead_times_s[-1]]
+
+
 def test_busy_fraction_rejects_nan_rates():
     curve = default_dead_time_curve()
     for rate in (float("nan"), np.array([1e6, np.nan])):

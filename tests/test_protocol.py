@@ -430,6 +430,21 @@ def test_protocol_config_rejects_non_finite_background(rate):
         config(10, background_rate_cps=rate)
 
 
+@pytest.mark.parametrize("n_rounds", [float("nan"), float("inf"), float("-inf"), 10.5, True,
+                                      np.True_],
+                         ids=["nan", "infinite", "minus infinite", "fraction", "boolean",
+                              "numpy boolean"])
+def test_protocol_config_rejects_non_integer_rounds(n_rounds):
+    # unchecked, NaN reaches numpy's multinomial draw and 10.5 is reported
+    with pytest.raises(ValueError, match=f"^n_rounds must be an integer, got {n_rounds!r}$"):
+        config(n_rounds)
+
+
+@pytest.mark.parametrize("n_rounds", [10, 10.0, np.int64(10)], ids=["int", "whole float", "int64"])
+def test_protocol_config_keeps_whole_rounds(n_rounds):
+    assert config(n_rounds).n_rounds == 10
+
+
 def test_protocol_config_validation():
     with pytest.raises(ValueError):
         config(0)

@@ -366,7 +366,9 @@ def test_integer_valued_numbers_become_floats():
     ({"mutualinfo": 0.01}, "mutualinfo"),
     ({"scan": 5}, "scan"),
     ([1], "config root"),
-])
+], ids=["dead_time_curve a number", "dead_time_curve a list", "protocol a list",
+        "attack a string", "sweep a number", "scan a list", "lambda_perp_grid a list",
+        "mutualinfo a number", "scan a number", "config root a list"])
 def test_non_object_sections_rejected(data, where):
     with pytest.raises(ScenarioError, match=f"^{where} must be a JSON object"):
         load_scenario(data=data)

@@ -1,6 +1,7 @@
 """Timestamp generation, dead-time filtering, histogram onset estimation."""
 
 import bisect
+import contextlib
 import hashlib
 import itertools
 import math
@@ -148,7 +149,7 @@ def test_stream_spanning_several_blocks(monkeypatch):
     monkeypatch.setattr(timetag, "_first_block_size", lambda expected: 1024)
     rate, duration = 1e6, 0.01
     times = generate_poisson_stream(rate, duration, seed=5).ticks
-    assert times.size > 2 * 1024  # later draws add a quarter more, at least 1024
+    assert times.size > 2 * 1024  # drawn again with a quarter more, at least 1024
     assert np.all(np.diff(times) > 0)
     assert 0 <= times[0] and times[-1] * TICK_S <= duration
     expected = rate * duration
@@ -395,8 +396,8 @@ def test_chain_keeps_no_arrival_past_the_duration():
 @st.composite
 def chains_and_bins(draw):
     """A chain drawn in blocks of 7 to _BLOCK gaps and from first draws of
-    its usual size or of 1 to 3000 gaps (so that later draws start inside a
-    block); a window of 0, below 8 ticks, of any size, at or past the last
+    its usual size or of 1 to 3000 gaps (so that it may be drawn again); a
+    window of 0, below 8 ticks, of any size, at or past the last
     slot or MAX_STREAM_TICK; bins of 1-3000 ps (mostly not a multiple of
     8 ps) and a max gap anywhere inside the last bin."""
     rate = draw(st.floats(1e5, 4e7))
@@ -534,22 +535,54 @@ def test_rate_dependent_filter_ends_on_the_self_consistent_count(rate, seed):
     assert count in reference.exact_fixed_point(kept_at, n_max, 0.005, curve)
 
 
-def test_sweep_draws_more_when_the_chain_runs_short(monkeypatch):
-    args = ([1e6, 40e6], default_dead_time_curve(), 0.005, 0.5e-9, 83)
-    expected = sweep_dead_time(*args)
-    sizes = []
+def _recorded_draws(monkeypatch):
+    """A list that gets (chain, size) for each _KeptChain._draw."""
+    draws = []
     draw = timetag._KeptChain._draw
 
     def record(chain, size):
-        sizes.append(size)
+        draws.append((chain, size))
         draw(chain, size)
 
     monkeypatch.setattr(timetag._KeptChain, "_draw", record)
+    return draws
+
+
+def test_sweep_draws_more_when_the_chain_runs_short(monkeypatch):
+    args = ([1e6, 40e6], default_dead_time_curve(), 0.005, 0.5e-9, 83)
+    expected = sweep_dead_time(*args)
+    draws = _recorded_draws(monkeypatch)
     monkeypatch.setattr(timetag, "_first_block_size", lambda expected: 1)
-    # the draws do not depend on how they are split into blocks
+    # the counts and histograms read only the gaps up to the last slot
     assert sweep_dead_time(*args) == expected
-    # each rate's first block of one gap, then blocks of a quarter more
+    # each rate's first draw of one gap, then draws again with a quarter more
+    sizes = [size for _, size in draws]
     assert sizes.count(1) == 2 and len(sizes) > 20
+
+
+@pytest.mark.parametrize("rate, block", [(1e6, timetag._BLOCK), (40e6, 4099), (20e6, 7)])
+def test_chain_drawn_again_is_the_chain_drawn_once_at_its_final_size(monkeypatch, rate, block):
+    monkeypatch.setattr(timetag, "_BLOCK", block)
+    draws = _recorded_draws(monkeypatch)
+    with mock.patch.object(timetag, "_first_block_size", lambda expected: 1):
+        again = timetag._KeptChain(rate, 0.002, 11, 23.3e-9)
+    sizes = [size for _, size in draws]
+    assert sizes[0] == 1 and len(sizes) > 2
+    draws.clear()
+    with mock.patch.object(timetag, "_first_block_size", lambda expected: sizes[-1]):
+        once = timetag._KeptChain(rate, 0.002, 11, 23.3e-9)
+    assert [size for _, size in draws] == [sizes[-1]]
+    assert once.gaps.tobytes() == again.gaps.tobytes()
+    assert once._before == again._before and once.first == again.first
+    assert np.array_equal(once._counts, again._counts)
+    for window in (0, 8, 23_300, GRID * once.last):
+        assert once.count(window) == again.count(window)
+
+
+def test_readme_sweep_draws_each_chain_once(monkeypatch):
+    draws = _recorded_draws(monkeypatch)
+    sweep_dead_time([1e6, 5e6, 20e6, 40e6], default_dead_time_curve(), 0.05, 0.5e-9, 7)
+    assert len(draws) == 4 and len({id(chain) for chain, _ in draws}) == 4
 
 
 # fixed before the check was first run: sampler seeds 0-39 and raw-stream
@@ -851,12 +884,31 @@ def _threads_calling(monkeypatch, owner, name):
     return threads
 
 
+def _threads_filling(monkeypatch, fail_at=None, error=None):
+    """A list that gets the thread of each fill the chain hands to
+    timetag._filled; the fill numbered fail_at (from 1) raises error instead."""
+    threads = []
+    filled = timetag._filled
+
+    def recorded(fill, parts):
+        def fill_here(out):
+            threads.append(threading.current_thread())
+            if len(threads) == fail_at:
+                raise error
+            fill(out=out)
+
+        return filled(fill_here, parts)
+
+    monkeypatch.setattr(timetag, "_filled", recorded)
+    return threads
+
+
 @pytest.mark.parametrize("block", [4099, timetag._BLOCK])
 def test_sweep_is_the_same_on_one_cpu_and_two(monkeypatch, block):
     # the README sweep: chains of 51k-1.05M draws
     rates, duration, seed = [1e6, 5e6, 20e6, 40e6], 0.05, 7
     monkeypatch.setattr(timetag, "_BLOCK", block)
-    filled_on = _threads_calling(monkeypatch, timetag._KeptChain, "_fill")
+    filled_on = _threads_filling(monkeypatch)
     points = {}
     for n_cpus in (1, 2):
         _allow_cpus(monkeypatch, n_cpus)
@@ -864,7 +916,7 @@ def test_sweep_is_the_same_on_one_cpu_and_two(monkeypatch, block):
         points[n_cpus] = sweep_dead_time(rates, default_dead_time_curve(), duration, 0.5e-9,
                                          seed)
         assert threading.active_count() == threads
-        # no thread on one CPU; on two, the draws of more than one chunk
+        # no thread on one CPU; on two, the draws of more than one part
         # are filled on a worker
         assert (set(filled_on) != {threading.current_thread()}) == (n_cpus == 2)
     assert points[1] == points[2]
@@ -872,10 +924,10 @@ def test_sweep_is_the_same_on_one_cpu_and_two(monkeypatch, block):
 
 @pytest.mark.parametrize("block", [4099, timetag._BLOCK])
 def test_generator_is_the_same_on_one_cpu_and_two(monkeypatch, block):
-    # the largest pinned stream: 2.0M draws in 31 or 488 chunks
+    # the largest pinned stream: 2.0M draws in 31 or 488 parts
     args = (40e6, 0.05, 2000001)
     monkeypatch.setattr(timetag, "_BLOCK", block)
-    filled_on = _threads_calling(monkeypatch, timetag._KeptChain, "_fill")
+    filled_on = _threads_filling(monkeypatch)
     for n_cpus in (1, 2):
         _allow_cpus(monkeypatch, n_cpus)
         threads = threading.active_count()
@@ -949,17 +1001,31 @@ def test_chain_of_large_sums_is_the_same_on_one_cpu_and_two(monkeypatch, rate, d
     cut = bisect.bisect_left(sums, 2**60)
     gaps, sums = gaps[:cut], sums[:cut + 1]
     assert (sums[-1] >= 2**60) == (rate == 1e-6)
-    # at a block of 7 the 1e-6 cps draw is cut in its second chunk
+    # at a block of 7 the 1e-6 cps draw is cut in its second part
+    filled_on = _threads_filling(monkeypatch)
     for block in (7, 64):
         monkeypatch.setattr(timetag, "_BLOCK", block)
         top = min(round(timetag.DEFAULT_MAX_GAP_S / (GRID * TICK_S)), block)
         for n_cpus in (1, 2):
             _allow_cpus(monkeypatch, n_cpus)
+            filled_on.clear()
             chain = timetag._KeptChain(rate, duration, 1, 25e-9)
+            if n_cpus == 1:
+                # no part is filled past the one the draw is cut in
+                assert len(filled_on) == -(-gaps.size // block)
             assert chain.gaps.tobytes() == gaps.tobytes()
             assert chain._before == sums[::block] + [sums[-1]] * bool(gaps.size % block)
             assert np.array_equal(chain._counts,
                                   np.bincount(np.minimum(gaps, top), minlength=top + 1))
+
+
+def _work_on(fill, parts, work):
+    """work(part) for each part timetag._filled(fill, parts) yields, up to
+    the first for which it returns False."""
+    with contextlib.closing(timetag._filled(fill, parts)) as filled:
+        for part in filled:
+            if not work(part):
+                break
 
 
 @pytest.mark.parametrize("stop", [None, 500], ids=["every part", "work ends at part 500"])
@@ -969,7 +1035,14 @@ def test_overlap_works_each_part_after_its_fill_and_joins_its_worker(monkeypatch
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        filled, worked, returned = [], [], []
+        filled, worked = [], []
+
+        def fill(out):
+            filled.append(out)
+            if stop is not None and out > stop:
+                # a worker still filling once the work has ended is seen
+                # filling the rest, or alive after the work returns
+                time.sleep(0.01)
 
         def work(part):
             assert filled[part] == part
@@ -977,18 +1050,17 @@ def test_overlap_works_each_part_after_its_fill_and_joins_its_worker(monkeypatch
             return part != stop
 
         threads = threading.active_count()
-        runner = threading.Thread(target=lambda: returned.append(
-            timetag._overlap(filled.append, work, list(range(2000)))))
+        runner = threading.Thread(target=_work_on, args=(fill, list(range(2000)), work))
         runner.start()
         runner.join(timeout=60)
         assert not runner.is_alive()
         assert threading.active_count() == threads
     finally:
         sys.setswitchinterval(interval)
-    assert returned == [stop is None]
     assert worked == list(range(2000 if stop is None else stop + 1))
-    # filled in order
+    # filled in order, and no more once the work has ended
     assert filled == list(range(len(filled)))
+    assert (len(filled) == 2000) == (stop is None)
 
 
 @pytest.mark.parametrize("n_cpus, n_parts", [(1, 2000), (2, 1)],
@@ -999,9 +1071,9 @@ def test_overlap_on_one_cpu_or_of_one_part_runs_on_this_thread(monkeypatch, n_cp
     for stop in (None, n_parts // 2):
         calls, seen_on = [], set()
 
-        def fill(part):
+        def fill(out):
             seen_on.add(threading.current_thread())
-            calls.append(("fill", part))
+            calls.append(("fill", out))
 
         def work(part):
             seen_on.add(threading.current_thread())
@@ -1009,20 +1081,19 @@ def test_overlap_on_one_cpu_or_of_one_part_runs_on_this_thread(monkeypatch, n_cp
             return part != stop
 
         last = n_parts - 1 if stop is None else stop
-        assert timetag._overlap(fill, work, list(range(n_parts))) == (stop is None)
+        _work_on(fill, list(range(n_parts)), work)
         # each part filled, then worked, up to the part whose work says stop
         assert calls == [(step, part) for part in range(last + 1) for step in ("fill", "work")]
         assert seen_on == {threading.current_thread()}
     error = RuntimeError("the last part's fill failed")
 
-    def failing(part):
-        if part == n_parts - 1:
+    def failing(out):
+        if out == n_parts - 1:
             raise error
 
     worked = []
     with pytest.raises(RuntimeError) as excinfo:
-        timetag._overlap(failing, lambda part: worked.append(part) or True,
-                         list(range(n_parts)))
+        _work_on(failing, list(range(n_parts)), lambda part: worked.append(part) or True)
     assert excinfo.value is error
     assert worked == list(range(n_parts - 1))
     assert threading.active_count() == threads
@@ -1033,9 +1104,9 @@ def test_overlap_raises_the_work_error_over_the_fill_error(monkeypatch):
     working = threading.Event()
     fill_error, work_error = RuntimeError("fill"), RuntimeError("work")
 
-    def fill(part):
+    def fill(out):
         # the second fill fails once the first part's work has begun
-        if part == 1:
+        if out == 1:
             working.wait(timeout=60)
             raise fill_error
 
@@ -1046,7 +1117,7 @@ def test_overlap_raises_the_work_error_over_the_fill_error(monkeypatch):
 
     threads = threading.active_count()
     with pytest.raises(RuntimeError) as excinfo:
-        timetag._overlap(fill, work, [0, 1, 2])
+        _work_on(fill, [0, 1, 2], work)
     assert excinfo.value is work_error
     assert threading.active_count() == threads
 
@@ -1054,24 +1125,15 @@ def test_overlap_raises_the_work_error_over_the_fill_error(monkeypatch):
 def test_a_failed_draw_raises_itself_and_leaves_no_thread(monkeypatch):
     _allow_cpus(monkeypatch, 2)
     monkeypatch.setattr(timetag, "_BLOCK", 4099)
-    error = RuntimeError("the third chunk's draws failed")
-    fill = timetag._KeptChain._fill
-    filled_on = []
-
-    def failing(chain, out):
-        filled_on.append(threading.current_thread())
-        if len(filled_on) == 3:
-            raise error
-        fill(chain, out)
-
-    monkeypatch.setattr(timetag._KeptChain, "_fill", failing)
+    error = RuntimeError("the third part's draws failed")
+    filled_on = _threads_filling(monkeypatch, fail_at=3, error=error)
     threads = threading.active_count()
     with pytest.raises(RuntimeError) as excinfo:
-        # about 100k draws: 25 chunks
+        # about 100k draws: 25 parts
         timetag._KeptChain(40e6, 0.005, 1, 23.3e-9)
     assert excinfo.value is error
     assert threading.active_count() == threads
-    assert threading.current_thread() not in filled_on
+    assert len(filled_on) == 3 and threading.current_thread() not in filled_on
 
 
 # ---------------------------------------------------------------- memory
