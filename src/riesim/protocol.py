@@ -68,6 +68,10 @@ class ProtocolConfig:
         # the most rounds numpy's multinomial draw takes
         if self.n_rounds > 2**63 - 1:
             raise ValueError(f"n_rounds must be <= 2**63 - 1, got {self.n_rounds}")
+        # numpy's SeedSequence takes no other seed; True would run as seed 1
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         if not 0.0 < self.p0 <= 1.0:
             raise ValueError(f"p0 must be in (0, 1], got {self.p0}")
         if not 0.0 < self.abort_threshold < 0.5:

@@ -1,5 +1,5 @@
 """Event-level references: the per-round sampler, the per-cell round law and
-the thinned-stream detector.
+the thinned-stream detector, and the suite's one significance level, ALPHA.
 
 The count-level kernel in riesim.protocol samples whole runs from the round
 law.  This module plays single rounds through Eve's interception, the PBS
@@ -14,6 +14,13 @@ and A.  round_law builds riesim.protocol's round law one cell at a time from
 PolarizationState objects and projection_prob, in the same float order as
 the array algebra, so the two must agree bit for bit.
 
+assert_fits_law is the chi-square of category counts against a law at
+ALPHA.  assert_report_fits_law applies it to a SimulationReport: the law is
+pinned exactly elsewhere, so a run of simulate is checked by its own counts
+against n_rounds times the round law, per branch, and by the counts the law
+makes impossible being exactly 0.  law_totals is the law's tally, each
+report count's expectation per round.
+
 thinned_click_rate is the event-level non-paralyzable detector with
 quantum efficiency p0, built from the package's one dead-time filter.
 
@@ -25,11 +32,10 @@ the raw stream of the law checks of timetag's renewal chain (_KeptChain),
 which generate_poisson_stream reads too, so those checks never take their
 raw stream from the chain they test.
 
-fixed_point runs the rate-dependent fixed point over whole counts with any
-count function, and exact_fixed_point finds the count it should end on by
-bisection over counts, without iterating.  fixed_point_filter is that fixed
-point with a full _filter_constant pass at every iteration on a raw
-stream: the oracle for the law of the sweep's renewal sampler
+exact_fixed_point finds the count the rate-dependent fixed point should end
+on by bisection over counts, without iterating.  fixed_point_filter is
+timetag's fixed point with a full _filter_constant pass at every iteration
+on a raw stream: the oracle for the law of the sweep's renewal sampler
 (timetag._KeptChain).  chain_slots places every event of a chain's draws in
 one array operation, and chain_kept_count counts them: the oracle for the
 chain's own count, a search over its block totals and then one block's
@@ -43,25 +49,54 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+from scipy.stats import chisquare
 
 from riesim.adversary import AttackConfig, AttackMode, branch_click_probabilities
-from riesim.detector import DeadTimeCurve, availability, observed_rate
-from riesim.protocol import ProtocolConfig
+from riesim.detector import DeadTimeCurve, availability
+from riesim.protocol import (
+    _BASES,
+    _CLICKED,
+    _ERROR,
+    _OFF_BRANCH_AXES,
+    _SIFTED,
+    ProtocolConfig,
+    SimulationReport,
+    _round_law,
+    _tally,
+)
 from riesim.quantum import Basis, PolarizationState
 from riesim import timetag
 from riesim.timetag import (
-    FixedPointError,
     TimestampStream,
+    _fixed_point,
     _filter_constant,
     _window_ticks,
     apply_dead_time,
     generate_poisson_stream,
 )
 
+# The significance of every statistical assertion in the suite: each
+# chisquare, chi2_contingency, ttest_ind and binomtest p-value must exceed
+# it.  Seeds are fixed in advance and never picked because they pass, so a
+# check fails on correct code only when a change moves its random stream,
+# and such a change may re-draw every check at once.  One tier-1 run
+# executes K = 49 of these assertions, so by Bonferroni a stream change fails
+# correct code with probability at most K * ALPHA = 4.9 %.
+ALPHA = 1e-3
+
 H = PolarizationState(Basis.Z, 0)
 V = PolarizationState(Basis.Z, 1)
 D = PolarizationState(Basis.X, 0)
 A = PolarizationState(Basis.X, 1)
+
+
+def rie_with_ratio(r: float) -> AttackConfig:
+    """Loading that realizes p_perp/p_parallel = r on a flat 23.3 ns curve
+    under the exponential model with an unloaded aligned path:
+    lambda_perp = -ln(r)/t_d."""
+    lam_perp = 0.0 if r >= 1.0 else -math.log(r) / 23.3e-9
+    return AttackConfig(mode=AttackMode.RIE_NON_DETERMINISTIC,
+                        lambda_parallel_cps=0.0, lambda_perp_cps=lam_perp)
 
 
 def projection_prob(state: PolarizationState, meas_basis: Basis, outcome: int) -> float:
@@ -282,6 +317,61 @@ def round_law(config: ProtocolConfig, attack: AttackConfig) -> np.ndarray:
     return law
 
 
+def assert_fits_law(observed, probabilities, name: str = "") -> None:
+    """Chi-square at ALPHA of integer counts against their total times the
+    probability of each category.  A count in a category of probability 0
+    fails outright, and the categories expected below 5 are pooled into
+    one."""
+    observed, probabilities = np.ravel(observed), np.ravel(probabilities)
+    possible = probabilities > 0.0
+    assert not observed[~possible].any(), f"{name}: count in a zero-probability category"
+    f_obs, f_exp = observed[possible], observed.sum() * probabilities[possible]
+    small = f_exp < 5.0
+    if small.any():
+        f_obs = np.append(f_obs[~small], f_obs[small].sum())
+        f_exp = np.append(f_exp[~small], f_exp[small].sum())
+    assert chisquare(f_obs, f_exp).pvalue > ALPHA, name
+
+
+def law_totals(config: ProtocolConfig, attack: AttackConfig) -> np.ndarray:
+    """Per round: the expected rounds, clicks, sifted rounds, errors and
+    Eve-matched sifted rounds, from the tally of the round law."""
+    return _tally(_round_law(config, attack)).sum(axis=(1, 2, 3))
+
+
+# a round's category within its attack branch: no click, clicked but not
+# sifted, sifted and correct, sifted with an error
+_CATEGORY = _CLICKED.astype(int) + _SIFTED + _ERROR
+
+
+def assert_report_fits_law(report: SimulationReport, config: ProtocolConfig,
+                           attack: AttackConfig) -> None:
+    """A simulate report's own counts against n_rounds times the round law's
+    probability of each: with an attack, each branch's rounds split into the
+    four categories above, checked together by one assert_fits_law; without
+    one, the same four from the totals.  The totals must be the branch sums, and
+    n_sifted_eve_match the sifted count of the branches where Eve's basis is
+    Bob's (where it is Alice's, on a sifted round)."""
+    law = _round_law(config, attack)
+    # [Eve's basis, Eve's bit, Bob's basis, category]
+    probabilities = np.stack([(law * (_CATEGORY == k)).sum(axis=_OFF_BRANCH_AXES)
+                              for k in range(4)], axis=-1)
+    totals = np.array([report.n_rounds, report.n_clicks, report.n_sifted, report.n_errors])
+    if report.per_branch_stats is None:
+        assert report.n_sifted_eve_match is None
+        rows, probabilities = totals, probabilities.sum(axis=(0, 1, 2))
+    else:
+        branches = list(product((0, 1), repeat=3))
+        stats = [report.per_branch_stats[_BASES[eb], e, _BASES[bb]] for eb, e, bb in branches]
+        rows = np.array([(s.n_rounds, s.n_clicks, s.n_sifted, s.n_errors) for s in stats])
+        assert np.array_equal(rows.sum(axis=0), totals)
+        assert report.n_sifted_eve_match == sum(
+            s.n_sifted for (eb, _, bb), s in zip(branches, stats) if eb == bb)
+    # rounds, clicks, sifted, errors -> the four disjoint categories
+    observed = -np.diff(rows, append=0, axis=-1)
+    assert_fits_law(observed, probabilities, f"{report.attack_mode.value}, seed {report.seed}")
+
+
 def thinned_click_rate(beta_cps: float, p0: float, dead_time_s: float, duration_s: float,
                        seed: int) -> float:
     """Click rate of a non-paralyzable detector with efficiency p0 under
@@ -339,45 +429,15 @@ def poisson_stream(beta_cps: float, duration_s: float, seed: int) -> TimestampSt
     return TimestampStream(quantize(times, duration_s), duration_s)
 
 
-def fixed_point(kept_at, n_in: int, duration: float, curve: DeadTimeCurve):
-    """The rate-dependent fixed point from the whole count n_in, with
-    kept_at(window in ticks) the count kept at a window: plain iteration,
-    which once counts on both sides of the self-consistent one are known
-    goes on only from kept counts between them and bisects otherwise.
-    Returns the kept count, its window and the (iteration, window, rate)
-    trace.  Reads the iteration cap from riesim.timetag."""
-    more = fewer = None
-    trace = []
-    for iteration in range(timetag._FIXED_POINT_ITERATIONS):
-        rate = n_in / duration if duration > 0 else 0.0
-        dead_s = curve.dead_time_at(rate)
-        window = _window_ticks(dead_s)
-        count = kept_at(window)
-        trace.append((iteration, dead_s, count / duration if duration > 0 else 0.0))
-        if count == n_in:
-            return count, window, trace
-        if count > n_in:
-            more = n_in
-        else:
-            fewer = n_in
-        if more is None or fewer is None or min(more, fewer) < count < max(more, fewer):
-            n_in = count
-        elif abs(more - fewer) > 1:
-            n_in = (more + fewer) // 2
-        else:
-            return count, window, trace
-    raise FixedPointError("fixed point did not converge", trace)
-
-
 def fixed_point_filter(stream: TimestampStream, curve: DeadTimeCurve):
     """The rate-dependent filter of a raw stream with a full filter pass at
-    every iteration, from the count the steady-state law predicts for the
-    stream's own rate.  Returns the filtered stream and the trace."""
+    every iteration of timetag's fixed point, from the count the
+    steady-state law predicts for the stream's own rate.  Returns the
+    filtered stream and its window in ticks."""
     t = stream.ticks
-    n_in = round(observed_rate(stream.observed_rate_cps, curve) * stream.duration_s)
-    _, window, trace = fixed_point(lambda window: _filter_constant(t, window).size, n_in,
-                                   stream.duration_s, curve)
-    return TimestampStream(_filter_constant(t, window), stream.duration_s), trace
+    _, window = _fixed_point(lambda window: _filter_constant(t, window).size,
+                             stream.observed_rate_cps, curve, stream.duration_s)
+    return TimestampStream(_filter_constant(t, window), stream.duration_s), window
 
 
 def chain_slots(chain: timetag._KeptChain, window: int) -> np.ndarray:

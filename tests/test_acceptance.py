@@ -1,9 +1,11 @@
 """Acceptance suite: one test per release criterion, at its stated tolerance.
 
 Each test prints a single PASS/FAIL line (run with -s to see them inline).
-Monte Carlo tolerances are 3 binomial standard errors unless a criterion
-states otherwise; analytic comparisons are exact or at the listed absolute
-tolerance.
+A criterion on simulate checks its closed form exactly against the tally of
+the round law it samples, then its Monte Carlo run by one chi-square of the
+run's counts against that law at reference.ALPHA
+(reference.assert_report_fits_law).  Other analytic comparisons are exact
+or at the listed absolute tolerance.
 """
 
 import math
@@ -28,11 +30,11 @@ from riesim.detector import (
     default_dead_time_curve,
     observed_rate,
 )
-from riesim.protocol import ProtocolConfig, run_simulation
+from riesim.protocol import ProtocolConfig, _round_law, _tally, run_simulation
 from riesim.quantum import Basis, PolarizationState
 from riesim.timetag import apply_dead_time, generate_poisson_stream, sweep_dead_time
 
-from reference import thinned_click_rate
+from reference import assert_report_fits_law, law_totals, rie_with_ratio, thinned_click_rate
 
 FLAT_CURVE = DeadTimeCurve.constant(23.3e-9)
 
@@ -52,18 +54,6 @@ def criterion(number: int, title: str):
     print(f"ACCEPTANCE {number} PASS: {title}")
 
 
-def binom_sigma(p: float, n: int) -> float:
-    return math.sqrt(p * (1.0 - p) / n)
-
-
-def rie_with_ratio(r: float) -> AttackConfig:
-    """Orthogonal loading realizing p_perp/p_parallel = r on the flat curve
-    (exponential availability, unloaded aligned path)."""
-    lam_perp = 0.0 if r >= 1.0 else -math.log(r) / 23.3e-9
-    return AttackConfig(mode=AttackMode.RIE_NON_DETERMINISTIC,
-                        lambda_parallel_cps=0.0, lambda_perp_cps=lam_perp)
-
-
 def test_criterion_1_threshold_reproduction():
     with criterion(1, "stealth threshold r_th(0.11) = 0.282"):
         value = r_threshold(0.11)
@@ -77,12 +67,12 @@ def test_criterion_2_qber_law():
         for i, r in enumerate((0.1, 0.282, 0.5, 1.0)):
             config = ProtocolConfig(n_rounds=500_000, p0=1.0, seed=100 + i,
                                     dead_time_curve=FLAT_CURVE)
-            report = run_simulation(config, rie_with_ratio(r))
+            attack = rie_with_ratio(r)
+            _, _, sifted, errors, _ = law_totals(config, attack)
+            assert errors / sifted == pytest.approx(e_obs(r), rel=1e-12), f"r={r}"
+            report = run_simulation(config, attack)
             assert report.n_sifted >= 100_000
-            expected = e_obs(r)
-            sigma = binom_sigma(expected, report.n_sifted)
-            assert abs(report.qber_observed - expected) < 3 * sigma, (
-                f"r={r}: qber {report.qber_observed:.5f} vs {expected:.5f}")
+            assert_report_fits_law(report, config, attack)
 
 
 def test_criterion_3_sift_probability():
@@ -103,12 +93,10 @@ def test_criterion_3_sift_probability():
         for i, (p_par, p_perp, p0, attack) in enumerate(cases):
             config = ProtocolConfig(n_rounds=n, p0=p0, seed=200 + i,
                                     dead_time_curve=FLAT_CURVE)
-            report = run_simulation(config, attack)
-            expected = sift_probability(p_par, p_perp)
-            sigma = binom_sigma(expected, n)
-            assert abs(report.sift_probability - expected) < 3 * sigma, (
-                f"(p_par={p_par}, p_perp={p_perp}): sift "
-                f"{report.sift_probability:.5f} vs {expected:.5f}")
+            _, _, sifted, _, _ = law_totals(config, attack)
+            assert sifted == pytest.approx(sift_probability(p_par, p_perp), rel=1e-12), (
+                f"(p_par={p_par}, p_perp={p_perp})")
+            assert_report_fits_law(run_simulation(config, attack), config, attack)
 
 
 def test_criterion_4_mutual_information_ordering():
@@ -123,12 +111,10 @@ def test_criterion_4_mutual_information_ordering():
         for i, r in enumerate((0.282, 1.0)):
             config = ProtocolConfig(n_rounds=600_000, p0=1.0, seed=300 + i,
                                     dead_time_curve=FLAT_CURVE)
-            report = run_simulation(config, rie_with_ratio(r))
-            omega = report.n_sifted_eve_match / report.n_sifted
-            expected = 1.0 / (1.0 + r)
-            sigma = binom_sigma(expected, report.n_sifted)
-            assert abs(omega - expected) < 3 * sigma, (
-                f"r={r}: omega_M {omega:.5f} vs {expected:.5f}")
+            attack = rie_with_ratio(r)
+            _, _, sifted, _, eve_match = law_totals(config, attack)
+            assert eve_match / sifted == pytest.approx(1.0 / (1.0 + r), rel=1e-12), f"r={r}"
+            assert_report_fits_law(run_simulation(config, attack), config, attack)
 
 
 def test_criterion_5_dead_time_extraction():
@@ -202,7 +188,11 @@ def test_criterion_8_branch_reproduction():
         config = ProtocolConfig(n_rounds=1_000_000, p0=p0, seed=600,
                                 dead_time_curve=FLAT_CURVE, fixed_alice=alice)
         report = run_simulation(config, attack)
+        assert_report_fits_law(report, config, attack)
         rows = report.per_branch_stats
+        # [row, Eve's basis, Eve's bit, Bob's basis]
+        law = _tally(_round_law(config, attack))
+        index = {Basis.Z: 0, Basis.X: 1}
 
         p_par, p_perp = p0, p0 * avail_perp
         expectations = {
@@ -214,15 +204,17 @@ def test_criterion_8_branch_reproduction():
             (Basis.X, 1, Basis.Z): (p_perp, True, 0.5),
         }
         for key, (click_p, kept, cond_error) in expectations.items():
+            eve_basis, eve_bit, bob_basis = key
+            rounds, clicks, sifted, errors, _ = law[:, index[eve_basis], eve_bit, index[bob_basis]]
+            assert clicks / rounds == pytest.approx(click_p, rel=1e-12), f"branch {key}"
+            # kept: Bob's basis matches Alice's, so the branch reaches the sifted key
+            assert (sifted > 0) == kept
+            if kept:
+                assert errors / sifted == pytest.approx(cond_error, rel=1e-12), f"branch {key}"
             row = rows[key]
             assert row.n_rounds > 0
-            # kept: Bob's basis matches Alice's, so the branch reaches the sifted key
             assert (row.n_sifted > 0) is kept
-            assert abs(row.click_rate - click_p) < 3 * binom_sigma(click_p, row.n_rounds), (
-                f"branch {key}: click {row.click_rate:.4f} vs {click_p}")
-            if cond_error == 0.5:
-                assert abs(row.conditional_error_rate - 0.5) < 3 * binom_sigma(0.5, row.n_sifted)
-            elif cond_error == 0.0:
+            if cond_error == 0.0:
                 assert row.conditional_error_rate == 0.0
         # Eve measuring Z on Z0 never yields bit 1
         assert rows[(Basis.Z, 1, Basis.Z)].n_rounds == 0

@@ -10,12 +10,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from scipy.stats import binomtest
 
 import riesim
 from riesim import cli
 from riesim.cli import build_parser, main
 from riesim.timetag import (DEFAULT_BIN_WIDTH_S, apply_dead_time, generate_poisson_stream,
                             write_timestamps)
+
+from reference import ALPHA
 
 
 def write_config(tmp_path, data, name="scenario.json"):
@@ -142,7 +145,8 @@ def test_extract_flag_does_not_carry_to_the_next_call(tmp_path, base_config):
     assert f"bin_width_s: {DEFAULT_BIN_WIDTH_S!r}\n" in report.read_text()
 
 
-@pytest.mark.parametrize("bad", [["no-such-command"], ["--seed", "x", "analytic"]])
+@pytest.mark.parametrize("bad", [["no-such-command"], ["--seed", "x", "analytic"]],
+                         ids=["unknown command", "non-integer seed"])
 def test_argparse_failure_leaves_the_next_call_intact(tmp_path, base_config, capsys, bad):
     def run(out):
         assert main(["--config", str(base_config), "--out", str(tmp_path / out),
@@ -224,7 +228,8 @@ def test_analytic_reads_protocol_section(tmp_path):
     assert "e_abort: 0.2\n" in text
 
 
-@pytest.mark.parametrize("protocol", [None, {"n_rounds": 10}, {"n_rounds": 10, "p0": 1.5}])
+@pytest.mark.parametrize("protocol", [None, {"n_rounds": 10}, {"n_rounds": 10, "p0": 1.5}],
+                         ids=["None", "no p0", "p0 above one"])
 def test_analytic_rejects_bad_protocol_section(tmp_path, capsys, protocol):
     data = {"out": str(tmp_path / "results"), "attack": {"mode": "intercept_resend"}}
     if protocol is not None:
@@ -247,8 +252,8 @@ def test_readme_example_scenario_runs_and_agrees(tmp_path):
     assert main(["--config", str(config), "--out", str(out), "simulate"]) == 0
     expected = float(_key_values(out / "analytic.txt")["e_obs"])
     report = _key_values(out / "simulation_report.txt")
-    sigma = math.sqrt(expected * (1.0 - expected) / int(report["n_sifted"]))
-    assert abs(float(report["qber_observed"]) - expected) < 4.0 * sigma
+    errors = binomtest(int(report["n_errors"]), int(report["n_sifted"]), expected)
+    assert errors.pvalue > ALPHA
 
 
 README_ATTACK = {

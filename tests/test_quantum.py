@@ -7,7 +7,7 @@ from scipy.stats import chisquare
 
 from riesim.quantum import Basis, PolarizationState
 
-from reference import A, D, H, V, complement, projection_prob, route_through_pbs
+from reference import ALPHA, A, D, H, V, complement, projection_prob, route_through_pbs
 
 ALL_STATES = [H, V, D, A]
 
@@ -70,11 +70,7 @@ def test_split_routing_matches_born_rule_at_one_million_samples():
     n = 1_000_000
     rng = np.random.default_rng(2024)
     hits = sum(route_through_pbs(H, Basis.X, rng) for _ in range(n))
-    # binomial: 3 sigma around p = 0.5
-    sigma = np.sqrt(0.25 / n)
-    assert abs(hits / n - 0.5) < 3 * sigma
-    stat, p_value = chisquare([hits, n - hits])
-    assert p_value > 1e-4
+    assert chisquare([hits, n - hits]).pvalue > ALPHA
 
 
 def test_routing_consumes_one_draw_even_when_deterministic():

