@@ -67,17 +67,9 @@ MAX_HISTOGRAM_BINS = 1 << 20
 MAX_STREAM_EVENTS = 1 << 27
 # generated and filtered ticks stay below 2**62 (53 days): tick + window fits int64
 MAX_STREAM_TICK = 1 << 62
-# the digits the bulk parse takes a line's value from, in three 8-byte words:
-# any more must be leading zeros, so every value it reads lies below 10**18
+# the widest row the bulk parse takes, read as three 8-byte words: every
+# value it reads lies below 10**18
 _BULK_DIGITS = 18
-# past this many runs of equal-width lines the bulk parse leaves a piece to the
-# line reader, which is then faster; an ascending file without zero padding
-# has at most 19 runs
-_BULK_RUNS = 64
-# the widest line the bulk parse takes: int(), which the line reader uses,
-# may refuse a string of more digits (640 is the least limit
-# sys.set_int_max_str_digits accepts)
-_BULK_WIDTH = 640
 # bytes read from a timestamp file at a time (_pieces): beside what it keeps,
 # a read holds the buffer, one piece and that piece's ticks and scratch, a
 # few pieces whatever the file's size
@@ -472,8 +464,14 @@ def estimate_dead_time(hist: InterArrivalHistogram, min_count: int = DEFAULT_MIN
     """Dead time from the onset of the first statistically populated bin.
 
     Returns the lower edge of the first bin holding at least `min_count`
-    gaps, so the estimate sits within one bin width below the true dead
-    time.  min_count > 1 guards against a stray outlier defining the onset.
+    gaps.  min_count > 1 guards against a stray outlier defining the onset.
+    When no gap is shorter than the dead time, as behind a non-paralyzable
+    detector, the estimate is at least the lower edge of the bin holding
+    the dead time, so less than one bin width below it.  It has no such
+    bound above: the bins just past the dead time may hold fewer than
+    `min_count` gaps.  At 1 Mcps for 10 ms, with 0.5 ns bins and a 23.3 ns
+    window, it reads 23.5 ns with probability 0.40 and 24.0 ns with
+    probability 0.018.
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
@@ -752,24 +750,25 @@ def sweep_dead_time(
 
 
 def _width_runs(raw: bytes, buf: np.ndarray):
-    """The runs of equal-width lines raw is made of, as (start, width, rows),
-    an unterminated last line a run of its own; None at a blank line, a line
-    wider than _BULK_WIDTH or past _BULK_RUNS runs.
+    """The runs of equal-width rows raw is made of, as (start, width, rows),
+    an unterminated last row a run of its own; None at a row that is blank,
+    wider than _BULK_DIGITS or narrower than the row before it.
 
-    A run's width is that of its first line.  It holds the rows
+    A run's width is that of its first row.  It holds the rows
     start + k * (width + 1) for as long as each ends in an LF, tested
     _BLOCK rows at a time on the byte that ends each row; the bytes inside the
-    rows are not tested here.
+    rows are not tested here.  Widths that never narrow make at most
+    _BULK_DIGITS + 1 runs.
     """
     runs = []
     start = 0
+    least = 1
     while start < len(raw):
-        if len(runs) == _BULK_RUNS:
-            return None
         end = raw.find(b"\n", start)
         width = (len(raw) if end < 0 else end) - start
-        if not 0 < width <= _BULK_WIDTH:
+        if not least <= width <= _BULK_DIGITS:
             return None
+        least = width
         if end < 0:
             runs.append((start, width, 1))
             break
@@ -812,12 +811,13 @@ def _word_values(words: np.ndarray) -> None:
     words >>= np.uint64(32)
 
 
-def _row_values(raw: bytes, out: np.ndarray, end: int, stride: int, digits: int,
+def _row_values(raw: bytes, out: np.ndarray, end: int, stride: int,
                 part: np.ndarray) -> None:
-    """out[i] = the value of the `digits` digits of raw that end before
+    """out[i] = the value of the stride - 1 digits of raw that end before
     end + i * stride, read as up to three unaligned little-endian words, each
     ending 8 bytes before the next, masked to the digits and turned into its
     value in place (_word_values); part holds a word's values beside out."""
+    digits = stride - 1
     for k in range(-(-digits // 8)):
         word = np.ndarray(out.shape, dtype="<u8", buffer=raw, offset=end - 8 * (k + 1),
                           strides=(stride,))
@@ -832,16 +832,15 @@ def _row_values(raw: bytes, out: np.ndarray, end: int, stride: int, digits: int,
 
 
 def _ticks_in_bulk(raw: bytes):
-    """The ticks of bytes of digit-only lines, each LF-terminated but
-    perhaps the last, whose characters before the last 18 are all '0'; else
-    None.
+    """The ticks of bytes of rows of 1 to _BULK_DIGITS ASCII digits, each
+    LF-terminated but perhaps the last, whose widths never narrow; else None.
 
     The bytes are split into runs of equal-width rows (_width_runs), which are
     parsed _BLOCK rows at a time.  A block's bytes must hold as many digits as
     its rows' widths add up to: with the LF found at each row's end, that
     proves every other byte a digit.  Each row's value is then read from its
-    last 18 digits as words (_row_values), or by int() if the row ends too
-    near the start of the bytes for its first word.
+    digits as words (_row_values), or by int() if the row ends too near the
+    start of the bytes for its first word.
     """
     buf = np.frombuffer(raw, dtype=np.uint8)
     runs = _width_runs(raw, buf)
@@ -861,9 +860,6 @@ def _ticks_in_bulk(raw: bytes):
             block = buf[row:start + hi * stride]
             if _digit_count(block, scratch) != (hi - lo) * width:
                 return None
-            for column in range(width - _BULK_DIGITS):
-                if not (block[column::stride] == _ZERO).all():
-                    return None
             out = words[first + lo:first + hi]
             # the rows that end within three words of the start of the bytes
             head = 0
@@ -871,8 +867,7 @@ def _ticks_in_bulk(raw: bytes):
                 out[head] = int(raw[row + head * stride:row + head * stride + width])
                 head += 1
             if head < out.size:
-                _row_values(raw, out[head:], row + head * stride + width, stride,
-                            min(width, _BULK_DIGITS), part)
+                _row_values(raw, out[head:], row + head * stride + width, stride, part)
         first += rows
     return ticks
 
@@ -957,9 +952,11 @@ def read_timestamps(path) -> TimestampStream:
     """Read a timestamp file: one integer per line, picoseconds, ascending.
 
     The file is read once, a piece at a time (_tick_blocks).  A piece of
-    digit-only lines below 10**18, as write_timestamps writes them, is parsed
-    in bulk as rows of equal width; any other piece is read line by line.
-    Both give the same result on every piece the bulk parse takes.
+    rows of 1 to 18 ASCII digits, each LF-terminated but perhaps the last,
+    whose widths never narrow, as write_timestamps writes them, is parsed in
+    bulk as runs of rows of equal width; any other piece is read line by
+    line.  Both give the same result
+    on every piece the bulk parse takes.
     """
     path = Path(path)
     ticks = array("q")

@@ -21,8 +21,10 @@ against n_rounds times the round law, per branch, and by the counts the law
 makes impossible being exactly 0.  law_totals is the law's tally, each
 report count's expectation per round.
 
-thinned_click_rate is the event-level non-paralyzable detector with
-quantum efficiency p0, built from the package's one dead-time filter.
+thinned_clicks is the event-level non-paralyzable detector with quantum
+efficiency p0, built from the package's one dead-time filter, and
+assert_kept_count_fits_law checks the count of such a detector against its
+renewal law on the 8 ps grid.
 
 sequential_filter, the non-paralyzable rule as a loop over int64 ticks, is
 the oracle of timetag's segment-parallel filter.  poisson_stream is the
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.stats import chisquare
+from scipy.stats import chisquare, norm
 
 from riesim.adversary import AttackConfig, AttackMode, branch_click_probabilities
 from riesim.detector import DeadTimeCurve, availability
@@ -76,12 +78,14 @@ from riesim.timetag import (
 )
 
 # The significance of every statistical assertion in the suite: each
-# chisquare, chi2_contingency, ttest_ind and binomtest p-value must exceed
-# it.  Seeds are fixed in advance and never picked because they pass, so a
-# check fails on correct code only when a change moves its random stream,
-# and such a change may re-draw every check at once.  One tier-1 run
-# executes K = 49 of these assertions, so by Bonferroni a stream change fails
-# correct code with probability at most K * ALPHA = 4.9 %.
+# chisquare, chi2_contingency, ttest_ind and binomtest p-value, and each
+# z-test of assert_kept_count_fits_law, must exceed it.  Seeds are fixed in
+# advance and never picked because they pass, so a check fails on correct
+# code only when a change moves its random stream, and such a change may
+# re-draw every check at once.  One tier-1 run executes K = 55 of these
+# assertions (32 chi-square, 8 contingency chi-square, 8 Welch, 5 z, 2
+# binomial), so by Bonferroni a stream change fails correct code with
+# probability at most K * ALPHA = 5.5 %.
 ALPHA = 1e-3
 
 H = PolarizationState(Basis.Z, 0)
@@ -372,10 +376,10 @@ def assert_report_fits_law(report: SimulationReport, config: ProtocolConfig,
     assert_fits_law(observed, probabilities, f"{report.attack_mode.value}, seed {report.seed}")
 
 
-def thinned_click_rate(beta_cps: float, p0: float, dead_time_s: float, duration_s: float,
-                       seed: int) -> float:
-    """Click rate of a non-paralyzable detector with efficiency p0 under
-    Poisson arrivals at beta_cps.
+def thinned_clicks(beta_cps: float, p0: float, dead_time_s: float, duration_s: float,
+                   seed: int) -> int:
+    """Clicks of a non-paralyzable detector with efficiency p0 under
+    Poisson arrivals at beta_cps over duration_s.
 
     An arrival that fails p0 neither clicks nor re-arms the dead window, so
     the clicks are the dead-time filter applied to the p0-thinned stream.
@@ -383,7 +387,32 @@ def thinned_click_rate(beta_cps: float, p0: float, dead_time_s: float, duration_
     stream = generate_poisson_stream(beta_cps, duration_s, seed=seed)
     live = np.random.default_rng(seed).random(len(stream)) < p0
     thinned = TimestampStream(stream.ticks[live], stream.duration_s)
-    return apply_dead_time(thinned, constant_dead_time_s=dead_time_s).observed_rate_cps
+    return len(apply_dead_time(thinned, constant_dead_time_s=dead_time_s))
+
+
+def assert_kept_count_fits_law(count: int, beta_cps: float, dead_time_s: float,
+                               duration_s: float, p0: float = 1.0) -> None:
+    """Two-sided z-test at ALPHA of the events a non-paralyzable detector
+    keeps over [0, duration_s] against their renewal law on the tagger grid.
+
+    The raw stream holds each 8 ps slot with probability 1 - exp(-beta * 8 ps)
+    and thinning keeps an event with probability p0, so the thinned stream
+    holds a slot with probability q = p0 (1 - exp(-beta * 8 ps)).  A kept gap
+    is d + G slots, d = max(1, ceil(window / 8 ps)) and G ~ Geom(q), of mean
+    m = d + (1 - q) / q and variance (1 - q) / q**2; over S slots the count
+    is normal with mean S / m and variance S (1 - q) / (q**2 m**3) to within
+    O(1) events.  The continuous beta / (1 + beta t_d) puts the mean gap
+    up to 4 ps off (the window rounded up to whole slots, less half a slot
+    of G), a relative bias of order beta * 4 ps that is not noise.
+    """
+    slot_s = timetag.RESOLUTION_TICKS * timetag.TICK_S
+    q = p0 * -math.expm1(-beta_cps * slot_s)
+    d = max(1, -(-_window_ticks(dead_time_s) // timetag.RESOLUTION_TICKS))
+    mean_gap = d + (1.0 - q) / q
+    slots = duration_s / slot_s
+    sigma = math.sqrt(slots * (1.0 - q) / q**2 / mean_gap**3)
+    z = (count - slots / mean_gap) / sigma
+    assert 2.0 * norm.sf(abs(z)) > ALPHA, f"kept {count}, z = {z:.3g}"
 
 
 def sequential_filter(ticks: np.ndarray, window: int) -> np.ndarray:

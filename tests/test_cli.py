@@ -15,10 +15,12 @@ from scipy.stats import binomtest
 import riesim
 from riesim import cli
 from riesim.cli import build_parser, main
+from riesim.protocol import run_simulation
+from riesim.scenario import load_scenario
 from riesim.timetag import (DEFAULT_BIN_WIDTH_S, apply_dead_time, generate_poisson_stream,
                             write_timestamps)
 
-from reference import ALPHA
+from reference import ALPHA, assert_report_fits_law
 
 
 def write_config(tmp_path, data, name="scenario.json"):
@@ -174,7 +176,8 @@ def test_each_call_rereads_the_scenario_file(tmp_path, base_config):
 
 def test_simulate_stealthy_rie_scenario(tmp_path, capsys):
     # suppression ratio 0.2 on a flat 23.3 ns curve: QBER settles near
-    # 0.2/2.4 = 0.0833, under the 0.11 abort threshold
+    # 0.2/2.4 = 0.0833, under the 0.11 abort threshold.  The written report
+    # is the scenario's run, whose counts fit the round law
     config = write_config(tmp_path, {
         "seed": 12,
         "out": str(tmp_path / "results"),
@@ -185,10 +188,13 @@ def test_simulate_stealthy_rie_scenario(tmp_path, capsys):
                    "lambda_perp_cps": 69072712.0},  # -ln(0.2)/23.3e-9
     })
     assert main(["--config", str(config), "simulate"]) == 0
-    report = (tmp_path / "results" / "simulation_report.txt").read_text()
-    qber = float(report.split("qber_observed: ")[1].splitlines()[0])
-    assert abs(qber - 0.2 / 2.4) < 0.005
-    assert "abort: false" in report
+    text = (tmp_path / "results" / "simulation_report.txt").read_text()
+    scenario = load_scenario(config)
+    protocol = scenario.protocol_config()
+    report = run_simulation(protocol, scenario.attack)
+    assert report.to_text() == text
+    assert_report_fits_law(report, protocol, scenario.attack)
+    assert "abort: false" in text
 
 
 def test_analytic_reports_closed_forms(tmp_path, capsys):
@@ -435,18 +441,21 @@ def test_deadtime_extract_undecodable_byte_names_line(tmp_path, base_config, cap
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--bin-width", "0"], "--bin-width must be > 0, got 0.0"),
-    (["--bin-width", "nan"], "--bin-width must be a finite number, got nan"),
-    (["--max-gap", "0"], "--max-gap must be > 0, got 0.0"),
-    (["--max-gap", "inf"], "--max-gap must be a finite number, got inf"),
-    (["--min-count", "0"], "--min-count must be >= 1, got 0"),
-    (["--max-gap", "1e300"], "--max-gap / --bin-width: the histogram would need inf bins, "
-                              "more than the limit of 1048576"),
-    (["--max-gap", "10", "--bin-width", "1e-12"], "--max-gap / --bin-width: the histogram "
-                                                  "would need 1e+13 bins, more than the limit "
-                                                  "of 1048576"),
-    (["--bin-width", "3e-13"], "--max-gap / --bin-width: bin width 3e-13 s and max gap 2e-07 s "
-                               "must be whole numbers of picoseconds"),
+    pytest.param(["--bin-width", "0"], "--bin-width must be > 0, got 0.0", id="bin width zero"),
+    pytest.param(["--bin-width", "nan"], "--bin-width must be a finite number, got nan",
+                 id="bin width nan"),
+    pytest.param(["--max-gap", "0"], "--max-gap must be > 0, got 0.0", id="max gap zero"),
+    pytest.param(["--max-gap", "inf"], "--max-gap must be a finite number, got inf",
+                 id="max gap infinite"),
+    pytest.param(["--min-count", "0"], "--min-count must be >= 1, got 0", id="min count zero"),
+    pytest.param(["--max-gap", "1e300"], "--max-gap / --bin-width: the histogram would need "
+                                         "inf bins, more than the limit of 1048576",
+                 id="infinite bins"),
+    pytest.param(["--max-gap", "10", "--bin-width", "1e-12"], "--max-gap / --bin-width: the "
+                 "histogram would need 1e+13 bins, more than the limit of 1048576",
+                 id="bins past the limit"),
+    pytest.param(["--bin-width", "3e-13"], "--max-gap / --bin-width: bin width 3e-13 s and max "
+                 "gap 2e-07 s must be whole numbers of picoseconds", id="fractional picoseconds"),
     # two bins of 5e18 ps, or one of 1e19 ps, end past int64
     pytest.param(["--bin-width", "5e6", "--max-gap", "6e6", "--min-count", "1"],
                  "--max-gap / --bin-width: the histogram's upper edge must be at most "

@@ -16,7 +16,7 @@ from riesim.detector import (
     observed_rate,
 )
 
-from reference import thinned_click_rate
+from reference import assert_kept_count_fits_law, thinned_clicks
 
 EXP = AvailabilityModel.EXPONENTIAL
 LIN = AvailabilityModel.LINEAR_BOUND
@@ -267,9 +267,7 @@ def test_observed_rate_picks_the_smallest_of_three_roots():
 @pytest.mark.parametrize("p0", [1.0, 0.5])
 def test_thinned_stream_throughput_matches_nonparalyzable_formula(p0):
     # Poisson arrivals at 10 Mcps through a 23.3 ns dead time for 0.1 s; an
-    # arrival that fails p0 neither clicks nor re-arms, so the click rate
-    # must land within 2% of p0*beta/(1+t_d*p0*beta)
+    # arrival that fails p0 neither clicks nor re-arms, so the clicks are
+    # the renewal count of the p0-thinned stream, near p0*beta/(1+t_d*p0*beta)
     beta, t_d = 10e6, 23.3e-9
-    observed = thinned_click_rate(beta, p0, t_d, 0.1, seed=1234)
-    expected = p0 * beta / (1.0 + t_d * p0 * beta)
-    assert abs(observed - expected) / expected < 0.02
+    assert_kept_count_fits_law(thinned_clicks(beta, p0, t_d, 0.1, seed=1234), beta, t_d, 0.1, p0)

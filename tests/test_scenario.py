@@ -375,12 +375,18 @@ def test_non_object_sections_rejected(data, where):
 
 
 @pytest.mark.parametrize("data, key, rule", [
-    ({"sweep": {"rates_cps": [1e6, 0]}}, "sweep.rates_cps[1]", "> 0"),
-    ({"sweep": {"rates_cps": [-1e6]}}, "sweep.rates_cps[0]", "> 0"),
-    ({"sweep": {"duration_s": -1}}, "sweep.duration_s", ">= 0"),
-    ({"sweep": {"bin_width_s": 0}}, "sweep.bin_width_s", "> 0"),
-    ({"sweep": {"min_count": 0}}, "sweep.min_count", ">= 1"),
-    ({"scan": {"lambda_par_cps": [1e6, -1.0]}}, "scan.lambda_par_cps[1]", ">= 0"),
+    pytest.param({"sweep": {"rates_cps": [1e6, 0]}}, "sweep.rates_cps[1]", "> 0",
+                 id="sweep rate zero"),
+    pytest.param({"sweep": {"rates_cps": [-1e6]}}, "sweep.rates_cps[0]", "> 0",
+                 id="sweep rate negative"),
+    pytest.param({"sweep": {"duration_s": -1}}, "sweep.duration_s", ">= 0",
+                 id="sweep duration negative"),
+    pytest.param({"sweep": {"bin_width_s": 0}}, "sweep.bin_width_s", "> 0",
+                 id="sweep bin width zero"),
+    pytest.param({"sweep": {"min_count": 0}}, "sweep.min_count", ">= 1",
+                 id="sweep min_count zero"),
+    pytest.param({"scan": {"lambda_par_cps": [1e6, -1.0]}}, "scan.lambda_par_cps[1]", ">= 0",
+                 id="lambda_par negative"),
     ({"scan": {"lambda_perp_cps": [-5e6]}}, "scan.lambda_perp_cps[0]", ">= 0"),
     ({"scan": {"lambda_perp_grid": {"start_cps": -1e6, "stop_cps": 3e6, "num": 3}}},
      "scan.lambda_perp_grid.start_cps", ">= 0"),
