@@ -6,9 +6,9 @@ only the events outside the recovery window of the previous registered
 event, histogram the kept inter-arrival gaps, and read the dead time off the
 onset of the first populated bin.  Sweeping the true rate recovers the full
 rate-dependent dead-time curve.  The sweep draws each kept stream from its
-renewal law (_KeptChain), in one pass from its seed, and
-generate_poisson_stream reads the raw stream off the same law at a window
-of no length; apply_dead_time is the event filter the law describes.
+renewal law (_KeptChain), block by block from its seed as its counts ask,
+and generate_poisson_stream reads the raw stream off the same law at a
+window of no length; apply_dead_time is the event filter the law describes.
 
 A stream holds int64 ticks of 1 ps, the unit of the on-disk format (one
 integer per line), on the generator's 8 ps tagger grid.  Seconds appear only
@@ -22,6 +22,7 @@ import bisect
 import contextlib
 import csv
 import io
+import itertools
 import math
 import queue
 import threading
@@ -93,6 +94,11 @@ _PROBE_MIN_LIVE = 64
 # near 0.5 MB instead of the length of the stream, and its Python loops run
 # n / _BLOCK times
 _BLOCK = 1 << 16
+# the blocks of gaps a kept chain holds (_KeptChain): its last _HELD
+_HELD = 2
+# generate_poisson_stream's ticks buffer holds the expected count and this
+# many standard deviations; a stream longer still goes on in blocks of its own
+_TICKS_SIGMAS = 10.0
 
 
 class InsufficientDataError(ValueError):
@@ -114,12 +120,14 @@ class FixedPointError(RuntimeError):
 @dataclass(frozen=True)
 class TimestampStream:
     """Strictly increasing int64 ticks t of TICK_S over [0, duration]: the
-    duration in seconds as given, and t * TICK_S <= duration_s."""
+    duration in seconds as given, finite and >= 0, and t * TICK_S <= duration_s."""
 
     ticks: np.ndarray
     duration_s: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.duration_s) and self.duration_s >= 0):
+            raise ValueError(f"duration must be finite and >= 0, got {self.duration_s!r}")
         t = np.asarray(self.ticks)
         if t.ndim != 1 or (t.size and t.dtype.kind not in "iu"):
             raise ValueError("ticks must be a 1-d array of integers")
@@ -138,14 +146,15 @@ class TimestampStream:
 
 @dataclass(frozen=True)
 class InterArrivalHistogram:
-    """Counts of consecutive-gap durations in uniform bins starting at zero."""
+    """Counts of consecutive-gap durations in uniform bins starting at zero,
+    of a finite width > 0."""
 
     bin_width_s: float
     counts: np.ndarray
 
     def __post_init__(self):
-        if self.bin_width_s <= 0:
-            raise ValueError("bin width must be positive")
+        if not (math.isfinite(self.bin_width_s) and self.bin_width_s > 0):
+            raise ValueError(f"bin width must be finite and > 0, got {self.bin_width_s!r}")
         object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.int64))
 
     def write_csv(self, path) -> None:
@@ -180,12 +189,6 @@ def _window_ticks(dead_s: float) -> int:
     return math.ceil(min(_ticks_of(dead_s), MAX_STREAM_TICK))
 
 
-def _first_block_size(expected: float) -> int:
-    """Gaps in a chain's first draw: the expected count plus 10 sigma, so it
-    is drawn again only on a >10 sigma shortfall."""
-    return max(int(expected + 10.0 * np.sqrt(expected + 1.0)) + 16, 1024)
-
-
 def expected_events(beta_cps: float, duration_s: float) -> float:
     """Expected event count beta * duration of a Poisson stream; ValueError
     unless beta is finite and > 0 and the duration finite and >= 0, above
@@ -210,8 +213,7 @@ def generate_poisson_stream(beta_cps: float, duration_s: float, seed: int) -> Ti
     """Homogeneous Poisson arrivals at true rate beta over [0, duration],
     deterministic per seed, on the tagger grid: the held slots, every one of
     which the kept chain keeps at a window of no length (_KeptChain)."""
-    chain = _KeptChain(beta_cps, duration_s, seed, 0.0, 0.0)
-    return TimestampStream(chain.ticks(chain.count(0), 0), duration_s)
+    return TimestampStream(_KeptChain(beta_cps, duration_s, seed, 0.0).ticks(0), duration_s)
 
 
 def _chase(ticks: np.ndarray, dead: int, kept: np.ndarray, cur: np.ndarray,
@@ -417,47 +419,76 @@ def _fold(blocks, bin_width_s: float, max_gap_s: float):
     return count, last, ordered, counts
 
 
-def _filled(fill, parts):
-    """Each of `parts` in order, once fill(out=part) has returned for it; a
-    fill's exception is raised at its part, as itself.
+def _filled(fill, parts, ahead):
+    """Each of the iterable `parts` in order, once fill(out=part) has
+    returned for it; a fill's exception is raised at its part, as itself.
 
-    With two CPUs and two parts or more, a worker thread fills the parts in
-    order, ahead of the caller.  Once the caller stops (at the end, or by
-    closing this iterator, as contextlib.closing does on a break or an
-    error) no more parts are filled, and the worker is joined; an error of
-    the caller's then wins over a fill's.  Otherwise each part is filled on
-    this thread when it is asked for."""
-    if len(parts) < 2 or not two_cpus():
-        for part in parts:
-            fill(out=part)
-            yield part
-        return
-    # None for each part filled, else the fill's exception
+    With two CPUs a worker thread fills the part after the next one while
+    the caller works on the next one whenever ahead(), asked on this thread
+    as the caller asks for the next part, says so: it fills at most one part
+    ahead of the one the caller works on.  Every other part (each one on one
+    CPU) is filled on this thread when it is asked for, so `parts` is
+    iterated on one thread at a time.  Once the caller stops (at
+    the end, or by closing this iterator, as contextlib.closing does on a
+    break or an error) no more parts are filled, and the worker is joined;
+    an error of the caller's then wins over a fill's."""
+    parts = iter(parts)
+    overlap = two_cpus()
+    # (part, None) for each part the worker filled, None past the last;
+    # (None, exception) for a fill that failed
     done = queue.SimpleQueue()
+    asked = threading.Semaphore(0)
     ended = threading.Event()
+    worker = None
 
-    def fill_ahead():
-        for part in parts:
+    def fill_next():
+        while True:
+            asked.acquire()
             if ended.is_set():
                 return
             try:
-                fill(out=part)
+                part = next(parts, None)
+                if part is not None:
+                    fill(out=part)
             except BaseException as exc:
-                done.put(exc)
+                done.put((None, exc))
                 return
-            done.put(None)
+            done.put((part, None))
+            if part is None:
+                return
 
-    worker = threading.Thread(target=fill_ahead)
-    worker.start()
     try:
-        for part in parts:
-            failed = done.get()
-            if failed is not None:
-                raise failed
+        # whether the worker was asked to fill the next part
+        filling = False
+        while True:
+            # asked before the next part is waited for, so that a worker
+            # still filling it goes on to the part after it without a pause
+            more = overlap and ahead()
+            if filling:
+                if more:
+                    asked.release()
+                part, failed = done.get()
+                if failed is not None:
+                    raise failed
+                if part is None:
+                    return
+            else:
+                part = next(parts, None)
+                if part is None:
+                    return
+                fill(out=part)
+                if more:
+                    if worker is None:
+                        worker = threading.Thread(target=fill_next)
+                        worker.start()
+                    asked.release()
+            filling = more
             yield part
     finally:
-        ended.set()
-        worker.join()
+        if worker is not None:
+            ended.set()
+            asked.release()
+            worker.join()
 
 
 def estimate_dead_time(hist: InterArrivalHistogram, min_count: int = DEFAULT_MIN_COUNT) -> float:
@@ -502,23 +533,28 @@ class _KeptChain:
     first held slot d = max(1, ceil(w / 8)) or more slots past a kept event,
     so kept gaps are iid d + G slots, G = floor(E / 8 ps) ~ Geom(q) for E
     exponential of mean 1 / beta.  The first event is the first arrival,
-    rounded to the nearest slot (slot 0 is half as wide).  `gaps` holds the
-    G, so event i lies at slot first + i * d + (the sum of the first i gaps)
-    at every window.  The last slot is held with probability q, as if whole,
-    though part of it may lie past the duration.  At a window of no length
-    d = 1 keeps every held slot: the raw stream, generate_poisson_stream's
-    ticks.  `_before[b]` sums the gaps before block b of _BLOCK gaps (the
-    last entry, all of them).  `_counts` counts the gaps by slot, those of
-    `_top` = ceil(max_gap_s / 8 ps) slots or more together, past max_gap_s at
-    any window; with `_top` capped at _BLOCK the histogram bins longer gaps
-    one by one.  The chain is drawn in one pass from its seed (_draw); one
-    that falls short of the last slot is drawn again with more gaps.
+    rounded to the nearest slot (slot 0 is half as wide).  Event i lies at
+    slot first + i * d + (the sum of the first i gaps G) at every window.
+    The last slot is held with probability q, as if whole, though part of it
+    may lie past the duration.  At a window of no length d = 1 keeps every
+    held slot: the raw stream, generate_poisson_stream's ticks.
+
+    The gaps are drawn from the seed in blocks of _BLOCK, from gap 0, only
+    as they are needed: count() draws until the chain passes the last slot
+    at its window (_drawn).  Of each block the chain keeps the generator's
+    state before it (`_states`) and its total: `_before[b]` sums the gaps
+    before block b, the last entry all of them.  `_counts` counts the gaps
+    by slot, those of `_top` = ceil(max_gap_s / 8 ps) slots or more
+    together, past max_gap_s at any window; with `_top` capped at _BLOCK the
+    histogram bins longer gaps one by one.  The chain holds the gaps of its
+    last _HELD blocks only, in a ring of buffers made at its first count; a
+    block it no longer holds is drawn again from its state (_gaps).
     """
 
-    def __init__(self, beta_cps: float, duration_s: float, seed: int, smallest_dead_s: float,
+    def __init__(self, beta_cps: float, duration_s: float, seed: int,
                  max_gap_s: float = DEFAULT_MAX_GAP_S):
         expected_events(beta_cps, duration_s)  # the generator's checks of its arguments
-        self._seed, self._beta_cps, self._duration_s = seed, beta_cps, duration_s
+        self._seed, self._beta_cps = seed, beta_cps
         # the mean of E / 8 ps: infinite at a rate too small to draw an arrival
         self._mean_slots = 1.0 / beta_cps / (RESOLUTION_TICKS * TICK_S)
         # the last slot, whose tick * TICK_S <= duration
@@ -531,17 +567,20 @@ class _KeptChain:
         # 0 at a max gap the histogram refuses (NaN, not positive)
         top = _ticks_of(max_gap_s) / RESOLUTION_TICKS
         self._top = math.ceil(min(top, _BLOCK)) if top > 0 else 0
+        self._rng = np.random.default_rng(seed)
+        arrival = self._rng.exponential(1.0 / beta_cps)
+        self.first = (int(np.rint(arrival / (RESOLUTION_TICKS * TICK_S)))
+                      if arrival <= duration_s else last + 1)
+        self._states = []
+        self._before = [0]
+        # the gaps drawn, and whether their draw was cut (_take): no gap follows
+        self._size = 0
+        self._cut = False
+        self._counts = np.zeros(self._top + 1, dtype=np.int64)
+        # _HELD + 1 buffers that the blocks fill in turn, and a spare one
+        self._ring = None
         # count()'s last block and its gaps' prefix sums
         self._sums = (None, None)
-        # gaps for the count at the smallest window ((last + 1) slots over a
-        # mean gap of d + (1 - q) / q, plus 10 sigma), drawn again with a
-        # quarter more until the chain passes the last slot at d, and so at
-        # any window
-        q = -math.expm1(-beta_cps * RESOLUTION_TICKS * TICK_S)
-        d = self.slots(_window_ticks(smallest_dead_s))
-        self._draw(_first_block_size((last + 1) * q / (1.0 + (d - 1) * q)))
-        while self.first + self.gaps.size * d + self._before[-1] <= last:
-            self._draw(self.gaps.size + max(self.gaps.size // 4, 1024))
 
     @staticmethod
     def slots(window: int) -> int:
@@ -560,101 +599,166 @@ class _KeptChain:
         # a gap past the last slot ends the chain wherever it starts
         np.minimum(gaps, self.last + 1, out=gaps)
 
-    def _slot_counts(self, gaps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The int64 gaps' counts by slot, those of _top or more together,
-        capped in `out` if given."""
-        return np.bincount(np.minimum(gaps, self._top, out=out), minlength=self._top + 1)
+    @staticmethod
+    def _cast(slots: np.ndarray) -> np.ndarray:
+        """The float gaps `slots` as int64, cast in place."""
+        gaps = slots.view(np.int64)
+        np.copyto(gaps, slots, casting="unsafe")
+        return gaps
 
-    def _tally(self, gaps: np.ndarray) -> int:
-        """Add the int64 gaps' slot counts into `_counts`, unless _top is 0
-        (the generator's chain, which bins no gap); their total."""
+    def _slot_counts(self, gaps: np.ndarray) -> np.ndarray:
+        """The int64 gaps' counts by slot, those of _top or more together,
+        capped in the ring's spare buffer (which may hold the gaps
+        themselves), if the chain has a ring."""
+        capped = None if self._ring is None else self._ring[-1].view(np.int64)[:gaps.size]
+        return np.bincount(np.minimum(gaps, self._top, out=capped), minlength=self._top + 1)
+
+    def _take(self, draws: np.ndarray) -> np.ndarray:
+        """The next block's gaps, made of its draws in place; its total is
+        kept and, unless _top is 0 (the generator's chain, which bins no
+        gap), its slot counts are added into `_counts`."""
+        self._slots(draws)
+        total = self._before[-1]
+        if (total + draws.size * (self.last + 1) >= 2**60
+                and total + float(draws.sum()) >= 2**60):
+            # only on streams longer than about 20 hours: the gaps up to the
+            # first sum past 2**60, so the totals stay below 2**61.  That sum
+            # is past the last slot, so no more gaps are drawn
+            draws = draws[:np.searchsorted(total + np.cumsum(draws), 2.0**60) + 1]
+            self._cut = True
+        gaps = self._cast(draws)
         if self._top:
             self._counts += self._slot_counts(gaps)
-        return int(gaps.sum())
+        self._before.append(total + int(gaps.sum()))
+        self._size += gaps.size
+        return gaps
 
-    def _draw(self, size: int) -> None:
-        """Draw the chain from its seed: the first arrival, then `size` gaps
-        as floats in the buffer that then holds them as int64, in parts of
-        _BLOCK from gap 0, each filled (_filled, which may fill ahead on a
-        second thread), then floored, capped, cast in place and tallied.  A
-        longer draw from the seed begins with the same draws, so drawing
-        the chain again with more gaps keeps the gaps it had."""
-        # the chain's earlier draw goes before this one is made
-        self.gaps = None
-        rng = np.random.default_rng(self._seed)
-        arrival = rng.exponential(1.0 / self._beta_cps)
-        self.first = (int(np.rint(arrival / (RESOLUTION_TICKS * TICK_S)))
-                      if arrival <= self._duration_s else self.last + 1)
-        self._counts = np.zeros(self._top + 1, dtype=np.int64)
-        self._before = [0]
-        buffer = np.empty(size)
-        parts = [buffer[lo:lo + self._block] for lo in range(0, size, self._block)]
-        drawn = 0
-        with contextlib.closing(_filled(rng.standard_exponential, parts)) as filled:
-            for draws in filled:
-                self._slots(draws)
-                total = self._before[-1]
-                cut = (total + draws.size * (self.last + 1) >= 2**60
-                       and total + float(draws.sum()) >= 2**60)
-                if cut:
-                    # only on streams longer than about 20 hours: the gaps up
-                    # to the first sum past 2**60, so the totals stay below
-                    # 2**61.  That sum is past last, so __init__ draws no more
-                    draws = draws[:np.searchsorted(total + np.cumsum(draws), 2.0**60) + 1]
-                kept = draws.view(np.int64)
-                np.copyto(kept, draws, casting="unsafe")
-                self._before.append(total + self._tally(kept))
-                drawn += kept.size
-                if cut:
-                    break
-        self.gaps = buffer.view(np.int64)[:drawn]
+    def _drawn(self, d: int, room: int, parts):
+        """Draw the chain's next blocks into the buffers `parts` until it
+        passes `room` slots past its first event at a least gap of d slots,
+        or its draw is cut, and yield each block's gaps as it is taken (_take).
+
+        On two CPUs a worker fills the block after the next one while this
+        thread takes the next (_filled), whenever the next one at its mean
+        span would leave the chain short.  A block filled ahead that is not
+        taken is given back: the generator returns to its state before it,
+        so each block is drawn once, in order."""
+        def short():
+            return not self._cut and self._size * d + self._before[-1] <= room
+
+        if not short():
+            return
+        rng, states = self._rng, self._states
+
+        def fill(out):
+            states.append(rng.bit_generator.state)
+            rng.standard_exponential(out=out)
+
+        span = self._block * (d + self._mean_slots)
+        try:
+            with contextlib.closing(_filled(
+                    fill, parts, lambda: self._size * d + self._before[-1] + span <= room)) as filled:
+                for draws in filled:
+                    yield self._take(draws)
+                    if not short():
+                        return
+        finally:
+            taken = len(self._before) - 1
+            if len(states) > taken:
+                rng.bit_generator.state = states[taken]
+                del states[taken:]
+
+    def _gaps(self, block: int) -> np.ndarray:
+        """The gaps of `block`: in the ring if it is one of the last _HELD
+        taken, else drawn again from the generator's state before it, into
+        the spare buffer."""
+        size = min(self._block, self._size - block * self._block)
+        if block >= len(self._before) - 1 - _HELD:
+            return self._ring[block % (_HELD + 1)].view(np.int64)[:size]
+        rng = np.random.default_rng()
+        rng.bit_generator.state = self._states[block]
+        draws = rng.standard_exponential(out=self._ring[-1])
+        self._slots(draws)
+        return self._cast(draws[:size])
 
     def count(self, window: int) -> int:
         """The kept events at a window of `window` ticks: those up to the last slot."""
         d, room = self._least(window), self.last - self.first
         if room < 0:
             return 0
+        if self._ring is None:
+            self._ring = np.empty((_HELD + 2, self._block))
+        # the blocks fill the first _HELD + 1 buffers in turn: when the
+        # draws end, a block filled ahead overwrote none of the last _HELD taken
+        turn = _HELD + 1
+        parts = (self._ring[block % turn] for block in itertools.count(len(self._states)))
+        for _ in self._drawn(d, room, parts):
+            pass
         # the last block whose first event lies at or before the last slot,
         # then the last event of that block that does
         block, before = self._block, self._before
         lo = bisect.bisect_right(range(len(before) - 1), room,
                                  key=lambda b: b * block * d + before[b]) - 1
         if self._sums[0] != lo:
-            self._sums = (lo, np.cumsum(self.gaps[lo * block:(lo + 1) * block]))
+            self._sums = (lo, np.cumsum(self._gaps(lo)))
         sums = self._sums[1]
         room -= lo * block * d + before[lo]
         j = bisect.bisect_right(range(1, sums.size), room, key=lambda m: m * d + int(sums[m - 1]))
         return lo * block + j + 1
 
-    def ticks(self, count: int, window: int) -> np.ndarray:
-        """The ticks of the first `count` events at `window`, event i at
-        8 * (first + i * d + the sum of the first i gaps), written over the
-        gaps in place: the chain's last call, since it then has no gaps."""
-        out = self.gaps[:count]
-        slots = out[:-1]
-        slots += self._least(window)
-        slots[:1] += self.first
-        np.cumsum(slots, out=slots)
-        out[1:] = slots
-        out[:1] = self.first
-        out *= RESOLUTION_TICKS
-        return out
+    def ticks(self, window: int) -> np.ndarray:
+        """The ticks of the events up to the last slot at a window of
+        `window` ticks: event i at 8 * (first + i * d + the sum of the first
+        i gaps).  The draws fill one buffer, sized for the expected count and
+        _TICKS_SIGMAS sigma (past it, buffers of their own), in blocks of
+        _BLOCK from gap 0, and each block is turned into its ticks in place
+        as it is taken.  The chain's first and last call: it then holds no
+        gaps."""
+        d, room = self._least(window), self.last - self.first
+        if room < 0:
+            return np.empty(0, dtype=np.int64)
+        # a kept gap of d + G slots has mean d + (1 - q) / q
+        q = -math.expm1(-self._beta_cps * RESOLUTION_TICKS * TICK_S)
+        expected = (room + 1) * q / (1.0 + (d - 1) * q)
+        buffer = np.empty(max(int(expected + _TICKS_SIGMAS * math.sqrt(expected + 1.0)), 0) + 1)
+        ticks = buffer.view(np.int64)
+        ticks[0] = RESOLUTION_TICKS * self.first
+        block = self._block
+        inside = range(1, buffer.size, block)
+        parts = itertools.chain((buffer[lo:lo + block] for lo in inside),
+                                (np.empty(block) for _ in itertools.count()))
+        size, beyond = 1, []
+        for slots in self._drawn(d, room, parts):
+            # the slot of the event before this block's first gap, at or
+            # before the last slot, and this block's events after it: those
+            # (last - base) // d + 1 or fewer that can lie at or before the
+            # last slot, so their sums stay below 2**62
+            base = self.first + (self._size - slots.size) * d + self._before[-2]
+            slots = slots[:(self.last - base) // d + 1]
+            slots += d
+            np.cumsum(slots, out=slots)
+            slots += base
+            slots = slots[:np.searchsorted(slots, self.last, side="right")]
+            slots *= RESOLUTION_TICKS
+            if len(self._before) - 2 < len(inside):
+                size += slots.size
+            else:
+                beyond.append(slots)
+        return np.concatenate((ticks[:size], *beyond)) if beyond else ticks[:size]
 
-    def histogram(self, count: int, window: int, bin_width_s: float) -> InterArrivalHistogram:
-        """interarrival_histogram, up to max_gap_s, of the first `count`
-        events at `window`: the slot counts less those of the gaps past the
-        first count - 1, each slot G added into the bin of 8 * (d + G) ticks.
-        The gaps of _top slots or more are binned one by one if any can lie
-        in range."""
+    def histogram(self, window: int, bin_width_s: float) -> InterArrivalHistogram:
+        """interarrival_histogram, up to max_gap_s, of the count() events at
+        `window`: the slot counts less those of the gaps past the first
+        count - 1, each slot G added into the bin of 8 * (d + G) ticks.  The
+        gaps of _top slots or more are binned one by one if any can lie in
+        range."""
+        count = self.count(window)
         n_bins, bin_ticks, limit = _binning(bin_width_s, self._max_gap_s, count)
         d, top = self._least(window), self._top
         self._sums = (None, None)  # the fixed point is over
         counts = self._counts.copy()
-        rest = self.gaps[count - 1:]
-        buffer = np.empty(min(_BLOCK, rest.size), dtype=np.int64)
-        for lo in range(0, rest.size, _BLOCK):
-            block = rest[lo:lo + _BLOCK]
-            counts -= self._slot_counts(block, buffer[:block.size])
+        for block in range((count - 1) // self._block, len(self._before) - 1):
+            counts -= self._slot_counts(self._gaps(block)[max(0, count - 1 - block * self._block):])
         # a gap of G slots lies in range iff G < fits
         fits = -(-limit // RESOLUTION_TICKS) - d
         hist = np.zeros(n_bins, dtype=np.int64)
@@ -662,10 +766,9 @@ class _KeptChain:
         bins *= RESOLUTION_TICKS
         np.add.at(hist, np.floor_divide(bins, bin_ticks, out=bins), counts[:bins.size])
         if fits > top:
-            kept = self.gaps[:count - 1]
-            for lo in range(0, kept.size, _BLOCK):
-                block = kept[lo:lo + _BLOCK]
-                wide = block[(block >= top) & (block < fits)]
+            for block in range(-(-(count - 1) // self._block)):
+                gaps = self._gaps(block)[:count - 1 - block * self._block]
+                wide = gaps[(gaps >= top) & (gaps < fits)]
                 np.add.at(hist, (wide + d) * RESOLUTION_TICKS // bin_ticks, 1)
         return InterArrivalHistogram(bin_width_s=bin_width_s, counts=hist)
 
@@ -739,10 +842,9 @@ def sweep_dead_time(
         raise ValueError("rate list must not be empty")
     points = []
     for index, beta in enumerate(rates):
-        chain = _KeptChain(beta, duration_s, seed + index, float(np.min(truth_curve.dead_times_s)),
-                           max_gap_s)
+        chain = _KeptChain(beta, duration_s, seed + index, max_gap_s)
         count, window = _fixed_point(chain.count, beta, truth_curve, duration_s)
-        estimate = estimate_dead_time(chain.histogram(count, window, bin_width_s), min_count)
+        estimate = estimate_dead_time(chain.histogram(window, bin_width_s), min_count)
         points.append(SweepPoint(count / duration_s if duration_s > 0 else 0.0, estimate))
         # one chain at a time: this one goes before the next rate's is drawn
         del chain

@@ -38,10 +38,11 @@ exact_fixed_point finds the count the rate-dependent fixed point should end
 on by bisection over counts, without iterating.  fixed_point_filter is
 timetag's fixed point with a full _filter_constant pass at every iteration
 on a raw stream: the oracle for the law of the sweep's renewal sampler
-(timetag._KeptChain).  chain_slots places every event of a chain's draws in
-one array operation, and chain_kept_count counts them: the oracle for the
-chain's own count, a search over its block totals and then one block's
-gaps.
+(timetag._KeptChain).  chain_gaps draws a chain's gaps in one sequential
+call from its seed, chain_slots places its events from them in one array
+operation, and chain_kept_count counts them: the oracle for the chain's own
+draw, block by block, and count, a search over its block totals and then
+one block's gaps.
 """
 
 from __future__ import annotations
@@ -469,23 +470,46 @@ def fixed_point_filter(stream: TimestampStream, curve: DeadTimeCurve):
     return TimestampStream(_filter_constant(t, window), stream.duration_s), window
 
 
+def chain_gaps(chain: timetag._KeptChain, size: int) -> np.ndarray:
+    """The first `size` gaps G of the chain as one sequential draw from its
+    seed makes them: the first arrival, then `size` standard exponentials in
+    one call, each floor(E * mean slots), capped at last + 1."""
+    rng = np.random.default_rng(chain._seed)
+    rng.exponential(1.0 / chain._beta_cps)  # the first arrival
+    draws = rng.standard_exponential(size)
+    return np.minimum(np.floor(draws * chain._mean_slots), chain.last + 1).astype(np.int64)
+
+
 def chain_slots(chain: timetag._KeptChain, window: int) -> np.ndarray:
-    """Every slot the chain's draws place an event on at a window of `window`
-    ticks: the first slot, then each kept gap d + G after it.  A least gap d
-    past the last slot keeps the first event alone, at last + 1 as at any
-    longer one, so it is cut there to keep the slots within int64."""
+    """The slots the chain's sequential draw (chain_gaps) places its events
+    on at a window of `window` ticks, from the first slot on, each kept gap
+    d + G after the one before, at least up to the first past the last
+    slot.  A least
+    gap d past the last slot keeps the first event alone, at last + 1 as at
+    any longer one, so it is cut there to keep the slots within int64."""
     d = min(max(1, math.ceil(window / timetag.RESOLUTION_TICKS)), chain.last + 1)
-    return chain.first + np.concatenate(([0], np.cumsum(chain.gaps + d)))
+    room = chain.last - chain.first
+    # the expected count at d and a quarter more, drawn again twice as long
+    # until the chain passes the last slot
+    size = int(1.25 * (room + 1) / (d + chain._mean_slots)) + 1024
+    while True:
+        steps = chain_gaps(chain, size) + d
+        # the steps up to the first whose float sum is well past the room,
+        # so that their exact int64 sums cannot overflow
+        far = np.flatnonzero(np.cumsum(steps, dtype=float) > 2.0 * room + 2**20)
+        steps = steps[:far[0] + 1] if far.size else steps
+        slots = chain.first + np.concatenate(([0], np.cumsum(steps)))
+        if slots[-1] > chain.last:
+            return slots
+        size *= 2
 
 
 def chain_kept_count(chain: timetag._KeptChain, window: int) -> int:
-    """The chain's events at or before its last slot at `window`; the chain
-    must reach past the last slot."""
+    """The chain's events at or before its last slot at `window`, counted
+    over its sequential draw (chain_slots)."""
     if chain.first > chain.last:
         return 0
-    slots = chain_slots(chain, window)
-    assert slots[-1] > chain.last, "the chain does not cover the stream"
-    return int(np.count_nonzero(slots <= chain.last))
+    return int(np.count_nonzero(chain_slots(chain, window) <= chain.last))
 
 
 def exact_fixed_point(kept_at, n_max: int, duration: float,

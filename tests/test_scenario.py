@@ -387,15 +387,20 @@ def test_non_object_sections_rejected(data, where):
                  id="sweep min_count zero"),
     pytest.param({"scan": {"lambda_par_cps": [1e6, -1.0]}}, "scan.lambda_par_cps[1]", ">= 0",
                  id="lambda_par negative"),
-    ({"scan": {"lambda_perp_cps": [-5e6]}}, "scan.lambda_perp_cps[0]", ">= 0"),
-    ({"scan": {"lambda_perp_grid": {"start_cps": -1e6, "stop_cps": 3e6, "num": 3}}},
-     "scan.lambda_perp_grid.start_cps", ">= 0"),
-    ({"scan": {"e_abort": 0.7}}, "scan.e_abort", "in (0, 0.5)"),
-    ({"scan": {"e_abort": 0}}, "scan.e_abort", "in (0, 0.5)"),
-    ({"mutualinfo": {"e_abort": 0.7}}, "mutualinfo.e_abort", "in (0, 0.5)"),
-    ({"mutualinfo": {"e_abort": 0.5}}, "mutualinfo.e_abort", "in (0, 0.5)"),
-    ({"mutualinfo": {"r_start": -0.1}}, "mutualinfo.r_start", ">= 0"),
-    ({"sweep": {"max_gap_s": -1}}, "sweep.max_gap_s", "> 0"),
+    pytest.param({"scan": {"lambda_perp_cps": [-5e6]}}, "scan.lambda_perp_cps[0]", ">= 0",
+                 id="lambda_perp -5e6"),
+    pytest.param({"scan": {"lambda_perp_grid": {"start_cps": -1e6, "stop_cps": 3e6, "num": 3}}},
+                 "scan.lambda_perp_grid.start_cps", ">= 0", id="lambda_perp_grid start -1e6"),
+    pytest.param({"scan": {"e_abort": 0.7}}, "scan.e_abort", "in (0, 0.5)",
+                 id="scan e_abort 0.7"),
+    pytest.param({"scan": {"e_abort": 0}}, "scan.e_abort", "in (0, 0.5)", id="scan e_abort 0"),
+    pytest.param({"mutualinfo": {"e_abort": 0.7}}, "mutualinfo.e_abort", "in (0, 0.5)",
+                 id="mutualinfo e_abort 0.7"),
+    pytest.param({"mutualinfo": {"e_abort": 0.5}}, "mutualinfo.e_abort", "in (0, 0.5)",
+                 id="mutualinfo e_abort 0.5"),
+    pytest.param({"mutualinfo": {"r_start": -0.1}}, "mutualinfo.r_start", ">= 0",
+                 id="mutualinfo r_start -0.1"),
+    pytest.param({"sweep": {"max_gap_s": -1}}, "sweep.max_gap_s", "> 0", id="sweep max_gap -1"),
     ({"sweep": {"max_gap_s": 0}}, "sweep.max_gap_s", "> 0"),
     ({"scan": {"lambda_perp_grid": {"start_cps": 0, "stop_cps": 1, "num": 1e12}}},
      "scan.lambda_perp_grid.num", "<= 4194304"),

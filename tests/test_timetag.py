@@ -146,11 +146,23 @@ def test_stream_bytes_are_pinned(rate, duration, seed):
     assert hashlib.sha256(stream.ticks.tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("block", [4099, timetag._BLOCK])
+@pytest.mark.parametrize("sigmas", [0.0, -50.0], ids=["at the expected count", "50 sigma short"])
+def test_stream_past_its_ticks_buffer_is_the_same(monkeypatch, block, sigmas):
+    # a buffer that half of the streams, or all of them, overflow: the ticks
+    # past it are made in blocks of their own
+    monkeypatch.setattr(timetag, "_BLOCK", block)
+    monkeypatch.setattr(timetag, "_TICKS_SIGMAS", sigmas)
+    for args in [(1e4, 0.05, 5), (5e6, 0.01, 42), (40e6, 0.05, 2000001)]:
+        ticks = generate_poisson_stream(*args).ticks
+        assert (len(ticks), hashlib.sha256(ticks.tobytes()).hexdigest()) == STREAM_PINS[args]
+
+
 def test_stream_spanning_several_blocks(monkeypatch):
-    monkeypatch.setattr(timetag, "_first_block_size", lambda expected: 1024)
+    monkeypatch.setattr(timetag, "_BLOCK", 1024)
     rate, duration = 1e6, 0.01
     times = generate_poisson_stream(rate, duration, seed=5).ticks
-    assert times.size > 2 * 1024  # drawn again with a quarter more, at least 1024
+    assert times.size > 2 * 1024  # drawn in blocks of 1024 gaps
     assert np.all(np.diff(times) > 0)
     assert 0 <= times[0] and times[-1] * TICK_S <= duration
     expected = rate * duration
@@ -225,6 +237,21 @@ def test_filter_takes_any_window_and_ticks_below_2_62():
         apply_dead_time(TimestampStream([0, 2**62], 1e7), constant_dead_time_s=1e-9)
     with pytest.raises(ValueError, match="1-d array of integers"):
         TimestampStream(np.array([1e-6, 2e-6]), duration_s=1e-5)
+
+
+@pytest.mark.parametrize("duration", [float("nan"), float("inf"), -5.0])
+def test_stream_duration_must_be_finite_and_not_negative(duration):
+    # with no ticks, and with ticks that NaN or inf would take in
+    for ticks in ([], [0, 8]):
+        with pytest.raises(ValueError, match=f"^duration must be finite and >= 0, got {duration!r}$"):
+            TimestampStream(np.array(ticks, dtype=np.int64), duration)
+
+
+@pytest.mark.parametrize("width", [float("nan"), float("inf"), float("-inf"), 0.0, -1e-9])
+def test_histogram_bin_width_must_be_finite_and_positive(width):
+    # estimate_dead_time would read a NaN or infinite onset off such bins
+    with pytest.raises(ValueError, match=f"^bin width must be finite and > 0, got {width!r}$"):
+        InterArrivalHistogram(bin_width_s=width, counts=np.array([0, 3, 5]))
 
 
 def test_gaps_equal_to_a_whole_tick_window_are_kept():
@@ -329,20 +356,19 @@ def _smallest(curve):
 
 def _sampled(rate, duration, seed, curve):
     """One rate of sweep_dead_time: its chain, kept count and window."""
-    chain = timetag._KeptChain(rate, duration, seed, _smallest(curve))
+    chain = timetag._KeptChain(rate, duration, seed)
     return (chain, *timetag._fixed_point(chain.count, rate, curve, duration))
 
 
-def _count_oracle(rate, duration, seed, curve):
+def _count_oracle(rate, duration, seed):
     """The kept count at a window over every slot of the same draws."""
-    return partial(reference.chain_kept_count,
-                   timetag._KeptChain(rate, duration, seed, _smallest(curve)))
+    return partial(reference.chain_kept_count, timetag._KeptChain(rate, duration, seed))
 
 
 @pytest.mark.parametrize("rate", [1e6, 40e6])
 @pytest.mark.parametrize("window", [0, 1, 7, 8, 9, 23_300, 31_500, 10**6, timetag.MAX_STREAM_TICK])
 def test_chain_count_matches_counting_every_slot(rate, window):
-    chain = timetag._KeptChain(rate, 0.002, 5, 0.0)
+    chain = timetag._KeptChain(rate, 0.002, 5)
     assert chain.count(window) == reference.chain_kept_count(chain, window)
     # one slot is the least gap at any window below 8 ticks
     if window <= GRID:
@@ -352,10 +378,13 @@ def test_chain_count_matches_counting_every_slot(rate, window):
 def test_chain_count_with_the_last_slot_on_and_beside_block_edges(monkeypatch):
     # 64-gap blocks; the last slot moved onto, before and after events that
     # start a block or follow one, back and forth between blocks, so that
-    # each search meets its bound exactly and the kept block sums change
+    # each search meets its bound exactly and the kept block sums change.
+    # The chain is drawn to its own last slot first, 32 blocks, so the
+    # blocks of these events are drawn again from their states
     monkeypatch.setattr(timetag, "_BLOCK", 64)
-    chain = timetag._KeptChain(40e6, 1e-4, 3, 0.0)
+    chain = timetag._KeptChain(40e6, 1e-4, 3)
     window = 25_000
+    assert chain.count(window) == reference.chain_kept_count(chain, window) > 30 * 64
     slots = reference.chain_slots(chain, window)
     for event in (64, 65, 127, 128, 192, 5, 130, 0):
         for last in (slots[event] - 1, slots[event], slots[event] + 1):
@@ -363,55 +392,110 @@ def test_chain_count_with_the_last_slot_on_and_beside_block_edges(monkeypatch):
             assert chain.count(window) == reference.chain_kept_count(chain, window)
 
 
+@pytest.mark.parametrize("block, duration, max_gap", [
+    # blocks of 64 gaps: the histogram bins every gap past 64 slots one by one
+    (64, 1e-4, 200e-9),
+    # 1 us bins gaps up to 125,000 slots, past a block of 65,536, one by one
+    (timetag._BLOCK, 0.05, 1e-6),
+], ids=["blocks of 64", "max gap past 65,536 slots"])
+def test_chain_draws_blocks_again_from_their_states(monkeypatch, block, duration, max_gap):
+    monkeypatch.setattr(timetag, "_BLOCK", block)
+    redrawn = []
+    gaps_of = timetag._KeptChain._gaps
+
+    def record(chain, b):
+        if b < len(chain._before) - 1 - timetag._HELD:
+            redrawn.append(b)
+        return gaps_of(chain, b)
+
+    monkeypatch.setattr(timetag._KeptChain, "_gaps", record)
+    chain = timetag._KeptChain(40e6, duration, 5, max_gap)
+    # counted at one slot first, the chain draws 63 blocks of 64 or 31 of _BLOCK
+    # and holds its last two, so the counts and histograms at windows far
+    # longer read blocks drawn again from the generator's saved states
+    assert chain.count(8) == reference.chain_kept_count(chain, 8)
+    assert len(chain._before) - 1 > timetag._HELD + 20
+    for window in (10**6, 10**5, 25_000):
+        count = reference.chain_kept_count(chain, window)
+        assert chain.count(window) == count
+        stream = TimestampStream(GRID * reference.chain_slots(chain, window)[:count], duration)
+        expected = interarrival_histogram(stream, 0.5e-9, max_gap).counts.tolist()
+        assert chain.histogram(window, 0.5e-9).counts.tolist() == expected
+    assert redrawn and min(redrawn) == 0
+
+
 @pytest.mark.parametrize("slot", [0, 1, 3, 7, 10**9 + 7, 2**40 + 1, 6_250_000_000])
 def test_chain_last_slot_is_the_last_the_generator_keeps(slot):
     # the generator keeps a tick t iff t * TICK_S <= duration
     duration = slot * GRID * TICK_S
-    assert timetag._KeptChain(1e3, duration, 0, 0.0).last == slot
+    assert timetag._KeptChain(1e3, duration, 0).last == slot
     if slot:
         below = float(np.nextafter(duration, 0.0))
-        assert timetag._KeptChain(1e3, below, 0, 0.0).last == slot - 1
+        assert timetag._KeptChain(1e3, below, 0).last == slot - 1
 
 
 def test_chain_of_a_long_sparse_stream_stays_within_int64():
-    # 46 days at 1e-6 cps: the first block's 1024 gaps of ~1.25e17 slots
-    # would sum past 2**63, so the chain stops once it passes the last slot
-    chain = timetag._KeptChain(1e-6, 4e6, 1, 25e-9)
-    assert np.all(chain.gaps >= 0) and sum(chain.gaps.tolist()) < 2**62
+    # 46 days at 1e-6 cps: the first block's 65,536 gaps of ~1.25e17 slots
+    # would sum past 2**63, so its draw is cut once its sum passes 2**60
+    chain = timetag._KeptChain(1e-6, 4e6, 1)
     assert chain.count(25_000) == reference.chain_kept_count(chain, 25_000) == 2
+    assert chain._cut and len(chain._before) == 2
+    gaps = chain._gaps(0)
+    assert gaps.min() >= 0 and sum(gaps.tolist()) == chain._before[-1] < 2**62
+
+
+@pytest.mark.parametrize("rate, duration, window", [
+    (40e6, 0.005, 0), (40e6, 0.005, 23_300), (1e6, 0.005, 10**6), (1e6, 0.005, 10**12),
+    # a long sparse stream whose draw is cut at 2**60; and one whose first
+    # block of 65,536 gaps, cut at about 9,200 gaps of ~2**47 slots, would
+    # sum past 2**63 in steps of d ~ 2**53 slots
+    (1e-6, 4e6, 0), (1e-3, 4e6, 10**17),
+])
+def test_chain_ticks_are_its_kept_events(monkeypatch, rate, duration, window):
+    # in the ticks' buffer, and in blocks of their own past a buffer 50
+    # sigma short
+    for sigmas in (timetag._TICKS_SIGMAS, -50.0):
+        monkeypatch.setattr(timetag, "_TICKS_SIGMAS", sigmas)
+        chain = timetag._KeptChain(rate, duration, 3)
+        count = reference.chain_kept_count(chain, window)
+        expected = GRID * reference.chain_slots(chain, window)[:count]
+        assert chain.ticks(window).tolist() == expected.tolist()
 
 
 def test_chain_keeps_no_arrival_past_the_duration():
     # the generator drops an arrival past the duration before it rounds it
     # to slot 0, so a stream of no duration is empty at any rate
     for seed in range(20):
-        assert timetag._KeptChain(1e12, 0.0, seed, 0.0).count(0) == 0
+        assert timetag._KeptChain(1e12, 0.0, seed).count(0) == 0
+
+
+def _windows(chain):
+    """A window of 0, below 8 ticks, of any size, at or past the chain's
+    last slot or MAX_STREAM_TICK."""
+    return (st.just(0) | st.integers(1, 7) | st.integers(8, 60_000)
+            | st.sampled_from([GRID * chain.last, GRID * (chain.last + 1) + 3,
+                               timetag.MAX_STREAM_TICK]))
 
 
 @st.composite
 def chains_and_bins(draw):
-    """A chain drawn in blocks of 7 to _BLOCK gaps and from first draws of
-    its usual size or of 1 to 3000 gaps (so that it may be drawn again); a
-    window of 0, below 8 ticks, of any size, at or past the last
-    slot or MAX_STREAM_TICK; bins of 1-3000 ps (mostly not a multiple of
-    8 ps) and a max gap anywhere inside the last bin."""
+    """A chain drawn in blocks of 7 to _BLOCK gaps, first counted at none or
+    some of _windows (so that it is drawn further than its window needs, or
+    drawn again with more blocks); a window from _windows; bins of 1-3000 ps
+    (mostly not a multiple of 8 ps) and a max gap anywhere inside the last
+    bin."""
     rate = draw(st.floats(1e5, 4e7))
     duration = draw(st.floats(1e-5, 5e-4))
     block = draw(st.sampled_from([7, 64, 4099, timetag._BLOCK]))
-    first_size = draw(st.none() | st.integers(1, 3000))
     bin_ticks = draw(st.sampled_from([12, 333, 500]) | st.integers(1, 3000))
     n_bins = draw(st.integers(1, 400))
     max_ticks = n_bins * bin_ticks - draw(st.integers(0, bin_ticks - 1))
     with mock.patch.object(timetag, "_BLOCK", block):
-        first_block_size = timetag._first_block_size if first_size is None else (
-            lambda expected: first_size)
-        with mock.patch.object(timetag, "_first_block_size", first_block_size):
-            chain = timetag._KeptChain(rate, duration, draw(st.integers(0, 2**32 - 1)), 0.0,
-                                       max_ticks * TICK_S)
-    window = draw(st.just(0) | st.integers(1, 7) | st.integers(8, 60_000)
-                  | st.sampled_from([GRID * chain.last, GRID * (chain.last + 1) + 3,
-                                     timetag.MAX_STREAM_TICK]))
-    return chain, window, bin_ticks, max_ticks
+        chain = timetag._KeptChain(rate, duration, draw(st.integers(0, 2**32 - 1)),
+                                   max_ticks * TICK_S)
+    for earlier in draw(st.lists(_windows(chain), max_size=3)):
+        chain.count(earlier)
+    return chain, draw(_windows(chain)), bin_ticks, max_ticks
 
 
 @settings(max_examples=150, deadline=None)
@@ -422,13 +506,13 @@ def test_chain_count_and_histogram_match_every_slot(case):
     assert chain.count(window) == count
     if count < 2:
         with pytest.raises(InsufficientDataError):
-            chain.histogram(count, window, bin_ticks * TICK_S)
+            chain.histogram(window, bin_ticks * TICK_S)
         return
     gaps = GRID * np.diff(reference.chain_slots(chain, window)[:count])
     binned = gaps[gaps <= max_ticks] // bin_ticks
     n_bins = -(-max_ticks // bin_ticks)
     expected = np.bincount(binned[binned < n_bins], minlength=n_bins).tolist()
-    assert chain.histogram(count, window, bin_ticks * TICK_S).counts.tolist() == expected
+    assert chain.histogram(window, bin_ticks * TICK_S).counts.tolist() == expected
 
 
 def test_rate_dependent_filter_self_consistency():
@@ -440,8 +524,7 @@ def test_rate_dependent_filter_self_consistency():
 
 class RecordingCurve:
     """A dead-time curve that logs every (rate, window) lookup.  Its table is
-    the wrapped curve's, which observed_rate and the sampler's first block
-    read without a lookup."""
+    the wrapped curve's, which observed_rate reads without a lookup."""
 
     def __init__(self, curve):
         self.curve = curve
@@ -463,7 +546,7 @@ def test_rate_dependent_filter_converges_through_count_plateau_cycle():
     curve = RecordingCurve(default_dead_time_curve())
     rate, duration, seed = 20e6, 0.1, 45
     _, count, window = _sampled(rate, duration, seed, curve)
-    kept_at = _count_oracle(rate, duration, seed, curve.curve)
+    kept_at = _count_oracle(rate, duration, seed)
     ends = reference.exact_fixed_point(kept_at, kept_at(timetag._window_ticks(23.3e-9)),
                                        duration, curve.curve)
     assert len(ends) == 2 and count in ends
@@ -490,7 +573,7 @@ def test_rate_dependent_filter_diagnostics_on_non_convergence(monkeypatch):
 ])
 def test_rate_dependent_filter_matches_full_pass_oracle(monkeypatch, rate, duration, seed):
     curve = default_dead_time_curve()
-    kept_at = _count_oracle(rate, duration, seed, curve)
+    kept_at = _count_oracle(rate, duration, seed)
     oracle_curve, curve_seen = RecordingCurve(curve), RecordingCurve(curve)
     count, window = timetag._fixed_point(kept_at, rate, oracle_curve, duration)
     chain, *result = _sampled(rate, duration, seed, curve_seen)
@@ -505,8 +588,8 @@ def test_rate_dependent_filter_matches_full_pass_oracle(monkeypatch, rate, durat
         expected = interarrival_histogram(stream, bin_width, max_gap).counts.tolist()
         for block in (4099, timetag._BLOCK):
             with mock.patch.object(timetag, "_BLOCK", block):
-                hist = timetag._KeptChain(rate, duration, seed, _smallest(curve),
-                                          max_gap).histogram(count, window, bin_width)
+                hist = timetag._KeptChain(rate, duration, seed, max_gap).histogram(window,
+                                                                                   bin_width)
                 assert hist.counts.tolist() == expected
     # one iteration short, both give up with the same trace
     monkeypatch.setattr(timetag, "_FIXED_POINT_ITERATIONS", len(oracle_curve.lookups) - 1)
@@ -525,60 +608,92 @@ def test_rate_dependent_filter_ends_on_the_self_consistent_count(rate, seed):
     # 5 ms streams keep 5k-90k events, so one count moves the rate by 1e-5
     # to 2e-4: coarse enough that some have no self-consistent count
     curve = default_dead_time_curve()
-    kept_at = _count_oracle(rate, 0.005, seed, curve)
+    kept_at = _count_oracle(rate, 0.005, seed)
     _, count, _ = _sampled(rate, 0.005, seed, curve)
     n_max = kept_at(timetag._window_ticks(_smallest(curve)))
     assert count in reference.exact_fixed_point(kept_at, n_max, 0.005, curve)
 
 
-def _recorded_draws(monkeypatch):
-    """A list that gets (chain, size) for each _KeptChain._draw."""
-    draws = []
-    draw = timetag._KeptChain._draw
+def _recorded_counts(monkeypatch):
+    """A list that gets (chain, window, blocks drawn before, after) for each
+    _KeptChain.count."""
+    counts = []
+    count = timetag._KeptChain.count
 
-    def record(chain, size):
-        draws.append((chain, size))
-        draw(chain, size)
+    def record(chain, window):
+        blocks = len(chain._before) - 1
+        kept = count(chain, window)
+        counts.append((chain, window, blocks, len(chain._before) - 1))
+        return kept
 
-    monkeypatch.setattr(timetag._KeptChain, "_draw", record)
-    return draws
+    monkeypatch.setattr(timetag._KeptChain, "count", record)
+    return counts
+
+
+def _short(chain, window):
+    """Whether the chain's gaps less its last block fall short of its last
+    slot at `window`: that block was needed."""
+    d = chain._least(window)
+    return (chain._size - chain._block) * d + chain._before[-2] <= chain.last - chain.first
 
 
 def test_sweep_draws_more_when_the_chain_runs_short(monkeypatch):
-    args = ([1e6, 40e6], default_dead_time_curve(), 0.005, 0.5e-9, 83)
-    expected = sweep_dead_time(*args)
-    draws = _recorded_draws(monkeypatch)
-    monkeypatch.setattr(timetag, "_first_block_size", lambda expected: 1)
+    sweeps = [([1e6, 40e6], default_dead_time_curve(), 0.005, 0.5e-9, seed)
+              for seed in (82, 83, 84)]
+    expected = [sweep_dead_time(*args) for args in sweeps]
+    counts = _recorded_counts(monkeypatch)
+    monkeypatch.setattr(timetag, "_BLOCK", 7)
     # the counts and histograms read only the gaps up to the last slot
-    assert sweep_dead_time(*args) == expected
-    # each rate's first draw of one gap, then draws again with a quarter more
-    sizes = [size for _, size in draws]
-    assert sizes.count(1) == 2 and len(sizes) > 20
+    assert [sweep_dead_time(*args) for args in sweeps] == expected
+    # each rate's first count draws the chain; a later count at a smaller
+    # window, which the chain falls short at, draws more blocks (seeds 82
+    # and 84: their fixed points' second window is a slot shorter)
+    firsts = {}
+    for chain, window, before, after in counts:
+        firsts.setdefault(id(chain), (before, after))
+    assert len(firsts) == 6 and all(before == 0 < after for before, after in firsts.values())
+    assert any(0 < before < after for chain, window, before, after in counts)
 
 
 @pytest.mark.parametrize("rate, block", [(1e6, timetag._BLOCK), (40e6, 4099), (20e6, 7)])
 def test_chain_drawn_again_is_the_chain_drawn_once_at_its_final_size(monkeypatch, rate, block):
+    # counted at falling windows (1 us, 100 ns, one slot), the chain is
+    # drawn again with more blocks each time; counted at the smallest at
+    # once, it is drawn once.  At 1 Mcps, 2e5 raw events fill four blocks of
+    # _BLOCK
+    duration = 0.2 if rate == 1e6 else 0.002
     monkeypatch.setattr(timetag, "_BLOCK", block)
-    draws = _recorded_draws(monkeypatch)
-    with mock.patch.object(timetag, "_first_block_size", lambda expected: 1):
-        again = timetag._KeptChain(rate, 0.002, 11, 23.3e-9)
-    sizes = [size for _, size in draws]
-    assert sizes[0] == 1 and len(sizes) > 2
-    draws.clear()
-    with mock.patch.object(timetag, "_first_block_size", lambda expected: sizes[-1]):
-        once = timetag._KeptChain(rate, 0.002, 11, 23.3e-9)
-    assert [size for _, size in draws] == [sizes[-1]]
-    assert once.gaps.tobytes() == again.gaps.tobytes()
-    assert once._before == again._before and once.first == again.first
+    windows = [10**6, 10**5, 8]
+    again = timetag._KeptChain(rate, duration, 11)
+    sizes = []
+    for window in windows:
+        again.count(window)
+        sizes.append(again._size)
+    assert sizes[0] < sizes[1] < sizes[2]
+    once = timetag._KeptChain(rate, duration, 11)
+    once.count(windows[-1])
+    assert once._size == again._size and once.first == again.first
+    assert once._before == again._before and once._states == again._states
     assert np.array_equal(once._counts, again._counts)
+    gaps = reference.chain_gaps(once, once._size)
+    for chain in (once, again):
+        assert _chain_gaps(chain).tobytes() == gaps.tobytes()
     for window in (0, 8, 23_300, GRID * once.last):
         assert once.count(window) == again.count(window)
 
 
 def test_readme_sweep_draws_each_chain_once(monkeypatch):
-    draws = _recorded_draws(monkeypatch)
+    counts = _recorded_counts(monkeypatch)
+    filled_on = _threads_filling(monkeypatch)
+    taken = _threads_calling(monkeypatch, timetag._KeptChain, "_take")
     sweep_dead_time([1e6, 5e6, 20e6, 40e6], default_dead_time_curve(), 0.05, 0.5e-9, 7)
-    assert len(draws) == 4 and len({id(chain) for chain, _ in draws}) == 4
+    chains = {id(chain): chain for chain, *_ in counts}
+    assert len(chains) == 4
+    # each block filled is taken once: none is given back or drawn twice
+    assert len(filled_on) == len(taken) == sum(len(chain._before) - 1 for chain in chains.values())
+    # and each chain draws up to the block that its smallest window needs
+    for chain in chains.values():
+        assert _short(chain, min(window for c, window, *_ in counts if c is chain))
 
 
 # fixed before the check was first run: sampler seeds 0-39 and raw-stream
@@ -602,7 +717,7 @@ def test_sampler_matches_the_filtered_generator_in_law(rate, curve):
     for seed in LAW_SEEDS:
         chain, count, window = _sampled(rate, duration, seed, curve)
         counts[0].append(count)
-        extras[0].append(chain.gaps[:count - 1])
+        extras[0].append(reference.chain_gaps(chain, count - 1))
         stream, stream_window = reference.fixed_point_filter(
             reference.poisson_stream(rate, duration, 1000 + seed), curve)
         d = timetag._KeptChain.slots(stream_window)
@@ -885,14 +1000,14 @@ def _threads_filling(monkeypatch, fail_at=None, error=None):
     threads = []
     filled = timetag._filled
 
-    def recorded(fill, parts):
+    def recorded(fill, parts, ahead):
         def fill_here(out):
             threads.append(threading.current_thread())
             if len(threads) == fail_at:
                 raise error
             fill(out=out)
 
-        return filled(fill_here, parts)
+        return filled(fill_here, parts, ahead)
 
     monkeypatch.setattr(timetag, "_filled", recorded)
     return threads
@@ -911,8 +1026,8 @@ def test_sweep_is_the_same_on_one_cpu_and_two(monkeypatch, block):
         points[n_cpus] = sweep_dead_time(rates, default_dead_time_curve(), duration, 0.5e-9,
                                          seed)
         assert threading.active_count() == threads
-        # no thread on one CPU; on two, the draws of more than one part
-        # are filled on a worker
+        # no thread on one CPU; on two, the blocks a chain fills ahead are
+        # filled on a worker
         assert (set(filled_on) != {threading.current_thread()}) == (n_cpus == 2)
     assert points[1] == points[2]
 
@@ -956,18 +1071,22 @@ def test_histogram_is_the_same_on_one_cpu_and_two(monkeypatch, block, bins):
         assert set(binned_on) == {threading.current_thread()}
 
 
+def _chain_gaps(chain):
+    """Every gap the chain has drawn, block by block, held or drawn again
+    (into the one spare buffer, so each is copied out)."""
+    return np.concatenate([chain._gaps(b).copy() for b in range(len(chain._before) - 1)])
+
+
 @pytest.mark.parametrize("block", [4099, timetag._BLOCK])
 @pytest.mark.parametrize("rate, seed", [(5e6, 8), (40e6, 10)])
 def test_chain_sums_are_those_of_one_sequential_draw(monkeypatch, block, rate, seed):
     monkeypatch.setattr(timetag, "_BLOCK", block)
     for n_cpus in (1, 2):
         _allow_cpus(monkeypatch, n_cpus)
-        chain = timetag._KeptChain(rate, 0.05, seed, 23.3e-9)
-        rng = np.random.default_rng(seed)
-        rng.exponential(1.0 / rate)  # the first arrival
-        draws = rng.standard_exponential(chain.gaps.size)
-        gaps = np.minimum(np.floor(draws * chain._mean_slots), chain.last + 1).astype(np.int64)
-        assert chain.gaps.tobytes() == gaps.tobytes()
+        chain = timetag._KeptChain(rate, 0.05, seed)
+        chain.count(23_300)
+        gaps = reference.chain_gaps(chain, chain._size)
+        assert _chain_gaps(chain).tobytes() == gaps.tobytes()
         # the prefix sums of the gaps at each block's first event
         sums = np.concatenate(([0], np.cumsum(gaps)))
         assert chain._before == sums[::block].tolist() + [sums[-1]] * bool(gaps.size % block)
@@ -984,40 +1103,70 @@ def test_chain_sums_are_those_of_one_sequential_draw(monkeypatch, block, rate, s
     (1e-6, 4e6),
 ], ids=["sums past 2**58", "sums past 2**60"])
 def test_chain_of_large_sums_is_the_same_on_one_cpu_and_two(monkeypatch, rate, duration):
-    # one draw of the first block's 1024 gaps, in order, cut after the first
-    # gap whose exact prefix sum reaches 2**60 (an int64 cumsum of 1024 gaps
-    # of ~1.25e17 slots would overflow)
-    chain = timetag._KeptChain(rate, duration, 1, 25e-9)
-    rng = np.random.default_rng(1)
-    rng.exponential(1.0 / rate)  # the first arrival
-    draws = rng.standard_exponential(1024)
-    gaps = np.minimum(np.floor(draws * chain._mean_slots), chain.last + 1).astype(np.int64)
+    # one block of 1024 gaps, in order, cut after the first gap whose exact
+    # prefix sum reaches 2**60 (an int64 cumsum of 1024 gaps of ~1.25e17
+    # slots would overflow); either passes the last slot
+    monkeypatch.setattr(timetag, "_BLOCK", 1024)
+    gaps = reference.chain_gaps(timetag._KeptChain(rate, duration, 1), 1024)
     sums = [0, *itertools.accumulate(gaps.tolist())]
     cut = bisect.bisect_left(sums, 2**60)
     gaps, sums = gaps[:cut], sums[:cut + 1]
     assert (sums[-1] >= 2**60) == (rate == 1e-6)
-    # at a block of 7 the 1e-6 cps draw is cut in its second part
+    top = min(round(timetag.DEFAULT_MAX_GAP_S / (GRID * TICK_S)), 1024)
     filled_on = _threads_filling(monkeypatch)
-    for block in (7, 64):
-        monkeypatch.setattr(timetag, "_BLOCK", block)
-        top = min(round(timetag.DEFAULT_MAX_GAP_S / (GRID * TICK_S)), block)
-        for n_cpus in (1, 2):
-            _allow_cpus(monkeypatch, n_cpus)
-            filled_on.clear()
-            chain = timetag._KeptChain(rate, duration, 1, 25e-9)
-            if n_cpus == 1:
-                # no part is filled past the one the draw is cut in
-                assert len(filled_on) == -(-gaps.size // block)
-            assert chain.gaps.tobytes() == gaps.tobytes()
-            assert chain._before == sums[::block] + [sums[-1]] * bool(gaps.size % block)
-            assert np.array_equal(chain._counts,
-                                  np.bincount(np.minimum(gaps, top), minlength=top + 1))
+    for n_cpus in (1, 2):
+        _allow_cpus(monkeypatch, n_cpus)
+        filled_on.clear()
+        chain = timetag._KeptChain(rate, duration, 1)
+        assert chain.count(25_000) == reference.chain_kept_count(chain, 25_000)
+        # no block is filled past the one the chain passes its last slot in
+        assert len(filled_on) == 1 and chain._cut == (rate == 1e-6)
+        assert _chain_gaps(chain).tobytes() == gaps.tobytes()
+        assert chain._before == [0, sums[-1]]
+        assert np.array_equal(chain._counts,
+                              np.bincount(np.minimum(gaps, top), minlength=top + 1))
+
+
+@pytest.mark.parametrize("block", [7, 4099])
+def test_a_block_filled_ahead_and_not_taken_is_given_back(monkeypatch, block):
+    # each run of draws ends as a worker's may: with one block filled ahead
+    # that the count does not take.  The generator is set back before it, so
+    # the counts, the histogram and every gap are those of one sequential draw
+    monkeypatch.setattr(timetag, "_BLOCK", block)
+    fills = []
+
+    def filled_ahead(fill, parts, ahead):
+        parts = iter(parts)
+        try:
+            for part in parts:
+                fills.append(part)
+                fill(out=part)
+                yield part
+        finally:
+            fills.append(None)
+            fill(out=next(parts))
+
+    monkeypatch.setattr(timetag, "_filled", filled_ahead)
+    chain = timetag._KeptChain(20e6, 0.002, 9)
+    runs = 0
+    for window in (10**6, 31_500, 23_300, 8):
+        blocks = len(chain._before) - 1
+        assert chain.count(window) == reference.chain_kept_count(chain, window)
+        runs += len(chain._before) - 1 > blocks
+    blocks = len(chain._before) - 1
+    assert runs >= 3 and len(fills) == blocks + runs and len(chain._states) == blocks
+    assert _chain_gaps(chain).tobytes() == reference.chain_gaps(chain, chain._size).tobytes()
+    count = reference.chain_kept_count(chain, 23_300)
+    stream = TimestampStream(GRID * reference.chain_slots(chain, 23_300)[:count], 0.002)
+    assert (chain.histogram(23_300, 0.5e-9).counts.tolist()
+            == interarrival_histogram(stream).counts.tolist())
 
 
 def _work_on(fill, parts, work):
     """work(part) for each part timetag._filled(fill, parts) yields, up to
-    the first for which it returns False."""
-    with contextlib.closing(timetag._filled(fill, parts)) as filled:
+    the first for which it returns False, with a worker asked to fill ahead
+    at every part."""
+    with contextlib.closing(timetag._filled(fill, parts, lambda: True)) as filled:
         for part in filled:
             if not work(part):
                 break
@@ -1124,11 +1273,13 @@ def test_a_failed_draw_raises_itself_and_leaves_no_thread(monkeypatch):
     filled_on = _threads_filling(monkeypatch, fail_at=3, error=error)
     threads = threading.active_count()
     with pytest.raises(RuntimeError) as excinfo:
-        # about 100k draws: 25 parts
-        timetag._KeptChain(40e6, 0.005, 1, 23.3e-9)
+        # about 100k draws: 25 blocks
+        timetag._KeptChain(40e6, 0.005, 1).count(23_300)
     assert excinfo.value is error
     assert threading.active_count() == threads
-    assert len(filled_on) == 3 and threading.current_thread() not in filled_on
+    # the first block is filled on this thread, the rest ahead on the worker
+    this = threading.current_thread()
+    assert len(filled_on) == 3 and filled_on[0] is this and this not in filled_on[1:]
 
 
 # ---------------------------------------------------------------- memory
@@ -1153,7 +1304,8 @@ def test_generator_holds_about_one_stream():
     # the first draw imports numpy.random's modules: not part of the figure
     generate_poisson_stream(1e3, 1e-3, seed=0)
     stream, peak = _peak_bytes(generate_poisson_stream, *LARGE_STREAM)
-    # the draws' buffer, which the ticks overwrite, and a mask of one byte an event
+    # the ticks as they grow (by a sixteenth at a time), and the chain's
+    # ring of four blocks
     assert peak < 1.5 * stream.ticks.nbytes
 
 
@@ -1178,17 +1330,18 @@ def test_selecting_kept_events_holds_the_result_and_under_a_megabyte():
     assert peak < selected.nbytes + 1_000_000
 
 
-def test_sweep_holds_about_one_kept_stream():
-    # the README sweep; the first draw imports numpy.random's modules
-    timetag._KeptChain(1e3, 1e-3, 0, 0.0)
-    rates, duration, seed = [1e6, 5e6, 20e6, 40e6], 0.05, 7
-    points, peak = _peak_bytes(sweep_dead_time, rates, default_dead_time_curve(), duration,
-                               0.5e-9, seed)
-    largest = 8 * max(round(point.lambda_obs_cps * duration) for point in points)
-    # one chain: its draws' buffer, sized for the count at the curve's
-    # smallest window (1.16x the kept count at 40 Mcps), and the histogram's
-    # block temporaries (1.6 MB); 1.38x the kept stream in all
-    assert peak < 1.5 * largest
+@pytest.mark.parametrize("duration", [0.05, 0.2])
+def test_sweep_holds_a_few_blocks_at_any_duration(duration):
+    # the README sweep's largest rate, at its duration and four times it;
+    # the first draw imports numpy.random's modules
+    timetag.generate_poisson_stream(1e3, 1e-3, seed=0)
+    _, peak = _peak_bytes(sweep_dead_time, [40e6], default_dead_time_curve(), duration,
+                          0.5e-9, 7)
+    # one chain: its ring of four blocks (the two it holds, one filled
+    # ahead and a spare), one block's prefix sums and the slot counts and
+    # their temporaries (0.2 MB each), 2.8 MB in all; a chain that held
+    # every gap traced 9.5 and 34.4 MB
+    assert peak < 6 * 8 * timetag._BLOCK
 
 
 def test_histogram_holds_one_block_of_gaps():
