@@ -239,61 +239,50 @@ def _write_rows(fh, row_bytes, n_rows: int) -> None:
     them.  On one CPU, where sched_getaffinity is missing, or when fork
     fails, every row is written here.  The bytes are the same either way.
     row_bytes must not call BLAS, whose threads do not survive fork.
-    """
-    split = n_rows // 2
-    child = None
-    if split and two_cpus():
-        child = _fork_rows(row_bytes, split, n_rows)
-    if child is None:
-        for i in range(n_rows):
-            fh.write(row_bytes(i))
-        return
-    pid, pipe = child
-    try:
-        for i in range(split):
-            fh.write(row_bytes(i))
-        shutil.copyfileobj(pipe, fh)
-    finally:
-        pipe.close()
-        status = os.waitpid(pid, 0)[1]
-    if status:
-        raise RuntimeError(
-            f"formatting CSV rows {split}..{n_rows - 1} failed in a child process "
-            f"(exit code {os.waitstatus_to_exitcode(status)})")
-
-
-def _fork_rows(row_bytes, start: int, stop: int):
-    """Fork a child that joins row_bytes(i) for i in range(start, stop) and
-    writes them to a pipe; (pid, the pipe's read end as a binary file), or
-    None when no process can be forked.
 
     The child touches only the pipe and always leaves through os._exit, so
     it never flushes a buffer it inherited nor runs exit hooks.  It formats
-    all its rows before writing any: a pipe holds only 64 KB and the parent
-    reads it only after writing its own rows, so an earlier write would
-    stall the child.
+    all its rows before writing any: a pipe holds only 64 KB and this
+    process reads it only after writing its own rows, so an earlier write
+    would stall the child.  This process closes the pipe before it waits
+    for the child, so a child still writing when a row fails here exits.
     """
-    read_fd, write_fd = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
+    split, pid = n_rows // 2, None
+    if split and two_cpus():
+        read_fd, write_fd = os.pipe()
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+                pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+    if pid is None:
+        for i in range(n_rows):
+            fh.write(row_bytes(i))
+        return
     if pid == 0:
         code = 1
         try:
             os.close(read_fd)
-            data = b"".join(row_bytes(i) for i in range(start, stop))
+            data = b"".join(row_bytes(i) for i in range(split, n_rows))
             with open(write_fd, "wb") as pipe:
                 pipe.write(data)
             code = 0
         finally:
             os._exit(code)
     os.close(write_fd)
-    return pid, open(read_fd, "rb")
+    try:
+        with open(read_fd, "rb") as pipe:
+            for i in range(split):
+                fh.write(row_bytes(i))
+            shutil.copyfileobj(pipe, fh)
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        raise RuntimeError(
+            f"formatting CSV rows {split}..{n_rows - 1} failed in a child process "
+            f"(exit code {os.waitstatus_to_exitcode(status)})")
 
 
 def mutual_info_curve(r_values) -> list[tuple[float, float, float]]:

@@ -423,71 +423,55 @@ def _filled(fill, parts, ahead):
     """Each of the iterable `parts` in order, once fill(out=part) has
     returned for it; a fill's exception is raised at its part, as itself.
 
-    With two CPUs a worker thread fills the part after the next one while
-    the caller works on the next one whenever ahead(), asked on this thread
-    as the caller asks for the next part, says so: it fills at most one part
-    ahead of the one the caller works on.  Every other part (each one on one
-    CPU) is filled on this thread when it is asked for, so `parts` is
-    iterated on one thread at a time.  Once the caller stops (at
-    the end, or by closing this iterator, as contextlib.closing does on a
-    break or an error) no more parts are filled, and the worker is joined;
-    an error of the caller's then wins over a fill's."""
+    Only this thread advances `parts`.  With two CPUs it hands the part
+    after the next one to a worker thread whenever ahead(), asked as the
+    caller asks for the next part, says so, and the worker fills it while
+    the caller works on the next one: at most one part ahead of the one the
+    caller works on.  Every other part (each one on one CPU) is filled on
+    this thread when it is asked for.  Once the caller stops (at the end,
+    or by closing this iterator, as contextlib.closing does on a break or
+    an error) no more parts are handed over, and the worker is joined; an
+    error of the caller's then wins over a fill's."""
     parts = iter(parts)
     overlap = two_cpus()
-    # (part, None) for each part the worker filled, None past the last;
-    # (None, exception) for a fill that failed
-    done = queue.SimpleQueue()
-    asked = threading.Semaphore(0)
-    ended = threading.Event()
+    # the parts handed to the worker, then None; for each, None once it is
+    # filled, or the exception its fill raised
+    todo, done = queue.SimpleQueue(), queue.SimpleQueue()
     worker = None
 
-    def fill_next():
-        while True:
-            asked.acquire()
-            if ended.is_set():
-                return
+    def fill_each():
+        # not iter(todo.get, None), which would compare a part with ==
+        while (part := todo.get()) is not None:
             try:
-                part = next(parts, None)
-                if part is not None:
-                    fill(out=part)
+                fill(out=part)
             except BaseException as exc:
-                done.put((None, exc))
+                done.put(exc)
                 return
-            done.put((part, None))
-            if part is None:
-                return
+            done.put(None)
 
     try:
-        # whether the worker was asked to fill the next part
-        filling = False
-        while True:
-            # asked before the next part is waited for, so that a worker
-            # still filling it goes on to the part after it without a pause
-            more = overlap and ahead()
-            if filling:
-                if more:
-                    asked.release()
-                part, failed = done.get()
-                if failed is not None:
-                    raise failed
-                if part is None:
-                    return
-            else:
-                part = next(parts, None)
-                if part is None:
-                    return
+        # the next part, and whether it was handed to the worker
+        part, handed = next(parts, None), False
+        while part is not None:
+            if not handed:
                 fill(out=part)
-                if more:
-                    if worker is None:
-                        worker = threading.Thread(target=fill_next)
-                        worker.start()
-                    asked.release()
-            filling = more
+            # the part after this one is handed over before this one is
+            # waited for, so that a worker still filling this one goes
+            # straight on to it
+            after = next(parts, None) if overlap and ahead() else None
+            if after is not None:
+                if worker is None:
+                    worker = threading.Thread(target=fill_each)
+                    worker.start()
+                todo.put(after)
+            if handed and (failed := done.get()) is not None:
+                raise failed
             yield part
+            handed = after is not None
+            part = after if handed else next(parts, None)
     finally:
         if worker is not None:
-            ended.set()
-            asked.release()
+            todo.put(None)
             worker.join()
 
 

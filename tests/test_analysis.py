@@ -8,6 +8,7 @@ import errno
 import hashlib
 import math
 import os
+import threading
 from itertools import product
 
 import numpy as np
@@ -414,6 +415,31 @@ def test_failed_row_writer_leaves_no_child(tmp_path, monkeypatch, failing, error
     with (tmp_path / "rows.csv").open("wb") as fh, pytest.raises(error):
         _write_rows(fh, row_bytes, 3)
     assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_a_row_failing_here_ends_a_child_holding_more_than_a_pipe(tmp_path, monkeypatch):
+    # the child's 256 KB of rows fill the 64 KB pipe, so it exits only once
+    # this process has closed the pipe: it must do so before it waits
+    _allow_cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    parent, raised = os.getpid(), []
+
+    def row_bytes(i):
+        if os.getpid() == parent:
+            raise ZeroDivisionError(f"row {i}")
+        return b"%0255d\n" % i
+
+    def write():
+        with (tmp_path / "rows.csv").open("wb") as fh, pytest.raises(ZeroDivisionError):
+            _write_rows(fh, row_bytes, 2048)
+        raised.append(True)
+
+    runner = threading.Thread(target=write, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    assert raised and len(forks) == 1
     _assert_no_child_left()
 
 

@@ -401,18 +401,18 @@ def test_non_object_sections_rejected(data, where):
     pytest.param({"mutualinfo": {"r_start": -0.1}}, "mutualinfo.r_start", ">= 0",
                  id="mutualinfo r_start -0.1"),
     pytest.param({"sweep": {"max_gap_s": -1}}, "sweep.max_gap_s", "> 0", id="sweep max_gap -1"),
-    ({"sweep": {"max_gap_s": 0}}, "sweep.max_gap_s", "> 0"),
-    ({"scan": {"lambda_perp_grid": {"start_cps": 0, "stop_cps": 1, "num": 1e12}}},
-     "scan.lambda_perp_grid.num", "<= 4194304"),
-    ({"mutualinfo": {"r_step": 1e-15}}, "mutualinfo.r_step",
-     "large enough for at most 4194304 grid points"),
-    ({"seed": -1}, "seed", ">= 0"),
-    ({"seed": -2.0}, "seed", ">= 0"),
-    ({"out": None}, "out", "a non-empty string"),
-    ({"out": ""}, "out", "a non-empty string"),
-    ({"out": ["results"]}, "out", "a non-empty string"),
-    ({"out": True}, "out", "a non-empty string"),
-    ({"out": 7}, "out", "a non-empty string"),
+    pytest.param({"sweep": {"max_gap_s": 0}}, "sweep.max_gap_s", "> 0", id="sweep max_gap 0"),
+    pytest.param({"scan": {"lambda_perp_grid": {"start_cps": 0, "stop_cps": 1, "num": 1e12}}},
+                 "scan.lambda_perp_grid.num", "<= 4194304", id="lambda_perp_grid num 1e12"),
+    pytest.param({"mutualinfo": {"r_step": 1e-15}}, "mutualinfo.r_step",
+                 "large enough for at most 4194304 grid points", id="mutualinfo r_step 1e-15"),
+    pytest.param({"seed": -1}, "seed", ">= 0", id="seed -1"),
+    pytest.param({"seed": -2.0}, "seed", ">= 0", id="seed -2.0"),
+    pytest.param({"out": None}, "out", "a non-empty string", id="out null"),
+    pytest.param({"out": ""}, "out", "a non-empty string", id="out empty"),
+    pytest.param({"out": ["results"]}, "out", "a non-empty string", id="out a list"),
+    pytest.param({"out": True}, "out", "a non-empty string", id="out true"),
+    pytest.param({"out": 7}, "out", "a non-empty string", id="out 7"),
     pytest.param({"sweep": {"bin_width_s": 1e7, "max_gap_s": 1e7}},
                  "sweep.max_gap_s / sweep.bin_width_s: the histogram's upper edge",
                  "at most 2**63 - 1 ps", id="histogram edge past int64"),

@@ -1243,6 +1243,34 @@ def test_overlap_on_one_cpu_or_of_one_part_runs_on_this_thread(monkeypatch, n_cp
     assert threading.active_count() == threads
 
 
+def test_parts_are_advanced_on_the_calling_thread_only(monkeypatch):
+    # numpy parts, as the chain's: a worker that compared one with == would
+    # die, and leave the caller waiting for its fill
+    _allow_cpus(monkeypatch, 2)
+    advanced_on, worked = [], []
+
+    def parts():
+        for k in range(200):
+            advanced_on.append(threading.current_thread())
+            yield np.full(4, float(k))
+
+    def fill(out):
+        out += 0.5
+
+    def work(part):
+        worked.append(float(part[0]))
+        return True
+
+    threads = threading.active_count()
+    runner = threading.Thread(target=_work_on, args=(fill, parts(), work), daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    assert threading.active_count() == threads
+    assert worked == [k + 0.5 for k in range(200)]
+    assert advanced_on == [runner] * 200
+
+
 def test_overlap_raises_the_work_error_over_the_fill_error(monkeypatch):
     _allow_cpus(monkeypatch, 2)
     working = threading.Event()
