@@ -72,9 +72,12 @@ MAX_STREAM_TICK = 1 << 62
 # value it reads lies below 10**18
 _BULK_DIGITS = 18
 # bytes read from a timestamp file at a time (_pieces): beside what it keeps,
-# a read holds the buffer, one piece and that piece's ticks and scratch, a
-# few pieces whatever the file's size
+# a read holds its bytes, the piece cut from them and that piece's ticks and
+# scratch, a few pieces whatever the file's size (a line longer than a piece
+# is held whole, as the reads it spans)
 _PIECE = 1 << 19
+# the characters of a bad line an error quotes (_quoted)
+_QUOTED = 40
 _LF = ord("\n")
 _ZERO = ord("0")
 # write_timestamps: where a tick gains a digit, and the digits of 0 to 99
@@ -90,9 +93,9 @@ _PROBE_EVENTS = 4
 _PROBE_MIN_LIVE = 64
 # elements each blockwise pass takes per numpy call (kept ticks placed,
 # events tested for a segment start, pointers chased, kept events selected,
-# gaps drawn or binned, lines parsed or written): its temporaries stay
-# near 0.5 MB instead of the length of the stream, and its Python loops run
-# n / _BLOCK times
+# gaps drawn or binned, lines written): its temporaries stay near 0.5 MB
+# instead of the length of the stream, and its Python loops run n / _BLOCK
+# times
 _BLOCK = 1 << 16
 # the blocks of gaps a kept chain holds (_KeptChain): its last _HELD
 _HELD = 2
@@ -245,8 +248,9 @@ def _chase(ticks: np.ndarray, dead: int, kept: np.ndarray, cur: np.ndarray,
                 nxt += np.take(ticks, nxt, mode="clip") < reach
             short = np.flatnonzero(nxt > cur + _PROBE_EVENTS)
             nxt[short] = np.searchsorted(ticks, reach[short], side="left")
-        # compress, not a boolean gather (which branches on each pointer) nor
-        # take by index (whose 8-byte indices raise the peak memory)
+        # compress is faster than a boolean gather, which branches on each
+        # pointer; it builds 8-byte indices as a take would, for at most
+        # _BLOCK pointers a step
         live = nxt < end
         cur = nxt.compress(live)
         end = end.compress(live)
@@ -355,7 +359,10 @@ def interarrival_histogram(
     """Histogram of adjacent gaps g <= max_gap in bins k * w <= g < (k + 1) * w
     of width w: a gap on a bin edge counts in the upper bin, so one equal to
     max_gap on the last bin's upper edge counts in none.  The ticks are
-    folded _BLOCK at a time (_fold)."""
+    folded _BLOCK at a time (_fold).
+
+    No command calls it: it is the tests' oracle for read_interarrival_histogram
+    and the kept chain's histogram, and perfbench/tracer.py wraps it by name."""
     x = stream.ticks
     _binning(bin_width_s, max_gap_s, x.size)  # its errors, before any gap is made
     blocks = (x[lo:lo + _BLOCK] for lo in range(0, x.size, _BLOCK))
@@ -841,8 +848,8 @@ def _width_runs(raw: bytes, buf: np.ndarray):
     wider than _BULK_DIGITS or narrower than the row before it.
 
     A run's width is that of its first row.  It holds the rows
-    start + k * (width + 1) for as long as each ends in an LF, tested
-    _BLOCK rows at a time on the byte that ends each row; the bytes inside the
+    start + k * (width + 1) for as long as each ends in an LF, tested in one
+    strided compare of the byte that ends each row; the bytes inside the
     rows are not tested here.  Widths that never narrow make at most
     _BULK_DIGITS + 1 runs.
     """
@@ -859,15 +866,8 @@ def _width_runs(raw: bytes, buf: np.ndarray):
             runs.append((start, width, 1))
             break
         stride = width + 1
-        fit = (len(raw) - start) // stride
-        rows = 1
-        while rows < fit:
-            stop = min(rows + _BLOCK, fit)
-            ends = buf[start + rows * stride + width:start + stop * stride:stride] == _LF
-            if not ends.all():
-                rows += int(ends.argmin())
-                break
-            rows = stop
+        ends = buf[start + width::stride] == _LF
+        rows = ends.size if ends.all() else int(ends.argmin())
         runs.append((start, width, rows))
         start += rows * stride
     return runs
@@ -921,12 +921,12 @@ def _ticks_in_bulk(raw: bytes):
     """The ticks of bytes of rows of 1 to _BULK_DIGITS ASCII digits, each
     LF-terminated but perhaps the last, whose widths never narrow; else None.
 
-    The bytes are split into runs of equal-width rows (_width_runs), which are
-    parsed _BLOCK rows at a time.  A block's bytes must hold as many digits as
-    its rows' widths add up to: with the LF found at each row's end, that
-    proves every other byte a digit.  Each row's value is then read from its
-    digits as words (_row_values), or by int() if the row ends too near the
-    start of the bytes for its first word.
+    The bytes are split into runs of equal-width rows (_width_runs), each
+    parsed in one pass.  A run's bytes must hold as many digits as its rows'
+    widths add up to: with the LF found at each row's end, that proves every
+    other byte a digit.  Each row's value is then read from its digits as
+    words (_row_values), or by int() if the row ends too near the start of
+    the bytes for its first word.
     """
     buf = np.frombuffer(raw, dtype=np.uint8)
     runs = _width_runs(raw, buf)
@@ -934,28 +934,33 @@ def _ticks_in_bulk(raw: bytes):
         return None
     ticks = np.empty(sum(rows for _, _, rows in runs), dtype=np.int64)
     words = ticks.view(np.uint64)
-    part = np.empty(min(_BLOCK, ticks.size), dtype=np.uint64)
-    # the digit count's scratch: free until the block's digits are counted
+    # as long as the longest run, so never longer than the ticks
+    part = np.empty(max((rows for _, _, rows in runs), default=0), dtype=np.uint64)
+    # the digit count's scratch: free until the run's digits are counted
     scratch = part.view(np.uint8)
     first = 0
     for start, width, rows in runs:
         stride = width + 1
-        for lo in range(0, rows, _BLOCK):
-            hi = min(lo + _BLOCK, rows)
-            row = start + lo * stride
-            block = buf[row:start + hi * stride]
-            if _digit_count(block, scratch) != (hi - lo) * width:
-                return None
-            out = words[first + lo:first + hi]
-            # the rows that end within three words of the start of the bytes
-            head = 0
-            while head < out.size and row + head * stride + width < 3 * 8:
-                out[head] = int(raw[row + head * stride:row + head * stride + width])
-                head += 1
-            if head < out.size:
-                _row_values(raw, out[head:], row + head * stride + width, stride, part)
+        if _digit_count(buf[start:start + rows * stride], scratch) != rows * width:
+            return None
+        out = words[first:first + rows]
         first += rows
+        # the rows that end within three words of the start of the bytes
+        head = 0
+        while head < rows and start + head * stride + width < 3 * 8:
+            out[head] = int(raw[start + head * stride:start + head * stride + width])
+            head += 1
+        if head < rows:
+            _row_values(raw, out[head:], start + head * stride + width, stride, part)
     return ticks
+
+
+def _quoted(text: str) -> str:
+    """A bad line as an error quotes it: whole up to _QUOTED characters, else
+    its first _QUOTED and its length."""
+    if len(text) <= _QUOTED:
+        return repr(text)
+    return f"{text[:_QUOTED]!r}... ({len(text)} characters)"
 
 
 def _ticks_by_line(raw: bytes, path: Path, lines: int) -> tuple[np.ndarray, int]:
@@ -978,9 +983,10 @@ def _ticks_by_line(raw: bytes, path: Path, lines: int) -> tuple[np.ndarray, int]
             try:
                 tick = int(text)
             except ValueError:
-                raise ValueError(f"{path}: malformed timestamp at line {lineno}: {text!r}") from None
+                raise ValueError(f"{path}: malformed timestamp at line {lineno}: "
+                                 f"{_quoted(text)}") from None
             if tick < 0:
-                raise ValueError(f"{path}: negative timestamp at line {lineno}: {text!r}")
+                raise ValueError(f"{path}: negative timestamp at line {lineno}: {_quoted(text)}")
             if tick > 2**63 - 1:
                 raise ValueError(f"{path}: timestamp at line {lineno} is above 2**63 - 1 "
                                  f"({len(text)} characters)")
@@ -990,31 +996,21 @@ def _ticks_by_line(raw: bytes, path: Path, lines: int) -> tuple[np.ndarray, int]
 
 def _pieces(fh):
     """The bytes of the binary file fh in pieces of whole lines, read
-    _PIECE bytes at a time into one reused buffer: each piece ends after its
-    last LF, and the line it cuts is carried into the next; the last piece
-    is the rest of the file.  The buffer grows only to hold a line longer
-    than itself."""
-    buffer = bytearray(_PIECE)
-    held = 0
-    while True:
-        with memoryview(buffer)[held:] as free:
-            size = fh.readinto(free)
-        if not size:
-            if held:
-                yield bytes(memoryview(buffer)[:held])
-            return
-        end = held + size
-        # the bytes carried hold no LF
-        cut = buffer.rfind(b"\n", held, end) + 1
-        if cut:
-            piece = bytes(memoryview(buffer)[:cut])
-            buffer[:end - cut] = buffer[cut:end]
-            held = end - cut
-            yield piece
-        else:
-            held = end
-            if held == len(buffer):
-                buffer.extend(bytes(len(buffer)))
+    _PIECE bytes at a time: each piece ends after its last LF.  The part of
+    a line that a read cuts is held, with every later read that holds no LF,
+    and joined once with the next read's bytes up to its last LF; the last
+    piece is the rest of the file."""
+    held = []
+    while chunk := fh.read(_PIECE):
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            held.append(chunk)
+            continue
+        piece = b"".join([*held, memoryview(chunk)[:cut]])
+        held = [chunk[cut:]]
+        yield piece
+    if rest := b"".join(held):
+        yield rest
 
 
 def _tick_blocks(path: Path):
@@ -1041,8 +1037,10 @@ def read_timestamps(path) -> TimestampStream:
     rows of 1 to 18 ASCII digits, each LF-terminated but perhaps the last,
     whose widths never narrow, as write_timestamps writes them, is parsed in
     bulk as runs of rows of equal width; any other piece is read line by
-    line.  Both give the same result
-    on every piece the bulk parse takes.
+    line.  Both give the same result on every piece the bulk parse takes.
+
+    No command calls it: it is the tests' oracle for read_interarrival_histogram,
+    and perfbench/tracer.py wraps it by name.
     """
     path = Path(path)
     ticks = array("q")

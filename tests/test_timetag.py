@@ -1332,8 +1332,8 @@ def test_generator_holds_about_one_stream():
     # the first draw imports numpy.random's modules: not part of the figure
     generate_poisson_stream(1e3, 1e-3, seed=0)
     stream, peak = _peak_bytes(generate_poisson_stream, *LARGE_STREAM)
-    # the ticks as they grow (by a sixteenth at a time), and the chain's
-    # ring of four blocks
+    # the one buffer the chain's draws fill and turn into ticks in place,
+    # sized for the expected count plus 10 sigma; the chain makes no ring
     assert peak < 1.5 * stream.ticks.nbytes
 
 
@@ -1565,6 +1565,26 @@ def test_reading_in_pieces_keeps_the_first_fault(tmp_path, monkeypatch, raw, mes
         assert str(excinfo.value) == f"{path}: {message}"
 
 
+# a bad line is quoted whole up to 40 characters, else by its first 40 and
+# its length; the first read cuts a line of 1.3 MB, and two more are held
+# and joined with the third up to its LF
+@pytest.mark.parametrize("line, message", [
+    (b"x" * 40, f"malformed timestamp at line 2: '{'x' * 40}'"),
+    (b"x" * 41, f"malformed timestamp at line 2: '{'x' * 40}'... (41 characters)"),
+    (b"-" + b"9" * 39, f"negative timestamp at line 2: '-{'9' * 39}'"),
+    (b"-" + b"9" * 40, f"negative timestamp at line 2: '-{'9' * 39}'... (41 characters)"),
+    (b"x" * 1_300_000, f"malformed timestamp at line 2: '{'x' * 40}'... (1300000 characters)"),
+], ids=["malformed, 40 characters", "malformed, 41 characters", "negative, 40 characters",
+        "negative, 41 characters", "malformed, three reads"])
+def test_a_bad_line_is_quoted_up_to_40_characters(tmp_path, line, message):
+    path = tmp_path / "tags.txt"
+    path.write_bytes(b"1\n" + line + b"\n")
+    for read in (read_timestamps, read_interarrival_histogram):
+        with pytest.raises(ValueError) as excinfo:
+            read(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
+
 def test_long_zero_padded_line_reads_as_the_line_reader_reads_it(tmp_path):
     # int() refuses more than 4300 digits unless the interpreter is told otherwise
     path = tmp_path / "tags.txt"
@@ -1584,6 +1604,22 @@ def test_digit_only_file_across_blocks_and_word_edges(tmp_path):
     assert path.read_bytes() == "".join(f"{tick}\n" for tick in ticks.tolist()).encode()
     assert (_outcome(read_timestamps, path) == _outcome(_read_by_line, path)
             == (ticks.tobytes(), duration_s))
+
+
+def test_run_longer_than_a_block_in_one_piece(tmp_path):
+    # 6-digit rows (ticks below 1 us): with 5-digit rows, the only ascending
+    # rows whose run in a 512 KB piece can exceed _BLOCK rows
+    ticks = np.arange(100_000, 170_000)
+    assert ticks.size > timetag._BLOCK
+    path = tmp_path / "tags.txt"
+    write_timestamps(TimestampStream(ticks, float(ticks[-1]) * TICK_S), path)
+    assert path.stat().st_size < timetag._PIECE
+    assert (_outcome(read_timestamps, path) == _outcome(_read_by_line, path)
+            == (ticks.tobytes(), float(ticks[-1]) * TICK_S))
+    for bins in [(0.5e-9, 200e-9), (1e-12, 1e-9)]:
+        with mock.patch.object(timetag, "_ticks_in_bulk", return_value=None):
+            whole = _histogram_outcome(_read_and_histogram, path, bins)
+        assert _histogram_outcome(read_interarrival_histogram, path, bins) == whole
 
 
 @pytest.mark.parametrize("text, ticks", [
