@@ -36,12 +36,13 @@ from .detector import (
     observed_rate,
 )
 from .protocol import (
+    Basis,
     BranchStats,
+    PolarizationState,
     ProtocolConfig,
     SimulationReport,
     run_simulation,
 )
-from .quantum import Basis, PolarizationState
 from .timetag import (
     EstimationError,
     FixedPointError,

@@ -13,6 +13,14 @@ prepare-and-measure reduction: Alice's measurement on her half defines the
 state entering the channel, which is the picture all the closed-form
 predictions are written in.
 
+The receiver is an active-basis polarization analyzer: a basis rotation
+followed by a polarizing beam splitter with one detector per output port.
+Only the four BB84/BBM92 eigenstates appear, named by (basis, bit): bit 0 is
+H in the Z basis and D in the X basis, bit 1 is V and A, and the detectors
+are indexed the same way.  So every projection probability is exactly 0, 1/2
+or 1, and a sifted click is an error when its detector differs from Alice's
+bit.
+
 Rounds are iid, and each falls into one of 2^7 = 128 cells (Alice's basis
 and bit, Eve's basis and bit, Bob's basis, the detector, click or not).  The
 run builds the probability of every cell once and draws all rounds with one
@@ -25,6 +33,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from enum import Enum
 from itertools import product
 from pathlib import Path
 
@@ -32,14 +41,39 @@ import numpy as np
 
 from .adversary import AttackConfig, AttackMode, branch_click_probabilities
 from .detector import AvailabilityModel, DeadTimeCurve, default_dead_time_curve
-from .quantum import Basis, PolarizationState
 
 __all__ = [
+    "Basis",
+    "PolarizationState",
     "ProtocolConfig",
     "BranchStats",
     "SimulationReport",
     "run_simulation",
 ]
+
+
+class Basis(Enum):
+    """Measurement basis: Z is horizontal/vertical, X is diagonal/antidiagonal."""
+
+    Z = "Z"
+    X = "X"
+
+
+@dataclass(frozen=True)
+class PolarizationState:
+    """One of the four protocol eigenstates, identified by (basis, bit) in
+    the convention the module docstring states."""
+
+    basis: Basis
+    bit: int
+
+    def __post_init__(self):
+        if self.bit not in (0, 1):
+            raise ValueError(f"bit must be 0 or 1, got {self.bit!r}")
+
+    def __str__(self) -> str:
+        return f"{self.basis.value}{self.bit}"
+
 
 _BASES = (Basis.Z, Basis.X)
 

@@ -16,8 +16,7 @@ from pathlib import Path
 
 from .adversary import AttackConfig, AttackMode
 from .detector import AvailabilityModel, DeadTimeCurve, default_dead_time_curve
-from .protocol import ProtocolConfig
-from .quantum import Basis, PolarizationState
+from .protocol import Basis, PolarizationState, ProtocolConfig
 from .timetag import (DEFAULT_BIN_WIDTH_S, DEFAULT_MAX_GAP_S, DEFAULT_MIN_COUNT,
                       expected_events, histogram_bins)
 

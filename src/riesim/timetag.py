@@ -331,10 +331,13 @@ def apply_dead_time(stream: TimestampStream, *, constant_dead_time_s: float) -> 
 
 
 def histogram_bins(bin_width_s: float, max_gap_s: float) -> int:
-    """Bins of width bin_width_s that cover [0, max_gap_s]; ValueError above
-    MAX_HISTOGRAM_BINS, if either is not a whole number of ticks, or if the
-    bins' upper edge passes 2**63 - 1 ticks, past which int64 gaps cannot
-    be binned."""
+    """Bins of width bin_width_s that cover [0, max_gap_s]; ValueError unless
+    both are finite and > 0, above MAX_HISTOGRAM_BINS, if either is not a
+    whole number of ticks, or if the bins' upper edge passes 2**63 - 1 ticks,
+    past which int64 gaps cannot be binned."""
+    for name, seconds in (("bin width", bin_width_s), ("max gap", max_gap_s)):
+        if not (math.isfinite(seconds) and seconds > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {seconds!r}")
     bin_ticks, max_ticks = _ticks_of(bin_width_s), _ticks_of(max_gap_s)
     n_bins = np.ceil(max_ticks / bin_ticks)
     if not n_bins <= MAX_HISTOGRAM_BINS:
@@ -375,8 +378,6 @@ def _binning(bin_width_s: float, max_gap_s: float, events: int) -> tuple[int, in
     number, their width in ticks and the tick limit below which a gap is
     binned.  ValueError on bins it refuses, then InsufficientDataError below
     two timestamps."""
-    if bin_width_s <= 0:
-        raise ValueError("bin width must be positive")
     n_bins = histogram_bins(bin_width_s, max_gap_s)
     if events < 2:
         raise InsufficientDataError(f"insufficient data: need at least 2 timestamps for an "
@@ -837,8 +838,6 @@ def sweep_dead_time(
         count, window = _fixed_point(chain.count, beta, truth_curve, duration_s)
         estimate = estimate_dead_time(chain.histogram(window, bin_width_s), min_count)
         points.append(SweepPoint(count / duration_s if duration_s > 0 else 0.0, estimate))
-        # one chain at a time: this one goes before the next rate's is drawn
-        del chain
     return points
 
 

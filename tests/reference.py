@@ -62,12 +62,13 @@ from riesim.protocol import (
     _ERROR,
     _OFF_BRANCH_AXES,
     _SIFTED,
+    Basis,
+    PolarizationState,
     ProtocolConfig,
     SimulationReport,
     _round_law,
     _tally,
 )
-from riesim.quantum import Basis, PolarizationState
 from riesim import timetag
 from riesim.timetag import (
     TimestampStream,

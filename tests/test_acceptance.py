@@ -32,8 +32,8 @@ from riesim.detector import (
     default_dead_time_curve,
     observed_rate,
 )
-from riesim.protocol import ProtocolConfig, _round_law, _tally, run_simulation
-from riesim.quantum import Basis, PolarizationState
+from riesim.protocol import (Basis, PolarizationState, ProtocolConfig, _round_law, _tally,
+                             run_simulation)
 from riesim.timetag import apply_dead_time, generate_poisson_stream, sweep_dead_time
 
 from reference import (assert_kept_count_fits_law, assert_report_fits_law, law_totals,

@@ -8,10 +8,10 @@ probabilities are branch_click_probabilities.
 import numpy as np
 import pytest
 
-from riesim.adversary import AttackConfig, AttackMode, branch_click_probabilities, effective_r
+from riesim.adversary import (AttackConfig, AttackMode, DegenerateAttackError,
+                              branch_click_probabilities, effective_r)
 from riesim.detector import AvailabilityModel, DeadTimeCurve, SaturationError, default_dead_time_curve
-from riesim.protocol import ProtocolConfig
-from riesim.quantum import Basis, PolarizationState
+from riesim.protocol import Basis, PolarizationState, ProtocolConfig
 
 from reference import EveAction, deterministic_suppression, intercept, loading_for_branch
 
@@ -193,6 +193,12 @@ def test_intercept_resend_mode_ratio_is_one():
 def test_mode_none_has_no_ratio():
     with pytest.raises(ValueError):
         effective_r(_proto(), AttackConfig())
+
+
+def test_ratio_is_undefined_when_the_aligned_branch_never_clicks():
+    # 1e12 cps of background: p_parallel = 0.9 * exp(-31,500) underflows to 0
+    with pytest.raises(DegenerateAttackError, match="^aligned-case click probability is zero"):
+        effective_r(_proto(0.9, background_rate_cps=1e12), _nd(lam_perp=25e6))
 
 
 def test_ratio_on_default_curve_linear_bound():

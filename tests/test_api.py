@@ -8,7 +8,7 @@ import pkgutil
 import riesim
 from riesim.analysis import StealthScan
 from riesim.detector import DeadTimeCurve
-from riesim.quantum import PolarizationState
+from riesim.protocol import PolarizationState
 from riesim.timetag import InterArrivalHistogram, TimestampStream, apply_dead_time
 
 MODULES = [riesim] + [importlib.import_module(f"riesim.{info.name}")
@@ -19,11 +19,12 @@ MODULES = [riesim] + [importlib.import_module(f"riesim.{info.name}")
 # SimulationReport.per_branch_stats a third time; the other names are the
 # per-round sampler's helpers and its Born rule on the four named states,
 # which live in tests/reference.py; no command called ChannelParams and
-# mutual_info_erasure_bsc, nor the constant-t_d inverse observed_to_true_rate
+# mutual_info_erasure_bsc, nor the constant-t_d inverse observed_to_true_rate;
+# the module quantum held only the state types, which protocol now defines
 REMOVED = ("A", "ArrivalResult", "BranchRow", "ChannelParams", "D", "DetectorUnit", "EveAction",
            "H", "V", "branch_table", "dead_time_at", "deterministic_suppression", "intercept",
            "loading_for_branch", "mutual_info_erasure_bsc", "observed_to_true_rate",
-           "projection_prob", "route_through_pbs")
+           "projection_prob", "quantum", "route_through_pbs")
 
 
 def test_every_exported_name_resolves():

@@ -221,6 +221,22 @@ def test_analytic_without_attack_exits_2(tmp_path, capsys, attack):
     assert not (tmp_path / "results").exists()
 
 
+def test_aligned_branch_that_never_clicks(tmp_path, capsys):
+    # 1e12 cps of background under the exponential law: p_parallel =
+    # 0.9 * exp(-31,500) underflows to 0, so r is undefined, and no round
+    # clicks
+    config = write_config(tmp_path, {
+        "out": str(tmp_path / "results"),
+        "protocol": {"n_rounds": 1000, "p0": 0.9, "background_rate_cps": 1e12},
+        "attack": {"mode": "rie_non_deterministic", "lambda_perp_cps": 25e6},
+    })
+    assert main(["--config", str(config), "analytic"]) == 1
+    assert capsys.readouterr().err == ("error: aligned-case click probability is zero; "
+                                       "r = p_perp/p_parallel is undefined\n")
+    assert main(["--config", str(config), "simulate"]) == 0
+    assert "sifted=0 qber=none" in capsys.readouterr().out
+
+
 def test_analytic_reads_protocol_section(tmp_path):
     config = write_config(tmp_path, {
         "out": str(tmp_path / "results"),

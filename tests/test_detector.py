@@ -64,6 +64,15 @@ def test_curve_arrays_are_read_only_copies():
         curve.dead_times_s[0] = 1.0
 
 
+@pytest.mark.parametrize("rates, times", [
+    ([0.0, 1e6], [2e-8, 3e-8, 4e-8]),
+    ([[0.0, 1e6]], [[2e-8, 3e-8]]),
+], ids=["unequal lengths", "two-dimensional"])
+def test_mismatched_curve_arrays_rejected(rates, times):
+    with pytest.raises(ValueError, match="^curve needs matching 1-d rate and dead-time arrays$"):
+        DeadTimeCurve(np.array(rates), np.array(times))
+
+
 def test_empty_curve_rejected():
     with pytest.raises(ValueError):
         DeadTimeCurve.from_points([])
@@ -134,6 +143,11 @@ def test_linear_bound_saturates_at_unit_busy_fraction():
         availability(1e6, curve, LIN)
     with pytest.raises(SaturationError):
         availability(2e6, curve, LIN)
+
+
+def test_unknown_availability_model_rejected():
+    with pytest.raises(ValueError, match="^unknown availability model 'quadratic'$"):
+        availability(1e6, default_dead_time_curve(), "quadratic")
 
 
 def test_linear_bound_below_exponential_everywhere():

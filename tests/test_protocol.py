@@ -22,11 +22,12 @@ from riesim.detector import AvailabilityModel, DeadTimeCurve, default_dead_time_
 from riesim.protocol import (
     _ERROR,
     _SIFTED,
+    Basis,
+    PolarizationState,
     ProtocolConfig,
     _round_law,
     run_simulation,
 )
-from riesim.quantum import Basis, PolarizationState
 
 import reference
 from reference import resolve_outcome, rie_with_ratio, round_cell, run_round

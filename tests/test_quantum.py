@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from riesim.quantum import Basis, PolarizationState
+from riesim.protocol import Basis, PolarizationState
 
 from reference import ALPHA, A, D, H, V, complement, projection_prob, route_through_pbs
 

@@ -7,7 +7,7 @@ import pytest
 
 from riesim.adversary import AttackMode
 from riesim.detector import AvailabilityModel, default_dead_time_curve
-from riesim.quantum import Basis, PolarizationState
+from riesim.protocol import Basis, PolarizationState
 from riesim.scenario import (MAX_GRID_POINTS, MutualInfoSettings, ScenarioError,
                              _parse_mutualinfo, load_scenario)
 

@@ -874,6 +874,30 @@ def test_histogram_matches_per_gap_loop(case, bin_ticks, max_ticks):
     assert hist.counts.tolist() == expected
 
 
+@pytest.mark.parametrize("bin_width, max_gap, message", [
+    (0.0, 200e-9, "bin width must be finite and > 0, got 0.0"),
+    (-0.5e-9, 200e-9, "bin width must be finite and > 0, got -5e-10"),
+    (float("nan"), 200e-9, "bin width must be finite and > 0, got nan"),
+    (0.5e-9, -1e-9, "max gap must be finite and > 0, got -1e-09"),
+    (0.5e-9, 0.0, "max gap must be finite and > 0, got 0.0"),
+    (0.5e-9, float("inf"), "max gap must be finite and > 0, got inf"),
+])
+def test_histogram_settings_must_be_finite_and_positive(bin_width, max_gap, message):
+    # a zero or negative setting once raised ZeroDivisionError or gave -400,
+    # -2 or 0 bins, which failed inside numpy or left no bin to estimate from
+    stream = TimestampStream(np.array([0, 1000, 2000]), duration_s=1e-8)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        timetag.histogram_bins(bin_width, max_gap)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        interarrival_histogram(stream, bin_width, max_gap)
+
+
+def test_sweep_refuses_a_negative_max_gap():
+    with pytest.raises(ValueError, match=r"^max gap must be finite and > 0, got -1e-09$"):
+        sweep_dead_time([1e6], DeadTimeCurve.constant(25e-9), duration_s=1e-3,
+                        bin_width_s=0.5e-9, seed=1, max_gap_s=-1e-9)
+
+
 def test_histogram_bin_count_is_capped():
     cap = timetag.MAX_HISTOGRAM_BINS
     assert timetag.histogram_bins(0.5e-9, 200e-9) == 400
@@ -932,6 +956,13 @@ def test_all_zero_histogram_raises():
     hist = InterArrivalHistogram(bin_width_s=1e-9, counts=np.zeros(100, dtype=np.int64))
     with pytest.raises(EstimationError):
         estimate_dead_time(hist)
+
+
+@pytest.mark.parametrize("min_count", [0, -3])
+def test_min_count_must_be_at_least_one(min_count):
+    hist = InterArrivalHistogram(bin_width_s=1e-9, counts=np.array([0, 3, 5]))
+    with pytest.raises(ValueError, match="^min_count must be >= 1$"):
+        estimate_dead_time(hist, min_count)
 
 
 def test_min_count_guards_against_stray_outlier():
